@@ -312,7 +312,7 @@ fn serve(args: &[String]) {
             "serve",
             "ars/s",
             &sopts.seed.to_string(),
-            report.trajectory.clone(),
+            report.trajectory.iter().map(|row| row.to_json()).collect(),
         );
         write_file(path, &doc.to_pretty());
         eprintln!("wrote {path}");

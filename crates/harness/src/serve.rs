@@ -102,7 +102,7 @@ pub struct ServeReport {
     pub registry: MetricsRegistry,
     /// Wall-clock trajectory rows (one per `snapshot_every` batches plus
     /// a final row) for `BENCH_serve.json`.
-    pub trajectory: Vec<Json>,
+    pub trajectory: Vec<TrajectoryRow>,
     /// ARs committed.
     pub ars: u64,
     /// Simulator steps across all batches.
@@ -262,7 +262,7 @@ pub fn serve_session(opts: &ServeOptions) -> ServeReport {
     let mut queue_max_depth = 0usize;
     let mut backpressure_events = 0u64;
     let mut registry = MetricsRegistry::new();
-    let mut trajectory: Vec<Json> = Vec::new();
+    let mut trajectory: Vec<TrajectoryRow> = Vec::new();
     let mut starved = false;
 
     while served < opts.total_ars {
@@ -452,7 +452,41 @@ pub fn serve_session(opts: &ServeOptions) -> ServeReport {
     }
 }
 
-/// One wall-clock trajectory row (BENCH material, never golden material).
+/// The keys of a [`TrajectoryRow`], in [`TrajectoryRow::to_json`] order.
+pub const TRAJECTORY_KEYS: [&str; 10] = [
+    "batch",
+    "ars",
+    "steps",
+    "queue_depth",
+    "wall_ns",
+    "ars_per_sec",
+    "steps_per_sec",
+    "p50",
+    "p99",
+    "p999",
+];
+
+/// One wall-clock trajectory row (BENCH material, never golden material):
+/// the value of each of [`TRAJECTORY_KEYS`], in order. The values are
+/// numbers stored inline, so a session's rows cost no heap allocation
+/// each, however many batches it runs.
+#[derive(Clone, Debug)]
+pub struct TrajectoryRow([Json; 10]);
+
+impl TrajectoryRow {
+    /// The value under `key`, as [`Json::get`] would find it in
+    /// [`TrajectoryRow::to_json`].
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        let i = TRAJECTORY_KEYS.iter().position(|k| *k == key)?;
+        Some(&self.0[i])
+    }
+
+    /// The row as a JSON object (the `BENCH_serve.json` `values` row).
+    pub fn to_json(&self) -> Json {
+        Json::obj(TRAJECTORY_KEYS.into_iter().zip(self.0.iter().cloned()))
+    }
+}
+
 fn trajectory_row(
     batches: u64,
     served: u64,
@@ -460,20 +494,20 @@ fn trajectory_row(
     queue_depth: usize,
     wall_ns: u64,
     registry: &MetricsRegistry,
-) -> Json {
+) -> TrajectoryRow {
     let secs = (wall_ns as f64 / 1e9).max(1e-9);
     let all = overall_ttc(registry);
-    Json::obj([
-        ("batch", Json::from(batches)),
-        ("ars", Json::from(served)),
-        ("steps", Json::from(steps)),
-        ("queue_depth", Json::from(queue_depth)),
-        ("wall_ns", Json::from(wall_ns)),
-        ("ars_per_sec", Json::Float(served as f64 / secs)),
-        ("steps_per_sec", Json::Float(steps as f64 / secs)),
-        ("p50", Json::from(all.quantile(0.50))),
-        ("p99", Json::from(all.quantile(0.99))),
-        ("p999", Json::from(all.quantile(0.999))),
+    TrajectoryRow([
+        Json::from(batches),
+        Json::from(served),
+        Json::from(steps),
+        Json::from(queue_depth),
+        Json::from(wall_ns),
+        Json::Float(served as f64 / secs),
+        Json::Float(steps as f64 / secs),
+        Json::from(all.quantile(0.50)),
+        Json::from(all.quantile(0.99)),
+        Json::from(all.quantile(0.999)),
     ])
 }
 
@@ -500,6 +534,23 @@ mod tests {
         assert_eq!(q.get("dropped"), Some(&Json::Int(0)));
         assert!(!r.trajectory.is_empty());
         assert!(r.registry.hist(families::LOCK_WAIT_CYCLES, &[]).is_some() || r.ars > 0);
+    }
+
+    #[test]
+    fn trajectory_rows_render_every_key_in_order() {
+        let r = serve_session(&tiny_opts());
+        let row = r.trajectory.last().expect("a final row");
+        let json = row.to_json();
+        let Json::Obj(pairs) = &json else {
+            panic!("a row renders as an object")
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, TRAJECTORY_KEYS);
+        for key in TRAJECTORY_KEYS {
+            assert_eq!(row.get(key), json.get(key), "{key}");
+        }
+        assert_eq!(row.get("ars"), Some(&Json::from(96u64)));
+        assert_eq!(row.get("nosuch"), None);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Attempt lifecycle: starting attempts in each mode, aborting with the
 //! Fig. 2 decision, committing, and the Fig. 1 footprint instrumentation.
+use super::sched::WaitOn;
 use super::*;
 
 impl Machine {
+    /// Starts an attempt in the planned mode, or — when the fallback lock
+    /// bars the mode — fails the poll and parks until a release.
     pub(super) fn start_attempt(&mut self, c: usize) {
-        let spin = self.config.timing.spin_interval;
         match self.cores[c].planned {
             RetryMode::Fallback => {
                 if self.fallback.try_write(CoreId(c)) {
@@ -27,14 +29,12 @@ impl Machine {
                     self.phases[c] = Phase::Running;
                     self.clocks[c] += self.config.timing.xbegin_cost;
                 } else {
-                    self.clocks[c] += spin;
-                    self.stats.fallback_wait_cycles += spin;
+                    self.park(c, WaitOn::FallbackIdle);
                 }
             }
             RetryMode::NsCl | RetryMode::SCl => {
                 if self.fallback.writer().is_some() || !self.fallback.try_read(CoreId(c)) {
-                    self.clocks[c] += spin;
-                    self.stats.fallback_wait_cycles += spin;
+                    self.park(c, WaitOn::FallbackWriter);
                     return;
                 }
                 let mode = if self.cores[c].planned == RetryMode::NsCl {
@@ -95,8 +95,7 @@ impl Machine {
                         self.stats.aborts.record(AbortKind::ExplicitFallback);
                         self.cores[c].explicit_fb_recorded = true;
                     }
-                    self.clocks[c] += spin;
-                    self.stats.fallback_wait_cycles += spin;
+                    self.park(c, WaitOn::FallbackWriter);
                     return;
                 }
                 self.cores[c].explicit_fb_recorded = false;
@@ -164,13 +163,12 @@ impl Machine {
         self.cores[c].held_abort = None;
         self.cores[c].discovery = None;
         self.coherence.clear_tx(CoreId(c));
-        self.coherence.unlock_all(CoreId(c));
-        self.fallback.release_read(CoreId(c));
+        self.release_cl_locks(c);
         // An explicit abort on the fallback path (a program-level retry
         // loop) must release the write lock too, or every other thread
         // deadlocks behind it.
         if self.fallback.writer() == Some(CoreId(c)) {
-            self.fallback.release_write(CoreId(c));
+            self.release_fallback_write(c);
         }
 
         // S-CL aborts for non-conflict reasons mark the AR non-discoverable
@@ -323,11 +321,8 @@ impl Machine {
         }
         self.coherence.clear_tx(CoreId(c));
         match mode {
-            ExecMode::SCl | ExecMode::NsCl => {
-                self.coherence.unlock_all(CoreId(c));
-                self.fallback.release_read(CoreId(c));
-            }
-            ExecMode::Fallback => self.fallback.release_write(CoreId(c)),
+            ExecMode::SCl | ExecMode::NsCl => self.release_cl_locks(c),
+            ExecMode::Fallback => self.release_fallback_write(c),
             ExecMode::Speculative => {}
         }
         if self.cores[c].power {

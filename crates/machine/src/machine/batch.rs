@@ -92,6 +92,11 @@ impl Machine {
         let Some(step) = self.classify_local(first, clock) else {
             return false;
         };
+        // A parked core whose poll falls at this clock would pop among the
+        // tied cores under per-poll spinning, and a poll is never local.
+        let cut = self
+            .waits
+            .poll_cut(&self.clocks, self.config.timing.spin_interval, first, clock);
         let mut members: Vec<(usize, LocalStep)> = vec![(first, step)];
         let mut claims: Vec<usize> = Vec::new();
         if let LocalStep::Exec { shard: Some(s) } = step {
@@ -99,7 +104,7 @@ impl Machine {
         }
         sched.remove(first);
         while let Some(c) = sched.peek() {
-            if self.clocks[c] != clock {
+            if self.clocks[c] != clock || c > cut {
                 break;
             }
             let Some(step) = self.classify_local(c, clock) else {

@@ -1,5 +1,6 @@
 //! The NS-CL/S-CL lock-acquisition phase: lexicographical order, group
 //! locking with the ALT Hit-bit fast path, and lock-conflict policy.
+use super::sched::WaitOn;
 use super::*;
 
 impl Machine {
@@ -31,13 +32,13 @@ impl Machine {
         // Policy check over the whole group before stealing anything.
         let mut victims = std::mem::take(&mut self.scratch_victims);
         victims.clear();
-        let mut spin = false;
+        let mut blocker = None;
         for &line in &group {
             let probe = self.coherence.probe(CoreId(c), line, Access::Write);
-            if probe.locked_by_other.is_some() {
+            if let Some(holder) = probe.locked_by_other {
                 // Another core holds a group line locked: retried request
                 // (Fig. 6).
-                spin = true;
+                blocker = Some(holder.0);
                 break;
             }
             for i in probe
@@ -48,16 +49,15 @@ impl Machine {
                 victims.push(self.tx_info(i.core.0));
             }
         }
-        let nacked = !spin && !victims.is_empty() && {
+        let nacked = blocker.is_none() && !victims.is_empty() && {
             self.perf.allocs_avoided += 1;
             let me = self.tx_info(c);
             self.backend.resolve(me, &victims) == Resolution::NackRequester
         };
         self.scratch_victims = victims;
-        if spin {
-            self.clocks[c] += self.config.timing.spin_interval;
-            self.cores[c].lock_wait_acc += self.config.timing.spin_interval;
-            self.stats.lock_spin_cycles += self.config.timing.spin_interval;
+        if let Some(holder) = blocker {
+            // Every re-poll fails until the holder releases its locks.
+            self.park(c, WaitOn::Line { holder });
             self.scratch_group = group;
             return;
         }
@@ -107,9 +107,7 @@ impl Machine {
                 };
             }
             Err(LockFail::LockedBy(_)) => {
-                self.clocks[c] += self.config.timing.spin_interval;
-                self.cores[c].lock_wait_acc += self.config.timing.spin_interval;
-                self.stats.lock_spin_cycles += self.config.timing.spin_interval;
+                unreachable!("the probe pass found every group line unlocked")
             }
             Err(LockFail::Capacity) => {
                 // Should not happen (discovery verified the fit); treat as a

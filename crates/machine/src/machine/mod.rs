@@ -6,10 +6,18 @@
 //! Each simulated core owns a clock; the machine repeatedly advances the
 //! core with the smallest clock (ties broken by core id — fully
 //! deterministic) by one *step*: one retired instruction, one lock
-//! acquisition, one spin poll, or one phase transition. Memory operations
-//! are routed through the store queue, the CLEAR discovery logic, and the
-//! two-phase coherence API; conflicting remote transactions are resolved by
-//! the HTM policy (requester-wins / PowerTM / §5.2 NACK rules).
+//! acquisition, one failed lock or fallback-lock poll, or one phase
+//! transition. Memory operations are routed through the store queue, the
+//! CLEAR discovery logic, and the two-phase coherence API; conflicting
+//! remote transactions are resolved by the HTM policy (requester-wins /
+//! PowerTM / §5.2 NACK rules).
+//!
+//! A core whose lock-group or fallback-lock poll fails does not re-poll
+//! every `spin_interval` cycles: it parks off the scheduler heap until a
+//! step releases a cacheline lock it is blocked on or the fallback lock,
+//! then resumes at the first poll the polling schedule would have run
+//! after that release, each skipped poll credited to the step, re-key and
+//! wait counters exactly as if it had run (see the `sched` module).
 //!
 //! # Simplifications vs. the paper (documented per DESIGN.md)
 //!
@@ -33,7 +41,7 @@ use clear_htm::{
 use clear_isa::{ArInvocation, Effect, Vm, Workload};
 use clear_mem::rng::Xoshiro256PlusPlus;
 use clear_mem::{Addr, FxHashMap, FxHashSet, LineAddr, LineSet, Memory};
-use sched::CoreHeap;
+use sched::{CoreHeap, WaitList};
 use std::sync::Arc;
 
 /// The execution mode of the current attempt.
@@ -203,6 +211,9 @@ pub struct Machine {
     /// Cores whose clocks were pushed forward by a remote abort since the
     /// last scheduler step; the run loop re-keys their heap entries.
     sched_touched: Vec<usize>,
+    /// Cores parked off the heap on a failed lock or fallback-lock poll,
+    /// plus the releases of the current step (see the `sched` module).
+    waits: WaitList,
     /// Simulator-kernel counters for the current run (see [`crate::perf`]).
     perf: PerfCounters,
     /// Opt-in metrics registry and hooks (see the `metrics` module).
@@ -210,10 +221,11 @@ pub struct Machine {
     /// ARs whose static plan tripped the NS-CL guard: the fast path is
     /// disabled for them for the rest of the run.
     poisoned_plans: FxHashSet<u32>,
-    /// Reused buffers for per-access/per-lock victim collection and lock
-    /// groups; taken, filled, and put back on the hot path.
+    /// Reused buffers for per-access/per-lock victim collection, lock
+    /// groups and woken cores; taken, filled, and put back on the hot path.
     scratch_victims: Vec<TxInfo>,
     scratch_group: Vec<LineAddr>,
+    scratch_woken: Vec<(usize, sched::WaitOn)>,
 }
 
 impl std::fmt::Debug for Machine {
@@ -272,11 +284,13 @@ impl Machine {
             rng,
             trace: Trace::new(),
             sched_touched: Vec::new(),
+            waits: WaitList::new(config.cores),
             perf: PerfCounters::default(),
             metrics: None,
             poisoned_plans: FxHashSet::default(),
             scratch_victims: Vec::new(),
             scratch_group: Vec::new(),
+            scratch_woken: Vec::new(),
             config,
         }
     }
@@ -322,7 +336,9 @@ impl Machine {
     ///
     /// Core selection uses an indexed min-heap keyed on `(clock, core_id)`
     /// — a total order, so every step advances the exact same core a
-    /// linear `min_by_key` scan would pick, in O(log cores).
+    /// linear `min_by_key` scan would pick, in O(log cores). Cores waiting
+    /// on a held lock are parked off the heap and woken by the step that
+    /// releases it; the skipped polls are credited, not executed.
     ///
     /// With [`MachineConfig::sim_threads`] ≥ 2 (or `0` = auto), cores tied
     /// at the minimum clock whose next step is provably local — an L1 hit
@@ -340,22 +356,36 @@ impl Machine {
             }
         }
         self.sched_touched.clear();
-        while let Some(c) = sched.peek() {
+        loop {
+            let Some(c) = sched.peek() else {
+                // Every live core is parked and nothing is left to release
+                // them: the polling schedule would spin to the stop.
+                if !self.waits.is_empty() {
+                    self.time_out_parked();
+                }
+                break;
+            };
             #[cfg(debug_assertions)]
             self.debug_assert_heap_min(c);
             if self.clocks[c] > self.config.max_cycles {
-                self.stats.timed_out = true;
+                self.time_out_parked();
                 break;
             }
             if batching && self.try_parallel_batch(&mut sched) {
                 // Batch members were re-keyed inside; local steps never
-                // touch `sched_touched` or finish a core.
+                // touch `sched_touched`, finish a core, park or release.
                 continue;
             }
+            let key = (self.clocks[c], c);
             self.step_core(c);
             self.perf.steps += 1;
             if self.phases[c] == Phase::Finished {
                 sched.remove(c);
+            } else if self.waits.is_parked(c) {
+                // A failed poll parked the core; it still made the re-key
+                // the polling schedule counts.
+                sched.remove(c);
+                self.perf.sched_updates += 1;
             } else if sched.update(c, self.clocks[c]) {
                 self.perf.sched_updates += 1;
             }
@@ -363,12 +393,14 @@ impl Machine {
             if !self.sched_touched.is_empty() {
                 for i in 0..self.sched_touched.len() {
                     let v = self.sched_touched[i];
+                    debug_assert!(!self.waits.is_parked(v), "parked core {v} was touched");
                     if v != c && sched.update(v, self.clocks[v]) {
                         self.perf.sched_updates += 1;
                     }
                 }
                 self.sched_touched.clear();
             }
+            self.wake_released(&mut sched, key);
         }
         self.perf.run_wall_ns += started.elapsed().as_nanos() as u64;
         self.finalize_stats();
@@ -376,7 +408,8 @@ impl Machine {
     }
 
     /// Debug-build cross-check: the heap's minimum must be exactly what
-    /// the replaced linear scan would have picked.
+    /// the replaced linear scan over live, unparked cores would have
+    /// picked.
     #[cfg(debug_assertions)]
     fn debug_assert_heap_min(&self, picked: usize) {
         let scan = self
@@ -384,7 +417,7 @@ impl Machine {
             .iter()
             .zip(&self.clocks)
             .enumerate()
-            .filter(|(_, (&p, _))| p != Phase::Finished)
+            .filter(|(i, (&p, _))| p != Phase::Finished && !self.waits.is_parked(*i))
             .min_by_key(|(i, (_, &clock))| (clock, *i))
             .map(|(i, _)| i);
         debug_assert_eq!(scan, Some(picked), "heap disagrees with linear scan");

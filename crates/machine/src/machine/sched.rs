@@ -1,4 +1,5 @@
-//! The core scheduler: an indexed binary min-heap over `(clock, core_id)`.
+//! The core scheduler: an indexed binary min-heap over `(clock, core_id)`,
+//! plus the wait list of cores parked off it.
 //!
 //! [`Machine::run`](super::Machine::run) must always advance the core with
 //! the smallest clock, ties broken by core id. A linear scan is O(cores)
@@ -6,6 +7,33 @@
 //! *exact same* core every step, because `(clock, core_id)` is a total
 //! order. Clocks only ever increase, so re-keying after a step or a remote
 //! abort is a sift-down plus a defensive sift-up.
+//!
+//! # Parking
+//!
+//! A core whose lock-group poll or fallback-lock poll fails would re-poll
+//! every `spin_interval` cycles, and every one of those polls fails again
+//! until some other core releases what it waits on: a failed poll changes
+//! no state but the poller's own clock and wait counters. So after one
+//! real failed poll the core leaves the heap and parks on the
+//! [`WaitList`], keeping its next poll time as its clock. Its later polls
+//! are never executed; they are *credited* when it wakes.
+//!
+//! A step that releases something a parked core polls for wakes it: a
+//! cacheline-lock release wakes the cores blocked on a line of that
+//! holder, a fallback write release wakes every fallback waiter, and a
+//! read release that leaves no readers wakes the fallback-mode waiters.
+//! If the releasing step ran at heap key `(r, R)`, the woken core `w`
+//! re-enters the heap at its first poll time `t` with `(t, w) > (r, R)` —
+//! the first poll the polling scheduler would have run after the release,
+//! since pops come in non-decreasing key order — and every poll it skipped
+//! is credited exactly as the executed poll would have counted it. A
+//! spurious wake is harmless (the core just polls for real at `t`, as it
+//! would have), so wake conditions only have to be complete, not exact.
+//! Runs are therefore step-for-step identical to per-poll spinning,
+//! counters included.
+
+use super::Machine;
+use clear_coherence::CoreId;
 
 /// Indexed min-heap of core ids keyed by `(clock, core_id)`.
 #[derive(Debug)]
@@ -122,6 +150,252 @@ impl CoreHeap {
     }
 }
 
+/// What a parked core waits for; the wake rule keys on it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum WaitOn {
+    /// A lock-group line held by core `holder` (a lock-acquire spin).
+    Line { holder: usize },
+    /// The fallback lock's writer to leave (CL-mode and speculative
+    /// attempt starts).
+    FallbackWriter,
+    /// The fallback lock to be free of its writer and all readers
+    /// (fallback-path entry).
+    FallbackIdle,
+}
+
+/// Cores parked off the [`CoreHeap`] and the releases the current step
+/// made, which the run loop turns into wakes.
+#[derive(Debug)]
+pub(super) struct WaitList {
+    /// `waits[core]` = what `core` is parked on, if it is parked.
+    waits: Vec<Option<WaitOn>>,
+    /// Parked core ids (any order: wakes re-key by `(clock, core_id)`).
+    parked: Vec<usize>,
+    /// Cores that dropped their cacheline locks during the current step.
+    unlocked: Vec<usize>,
+    /// The current step released the fallback write lock.
+    writer_left: bool,
+    /// The current step released the last fallback read lock.
+    readers_left: bool,
+}
+
+impl WaitList {
+    /// An empty wait list for cores `0..n`.
+    pub(super) fn new(n: usize) -> Self {
+        WaitList {
+            waits: vec![None; n],
+            parked: Vec::new(),
+            unlocked: Vec::new(),
+            writer_left: false,
+            readers_left: false,
+        }
+    }
+
+    /// Parks `core` on `on`. Must not already be parked.
+    pub(super) fn park(&mut self, core: usize, on: WaitOn) {
+        debug_assert!(self.waits[core].is_none(), "core {core} already parked");
+        self.waits[core] = Some(on);
+        self.parked.push(core);
+    }
+
+    /// `true` if `core` is parked.
+    pub(super) fn is_parked(&self, core: usize) -> bool {
+        self.waits[core].is_some()
+    }
+
+    /// `true` if no core is parked.
+    pub(super) fn is_empty(&self) -> bool {
+        self.parked.is_empty()
+    }
+
+    /// Notes that `core` released its cacheline locks (a no-op unless
+    /// some core is parked on a line).
+    pub(super) fn note_unlock(&mut self, core: usize) {
+        if !self.parked.is_empty() {
+            self.unlocked.push(core);
+        }
+    }
+
+    /// Notes a fallback write-lock release.
+    pub(super) fn note_writer_left(&mut self) {
+        self.writer_left = true;
+    }
+
+    /// Notes a fallback read-lock release that left no readers.
+    pub(super) fn note_readers_left(&mut self) {
+        self.readers_left = true;
+    }
+
+    /// Unparks every core the current step's releases may have unblocked,
+    /// appending `(core, wait)` to `out`, and forgets the releases.
+    pub(super) fn take_woken(&mut self, out: &mut Vec<(usize, WaitOn)>) {
+        if self.unlocked.is_empty() && !self.writer_left && !self.readers_left {
+            return;
+        }
+        let (unlocked, writer, readers) = (&self.unlocked, self.writer_left, self.readers_left);
+        let waits = &mut self.waits;
+        self.parked.retain(|&c| {
+            let on = waits[c].expect("parked core has a wait");
+            let wake = match on {
+                WaitOn::Line { holder } => unlocked.contains(&holder),
+                WaitOn::FallbackWriter => writer,
+                WaitOn::FallbackIdle => writer || readers,
+            };
+            if wake {
+                waits[c] = None;
+                out.push((c, on));
+            }
+            !wake
+        });
+        self.unlocked.clear();
+        self.writer_left = false;
+        self.readers_left = false;
+    }
+
+    /// Unparks every core, appending `(core, wait)` to `out`.
+    pub(super) fn take_all(&mut self, out: &mut Vec<(usize, WaitOn)>) {
+        for c in self.parked.drain(..) {
+            out.push((c, self.waits[c].take().expect("parked core has a wait")));
+        }
+    }
+
+    /// The smallest parked core above `first` whose poll falls exactly at
+    /// `clock` (`usize::MAX` if none): the polling scheduler would pop it
+    /// among the cores tied at `clock`, so a parallel batch starting at
+    /// `first` must stop short of it.
+    pub(super) fn poll_cut(&self, clocks: &[u64], spin: u64, first: usize, clock: u64) -> usize {
+        self.parked
+            .iter()
+            .copied()
+            .filter(|&w| {
+                w > first && clocks[w] <= clock && (clock - clocks[w]).is_multiple_of(spin)
+            })
+            .min()
+            .unwrap_or(usize::MAX)
+    }
+}
+
+/// The number of polls a parked core skips before waking: its polls fall
+/// at `next_poll`, `next_poll + spin`, …, and it resumes at the first one
+/// ordered after the releasing step `after = (r, releaser)` in heap-key
+/// order, i.e. the first poll time `t` with `(t, core) > (r, releaser)`.
+/// `spin` must be non-zero.
+pub(super) fn polls_skipped(next_poll: u64, spin: u64, core: usize, after: (u64, usize)) -> u64 {
+    let (r, releaser) = after;
+    if (next_poll, core) > after {
+        return 0;
+    }
+    // Polls at next_poll + i * spin for i in 0..=k fall at or before r.
+    let k = (r - next_poll) / spin;
+    if next_poll + k * spin == r && core > releaser {
+        k
+    } else {
+        k + 1
+    }
+}
+
+impl Machine {
+    /// A failed lock or fallback-lock poll by core `c`: charges the poll's
+    /// wait interval, then parks `c` until a release (see the module docs).
+    /// The caller's step still counts as a real scheduler step.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero `spin_interval`, which would re-poll at the same
+    /// clock forever.
+    pub(super) fn park(&mut self, c: usize, on: WaitOn) {
+        assert!(
+            self.config.timing.spin_interval > 0,
+            "a zero spin_interval never advances a waiting core"
+        );
+        self.charge_polls(c, on, 1);
+        self.waits.park(c, on);
+    }
+
+    /// The clock and wait counters `polls` failed polls of `c` advance.
+    fn charge_polls(&mut self, c: usize, on: WaitOn, polls: u64) {
+        let cycles = polls * self.config.timing.spin_interval;
+        self.clocks[c] += cycles;
+        match on {
+            WaitOn::Line { .. } => {
+                self.cores[c].lock_wait_acc += cycles;
+                self.stats.lock_spin_cycles += cycles;
+            }
+            WaitOn::FallbackWriter | WaitOn::FallbackIdle => {
+                self.stats.fallback_wait_cycles += cycles;
+            }
+        }
+    }
+
+    /// Credits `polls` skipped polls of parked core `w` exactly as the
+    /// executed polls would have counted: each is one scheduler step and
+    /// one heap re-key, and a lock poll reuses the group scratch buffer.
+    fn credit_skipped(&mut self, w: usize, on: WaitOn, polls: u64) {
+        self.charge_polls(w, on, polls);
+        self.perf.steps += polls;
+        self.perf.sched_updates += polls;
+        self.perf.polls_elided += polls;
+        if let WaitOn::Line { .. } = on {
+            self.perf.allocs_avoided += polls;
+        }
+    }
+
+    /// Drops `c`'s cacheline locks and its fallback read lock, noting both
+    /// releases for the wake pass.
+    pub(super) fn release_cl_locks(&mut self, c: usize) {
+        self.coherence.unlock_all(CoreId(c));
+        self.waits.note_unlock(c);
+        if self.fallback.is_reader(CoreId(c)) {
+            self.fallback.release_read(CoreId(c));
+            if !self.fallback.has_readers() {
+                self.waits.note_readers_left();
+            }
+        }
+    }
+
+    /// Drops `c`'s fallback write lock, noting the release for the wake
+    /// pass.
+    pub(super) fn release_fallback_write(&mut self, c: usize) {
+        self.fallback.release_write(CoreId(c));
+        self.waits.note_writer_left();
+    }
+
+    /// The wake pass after the step that ran at heap key `after`: every
+    /// core its releases may have unblocked re-enters the heap at its
+    /// first poll ordered after that step, skipped polls credited.
+    pub(super) fn wake_released(&mut self, sched: &mut CoreHeap, after: (u64, usize)) {
+        let mut woken = std::mem::take(&mut self.scratch_woken);
+        self.waits.take_woken(&mut woken);
+        for (w, on) in woken.drain(..) {
+            self.unpark(w, on, after);
+            sched.push(w, self.clocks[w]);
+        }
+        self.scratch_woken = woken;
+    }
+
+    /// The `max_cycles` stop: the polling scheduler would have run every
+    /// poll at or before `max_cycles`, so each parked core materialises at
+    /// its first poll past it (those polls credited), and the run is marked
+    /// timed out.
+    pub(super) fn time_out_parked(&mut self) {
+        let mut woken = std::mem::take(&mut self.scratch_woken);
+        self.waits.take_all(&mut woken);
+        for (w, on) in woken.drain(..) {
+            self.unpark(w, on, (self.config.max_cycles, usize::MAX));
+        }
+        self.scratch_woken = woken;
+        self.stats.timed_out = true;
+    }
+
+    /// Advances unparked core `w` to its first poll after heap key
+    /// `after`, crediting the polls skipped on the way.
+    fn unpark(&mut self, w: usize, on: WaitOn, after: (u64, usize)) {
+        let spin = self.config.timing.spin_interval;
+        let polls = polls_skipped(self.clocks[w], spin, w, after);
+        self.credit_skipped(w, on, polls);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,6 +441,125 @@ mod tests {
         assert!(!h.update(1, 9));
         h.remove(1);
         assert_eq!(drain(&mut h), vec![0]);
+    }
+
+    /// The polling schedule, run poll by poll: the number of polls at
+    /// `next_poll + i * spin` that precede the release key `after`.
+    fn reference_polls(next_poll: u64, spin: u64, core: usize, after: (u64, usize)) -> u64 {
+        let mut polls = 0;
+        let mut t = next_poll;
+        while (t, core) < after {
+            polls += 1;
+            t += spin;
+        }
+        polls
+    }
+
+    #[test]
+    fn wake_arithmetic_matches_a_reference_poller() {
+        use clear_mem::rng::SplitMix64;
+        let mut rng = SplitMix64::new(0x9A2C);
+        for _ in 0..20_000 {
+            let spin = 1 + rng.below(20);
+            let next_poll = rng.below(200);
+            let core = rng.index(8);
+            let releaser = rng.index(8);
+            // Bias releases onto poll boundaries, where ties decide.
+            let r = if rng.flip() {
+                next_poll + spin * rng.below(10)
+            } else {
+                rng.below(400)
+            };
+            if core == releaser {
+                continue;
+            }
+            let after = (r, releaser);
+            assert_eq!(
+                polls_skipped(next_poll, spin, core, after),
+                reference_polls(next_poll, spin, core, after),
+                "next_poll {next_poll} spin {spin} core {core} after {after:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn wakes_on_a_poll_boundary_follow_the_core_id_tie_break() {
+        // Polls at 100, 115, 130, …; the release lands on the 130 poll.
+        // A higher-id core polls right after the releasing step, at 130.
+        assert_eq!(polls_skipped(100, 15, 5, (130, 3)), 2);
+        // A lower-id core's 130 poll ran before the release: next is 145.
+        assert_eq!(polls_skipped(100, 15, 2, (130, 3)), 3);
+        // A release exactly at the next poll time.
+        assert_eq!(polls_skipped(100, 15, 5, (100, 3)), 0);
+        assert_eq!(polls_skipped(100, 15, 2, (100, 3)), 1);
+        // A release before the next poll, and one between polls.
+        assert_eq!(polls_skipped(100, 15, 2, (40, 3)), 0);
+        assert_eq!(polls_skipped(100, 15, 2, (121, 3)), 2);
+        // The max_cycles stop: every poll at or before the bound ran.
+        assert_eq!(polls_skipped(100, 15, 2, (130, usize::MAX)), 3);
+    }
+
+    #[test]
+    fn releases_wake_exactly_their_waiters() {
+        let mut w = WaitList::new(5);
+        w.park(1, WaitOn::Line { holder: 0 });
+        w.park(2, WaitOn::Line { holder: 4 });
+        w.park(3, WaitOn::FallbackWriter);
+        w.park(4, WaitOn::FallbackIdle);
+        let mut out = Vec::new();
+        w.take_woken(&mut out);
+        assert!(out.is_empty(), "no release, no wake");
+
+        w.note_unlock(0);
+        w.take_woken(&mut out);
+        assert_eq!(out, vec![(1, WaitOn::Line { holder: 0 })]);
+        assert!(!w.is_parked(1) && w.is_parked(2));
+
+        out.clear();
+        w.note_readers_left();
+        w.take_woken(&mut out);
+        assert_eq!(out, vec![(4, WaitOn::FallbackIdle)]);
+
+        out.clear();
+        w.park(4, WaitOn::FallbackIdle);
+        w.note_writer_left();
+        w.take_woken(&mut out);
+        out.sort_by_key(|&(c, _)| c);
+        assert_eq!(
+            out,
+            vec![(3, WaitOn::FallbackWriter), (4, WaitOn::FallbackIdle)]
+        );
+        assert!(w.is_parked(2) && !w.is_empty());
+
+        out.clear();
+        w.take_all(&mut out);
+        assert_eq!(out, vec![(2, WaitOn::Line { holder: 4 })]);
+        assert!(w.is_empty());
+    }
+
+    #[test]
+    fn unlocks_are_only_noted_while_someone_waits() {
+        let mut w = WaitList::new(3);
+        w.note_unlock(0);
+        w.park(1, WaitOn::Line { holder: 0 });
+        let mut out = Vec::new();
+        w.take_woken(&mut out);
+        assert!(out.is_empty(), "an unlock before the park is stale");
+    }
+
+    #[test]
+    fn poll_cut_finds_the_first_parked_poller_above_the_batch_head() {
+        let mut w = WaitList::new(6);
+        let clocks = [0, 0, 70, 55, 40, 85];
+        w.park(2, WaitOn::FallbackWriter); // polls 70, 85, …
+        w.park(3, WaitOn::FallbackWriter); // polls 55, 70, 85, …
+        w.park(4, WaitOn::FallbackWriter); // polls 40, 55, 70, 85, …
+        w.park(5, WaitOn::FallbackWriter); // polls 85, …
+        assert_eq!(w.poll_cut(&clocks, 15, 0, 70), 2);
+        assert_eq!(w.poll_cut(&clocks, 15, 2, 70), 3);
+        assert_eq!(w.poll_cut(&clocks, 15, 0, 55), 3);
+        assert_eq!(w.poll_cut(&clocks, 15, 4, 55), usize::MAX);
+        assert_eq!(w.poll_cut(&clocks, 15, 0, 60), usize::MAX);
     }
 
     #[test]

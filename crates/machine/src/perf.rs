@@ -15,8 +15,10 @@
 /// Counters describing one [`Machine::run`](crate::Machine::run).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PerfCounters {
-    /// Scheduler steps executed (instructions, lock acquisitions, spins,
-    /// phase transitions — one per core advance).
+    /// Scheduler steps (instructions, lock acquisitions, failed polls,
+    /// phase transitions — one per core advance). Includes the polls a
+    /// parked core skipped ([`PerfCounters::polls_elided`]), so the count
+    /// is the same as if every poll had run.
     pub steps: u64,
     /// Scheduler heap re-keys (one per step plus one per remote abort).
     pub sched_updates: u64,
@@ -48,6 +50,10 @@ pub struct PerfCounters {
     pub par_batch_steps: u64,
     /// Largest batch formed.
     pub par_batch_max: u64,
+    /// Lock and fallback-lock polls a parked core skipped and had credited
+    /// on wake instead of executing (part of `steps`). Kept out of the
+    /// harness JSON and the metrics gauges, so no golden depends on it.
+    pub polls_elided: u64,
     /// Wall-clock nanoseconds spent inside `Machine::run`. Host-dependent:
     /// never compared against goldens.
     pub run_wall_ns: u64,

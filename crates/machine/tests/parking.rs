@@ -1,0 +1,175 @@
+//! Parking of waiting cores: a core whose lock or fallback-lock poll fails
+//! leaves the scheduler heap and is woken by the release it waits on, with
+//! the skipped polls credited. Runs must stay step-for-step identical to
+//! per-poll spinning, so the pinned values below were recorded with the
+//! per-poll spinning scheduler parking replaced.
+
+use clear_isa::{
+    ArId, ArInvocation, ArSpec, Mutability, Program, ProgramBuilder, Reg, Workload, WorkloadMeta,
+};
+use clear_machine::{Machine, MachineConfig, Preset, RunStats};
+use clear_mem::{Addr, Memory};
+use clear_workloads::{by_name, Size};
+use std::sync::Arc;
+
+/// Two increments per thread of one shared word, each holding the word's
+/// line locked (a-priori NS-CL) across a 4000-cycle compute.
+struct LongLockedInc {
+    addr: Addr,
+    remaining: Vec<u32>,
+    program: Arc<Program>,
+}
+
+impl LongLockedInc {
+    fn new() -> Self {
+        let mut p = ProgramBuilder::new();
+        p.ld(Reg(1), Reg(0), 0)
+            .addi(Reg(1), Reg(1), 1)
+            .compute(4000)
+            .st(Reg(0), 0, Reg(1))
+            .xend();
+        LongLockedInc {
+            addr: Addr::NULL,
+            remaining: vec![],
+            program: Arc::new(p.build()),
+        }
+    }
+}
+
+impl Workload for LongLockedInc {
+    fn meta(&self) -> WorkloadMeta {
+        WorkloadMeta {
+            name: "long-locked-inc".into(),
+            ars: vec![ArSpec {
+                id: ArId(0),
+                name: "inc".into(),
+                mutability: Mutability::Immutable,
+            }],
+        }
+    }
+    fn setup(&mut self, mem: &mut Memory, threads: usize) {
+        self.addr = mem.alloc_words(1);
+        self.remaining = vec![2; threads];
+    }
+    fn next_ar(&mut self, tid: usize, _mem: &Memory) -> Option<ArInvocation> {
+        if self.remaining[tid] == 0 {
+            return None;
+        }
+        self.remaining[tid] -= 1;
+        Some(ArInvocation {
+            ar: ArId(0),
+            program: Arc::clone(&self.program),
+            args: vec![(Reg(0), self.addr.0)],
+            think_cycles: 0,
+            static_footprint: Some(vec![self.addr.line()]),
+        })
+    }
+    fn validate(&self, mem: &Memory) -> Result<(), String> {
+        let v = mem.load_word(self.addr);
+        let want = 2 * self.remaining.len() as u64;
+        (v == want)
+            .then_some(())
+            .ok_or_else(|| format!("{v} != {want}"))
+    }
+}
+
+fn bench(name: &str, cfg: MachineConfig) -> RunStats {
+    let w = by_name(name, Size::Tiny, 7).expect("known benchmark");
+    Machine::new(cfg, w).run()
+}
+
+/// The counters parking must reproduce: outcome, clocks, scheduler work
+/// and wait accounting.
+fn pinned(s: &RunStats) -> [u64; 10] {
+    [
+        s.timed_out as u64,
+        s.total_cycles,
+        s.commits(),
+        s.aborts.total(),
+        s.perf.steps,
+        s.perf.sched_updates,
+        s.perf.allocs_avoided,
+        s.lock_spin_cycles,
+        s.fallback_wait_cycles,
+        s.instructions_retired,
+    ]
+}
+
+#[test]
+fn a_max_cycles_stop_materialises_parked_lock_waiters() {
+    // Core 0 locks the line first and computes past the stop; cores 1 and
+    // 2 are parked on its lock when the run times out, and must come out
+    // at their first poll past `max_cycles`.
+    let mut cfg = Preset::B.config(3, 5);
+    cfg.a_priori_locking = true;
+    cfg.max_cycles = 2000;
+    let s = Machine::new(cfg, Box::new(LongLockedInc::new())).run();
+    assert_eq!(
+        pinned(&s),
+        [1, 4083, 0, 0, 282, 282, 269, 4020, 0, 0],
+        "{s:?}"
+    );
+    // Two waiters, one real poll each; every other poll was skipped.
+    assert_eq!(s.perf.polls_elided, 4020 / 15 - 2);
+}
+
+#[test]
+fn a_max_cycles_stop_mid_fallback_convoy_matches_per_poll_spinning() {
+    let mut cfg = Preset::B.config(32, 2);
+    cfg.max_cycles = 20_000;
+    let s = bench("genome", cfg);
+    assert_eq!(
+        pinned(&s),
+        [1, 20065, 71, 991, 39602, 40108, 508, 0, 476385, 2010],
+        "{s:?}"
+    );
+    assert!(s.perf.polls_elided > 0);
+}
+
+#[test]
+fn long_lock_holds_finish_with_every_increment() {
+    let mut cfg = Preset::B.config(3, 5);
+    cfg.a_priori_locking = true;
+    let mut m = Machine::new(cfg, Box::new(LongLockedInc::new()));
+    let s = m.run();
+    m.workload().validate(m.memory()).unwrap();
+    assert!(!s.timed_out);
+    assert_eq!(s.commits_by_mode.nscl, 6);
+    assert!(s.perf.polls_elided > 0);
+}
+
+#[test]
+fn parallel_batches_stop_short_of_parked_pollers() {
+    // A parked core whose poll falls at the batch clock cuts the batch
+    // prefix, exactly where its real poll would have; without that rule
+    // this run forms 1455 batches of 3366 steps.
+    let mut cfg = Preset::C.config(80, 5);
+    cfg.sim_threads = 2;
+    let par = bench("genome", cfg.clone());
+    assert_eq!(
+        pinned(&par),
+        [0, 191250, 960, 1822, 686063, 686227, 36242, 379350, 8716470, 28881]
+    );
+    assert_eq!(
+        [
+            par.perf.par_batches,
+            par.perf.par_batch_steps,
+            par.perf.par_batch_max
+        ],
+        [1084, 2533, 7]
+    );
+    cfg.sim_threads = 1;
+    let seq = bench("genome", cfg);
+    assert_eq!(pinned(&seq), pinned(&par));
+    assert_eq!(seq.perf.polls_elided, par.perf.polls_elided);
+}
+
+#[test]
+fn polls_elided_counts_only_contended_waits() {
+    let contended = bench("genome", Preset::B.config(32, 2));
+    assert!(contended.perf.polls_elided > 0);
+    assert!(contended.perf.polls_elided < contended.perf.steps);
+    let alone = bench("genome", Preset::B.config(1, 2));
+    assert!(alone.commits() > 0);
+    assert_eq!(alone.perf.polls_elided, 0, "a lone core never waits");
+}

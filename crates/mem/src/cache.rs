@@ -48,7 +48,10 @@ pub enum EvictionOutcome {
 #[derive(Clone)]
 pub struct SetAssocCache<T> {
     geometry: CacheGeometry,
-    /// `sets × ways` entries; `None` = free way.
+    /// `sets × ways` entries; `None` = free way. Left empty until the first
+    /// insert, so a cache that is never written costs no way storage (a
+    /// many-core machine builds one L1 per core, most of which stay cold
+    /// in short runs); every read path treats the empty store as all-free.
     ways: Vec<Option<Entry<T>>>,
     /// Monotonic counter for LRU timestamps.
     tick: u64,
@@ -62,13 +65,12 @@ struct Entry<T> {
 }
 
 impl<T> SetAssocCache<T> {
-    /// Creates an empty cache with the given geometry.
+    /// Creates an empty cache with the given geometry. Way storage is
+    /// allocated by the first insert.
     pub fn new(geometry: CacheGeometry) -> Self {
-        let mut ways = Vec::new();
-        ways.resize_with(geometry.lines(), || None);
         SetAssocCache {
             geometry,
-            ways,
+            ways: Vec::new(),
             tick: 0,
         }
     }
@@ -84,13 +86,30 @@ impl<T> SetAssocCache<T> {
         start..start + self.geometry.ways
     }
 
+    /// The ways of `line`'s set; empty while no way storage exists.
+    fn set_ways(&self, line: LineAddr) -> &[Option<Entry<T>>] {
+        self.ways.get(self.set_range(line)).unwrap_or_default()
+    }
+
+    /// Mutable [`SetAssocCache::set_ways`].
+    fn set_ways_mut(&mut self, line: LineAddr) -> &mut [Option<Entry<T>>] {
+        let range = self.set_range(line);
+        self.ways.get_mut(range).unwrap_or_default()
+    }
+
+    /// Allocates the way storage on first use.
+    fn allocate(&mut self) {
+        if self.ways.is_empty() {
+            self.ways.resize_with(self.geometry.lines(), || None);
+        }
+    }
+
     /// Returns a reference to the payload of `line` if present, refreshing
     /// its LRU position.
     pub fn touch(&mut self, line: LineAddr) -> Option<&mut T> {
         self.tick += 1;
         let tick = self.tick;
-        let range = self.set_range(line);
-        self.ways[range]
+        self.set_ways_mut(line)
             .iter_mut()
             .flatten()
             .find(|e| e.line == line)
@@ -105,9 +124,8 @@ impl<T> SetAssocCache<T> {
     /// and [`SetAssocCache::touch_at`] instead of re-scanning the set.
     /// The index stays valid until the cache is mutated.
     pub fn find_way(&self, line: LineAddr) -> Option<usize> {
-        let range = self.set_range(line);
-        let start = range.start;
-        self.ways[range]
+        let start = self.set_range(line).start;
+        self.set_ways(line)
             .iter()
             .position(|e| e.as_ref().is_some_and(|e| e.line == line))
             .map(|i| start + i)
@@ -138,8 +156,7 @@ impl<T> SetAssocCache<T> {
     /// Returns a reference to the payload of `line` if present, without
     /// touching LRU state.
     pub fn get(&self, line: LineAddr) -> Option<&T> {
-        let range = self.set_range(line);
-        self.ways[range]
+        self.set_ways(line)
             .iter()
             .flatten()
             .find(|e| e.line == line)
@@ -149,8 +166,7 @@ impl<T> SetAssocCache<T> {
     /// Returns a mutable reference to the payload of `line` if present,
     /// without touching LRU state.
     pub fn get_mut(&mut self, line: LineAddr) -> Option<&mut T> {
-        let range = self.set_range(line);
-        self.ways[range]
+        self.set_ways_mut(line)
             .iter_mut()
             .flatten()
             .find(|e| e.line == line)
@@ -166,6 +182,7 @@ impl<T> SetAssocCache<T> {
     /// set is full. If the line is already present its payload is replaced
     /// and `Hit` is returned.
     pub fn insert(&mut self, line: LineAddr, payload: T) -> EvictionOutcome {
+        self.allocate();
         self.tick += 1;
         let tick = self.tick;
         let range = self.set_range(line);
@@ -226,6 +243,7 @@ impl<T> SetAssocCache<T> {
     where
         F: Fn(&T) -> bool,
     {
+        self.allocate();
         self.tick += 1;
         let tick = self.tick;
         let range = self.set_range(line);
@@ -276,17 +294,11 @@ impl<T> SetAssocCache<T> {
 
     /// Removes `line`, returning its payload if it was present.
     pub fn remove(&mut self, line: LineAddr) -> Option<T> {
-        let range = self.set_range(line);
-        for i in range {
-            if self.ways[i]
-                .as_ref()
-                .map(|e| e.line == line)
-                .unwrap_or(false)
-            {
-                return self.ways[i].take().map(|e| e.payload);
-            }
-        }
-        None
+        self.set_ways_mut(line)
+            .iter_mut()
+            .find(|w| w.as_ref().is_some_and(|e| e.line == line))
+            .and_then(|w| w.take())
+            .map(|e| e.payload)
     }
 
     /// Iterates over all resident `(line, payload)` pairs.
@@ -436,6 +448,37 @@ mod tests {
         let mut v: Vec<_> = c.iter().map(|(l, &p)| (l.0, p)).collect();
         v.sort();
         assert_eq!(v, vec![(0, 10), (1, 11)]);
+    }
+
+    #[test]
+    fn never_written_cache_reads_as_empty() {
+        let mut c = small();
+        assert_eq!(c.get(LineAddr(1)), None);
+        assert_eq!(c.get_mut(LineAddr(1)), None);
+        assert_eq!(c.touch(LineAddr(1)), None);
+        assert_eq!(c.find_way(LineAddr(1)), None);
+        assert_eq!(c.remove(LineAddr(1)), None);
+        assert!(!c.contains(LineAddr(1)));
+        assert_eq!(c.len(), 0);
+        assert!(c.is_empty());
+        assert_eq!(c.iter().count(), 0);
+        assert_eq!(c.iter_mut().count(), 0);
+        c.clear();
+        assert!(c.is_empty());
+        // The first write allocates and behaves like any other insert.
+        assert_eq!(c.insert(LineAddr(1), 5), EvictionOutcome::Inserted);
+        assert_eq!(c.get(LineAddr(1)), Some(&5));
+        assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn first_write_may_be_a_respecting_insert() {
+        let mut c = small();
+        assert_eq!(
+            c.insert_respecting(LineAddr(2), 3, |_| true),
+            Ok(EvictionOutcome::Inserted)
+        );
+        assert_eq!(c.find_way(LineAddr(2)).map(|w| *c.payload_at(w)), Some(3));
     }
 
     #[test]
