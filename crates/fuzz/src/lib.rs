@@ -14,7 +14,7 @@
 //!   ([`check_case_matrix`]) and compares memory images, commit/abort
 //!   accounting, the paper's single-retry bound, capacity-abort
 //!   accounting, and static-verdict soundness;
-//! - [`shrink`] reduces failing cases to minimal reproducers;
+//! - [`shrink`](mod@shrink) reduces failing cases to minimal reproducers;
 //! - [`litmus`] pins the classic relaxed-memory shapes (SB, LB, MP, IRIW)
 //!   to their atomic outcomes — the harness's `litmus-conformance` gate.
 //!

@@ -41,7 +41,7 @@ pub enum Var {
 }
 
 /// One litmus thread: an AR program plus the variable-to-register binding
-/// it runs under (`vars.0` lands in [`R_VAR0`], `vars.1` in [`R_VAR1`]).
+/// it runs under (`vars.0` lands in register 0, `vars.1` in register 1).
 #[derive(Clone, Debug)]
 pub struct LitmusThread {
     /// The thread's single atomic region.

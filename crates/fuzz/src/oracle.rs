@@ -596,6 +596,7 @@ fn fastpath_phase(id: BackendId) -> &'static str {
         BackendId::Sle => "sle+plan",
         BackendId::Clear => "clear+plan",
         BackendId::Lrws => "lrws+plan",
+        BackendId::ClearPowerTm => "clear-powertm+plan",
     }
 }
 

@@ -14,23 +14,20 @@
 use super::{opts_json, ExperimentOutput};
 use crate::json::Json;
 use crate::pool;
-use crate::suite::SuiteOptions;
-use crate::trace_export::{digest_hex, run_traced};
-use clear_machine::Preset;
+use crate::suite::{run_benchmark, SuiteOptions};
+use crate::trace_export::digest_hex;
+use clear_machine::{MachineConfig, Preset};
 use std::fmt::Write as _;
 
 pub(super) fn trace_digest(opts: &SuiteOptions) -> ExperimentOutput {
     let presets = Preset::ALL;
     let np = presets.len();
     let cells = pool::run_indexed(opts.benchmarks.len() * np, opts.workers, |i| {
-        let m = run_traced(
-            opts.benchmarks[i / np],
-            presets[i % np],
-            opts.cores,
-            5,
-            opts.size,
-            opts.seeds[0],
-        );
+        let cfg = MachineConfig {
+            seed: opts.seeds[0],
+            ..presets[i % np].config(opts.cores, 5)
+        };
+        let (_, m) = run_benchmark(opts.benchmarks[i / np], opts.size, cfg, true);
         (
             m.trace().recorded(),
             m.trace().dropped(),

@@ -13,9 +13,9 @@
 use super::{opts_json, ExperimentOutput};
 use crate::json::Json;
 use crate::pool;
-use crate::suite::{benchmark_plans, run_once_backend_planned, SuiteOptions};
+use crate::suite::{benchmark_plans, run_benchmark, SuiteOptions};
 use clear_core::StaticPlanSet;
-use clear_machine::{BackendId, RunStats};
+use clear_machine::{BackendId, MachineConfig, RunStats};
 use clear_workloads::Size;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -101,16 +101,13 @@ pub(super) fn static_fastpath(opts: &SuiteOptions) -> ExperimentOutput {
         .collect();
     let results = pool::run_indexed(grid.len(), opts.workers, |g| {
         let (b, k, seed, planned) = grid[g];
-        run_once_backend_planned(
-            opts.benchmarks[b],
-            backends[k],
-            opts.cores,
-            retries,
-            opts.size,
+        let cfg = MachineConfig {
             seed,
-            opts.sim_threads,
-            planned.then(|| Arc::clone(&plans[b])),
-        )
+            sim_threads: opts.sim_threads,
+            static_plans: planned.then(|| Arc::clone(&plans[b])),
+            ..backends[k].config(opts.cores, retries)
+        };
+        run_benchmark(opts.benchmarks[b], opts.size, cfg, false).0
     });
 
     let mut cells: BTreeMap<(usize, usize), (Leg, Leg)> = BTreeMap::new();

@@ -10,7 +10,8 @@
 //! gated experiment: the classic SB/LB/MP/IRIW shapes across every
 //! machine preset and a seed sweep, with each forbidden relaxed outcome
 //! pinned to zero in the golden; `litmus_backends` is its sibling gate
-//! sweeping the speculation backends instead of the presets.
+//! sweeping the speculation backends instead of the presets. Both run
+//! the same body over a list of labelled backends.
 
 use super::{opts_json, ExperimentOutput};
 use crate::json::Json;
@@ -21,7 +22,7 @@ use clear_fuzz::{
     check_case, check_case_at, check_case_matrix, shrink, shrink_with, CaseReport, FuzzCase,
     MatrixReport, Shrunk,
 };
-use clear_machine::{BackendId, Machine, Preset};
+use clear_machine::{BackendId, Machine, MachineConfig, Preset};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -294,9 +295,10 @@ pub fn replay_output(entries: &[(String, u64, u64)], workers: usize) -> Experime
     out
 }
 
-/// Pinned options for the `litmus-conformance` golden: every preset, six
-/// seeds, retry threshold 5. Cores-per-run always equals the case's
-/// thread count, so `cores` here is only documentation.
+/// Pinned options for the two litmus goldens: six seeds, retry threshold
+/// 5, every preset (`litmus-conformance`) or every swept backend
+/// (`litmus-backends`). Cores-per-run always equals the case's thread
+/// count, so `cores` here is only documentation.
 pub(super) fn litmus_opts() -> SuiteOptions {
     SuiteOptions {
         size: clear_workloads::Size::Tiny,
@@ -310,175 +312,89 @@ pub(super) fn litmus_opts() -> SuiteOptions {
     }
 }
 
+/// The strings that tell the two litmus gates apart.
+struct LitmusGate {
+    experiment: &'static str,
+    title: &'static str,
+    /// Row key naming the swept machine (`"preset"` or `"backend"`).
+    key: &'static str,
+    /// Text width of the `key` column.
+    width: usize,
+    footer: &'static str,
+    /// Whether the document lists the swept labels under `"backends"`.
+    lists_backends: bool,
+}
+
 /// The `litmus-conformance` experiment: SB, LB, MP and IRIW across every
 /// preset × seed, with outcome histograms and the forbidden relaxed
 /// outcome of each shape pinned to zero.
 pub(super) fn litmus_conformance(opts: &SuiteOptions) -> ExperimentOutput {
-    let catalogue = cases();
-    let grid: Vec<(usize, Preset, u64)> = catalogue
+    let sweep: Vec<(String, BackendId)> = Preset::ALL
         .iter()
-        .enumerate()
-        .flat_map(|(ci, _)| {
-            Preset::ALL
-                .into_iter()
-                .flat_map(move |p| opts.seeds.iter().map(move |&s| (ci, p, s)))
-        })
+        .map(|p| (p.to_string(), p.backend()))
         .collect();
-
-    let results = pool::run_indexed(grid.len(), opts.workers, |g| {
-        let (ci, preset, seed) = grid[g];
-        let case = Arc::new(cases().swap_remove(ci));
-        let threads = case.threads.len();
-        let workload = LitmusWorkload::new(Arc::clone(&case), seed);
-        let layout = workload.layout_handle();
-        let mut cfg = preset.config(threads, opts.retry_sweep[0]);
-        cfg.seed = seed;
-        let mut machine = Machine::new(cfg, Box::new(workload));
-        let stats = machine.run();
-        let layout = layout.get().expect("setup published the layout");
-        let outcome = outcome_from(&case, &layout, machine.memory());
-        let label = case.label(&outcome);
-        let forbidden = (case.forbidden)(&outcome);
-        let committed = stats.commits_by_mode.total() == threads as u64;
-        (ci, preset, stats.timed_out, committed, forbidden, label)
-    });
-
-    // (case, preset) -> outcome histogram + violation counters.
-    type RowAccum = (BTreeMap<String, u64>, u64, u64);
-    let mut rows: BTreeMap<(usize, char), RowAccum> = BTreeMap::new();
-    for (ci, preset, timed_out, committed, forbidden, label) in &results {
-        let slot = rows.entry((*ci, preset.letter())).or_default();
-        *slot.0.entry(label.clone()).or_default() += 1;
-        if *forbidden {
-            slot.1 += 1;
-        }
-        if *timed_out || !committed {
-            slot.2 += 1;
-        }
-    }
-
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "=== litmus-conformance: atomic outcomes of the classic shapes ==="
-    );
-    let _ = writeln!(
-        text,
-        "{:6} {:7} {:>6} {:>10} {:>7}  outcomes",
-        "case", "preset", "runs", "forbidden", "broken"
-    );
-    let mut row_json = Vec::new();
-    let mut total_forbidden = 0u64;
-    let mut total_broken = 0u64;
-    for ((ci, letter), (hist, forbidden, broken)) in &rows {
-        let case = &catalogue[*ci];
-        let runs: u64 = hist.values().sum();
-        total_forbidden += forbidden;
-        total_broken += broken;
-        let outcomes = hist
-            .iter()
-            .map(|(l, n)| format!("{l} x{n}"))
-            .collect::<Vec<_>>()
-            .join("; ");
-        let _ = writeln!(
-            text,
-            "{:6} {:7} {:>6} {:>10} {:>7}  {outcomes}",
-            case.name, letter, runs, forbidden, broken
-        );
-        row_json.push(Json::obj([
-            ("case", Json::from(case.name)),
-            ("preset", Json::from(letter.to_string())),
-            ("runs", Json::from(runs)),
-            ("forbidden", Json::from(*forbidden)),
-            ("broken_runs", Json::from(*broken)),
-            (
-                "outcomes",
-                Json::Obj(
-                    hist.iter()
-                        .map(|(l, n)| (l.clone(), Json::from(*n)))
-                        .collect(),
-                ),
-            ),
-        ]));
-    }
-    let _ = writeln!(
-        text,
-        "\ntotal forbidden outcomes: {total_forbidden}   broken runs: {total_broken}"
-    );
-    let _ = writeln!(
-        text,
-        "(atomic regions serialize: every relaxed litmus outcome must be impossible)"
-    );
-
-    let json = Json::obj([
-        ("experiment", Json::from("litmus-conformance")),
-        ("options", opts_json(opts)),
-        (
-            "cases",
-            Json::arr(catalogue.iter().map(|c| {
-                Json::obj([
-                    ("name", Json::from(c.name)),
-                    ("threads", Json::from(c.threads.len())),
-                    ("about", Json::from(c.about)),
-                ])
-            })),
-        ),
-        ("rows", Json::Arr(row_json)),
-        ("forbidden_outcomes", Json::from(total_forbidden)),
-        ("broken_runs", Json::from(total_broken)),
-    ]);
-    let mut out = ExperimentOutput::new(text, json);
-    out.failures = (total_forbidden + total_broken) as usize;
-    out
-}
-
-/// Pinned options for the `litmus-backends` golden: every speculation
-/// backend, six seeds, retry threshold 5. As with `litmus-conformance`,
-/// each run uses the case's own thread count.
-pub(super) fn litmus_backends_opts() -> SuiteOptions {
-    SuiteOptions {
-        size: clear_workloads::Size::Tiny,
-        cores: 4,
-        seeds: (1..=6).collect(),
-        retry_sweep: vec![5],
-        benchmarks: vec![],
-        workers: pool::default_workers(),
-        sim_threads: 1,
-        backends: BackendId::ALL.iter().map(|b| b.name()).collect(),
-    }
+    let gate = LitmusGate {
+        experiment: "litmus-conformance",
+        title: "atomic outcomes of the classic shapes",
+        key: "preset",
+        width: 7,
+        footer: "(atomic regions serialize: every relaxed litmus outcome must be impossible)",
+        lists_backends: false,
+    };
+    litmus(opts, &sweep, &gate)
 }
 
 /// The `litmus-backends` experiment: SB, LB, MP and IRIW across every
 /// speculation backend × seed (the `--backend` flag restricts the sweep),
-/// with the forbidden relaxed outcome of each shape pinned to zero. The
-/// preset-sweep sibling is [`litmus_conformance`]; this gate proves the
-/// atomicity argument is backend-independent — including under the
-/// limited-R/W-set backend's capacity aborts.
+/// with the forbidden relaxed outcome of each shape pinned to zero. This
+/// gate proves the atomicity argument is backend-independent — including
+/// under the limited-R/W-set backend's capacity aborts.
 pub(super) fn litmus_backends(opts: &SuiteOptions) -> ExperimentOutput {
-    let catalogue = cases();
-    let backends: Vec<BackendId> = opts
+    let sweep: Vec<(String, BackendId)> = opts
         .backends
         .iter()
-        .map(|n| BackendId::from_name(n).expect("SuiteOptions validated the backend names"))
+        .map(|n| {
+            let id = BackendId::from_name(n).expect("SuiteOptions validated the backend names");
+            (id.name().to_string(), id)
+        })
         .collect();
-    let grid: Vec<(usize, BackendId, u64)> = catalogue
-        .iter()
-        .enumerate()
-        .flat_map(|(ci, _)| {
-            backends
-                .iter()
-                .flat_map(move |&b| opts.seeds.iter().map(move |&s| (ci, b, s)))
+    let gate = LitmusGate {
+        experiment: "litmus-backends",
+        title: "atomic outcomes across speculation backends",
+        key: "backend",
+        width: 8,
+        footer: "(serializability is a backend contract: no backend may admit a relaxed outcome)",
+        lists_backends: true,
+    };
+    litmus(opts, &sweep, &gate)
+}
+
+/// Runs every litmus case under every `(label, backend)` of `sweep` × seed
+/// and renders the per-(case, label) outcome histograms, with the
+/// forbidden relaxed outcome of each shape and every broken run counted
+/// as a failure.
+fn litmus(
+    opts: &SuiteOptions,
+    sweep: &[(String, BackendId)],
+    gate: &LitmusGate,
+) -> ExperimentOutput {
+    let catalogue = cases();
+    let grid: Vec<(usize, usize, u64)> = (0..catalogue.len())
+        .flat_map(|ci| {
+            (0..sweep.len()).flat_map(move |k| opts.seeds.iter().map(move |&s| (ci, k, s)))
         })
         .collect();
 
     let results = pool::run_indexed(grid.len(), opts.workers, |g| {
-        let (ci, backend, seed) = grid[g];
+        let (ci, k, seed) = grid[g];
         let case = Arc::new(cases().swap_remove(ci));
         let threads = case.threads.len();
         let workload = LitmusWorkload::new(Arc::clone(&case), seed);
         let layout = workload.layout_handle();
-        let mut cfg = backend.config(threads, opts.retry_sweep[0]);
-        cfg.seed = seed;
+        let cfg = MachineConfig {
+            seed,
+            ..sweep[k].1.config(threads, opts.retry_sweep[0])
+        };
         let mut machine = Machine::new(cfg, Box::new(workload));
         let stats = machine.run();
         let layout = layout.get().expect("setup published the layout");
@@ -486,14 +402,14 @@ pub(super) fn litmus_backends(opts: &SuiteOptions) -> ExperimentOutput {
         let label = case.label(&outcome);
         let forbidden = (case.forbidden)(&outcome);
         let committed = stats.commits_by_mode.total() == threads as u64;
-        (ci, backend, stats.timed_out, committed, forbidden, label)
+        (ci, k, stats.timed_out, committed, forbidden, label)
     });
 
-    // (case, backend) -> outcome histogram + violation counters.
+    // (case, label) -> outcome histogram + violation counters.
     type RowAccum = (BTreeMap<String, u64>, u64, u64);
-    let mut rows: BTreeMap<(usize, &'static str), RowAccum> = BTreeMap::new();
-    for (ci, backend, timed_out, committed, forbidden, label) in &results {
-        let slot = rows.entry((*ci, backend.name())).or_default();
+    let mut rows: BTreeMap<(usize, &str), RowAccum> = BTreeMap::new();
+    for (ci, k, timed_out, committed, forbidden, label) in &results {
+        let slot = rows.entry((*ci, sweep[*k].0.as_str())).or_default();
         *slot.0.entry(label.clone()).or_default() += 1;
         if *forbidden {
             slot.1 += 1;
@@ -503,20 +419,18 @@ pub(super) fn litmus_backends(opts: &SuiteOptions) -> ExperimentOutput {
         }
     }
 
+    let width = gate.width;
     let mut text = String::new();
+    let _ = writeln!(text, "=== {}: {} ===", gate.experiment, gate.title);
     let _ = writeln!(
         text,
-        "=== litmus-backends: atomic outcomes across speculation backends ==="
-    );
-    let _ = writeln!(
-        text,
-        "{:6} {:8} {:>6} {:>10} {:>7}  outcomes",
-        "case", "backend", "runs", "forbidden", "broken"
+        "{:6} {:width$} {:>6} {:>10} {:>7}  outcomes",
+        "case", gate.key, "runs", "forbidden", "broken"
     );
     let mut row_json = Vec::new();
     let mut total_forbidden = 0u64;
     let mut total_broken = 0u64;
-    for ((ci, backend), (hist, forbidden, broken)) in &rows {
+    for ((ci, label), (hist, forbidden, broken)) in &rows {
         let case = &catalogue[*ci];
         let runs: u64 = hist.values().sum();
         total_forbidden += forbidden;
@@ -528,12 +442,12 @@ pub(super) fn litmus_backends(opts: &SuiteOptions) -> ExperimentOutput {
             .join("; ");
         let _ = writeln!(
             text,
-            "{:6} {:8} {:>6} {:>10} {:>7}  {outcomes}",
-            case.name, backend, runs, forbidden, broken
+            "{:6} {:width$} {:>6} {:>10} {:>7}  {outcomes}",
+            case.name, label, runs, forbidden, broken
         );
         row_json.push(Json::obj([
             ("case", Json::from(case.name)),
-            ("backend", Json::from(*backend)),
+            (gate.key, Json::from(*label)),
             ("runs", Json::from(runs)),
             ("forbidden", Json::from(*forbidden)),
             ("broken_runs", Json::from(*broken)),
@@ -551,18 +465,19 @@ pub(super) fn litmus_backends(opts: &SuiteOptions) -> ExperimentOutput {
         text,
         "\ntotal forbidden outcomes: {total_forbidden}   broken runs: {total_broken}"
     );
-    let _ = writeln!(
-        text,
-        "(serializability is a backend contract: no backend may admit a relaxed outcome)"
-    );
+    let _ = writeln!(text, "{}", gate.footer);
 
-    let json = Json::obj([
-        ("experiment", Json::from("litmus-backends")),
+    let mut fields = vec![
+        ("experiment", Json::from(gate.experiment)),
         ("options", opts_json(opts)),
-        (
+    ];
+    if gate.lists_backends {
+        fields.push((
             "backends",
-            Json::arr(backends.iter().map(|b| Json::from(b.name()))),
-        ),
+            Json::arr(sweep.iter().map(|(label, _)| Json::from(label.as_str()))),
+        ));
+    }
+    fields.extend([
         (
             "cases",
             Json::arr(catalogue.iter().map(|c| {
@@ -577,7 +492,7 @@ pub(super) fn litmus_backends(opts: &SuiteOptions) -> ExperimentOutput {
         ("forbidden_outcomes", Json::from(total_forbidden)),
         ("broken_runs", Json::from(total_broken)),
     ]);
-    let mut out = ExperimentOutput::new(text, json);
+    let mut out = ExperimentOutput::new(text, Json::obj(fields));
     out.failures = (total_forbidden + total_broken) as usize;
     out
 }
@@ -811,7 +726,7 @@ mod tests {
         let opts = SuiteOptions {
             seeds: vec![1, 2],
             workers: 4,
-            ..litmus_backends_opts()
+            ..litmus_opts()
         };
         let out = litmus_backends(&opts);
         assert_eq!(out.failures, 0, "{}", out.text);
@@ -828,7 +743,7 @@ mod tests {
             seeds: vec![1],
             workers: 2,
             backends: vec!["tsx", "lrws"],
-            ..litmus_backends_opts()
+            ..litmus_opts()
         };
         let out = litmus_backends(&opts);
         assert_eq!(out.failures, 0, "{}", out.text);

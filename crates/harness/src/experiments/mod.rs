@@ -2,9 +2,8 @@
 //! or study.
 //!
 //! Every experiment is a pure function from [`SuiteOptions`] to an
-//! [`ExperimentOutput`]: the exact text the legacy `clear-bench` binary
-//! printed to stdout (those binaries are now thin wrappers over this
-//! registry) plus a machine-readable JSON document. Gated experiments
+//! [`ExperimentOutput`]: the text `clear-harness run <name>` prints plus a
+//! machine-readable JSON document. Gated experiments
 //! additionally declare a [`GoldenSpec`] pinning the options and
 //! tolerances used for regression checks against `goldens/`.
 
@@ -31,7 +30,7 @@ use clear_workloads::Size;
 /// Result of running one experiment.
 #[derive(Clone, Debug)]
 pub struct ExperimentOutput {
-    /// Exact stdout of the legacy binary.
+    /// Text `clear-harness run` prints.
     pub text: String,
     /// Machine-readable result document.
     pub json: Json,
@@ -368,7 +367,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
         about: "SB/LB/MP/IRIW litmus shapes across every speculation backend",
         run: fuzz::litmus_backends,
         golden: Some(GoldenSpec {
-            opts: fuzz::litmus_backends_opts,
+            opts: fuzz::litmus_opts,
             tolerances: GATED_TOLERANCES,
         }),
     },
@@ -404,18 +403,6 @@ pub static EXPERIMENTS: &[Experiment] = &[
 /// Finds an experiment by registry name.
 pub fn find(name: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.name == name)
-}
-
-/// Runs an experiment and streams its legacy text to stdout; the process
-/// exit code reflects `failures`. This is the whole body of every thin
-/// wrapper binary in `clear-bench`.
-pub fn run_to_stdout(name: &str, opts: &SuiteOptions) {
-    let exp = find(name).unwrap_or_else(|| panic!("unknown experiment {name}"));
-    let out = (exp.run)(opts);
-    print!("{}", out.text);
-    if out.failures > 0 {
-        std::process::exit(1);
-    }
 }
 
 /// `Size` as its CLI spelling.

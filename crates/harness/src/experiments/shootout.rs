@@ -13,9 +13,9 @@
 use super::{opts_json, ExperimentOutput};
 use crate::json::Json;
 use crate::pool;
-use crate::suite::{run_once_backend, SuiteOptions};
+use crate::suite::{run_benchmark, SuiteOptions};
 use clear_htm::AbortKind;
-use clear_machine::{BackendId, RunStats};
+use clear_machine::{BackendId, MachineConfig, RunStats};
 use clear_workloads::Size;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -114,15 +114,12 @@ pub(super) fn backend_shootout(opts: &SuiteOptions) -> ExperimentOutput {
         .collect();
     let results = pool::run_indexed(grid.len(), opts.workers, |g| {
         let (b, k, seed) = grid[g];
-        run_once_backend(
-            opts.benchmarks[b],
-            backends[k],
-            opts.cores,
-            retries,
-            opts.size,
+        let cfg = MachineConfig {
             seed,
-            opts.sim_threads,
-        )
+            sim_threads: opts.sim_threads,
+            ..backends[k].config(opts.cores, retries)
+        };
+        run_benchmark(opts.benchmarks[b], opts.size, cfg, false).0
     });
 
     let mut cells: BTreeMap<(usize, usize), Cell> = BTreeMap::new();

@@ -11,13 +11,13 @@
 use super::{opts_json, size_str, ExperimentOutput};
 use crate::json::Json;
 use crate::pool;
-use crate::suite::SuiteOptions;
+use crate::suite::{run_benchmark, SuiteOptions};
 use clear_analysis::{
     analyze_workload, workload_plans, ArReport, LockPrediction, OverflowPrediction, StaticBudget,
     StaticVerdict, WorkloadReport,
 };
 use clear_core::{ObservedClass, PlanAddr, PlanClass, StaticPlan, StaticPlanSet};
-use clear_machine::{backend_from_config, BackendId, Machine, Preset, TraceEvent};
+use clear_machine::{BackendId, MachineConfig, Preset, TraceEvent};
 use clear_workloads::{by_name, Size, BENCHMARK_NAMES};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -74,12 +74,11 @@ fn analyze(name: &str, size: Size, threads: usize, seed: u64) -> Result<Workload
 /// Dynamic side of the gate: per-AR counts of observed classes derived
 /// from every discovery decision of one traced run.
 fn dynamic_side(name: &str) -> HashMap<u32, [u64; 4]> {
-    let w = by_name(name, Size::Small, SAMPLE_SEED).expect("known benchmark");
-    let mut cfg = Preset::C.config(SAMPLE_THREADS, 5);
-    cfg.seed = SAMPLE_SEED;
-    let mut m = Machine::new(cfg, w);
-    m.enable_tracing();
-    m.run();
+    let cfg = MachineConfig {
+        seed: SAMPLE_SEED,
+        ..Preset::C.config(SAMPLE_THREADS, 5)
+    };
+    let (_, m) = run_benchmark(name, Size::Small, cfg, true);
     let mut per_ar: HashMap<u32, [u64; 4]> = HashMap::new();
     for r in m.trace().records() {
         if let TraceEvent::Decision {
@@ -312,8 +311,7 @@ fn plan_budget(plan: &StaticPlan) -> Vec<(&'static str, bool, bool)> {
     BackendId::ALL
         .iter()
         .map(|&id| {
-            let backend = backend_from_config(&id.config(1, 5));
-            let limits = backend.rw_limits();
+            let limits = id.backend().rw_limits();
             let fits = plan.fits_rw(
                 limits.as_ref().map(|l| l.read_lines),
                 limits.as_ref().map(|l| l.write_lines),

@@ -5,25 +5,21 @@
 use super::{opts_json, ExperimentOutput};
 use crate::json::Json;
 use crate::pool;
-use crate::suite::{run_once, trimmed_mean, SuiteOptions};
+use crate::suite::{run_benchmark, trimmed_mean, SuiteOptions};
 use clear_core::{ClearConfig, SclLockPolicy};
-use clear_machine::{Machine, MachineConfig, Preset, RunStats, SpeculationKind};
+use clear_machine::{ClearBackend, MachineConfig, Preset, RunStats, SpeculationKind};
 use clear_workloads::{by_name, Size};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-fn run_clear_variant(
-    name: &str,
-    opts: &SuiteOptions,
-    tweak: impl Fn(&mut ClearConfig),
-) -> RunStats {
-    let w = by_name(name, opts.size, opts.seeds[0]).expect("known benchmark");
-    let mut cfg = Preset::C.config(opts.cores, 5);
-    cfg.seed = opts.seeds[0];
-    tweak(cfg.clear.as_mut().expect("preset C has CLEAR"));
-    let mut m = Machine::new(cfg, w);
-    let s = m.run();
-    m.workload().validate(m.memory()).expect("invariant");
-    s
+/// Runs `name` on the suite's first seed under `cfg` (retry threshold 5 in
+/// every study below).
+fn run_seeded(name: &str, opts: &SuiteOptions, cfg: MachineConfig) -> RunStats {
+    let cfg = MachineConfig {
+        seed: opts.seeds[0],
+        ..cfg
+    };
+    run_benchmark(name, opts.size, cfg, false).0
 }
 
 const ABLATION_APPS: [&str; 6] = [
@@ -45,21 +41,41 @@ const ABLATION_VARIANTS: [&str; 7] = [
 ];
 
 fn ablation_variant(name: &str, variant: usize, opts: &SuiteOptions) -> RunStats {
-    match variant {
-        0 => run_once(name, Preset::B, opts.cores, 5, opts.size, opts.seeds[0]),
-        1 => run_clear_variant(name, opts, |_| {}),
-        2 => run_clear_variant(name, opts, |cc| {
-            cc.crt_sets = 1;
-            cc.crt_ways = 1;
-        }),
-        3 => run_clear_variant(name, opts, |cc| {
-            cc.scl_lock_policy = SclLockPolicy::AllAccessed;
-        }),
-        4 => run_clear_variant(name, opts, |cc| cc.alt_entries = 8),
-        5 => run_clear_variant(name, opts, |cc| cc.alt_entries = 64),
-        6 => run_clear_variant(name, opts, |cc| cc.ert_entries = 4),
+    let base = ClearConfig::default();
+    let clear = match variant {
+        0 => return run_seeded(name, opts, Preset::B.config(opts.cores, 5)),
+        1 => base,
+        2 => ClearConfig {
+            crt_sets: 1,
+            crt_ways: 1,
+            ..base
+        },
+        3 => ClearConfig {
+            scl_lock_policy: SclLockPolicy::AllAccessed,
+            ..base
+        },
+        4 => ClearConfig {
+            alt_entries: 8,
+            ..base
+        },
+        5 => ClearConfig {
+            alt_entries: 64,
+            ..base
+        },
+        6 => ClearConfig {
+            ert_entries: 4,
+            ..base
+        },
         _ => unreachable!("seven ablation variants"),
-    }
+    };
+    let cfg = MachineConfig {
+        backend: Arc::new(ClearBackend {
+            clear,
+            ..ClearBackend::default()
+        }),
+        ..Preset::C.config(opts.cores, 5)
+    };
+    run_seeded(name, opts, cfg)
 }
 
 pub(super) fn ablation(opts: &SuiteOptions) -> ExperimentOutput {
@@ -133,14 +149,7 @@ pub(super) fn ablation(opts: &SuiteOptions) -> ExperimentOutput {
 
 pub(super) fn ar_breakdown(opts: &SuiteOptions) -> ExperimentOutput {
     let stats = pool::run_indexed(opts.benchmarks.len(), opts.workers, |i| {
-        let name = opts.benchmarks[i];
-        let w = by_name(name, opts.size, opts.seeds[0]).expect("known benchmark");
-        let mut cfg = Preset::C.config(opts.cores, 5);
-        cfg.seed = opts.seeds[0];
-        let mut m = Machine::new(cfg, w);
-        let stats = m.run();
-        m.workload().validate(m.memory()).expect("invariant");
-        stats
+        run_seeded(opts.benchmarks[i], opts, Preset::C.config(opts.cores, 5))
     });
     let mut text = String::new();
     let mut rows = Vec::new();
@@ -214,15 +223,13 @@ pub(super) fn dse_retries(opts: &SuiteOptions) -> ExperimentOutput {
         let r = (i / ns) % nr;
         let p = (i / (ns * nr)) % np;
         let b = i / (ns * nr * np);
-        run_once(
-            opts.benchmarks[b],
-            presets[p],
-            opts.cores,
-            opts.retry_sweep[r],
-            opts.size,
-            opts.seeds[s],
-        )
-        .total_cycles as f64
+        let cfg = MachineConfig {
+            seed: opts.seeds[s],
+            ..presets[p].config(opts.cores, opts.retry_sweep[r])
+        };
+        run_benchmark(opts.benchmarks[b], opts.size, cfg, false)
+            .0
+            .total_cycles as f64
     });
     let mut text = String::new();
     let _ = writeln!(
@@ -268,16 +275,6 @@ pub(super) fn dse_retries(opts: &SuiteOptions) -> ExperimentOutput {
     ExperimentOutput::new(text, json)
 }
 
-fn run_with_config(name: &str, cfg: MachineConfig, seed: u64, size: Size) -> RunStats {
-    let w = by_name(name, size, seed).expect("known benchmark");
-    let mut cfg = cfg;
-    cfg.seed = seed;
-    let mut m = Machine::new(cfg, w);
-    let s = m.run();
-    m.workload().validate(m.memory()).expect("invariant");
-    s
-}
-
 pub(super) fn mad_vs_clear(opts: &SuiteOptions) -> ExperimentOutput {
     // Benchmarks with at least one statically-lockable AR.
     let eligible = [
@@ -302,14 +299,13 @@ pub(super) fn mad_vs_clear(opts: &SuiteOptions) -> ExperimentOutput {
         let cores = cores_axis[c];
         let cfg = match v {
             0 => Preset::B.config(cores, 5),
-            1 => {
-                let mut cfg = Preset::B.config(cores, 5);
-                cfg.a_priori_locking = true;
-                cfg
-            }
+            1 => MachineConfig {
+                a_priori_locking: true,
+                ..Preset::B.config(cores, 5)
+            },
             _ => Preset::C.config(cores, 5),
         };
-        run_with_config(name, cfg, opts.seeds[0], opts.size)
+        run_seeded(name, opts, cfg)
     });
     let mut text = String::new();
     let _ = writeln!(
@@ -378,13 +374,10 @@ pub(super) fn scaling(opts: &SuiteOptions) -> ExperimentOutput {
         let p = i % np;
         let c = (i / np) % nc;
         let b = i / (np * nc);
-        run_once(
+        run_seeded(
             opts.benchmarks[b],
-            presets[p],
-            cores_axis[c],
-            5,
-            opts.size,
-            opts.seeds[0],
+            opts,
+            presets[p].config(cores_axis[c], 5),
         )
         .total_cycles
     });
@@ -428,15 +421,14 @@ pub(super) fn scaling(opts: &SuiteOptions) -> ExperimentOutput {
 pub(super) fn sle_vs_htm(opts: &SuiteOptions) -> ExperimentOutput {
     let kinds = [SpeculationKind::Htm, SpeculationKind::InCore];
     let stats = pool::run_indexed(opts.benchmarks.len() * 2, opts.workers, |i| {
-        let name = opts.benchmarks[i / 2];
-        let w = by_name(name, opts.size, opts.seeds[0]).expect("known benchmark");
-        let mut cfg = Preset::C.config(opts.cores, 5);
-        cfg.seed = opts.seeds[0];
-        cfg.speculation = kinds[i % 2];
-        let mut m = Machine::new(cfg, w);
-        let s = m.run();
-        m.workload().validate(m.memory()).expect("invariant");
-        s
+        let cfg = MachineConfig {
+            backend: Arc::new(ClearBackend {
+                speculation: kinds[i % 2],
+                ..ClearBackend::default()
+            }),
+            ..Preset::C.config(opts.cores, 5)
+        };
+        run_seeded(opts.benchmarks[i / 2], opts, cfg)
     });
     let mut text = String::new();
     let _ = writeln!(
@@ -497,13 +489,11 @@ pub(super) fn sle_vs_htm(opts: &SuiteOptions) -> ExperimentOutput {
 pub(super) fn trace_dump(opts: &SuiteOptions) -> ExperimentOutput {
     let name = opts.benchmarks.first().copied().unwrap_or("mwobject");
     let cores = opts.cores.min(8);
-    let w = by_name(name, Size::Tiny, opts.seeds[0]).expect("known benchmark");
-    let mut cfg = Preset::C.config(cores, 5);
-    cfg.seed = opts.seeds[0];
-    let mut m = Machine::new(cfg, w);
-    m.enable_tracing();
-    let stats = m.run();
-    m.workload().validate(m.memory()).expect("invariant");
+    let cfg = MachineConfig {
+        seed: opts.seeds[0],
+        ..Preset::C.config(cores, 5)
+    };
+    let (stats, m) = run_benchmark(name, Size::Tiny, cfg, true);
 
     let mut text = String::new();
     let _ = writeln!(

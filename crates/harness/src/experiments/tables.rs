@@ -4,20 +4,19 @@
 use super::{opts_json, ExperimentOutput};
 use crate::json::Json;
 use crate::pool;
-use crate::suite::SuiteOptions;
+use crate::suite::{run_benchmark, SuiteOptions};
 use clear_isa::Mutability;
-use clear_machine::{Machine, MachineConfig, Preset, TraceEvent};
+use clear_machine::{MachineConfig, Preset, TraceEvent};
 use clear_workloads::{by_name, Size, BENCHMARK_NAMES};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
 fn measured_immutability(name: &str) -> HashMap<u32, (u64, u64)> {
-    let w = by_name(name, Size::Small, 5).expect("known benchmark");
-    let mut cfg = Preset::C.config(16, 5);
-    cfg.seed = 5;
-    let mut m = Machine::new(cfg, w);
-    m.enable_tracing();
-    m.run();
+    let cfg = MachineConfig {
+        seed: 5,
+        ..Preset::C.config(16, 5)
+    };
+    let (_, m) = run_benchmark(name, Size::Small, cfg, true);
     let mut per_ar: HashMap<u32, (u64, u64)> = HashMap::new();
     for r in m.trace().records() {
         if let TraceEvent::Decision { ar, immutable, .. } = &r.event {

@@ -3,37 +3,31 @@
 
 use super::{opts_json, ExperimentOutput};
 use crate::json::Json;
-use crate::suite::SuiteOptions;
-use clear_machine::{Machine, Preset};
-use clear_workloads::by_name;
+use crate::suite::{run_benchmark, SuiteOptions};
+use clear_machine::{MachineConfig, Preset};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn check_cell(name: &str, preset: Preset, opts: &SuiteOptions) -> Result<(), String> {
-    let run = || {
-        let w = by_name(name, opts.size, opts.seeds[0]).expect("known benchmark");
-        let mut cfg = preset.config(opts.cores, 5);
-        cfg.seed = opts.seeds[0];
-        let mut m = Machine::new(cfg, w);
-        let stats = m.run();
-        if stats.timed_out {
-            return Err("TIMEOUT".to_string());
-        }
-        m.workload().validate(m.memory()).map_err(|e| e.to_string())
+    let cfg = MachineConfig {
+        seed: opts.seeds[0],
+        ..preset.config(opts.cores, 5)
     };
-    // A panicking simulator run must count as a failed check, not take the
+    // A failed run panics; it must count as a failed check, not take the
     // whole verification suite down with it.
-    match catch_unwind(AssertUnwindSafe(run)) {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "panic".to_string());
-            Err(format!("PANIC: {msg}"))
+    let run = AssertUnwindSafe(|| run_benchmark(name, opts.size, cfg, false));
+    catch_unwind(run).map(drop).map_err(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "panic".to_string());
+        if msg.ends_with("run timed out") {
+            "TIMEOUT".to_string()
+        } else {
+            msg
         }
-    }
+    })
 }
 
 pub(super) fn verify(opts: &SuiteOptions) -> ExperimentOutput {

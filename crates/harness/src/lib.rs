@@ -4,10 +4,11 @@
 //! paper's figures are reproduced and regression-checked":
 //!
 //! - [`experiments`]: a registry of named experiments, one per reproduced
-//!   figure/table/study. The legacy `clear-bench` binaries are thin
-//!   wrappers over [`experiments::run_to_stdout`].
-//! - [`suite`]: the (benchmark × preset × retry × seed) grid engine with
-//!   the paper's best-of retry sweep and trimmed-mean aggregation.
+//!   figure/table/study; `clear-harness run <name>` prints any of them.
+//! - [`suite`]: the one run path ([`run_benchmark`]: build, run and check
+//!   a named benchmark under a [`MachineConfig`](clear_machine::MachineConfig))
+//!   and the (benchmark × preset × retry × seed) grid engine with the
+//!   paper's best-of retry sweep and trimmed-mean aggregation.
 //! - [`pool`]: a scoped worker pool that spreads the grid over threads
 //!   while keeping results bit-identical to a sequential run.
 //! - [`json`]: a small hand-rolled JSON document model (emit + parse), so
@@ -45,6 +46,6 @@ pub mod suite;
 pub mod trace_export;
 
 pub use suite::{
-    bar, format_table, geomean, print_table, run_cell, run_once, run_once_threaded, run_suite,
-    split_threads, trimmed_mean, CellResult, SuiteOptions,
+    bar, format_table, geomean, run_benchmark, run_cell, run_suite, split_threads, trimmed_mean,
+    CellResult, SuiteOptions,
 };

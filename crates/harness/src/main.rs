@@ -16,8 +16,8 @@ use clear_harness::experiments::{
 };
 use clear_harness::json::Json;
 use clear_harness::serve::{serve_session, ServeOptions};
-use clear_harness::{bench_out, golden, metrics_export, trace_export, SuiteOptions};
-use clear_machine::Preset;
+use clear_harness::{bench_out, golden, metrics_export, run_benchmark, trace_export, SuiteOptions};
+use clear_machine::{MachineConfig, Preset};
 
 fn usage() -> ! {
     eprintln!(
@@ -378,7 +378,11 @@ fn trace(args: &[String]) {
         .is_some();
     let opts = SuiteOptions::from_arg_slice(&rest);
     let seed = opts.seeds[0];
-    let m = trace_export::run_traced(workload, Preset::C, opts.cores, 5, opts.size, seed);
+    let cfg = MachineConfig {
+        seed,
+        ..Preset::C.config(opts.cores, 5)
+    };
+    let (_, m) = run_benchmark(workload, opts.size, cfg, true);
     let metrics = trace_export::derive_metrics(&m, 8);
 
     if let Some(path) = &chrome_path {

@@ -179,83 +179,37 @@ impl SuiteOptions {
     }
 }
 
-/// Runs one benchmark once under a fully specified configuration.
+/// Runs one benchmark once under `cfg`, whose `seed` also seeds the
+/// workload instance, and returns its stats with the finished machine.
+/// With `trace` on, the machine records its event trace (see
+/// [`Machine::trace`]) for the caller to read. This is the one place the
+/// harness builds, runs and checks a named benchmark.
 ///
 /// # Panics
 ///
-/// Panics if the benchmark name is unknown, the run times out, or the
-/// workload's atomicity invariant fails — a harness must never report
-/// numbers from a broken run.
-pub fn run_once(
+/// Panics if the benchmark name is unknown, the run stops at
+/// `max_cycles`, or the workload's atomicity invariant fails — a harness
+/// must never report numbers from a broken run.
+pub fn run_benchmark(
     name: &str,
-    preset: Preset,
-    cores: usize,
-    max_retries: u32,
     size: Size,
-    seed: u64,
-) -> RunStats {
-    run_once_threaded(name, preset, cores, max_retries, size, seed, 1)
-}
-
-/// [`run_once`] with an explicit intra-run thread count. Stats are
-/// byte-identical for every `sim_threads` value except the `par_batch_*`
-/// perf counters, which record whether batching was active.
-///
-/// # Panics
-///
-/// As [`run_once`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_once_threaded(
-    name: &str,
-    preset: Preset,
-    cores: usize,
-    max_retries: u32,
-    size: Size,
-    seed: u64,
-    sim_threads: usize,
-) -> RunStats {
-    let workload = by_name(name, size, seed).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    let mut cfg: MachineConfig = preset.config(cores, max_retries);
-    cfg.seed = seed;
-    cfg.sim_threads = sim_threads;
+    cfg: MachineConfig,
+    trace: bool,
+) -> (RunStats, Machine) {
+    let workload =
+        by_name(name, size, cfg.seed).unwrap_or_else(|| panic!("unknown benchmark {name}"));
     let mut machine = Machine::new(cfg, workload);
+    if trace {
+        machine.enable_tracing();
+    }
     let stats = machine.run();
-    assert!(!stats.timed_out, "{name}/{preset}: run timed out");
-    machine
-        .workload()
-        .validate(machine.memory())
-        .unwrap_or_else(|e| panic!("{name}/{preset}: invariant violated: {e}"));
-    stats
-}
-
-/// Runs one benchmark once under an explicit speculation backend's
-/// Table 2 configuration (see [`BackendId::config`]).
-///
-/// # Panics
-///
-/// As [`run_once`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_once_backend(
-    name: &str,
-    backend: BackendId,
-    cores: usize,
-    max_retries: u32,
-    size: Size,
-    seed: u64,
-    sim_threads: usize,
-) -> RunStats {
-    let workload = by_name(name, size, seed).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    let mut cfg: MachineConfig = backend.config(cores, max_retries);
-    cfg.seed = seed;
-    cfg.sim_threads = sim_threads;
-    let mut machine = Machine::new(cfg, workload);
-    let stats = machine.run();
+    let backend = machine.backend().name();
     assert!(!stats.timed_out, "{name}/{backend}: run timed out");
     machine
         .workload()
         .validate(machine.memory())
         .unwrap_or_else(|e| panic!("{name}/{backend}: invariant violated: {e}"));
-    stats
+    (stats, machine)
 }
 
 /// Derives the static plans for one benchmark by sampling and analyzing a
@@ -271,39 +225,6 @@ pub fn benchmark_plans(name: &str, size: Size, seed: u64, threads: usize) -> Arc
     let plans = workload_plans(&mut *w, threads, &StaticBudget::default())
         .unwrap_or_else(|e| panic!("{name}: static planning failed: {e}"));
     Arc::new(plans)
-}
-
-/// [`run_once_backend`] with analyzer-emitted static plans installed, so
-/// CLEAR-capable backends take the discovery-skipping fast path. Passing
-/// `None` is exactly [`run_once_backend`].
-///
-/// # Panics
-///
-/// As [`run_once`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_once_backend_planned(
-    name: &str,
-    backend: BackendId,
-    cores: usize,
-    max_retries: u32,
-    size: Size,
-    seed: u64,
-    sim_threads: usize,
-    plans: Option<Arc<StaticPlanSet>>,
-) -> RunStats {
-    let workload = by_name(name, size, seed).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    let mut cfg: MachineConfig = backend.config(cores, max_retries);
-    cfg.seed = seed;
-    cfg.sim_threads = sim_threads;
-    cfg.static_plans = plans;
-    let mut machine = Machine::new(cfg, workload);
-    let stats = machine.run();
-    assert!(!stats.timed_out, "{name}/{backend}: run timed out");
-    machine
-        .workload()
-        .validate(machine.memory())
-        .unwrap_or_else(|e| panic!("{name}/{backend}: invariant violated: {e}"));
-    stats
 }
 
 /// Aggregated result of one benchmark × preset cell.
@@ -386,16 +307,13 @@ pub fn run_cell(name: &str, preset: Preset, opts: &SuiteOptions) -> CellResult {
         .map(|&retries| {
             opts.seeds
                 .iter()
-                .map(|&s| {
-                    run_once_threaded(
-                        name,
-                        preset,
-                        opts.cores,
-                        retries,
-                        opts.size,
-                        s,
-                        opts.sim_threads,
-                    )
+                .map(|&seed| {
+                    let cfg = MachineConfig {
+                        seed,
+                        sim_threads: opts.sim_threads,
+                        ..preset.config(opts.cores, retries)
+                    };
+                    run_benchmark(name, opts.size, cfg, false).0
                 })
                 .collect()
         })
@@ -423,15 +341,12 @@ pub fn run_suite(opts: &SuiteOptions) -> Vec<[CellResult; 4]> {
         let r = (i / ns) % nr;
         let p = (i / (ns * nr)) % np;
         let b = i / (ns * nr * np);
-        run_once_threaded(
-            opts.benchmarks[b],
-            presets[p],
-            opts.cores,
-            opts.retry_sweep[r],
-            opts.size,
-            opts.seeds[s],
-            opts.sim_threads,
-        )
+        let cfg = MachineConfig {
+            seed: opts.seeds[s],
+            sim_threads: opts.sim_threads,
+            ..presets[p].config(opts.cores, opts.retry_sweep[r])
+        };
+        run_benchmark(opts.benchmarks[b], opts.size, cfg, false).0
     });
     let mut iter = stats.into_iter();
     opts.benchmarks
@@ -519,16 +434,6 @@ pub fn format_table(
     out
 }
 
-/// Prints [`format_table`] to stdout (legacy entry point).
-pub fn print_table(
-    title: &str,
-    header: &str,
-    rows: &[(String, [f64; 4])],
-    aggregate: (&str, [f64; 4]),
-) {
-    print!("{}", format_table(title, header, rows, aggregate));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,9 +498,20 @@ mod tests {
     }
 
     #[test]
-    fn run_once_produces_valid_stats() {
-        let s = run_once("arrayswap", Preset::B, 4, 5, Size::Tiny, 1);
+    fn run_benchmark_produces_valid_stats() {
+        let (s, m) = run_benchmark("arrayswap", Size::Tiny, Preset::B.config(4, 5), true);
         assert!(s.commits() > 0);
+        assert!(m.trace().recorded() > 0, "tracing was requested");
+    }
+
+    #[test]
+    #[should_panic(expected = "arrayswap/tsx: run timed out")]
+    fn run_benchmark_rejects_a_timed_out_run() {
+        let cfg = MachineConfig {
+            max_cycles: 1_000,
+            ..Preset::B.config(4, 5)
+        };
+        run_benchmark("arrayswap", Size::Tiny, cfg, false);
     }
 
     #[test]
@@ -611,9 +527,9 @@ mod tests {
     }
 
     #[test]
-    fn run_once_backend_covers_every_backend() {
+    fn run_benchmark_covers_every_backend() {
         for id in BackendId::ALL {
-            let s = run_once_backend("arrayswap", id, 4, 5, Size::Tiny, 1, 1);
+            let (s, _) = run_benchmark("arrayswap", Size::Tiny, id.config(4, 5), false);
             assert!(s.commits() > 0, "{id} produced no commits");
             if id != BackendId::Lrws {
                 assert_eq!(s.lrws_capacity_aborts(), 0, "{id}");

@@ -13,40 +13,9 @@
 
 use crate::json::Json;
 use clear_core::RetryMode;
-use clear_machine::{Machine, MachineConfig, Preset, TraceEvent};
-use clear_workloads::{by_name, Size};
+use clear_machine::{Machine, TraceEvent};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-
-/// Runs one benchmark with tracing enabled and returns the finished
-/// machine, whose [`Machine::trace`] the exporters below consume.
-///
-/// # Panics
-///
-/// Panics if the benchmark name is unknown, the run times out, or the
-/// workload's atomicity invariant fails — tracing a broken run would
-/// report events of an execution the harness rejects everywhere else.
-pub fn run_traced(
-    name: &str,
-    preset: Preset,
-    cores: usize,
-    max_retries: u32,
-    size: Size,
-    seed: u64,
-) -> Machine {
-    let workload = by_name(name, size, seed).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    let mut cfg: MachineConfig = preset.config(cores, max_retries);
-    cfg.seed = seed;
-    let mut machine = Machine::new(cfg, workload);
-    machine.enable_tracing();
-    let stats = machine.run();
-    assert!(!stats.timed_out, "{name}/{preset}: traced run timed out");
-    machine
-        .workload()
-        .validate(machine.memory())
-        .unwrap_or_else(|e| panic!("{name}/{preset}: invariant violated: {e}"));
-    machine
-}
 
 /// Exports the trace's AR arrival process as an inter-arrival gap
 /// document for `clear-harness serve --replay`: every `ArFetched` cycle
@@ -651,9 +620,12 @@ pub struct ChromeTraceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::run_benchmark;
+    use clear_machine::Preset;
+    use clear_workloads::Size;
 
     fn traced() -> Machine {
-        run_traced("arrayswap", Preset::C, 8, 5, Size::Tiny, 1)
+        run_benchmark("arrayswap", Size::Tiny, Preset::C.config(8, 5), true).1
     }
 
     #[test]

@@ -11,16 +11,19 @@
 //! captures exactly that surface, so a new backend is one `impl` instead
 //! of a fork of the attempt/conflict/locking paths.
 //!
-//! [`Machine::new`](crate::Machine::new) derives the backend from the
-//! configuration axes ([`backend_from_config`]), which keeps every
-//! existing preset byte-identical;
-//! [`Machine::with_backend`](crate::Machine::with_backend) accepts any
-//! custom implementation. [`BackendId`] enumerates the five built-in
-//! backends for harnesses that sweep the design space.
+//! The configuration carries its backend
+//! ([`MachineConfig::backend`]) and [`Machine::new`](crate::Machine::new)
+//! runs whatever it finds there, built-in or custom. Each built-in
+//! backend struct carries its own settings (CLEAR structure sizes, the
+//! substrate flavour, the speculation kind, the R/W-set bounds), so only
+//! valid combinations can be written down. [`BackendId`] names the
+//! built-in backends; the paper's presets map onto it
+//! ([`Preset::backend`](crate::Preset::backend)).
 
 use crate::{MachineConfig, SpeculationKind};
 use clear_core::{ClearConfig, RetryMode};
 use clear_htm::{resolve_conflict, HtmFlavor, LrwsConfig, Resolution, RetryPolicy, TxInfo};
+use std::sync::Arc;
 
 /// The policy surface of one speculation design point.
 ///
@@ -218,40 +221,8 @@ impl SpeculationBackend for LrwsBackend {
     }
 }
 
-/// Derives the backend a configuration describes. Precedence mirrors the
-/// config axes' specificity: `lrws` bounds select the limited
-/// read/write-set backend, a `clear` config selects CLEAR (over its
-/// flavour/speculation substrate), in-core speculation selects SLE, and
-/// the flavour picks between plain TSX and PowerTM.
-///
-/// # Panics
-///
-/// Panics when both `lrws` and `clear` are set: the limited-R/W-set
-/// scheme replaces cache-based footprint tracking, so CLEAR's discovery
-/// path (which relies on it) cannot be layered on top.
-pub fn backend_from_config(cfg: &MachineConfig) -> Box<dyn SpeculationBackend> {
-    if let Some(limits) = cfg.lrws {
-        assert!(
-            cfg.clear.is_none(),
-            "lrws and clear are mutually exclusive backends"
-        );
-        return Box::new(LrwsBackend { limits });
-    }
-    if let Some(clear) = cfg.clear {
-        return Box::new(ClearBackend {
-            clear,
-            flavor: cfg.flavor,
-            speculation: cfg.speculation,
-        });
-    }
-    match (cfg.speculation, cfg.flavor) {
-        (SpeculationKind::InCore, flavor) => Box::new(SleBackend { flavor }),
-        (SpeculationKind::Htm, HtmFlavor::PowerTm) => Box::new(PowerTmBackend),
-        (SpeculationKind::Htm, HtmFlavor::RequesterWins) => Box::new(TsxBackend),
-    }
-}
-
-/// The five built-in backends, for harnesses sweeping the design space.
+/// The built-in backends by name: the single name → backend map that the
+/// presets, the CLI's `--backend` flag and the harness sweeps share.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BackendId {
     /// Requester-wins TSX baseline.
@@ -264,10 +235,14 @@ pub enum BackendId {
     Clear,
     /// Limited read/write-set HTM.
     Lrws,
+    /// CLEAR over PowerTM (preset **W**).
+    ClearPowerTm,
 }
 
 impl BackendId {
-    /// All built-in backends in shootout column order.
+    /// The built-in backends the design-space sweeps cover, in shootout
+    /// column order. [`BackendId::ClearPowerTm`] is reachable by name but
+    /// not swept.
     pub const ALL: [BackendId; 5] = [
         BackendId::Tsx,
         BackendId::PowerTm,
@@ -284,31 +259,39 @@ impl BackendId {
             BackendId::Sle => "sle",
             BackendId::Clear => "clear",
             BackendId::Lrws => "lrws",
+            BackendId::ClearPowerTm => "clear-powertm",
         }
     }
 
     /// Resolves a name back to a backend.
     pub fn from_name(name: &str) -> Option<Self> {
-        BackendId::ALL.into_iter().find(|b| b.name() == name)
+        BackendId::ALL
+            .into_iter()
+            .chain([BackendId::ClearPowerTm])
+            .find(|b| b.name() == name)
+    }
+
+    /// The backend this name stands for, with default structure sizes.
+    pub fn backend(self) -> Arc<dyn SpeculationBackend> {
+        match self {
+            BackendId::Tsx => Arc::new(TsxBackend),
+            BackendId::PowerTm => Arc::new(PowerTmBackend),
+            BackendId::Sle => Arc::new(SleBackend::default()),
+            BackendId::Clear => Arc::new(ClearBackend::default()),
+            BackendId::Lrws => Arc::new(LrwsBackend::default()),
+            BackendId::ClearPowerTm => Arc::new(ClearBackend {
+                flavor: HtmFlavor::PowerTm,
+                ..ClearBackend::default()
+            }),
+        }
     }
 
     /// Builds the Table 2 machine configuration running this backend.
     pub fn config(self, cores: usize, max_retries: u32) -> MachineConfig {
-        use crate::Preset;
-        match self {
-            BackendId::Tsx => Preset::B.config(cores, max_retries),
-            BackendId::PowerTm => Preset::P.config(cores, max_retries),
-            BackendId::Clear => Preset::C.config(cores, max_retries),
-            BackendId::Sle => {
-                let mut c = Preset::B.config(cores, max_retries);
-                c.speculation = SpeculationKind::InCore;
-                c
-            }
-            BackendId::Lrws => {
-                let mut c = Preset::B.config(cores, max_retries);
-                c.lrws = Some(LrwsConfig::default());
-                c
-            }
+        MachineConfig {
+            backend: self.backend(),
+            retry: RetryPolicy::new(max_retries),
+            ..MachineConfig::table2(cores)
         }
     }
 }
@@ -324,52 +307,46 @@ mod tests {
     use super::*;
     use crate::Preset;
 
+    /// The name → backend map, pinned for every name and preset:
+    /// (id, trait name, CLEAR, power token, speculation, R/W limits).
     #[test]
-    fn presets_map_to_the_expected_backends() {
-        let b = backend_from_config(&Preset::B.config(4, 5));
-        assert_eq!(b.name(), "tsx");
-        assert!(!b.acquires_power_token());
-        let p = backend_from_config(&Preset::P.config(4, 5));
-        assert_eq!(p.name(), "powertm");
-        assert!(p.acquires_power_token());
-        let c = backend_from_config(&Preset::C.config(4, 5));
-        assert_eq!(c.name(), "clear");
-        assert!(c.clear().is_some());
-        let w = backend_from_config(&Preset::W.config(4, 5));
-        assert_eq!(w.name(), "clear");
-        assert!(w.acquires_power_token());
-    }
-
-    #[test]
-    fn sle_and_lrws_axes_select_their_backends() {
-        let mut cfg = Preset::B.config(4, 5);
-        cfg.speculation = SpeculationKind::InCore;
-        let sle = backend_from_config(&cfg);
-        assert_eq!(sle.name(), "sle");
-        assert_eq!(sle.speculation(), SpeculationKind::InCore);
-
-        let cfg = BackendId::Lrws.config(4, 5);
-        let lrws = backend_from_config(&cfg);
-        assert_eq!(lrws.name(), "lrws");
-        assert_eq!(lrws.rw_limits(), Some(LrwsConfig::default()));
-        assert!(lrws.clear().is_none());
-    }
-
-    #[test]
-    fn clear_sle_combination_keeps_both_axes() {
-        let mut cfg = Preset::C.config(4, 5);
-        cfg.speculation = SpeculationKind::InCore;
-        let b = backend_from_config(&cfg);
-        assert_eq!(b.name(), "clear");
-        assert_eq!(b.speculation(), SpeculationKind::InCore);
-    }
-
-    #[test]
-    #[should_panic(expected = "mutually exclusive")]
-    fn lrws_plus_clear_is_rejected() {
-        let mut cfg = Preset::C.config(4, 5);
-        cfg.lrws = Some(LrwsConfig::default());
-        backend_from_config(&cfg);
+    fn backend_ids_and_presets_map_to_their_backends() {
+        use SpeculationKind::{Htm, InCore};
+        let lrws = Some(LrwsConfig::default());
+        let table = [
+            (BackendId::Tsx, "tsx", false, false, Htm, None),
+            (BackendId::PowerTm, "powertm", false, true, Htm, None),
+            (BackendId::Sle, "sle", false, false, InCore, None),
+            (BackendId::Clear, "clear", true, false, Htm, None),
+            (BackendId::Lrws, "lrws", false, false, Htm, lrws),
+            (BackendId::ClearPowerTm, "clear", true, true, Htm, None),
+        ];
+        for (id, name, clear, power, speculation, limits) in table {
+            assert_eq!(BackendId::from_name(id.name()), Some(id));
+            let cfg = id.config(8, 3);
+            assert_eq!((cfg.cores, cfg.retry.max_retries), (8, 3));
+            for b in [id.backend(), cfg.backend] {
+                assert_eq!(b.name(), name, "{id}");
+                assert_eq!(b.clear().is_some(), clear, "{id}");
+                assert_eq!(b.acquires_power_token(), power, "{id}");
+                assert_eq!(b.speculation(), speculation, "{id}");
+                assert_eq!(b.rw_limits(), limits, "{id}");
+            }
+        }
+        assert_eq!(BackendId::from_name("no-such"), None);
+        let presets = [
+            (Preset::B, BackendId::Tsx),
+            (Preset::P, BackendId::PowerTm),
+            (Preset::C, BackendId::Clear),
+            (Preset::W, BackendId::ClearPowerTm),
+        ];
+        assert_eq!(presets.map(|(p, _)| p), Preset::ALL);
+        for (preset, id) in presets {
+            assert_eq!(preset.backend(), id);
+            let (a, b) = (preset.config(4, 5).backend, id.backend());
+            assert_eq!(a.name(), b.name(), "{preset}");
+            assert_eq!(a.acquires_power_token(), b.acquires_power_token());
+        }
     }
 
     #[test]
@@ -420,17 +397,5 @@ mod tests {
             PowerTmBackend.resolve(plain(0), &[power_victim]),
             Resolution::NackRequester
         );
-    }
-
-    #[test]
-    fn backend_ids_round_trip_names_and_configs() {
-        for id in BackendId::ALL {
-            assert_eq!(BackendId::from_name(id.name()), Some(id));
-            let cfg = id.config(8, 3);
-            assert_eq!(cfg.cores, 8);
-            assert_eq!(cfg.retry.max_retries, 3);
-            assert_eq!(backend_from_config(&cfg).name(), id.name());
-        }
-        assert_eq!(BackendId::from_name("no-such"), None);
     }
 }

@@ -1,11 +1,11 @@
 //! Machine configuration and the four evaluated presets.
 
 use clear_coherence::CoherenceConfig;
-use clear_core::{ClearConfig, StaticPlanSet};
-use clear_htm::{HtmFlavor, LrwsConfig, RetryPolicy};
+use clear_core::StaticPlanSet;
+use clear_htm::RetryPolicy;
 use std::sync::Arc;
 
-use crate::EnergyConfig;
+use crate::{BackendId, EnergyConfig, SpeculationBackend, TsxBackend};
 
 /// How far speculation can extend (§4.1 vs §4.2 of the paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -58,19 +58,13 @@ pub struct MachineConfig {
     pub cores: usize,
     /// Coherence substrate configuration.
     pub coherence: CoherenceConfig,
-    /// CLEAR configuration; `None` runs the baseline HTM only.
-    pub clear: Option<ClearConfig>,
-    /// Baseline HTM flavour (requester-wins or PowerTM).
-    pub flavor: HtmFlavor,
+    /// The speculation policy: conflict arbitration, CLEAR and its
+    /// structure sizes, speculation kind and R/W-set bounds (see
+    /// [`SpeculationBackend`]; [`BackendId::backend`] builds the built-in
+    /// ones).
+    pub backend: Arc<dyn SpeculationBackend>,
     /// Bounded-retry policy before the fallback path.
     pub retry: RetryPolicy,
-    /// Speculation substrate: HTM-backed (default) or in-core only (SLE).
-    pub speculation: SpeculationKind,
-    /// Limited read/write-set bounds (the FORTH scheme); `Some` selects the
-    /// `lrws` backend, which tracks speculative footprints in two small
-    /// dedicated buffers and raises capacity aborts on overflow. Mutually
-    /// exclusive with `clear`.
-    pub lrws: Option<LrwsConfig>,
     /// A-priori cacheline locking (the MCAS \[33\] / MAD-atomics \[16\]
     /// comparator of §2.2): ARs whose invocation carries a
     /// `static_footprint` lock it up front and execute non-speculatively
@@ -83,8 +77,8 @@ pub struct MachineConfig {
     /// (or eagerly once contention was observed) and enter NS-CL with the
     /// plan's lock set; likely-immutable ARs take a shortened discovery
     /// that only confirms root-slot stability. `None` (the default, and
-    /// every preset) runs pure dynamic discovery. Requires `clear`;
-    /// ignored otherwise.
+    /// every preset) runs pure dynamic discovery. Requires a CLEAR
+    /// backend; ignored otherwise.
     pub static_plans: Option<Arc<StaticPlanSet>>,
     /// Reorder-buffer size in instructions (Table 2: 352). Bounds every
     /// speculative attempt under [`SpeculationKind::InCore`].
@@ -114,16 +108,14 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
-    /// Table 2 baseline with the given core count.
+    /// Table 2 baseline with the given core count, running the
+    /// requester-wins [`TsxBackend`].
     pub fn table2(cores: usize) -> Self {
         MachineConfig {
             cores,
             coherence: CoherenceConfig::table2(cores),
-            clear: None,
-            flavor: HtmFlavor::RequesterWins,
+            backend: Arc::new(TsxBackend),
             retry: RetryPolicy::default(),
-            speculation: SpeculationKind::Htm,
-            lrws: None,
             a_priori_locking: false,
             static_plans: None,
             rob_size: 352,
@@ -172,21 +164,19 @@ impl Preset {
         }
     }
 
-    /// `true` if CLEAR is enabled.
-    pub fn clear_enabled(self) -> bool {
-        matches!(self, Preset::C | Preset::W)
+    /// The backend this preset runs.
+    pub fn backend(self) -> BackendId {
+        match self {
+            Preset::B => BackendId::Tsx,
+            Preset::P => BackendId::PowerTm,
+            Preset::C => BackendId::Clear,
+            Preset::W => BackendId::ClearPowerTm,
+        }
     }
 
     /// Builds a machine configuration for this preset.
     pub fn config(self, cores: usize, max_retries: u32) -> MachineConfig {
-        let mut c = MachineConfig::table2(cores);
-        c.retry = RetryPolicy::new(max_retries);
-        c.flavor = match self {
-            Preset::B | Preset::C => HtmFlavor::RequesterWins,
-            Preset::P | Preset::W => HtmFlavor::PowerTm,
-        };
-        c.clear = self.clear_enabled().then(ClearConfig::default);
-        c
+        self.backend().config(cores, max_retries)
     }
 }
 
@@ -201,25 +191,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn presets_map_to_flavor_and_clear() {
-        let b = Preset::B.config(4, 5);
-        assert_eq!(b.flavor, HtmFlavor::RequesterWins);
-        assert!(b.clear.is_none());
-
-        let p = Preset::P.config(4, 5);
-        assert_eq!(p.flavor, HtmFlavor::PowerTm);
-        assert!(p.clear.is_none());
-
-        let c = Preset::C.config(4, 5);
-        assert_eq!(c.flavor, HtmFlavor::RequesterWins);
-        assert!(c.clear.is_some());
-
-        let w = Preset::W.config(4, 5);
-        assert_eq!(w.flavor, HtmFlavor::PowerTm);
-        assert!(w.clear.is_some());
-    }
-
-    #[test]
     fn preset_letters() {
         let s: String = Preset::ALL.iter().map(|p| p.letter()).collect();
         assert_eq!(s, "BPCW");
@@ -231,7 +202,7 @@ mod tests {
         assert_eq!(m.cores, 32);
         assert_eq!(m.sq_size, 72);
         assert_eq!(m.rob_size, 352);
-        assert_eq!(m.speculation, SpeculationKind::Htm);
+        assert_eq!(m.backend.name(), "tsx");
         assert_eq!(m.retry.max_retries, 5);
     }
 }

@@ -119,7 +119,11 @@ impl Machine {
                     let ar = self.cores[c].inv.as_ref().unwrap().ar.0;
                     let enabled = self.cores[c].ert.entry(ar).discovery_enabled();
                     if enabled {
-                        let cc = *self.backend.clear().expect("clear_enabled implies config");
+                        let cc = *self
+                            .config
+                            .backend
+                            .clear()
+                            .expect("clear_enabled implies config");
                         let mut d = Discovery::new(&cc, self.coherence.dir_geometry());
                         d.rearm();
                         self.cores[c].discovery = Some(d);
@@ -193,7 +197,7 @@ impl Machine {
         self.cores[c].retries_total += 1;
 
         // PowerTM: a transaction that failed once may enter power mode.
-        if self.backend.acquires_power_token()
+        if self.config.backend.acquires_power_token()
             && !self.cores[c].power
             && self.power_token.try_acquire(CoreId(c))
         {
@@ -201,6 +205,7 @@ impl Machine {
         }
 
         if self
+            .config
             .backend
             .must_fall_back(&self.config.retry, self.cores[c].retries_counted)
         {
@@ -273,7 +278,7 @@ impl Machine {
                     // The paper's choice locks the write set plus CRT reads
                     // (added at attempt start); the rejected "lock all"
                     // alternative is kept as an ablation (§4.4.2).
-                    if self.backend.clear().map(|cc| cc.scl_lock_policy)
+                    if self.config.backend.clear().map(|cc| cc.scl_lock_policy)
                         == Some(clear_core::SclLockPolicy::AllAccessed)
                     {
                         alt.mark_all_needs_locking();

@@ -79,7 +79,7 @@ impl Machine {
     pub(super) fn batching_viable(&self) -> bool {
         self.sim_threads >= 2
             && self.config.coherence.lat_l1 >= 1
-            && self.backend.rw_limits().is_none()
+            && self.config.backend.rw_limits().is_none()
     }
 
     /// Attempts to form and execute one parallel batch starting at the
@@ -169,7 +169,7 @@ impl Machine {
         if vm.retired() > self.config.attempt_instr_cap {
             return None;
         }
-        if self.backend.speculation() == SpeculationKind::InCore
+        if self.config.backend.speculation() == SpeculationKind::InCore
             && (vm.retired() > self.config.rob_size || vm.stores_retired() > self.config.sq_size)
         {
             return None;

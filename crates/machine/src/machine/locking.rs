@@ -52,7 +52,7 @@ impl Machine {
         let nacked = blocker.is_none() && !victims.is_empty() && {
             self.perf.allocs_avoided += 1;
             let me = self.tx_info(c);
-            self.backend.resolve(me, &victims) == Resolution::NackRequester
+            self.config.backend.resolve(me, &victims) == Resolution::NackRequester
         };
         self.scratch_victims = victims;
         if let Some(holder) = blocker {

@@ -40,7 +40,7 @@ impl Machine {
             // window, so speculative attempts and S-CL alike abort when the
             // AR outgrows it (§4.1 assessment 1); the AR is then
             // non-convertible.
-            if self.backend.speculation() == SpeculationKind::InCore
+            if self.config.backend.speculation() == SpeculationKind::InCore
                 && matches!(self.cores[c].mode, ExecMode::Speculative | ExecMode::SCl)
             {
                 let vm = self.cores[c].vm.as_ref().expect("vm armed");
@@ -239,7 +239,7 @@ impl Machine {
                 let nacked = !victims.is_empty() && {
                     self.perf.allocs_avoided += 1;
                     let me = self.tx_info(c);
-                    self.backend.resolve(me, &victims) == Resolution::NackRequester
+                    self.config.backend.resolve(me, &victims) == Resolution::NackRequester
                 };
                 self.scratch_victims = victims;
                 if nacked {
@@ -416,7 +416,7 @@ impl Machine {
                 let nacked = !victims.is_empty() && {
                     self.perf.allocs_avoided += 1;
                     let me = self.tx_info(c);
-                    self.backend.resolve(me, &victims) == Resolution::NackRequester
+                    self.config.backend.resolve(me, &victims) == Resolution::NackRequester
                 };
                 self.scratch_victims = victims;
                 if nacked {

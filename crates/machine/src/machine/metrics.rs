@@ -91,7 +91,10 @@ impl Machine {
         for ar in self.workload.meta().ars {
             ar_class.insert(ar.id.0, class_label(ar.mutability));
         }
-        self.metrics = Some(Box::new(MachineMetrics::new(self.backend.name(), ar_class)));
+        self.metrics = Some(Box::new(MachineMetrics::new(
+            self.config.backend.name(),
+            ar_class,
+        )));
     }
 
     /// The collected metrics (`None` unless [`Machine::enable_metrics`]

@@ -30,8 +30,7 @@
 
 use crate::perf::PerfCounters;
 use crate::{
-    backend_from_config, compute_energy, MachineConfig, RunStats, SpeculationBackend,
-    SpeculationKind, Trace, TraceEvent,
+    compute_energy, MachineConfig, RunStats, SpeculationBackend, SpeculationKind, Trace, TraceEvent,
 };
 use clear_coherence::{Access, CoherenceSystem, CoreId, LockFail, RemoteImpact, TxTrack};
 use clear_core::{decide, Alt, Crt, Discovery, Ert, RetryMode};
@@ -189,8 +188,6 @@ impl Core {
 /// unit tests below exercise single-workload runs end to end.
 pub struct Machine {
     config: MachineConfig,
-    /// The speculation policy surface (see [`SpeculationBackend`]).
-    backend: Box<dyn SpeculationBackend>,
     cores: Vec<Core>,
     /// Per-core clocks, indexed by core id (SoA twin of `cores`; see
     /// [`Core`]).
@@ -239,28 +236,14 @@ impl std::fmt::Debug for Machine {
 
 impl Machine {
     /// Builds a machine, lays out the workload in simulated memory and
-    /// allocates the fallback lock line. The speculation backend is derived
-    /// from the configuration axes (see [`backend_from_config`]).
-    pub fn new(config: MachineConfig, workload: Box<dyn Workload>) -> Self {
-        let backend = backend_from_config(&config);
-        Machine::with_backend(config, workload, backend)
-    }
-
-    /// Builds a machine running an explicit [`SpeculationBackend`], which
-    /// overrides whatever the configuration axes would have selected. The
-    /// configuration's `clear`/`flavor`/`speculation`/`lrws` fields are
-    /// ignored in favour of the backend's answers; everything else (cores,
-    /// coherence, retry policy, timing, …) applies unchanged.
-    pub fn with_backend(
-        config: MachineConfig,
-        mut workload: Box<dyn Workload>,
-        backend: Box<dyn SpeculationBackend>,
-    ) -> Self {
+    /// allocates the fallback lock line. The machine runs the
+    /// configuration's [`MachineConfig::backend`].
+    pub fn new(config: MachineConfig, mut workload: Box<dyn Workload>) -> Self {
         let mut memory = Memory::new();
         let fallback_line = memory.alloc_line().line();
         workload.setup(&mut memory, config.cores);
         let cores = (0..config.cores)
-            .map(|_| Core::new(backend.as_ref()))
+            .map(|_| Core::new(config.backend.as_ref()))
             .collect();
         let rng = Xoshiro256PlusPlus::seed_from_u64(config.seed);
         let sim_threads = match config.sim_threads {
@@ -270,7 +253,6 @@ impl Machine {
             n => n,
         };
         Machine {
-            backend,
             coherence: CoherenceSystem::new(config.coherence),
             fallback: FallbackLock::new(fallback_line),
             power_token: PowerToken::new(),
@@ -328,7 +310,7 @@ impl Machine {
 
     /// The speculation backend driving this machine.
     pub fn backend(&self) -> &dyn SpeculationBackend {
-        self.backend.as_ref()
+        self.config.backend.as_ref()
     }
 
     /// Runs the workload to completion (or to the `max_cycles` safety stop)
@@ -455,7 +437,7 @@ impl Machine {
     }
 
     fn clear_enabled(&self) -> bool {
-        self.backend.clear().is_some()
+        self.config.backend.clear().is_some()
     }
 
     fn tx_info(&self, c: usize) -> TxInfo {
@@ -496,7 +478,7 @@ impl Machine {
                         if !self.coherence.fits_locked(lines) {
                             return None;
                         }
-                        let cc = self.backend.clear().copied().unwrap_or_default();
+                        let cc = self.config.backend.clear().copied().unwrap_or_default();
                         let mut alt = Alt::new(cc.alt_entries, self.coherence.dir_geometry());
                         for &l in lines {
                             if alt.observe(l, true).is_err() {

@@ -34,7 +34,7 @@ impl Machine {
         let lookup = plan_lookup(inv);
         let lines = StaticPlan::resolve_lines(&plan.lock_set, &lookup)?;
         let written = StaticPlan::resolve_lines(&plan.written, &lookup)?;
-        if let Some(limits) = self.backend.rw_limits() {
+        if let Some(limits) = self.config.backend.rw_limits() {
             if !plan.fits_rw(Some(limits.read_lines), Some(limits.write_lines)) {
                 return None;
             }
@@ -42,7 +42,7 @@ impl Machine {
         if !self.coherence.fits_locked(&lines) {
             return None;
         }
-        let cc = self.backend.clear().copied().unwrap_or_default();
+        let cc = self.config.backend.clear().copied().unwrap_or_default();
         let mut alt = Alt::new(cc.alt_entries, self.coherence.dir_geometry());
         for &l in &lines {
             if alt.observe(l, written.binary_search(&l).is_ok()).is_err() {

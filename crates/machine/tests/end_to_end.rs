@@ -310,12 +310,15 @@ impl Workload for BigAr {
 
 #[test]
 fn in_core_speculation_bounds_ar_size_to_the_rob() {
-    use clear_machine::SpeculationKind;
+    use clear_machine::{ClearBackend, SpeculationKind};
     // ~600 retired instructions per AR: exceeds the 352-entry ROB.
     let w = BigAr::new(200);
     let mut cfg = Preset::C.config(4, 3);
     cfg.seed = 5;
-    cfg.speculation = SpeculationKind::InCore;
+    cfg.backend = std::sync::Arc::new(ClearBackend {
+        speculation: SpeculationKind::InCore,
+        ..ClearBackend::default()
+    });
     let mut m = Machine::new(cfg, Box::new(w));
     let s = m.run();
     assert!(!s.timed_out);
@@ -344,10 +347,10 @@ fn htm_speculation_commits_the_same_ar_speculatively() {
 
 #[test]
 fn in_core_small_ars_still_speculate() {
-    use clear_machine::SpeculationKind;
+    use clear_machine::SleBackend;
     let mut cfg = Preset::B.config(4, 4);
     cfg.seed = 2;
-    cfg.speculation = SpeculationKind::InCore;
+    cfg.backend = std::sync::Arc::new(SleBackend::default());
     let mut m = Machine::new(cfg, Box::new(PrivateCounters::new(30)));
     let s = m.run();
     assert_eq!(s.commits_by_mode.speculative, 120);

@@ -43,11 +43,11 @@ fn same_seed_runs_render_byte_identical_json() {
 
 #[test]
 fn repeated_traced_runs_produce_identical_digests() {
-    use clear_harness::trace_export::run_traced;
+    use clear_harness::run_benchmark;
     use clear_machine::Preset;
 
     let digest = || {
-        let m = run_traced("arrayswap", Preset::C, 8, 5, Size::Tiny, 1);
+        let (_, m) = run_benchmark("arrayswap", Size::Tiny, Preset::C.config(8, 5), true);
         (
             m.trace().recorded(),
             m.trace().dropped(),

@@ -499,7 +499,7 @@ mod machine_props {
     /// A backend defined *outside* the built-in registry — hostile
     /// arbitration (every conflict NACKs the requester) and a fallback
     /// after a single counted retry — still serializes random schedules
-    /// when plugged in through [`Machine::with_backend`]. This is the
+    /// when plugged in as the configuration's backend. This is the
     /// pluggability contract: atomicity lives in the shared machine
     /// layers, not in any particular backend.
     #[test]
@@ -541,11 +541,10 @@ mod machine_props {
                 program: inc_program(),
                 shared_ops: 0,
             };
-            // The config's own backend axes are ignored in favour of the
-            // explicit backend argument.
             let mut cfg = Preset::B.config(threads, 3);
             cfg.seed = seed;
-            let mut m = Machine::with_backend(cfg, Box::new(w), Box::new(HostileBackend));
+            cfg.backend = std::sync::Arc::new(HostileBackend);
+            let mut m = Machine::new(cfg, Box::new(w));
             assert_eq!(m.backend().name(), "hostile");
             let stats = m.run();
             assert!(!stats.timed_out, "case {case}");
