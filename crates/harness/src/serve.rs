@@ -102,7 +102,7 @@ pub struct ServeReport {
     pub registry: MetricsRegistry,
     /// Wall-clock trajectory rows (one per `snapshot_every` batches plus
     /// a final row) for `BENCH_serve.json`.
-    pub trajectory: Vec<TrajectoryRow>,
+    pub trajectory: Trajectory,
     /// ARs committed.
     pub ars: u64,
     /// Simulator steps across all batches.
@@ -262,7 +262,12 @@ pub fn serve_session(opts: &ServeOptions) -> ServeReport {
     let mut queue_max_depth = 0usize;
     let mut backpressure_events = 0u64;
     let mut registry = MetricsRegistry::new();
-    let mut trajectory: Vec<TrajectoryRow> = Vec::new();
+    // Sized for the usual session, in which every batch takes a full
+    // `batch` of arrivals: a caller may keep many reports, so the rows
+    // should not carry growth slack.
+    let every = opts.snapshot_every.max(1) as u64;
+    let rows = opts.total_ars.div_ceil(opts.batch as u64).div_ceil(every);
+    let mut trajectory = Trajectory(Vec::with_capacity(rows as usize + 1));
     let mut starved = false;
 
     while served < opts.total_ars {
@@ -323,15 +328,18 @@ pub fn serve_session(opts: &ServeOptions) -> ServeReport {
         served += consumed;
         batches += 1;
 
-        if batches.is_multiple_of(opts.snapshot_every.max(1) as u64) || served >= opts.total_ars {
-            trajectory.push(trajectory_row(
-                batches,
-                served,
+        if batches.is_multiple_of(every) || served >= opts.total_ars {
+            let all = overall_ttc(&registry);
+            trajectory.0.push(TrajectoryPoint {
+                batch: batches,
+                ars: served,
                 steps,
-                queue.len(),
-                started.elapsed().as_nanos() as u64,
-                &registry,
-            ));
+                queue_depth: queue.len() as u64,
+                wall_ns: started.elapsed().as_nanos() as u64,
+                p50: all.quantile(0.50),
+                p99: all.quantile(0.99),
+                p999: all.quantile(0.999),
+            });
         }
     }
 
@@ -466,10 +474,67 @@ pub const TRAJECTORY_KEYS: [&str; 10] = [
     "p999",
 ];
 
+/// The wall-clock trajectory of a session. Each row is kept as its eight
+/// counters; the two rates and the JSON form are built on demand, so a
+/// kept report stays small however many batches it ran.
+#[derive(Clone, Debug)]
+pub struct Trajectory(Vec<TrajectoryPoint>);
+
+/// The counters of one trajectory row.
+#[derive(Clone, Copy, Debug)]
+struct TrajectoryPoint {
+    batch: u64,
+    ars: u64,
+    steps: u64,
+    queue_depth: u64,
+    wall_ns: u64,
+    p50: u64,
+    p99: u64,
+    p999: u64,
+}
+
+impl Trajectory {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// `true` if the session recorded no row.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The final row, if any.
+    pub fn last(&self) -> Option<TrajectoryRow> {
+        self.0.last().map(TrajectoryPoint::row)
+    }
+
+    /// The rows in batch order.
+    pub fn iter(&self) -> impl Iterator<Item = TrajectoryRow> + '_ {
+        self.0.iter().map(TrajectoryPoint::row)
+    }
+}
+
+impl TrajectoryPoint {
+    fn row(&self) -> TrajectoryRow {
+        let secs = (self.wall_ns as f64 / 1e9).max(1e-9);
+        TrajectoryRow([
+            Json::from(self.batch),
+            Json::from(self.ars),
+            Json::from(self.steps),
+            Json::from(self.queue_depth),
+            Json::from(self.wall_ns),
+            Json::Float(self.ars as f64 / secs),
+            Json::Float(self.steps as f64 / secs),
+            Json::from(self.p50),
+            Json::from(self.p99),
+            Json::from(self.p999),
+        ])
+    }
+}
+
 /// One wall-clock trajectory row (BENCH material, never golden material):
-/// the value of each of [`TRAJECTORY_KEYS`], in order. The values are
-/// numbers stored inline, so a session's rows cost no heap allocation
-/// each, however many batches it runs.
+/// the value of each of [`TRAJECTORY_KEYS`], in order.
 #[derive(Clone, Debug)]
 pub struct TrajectoryRow([Json; 10]);
 
@@ -485,30 +550,6 @@ impl TrajectoryRow {
     pub fn to_json(&self) -> Json {
         Json::obj(TRAJECTORY_KEYS.into_iter().zip(self.0.iter().cloned()))
     }
-}
-
-fn trajectory_row(
-    batches: u64,
-    served: u64,
-    steps: u64,
-    queue_depth: usize,
-    wall_ns: u64,
-    registry: &MetricsRegistry,
-) -> TrajectoryRow {
-    let secs = (wall_ns as f64 / 1e9).max(1e-9);
-    let all = overall_ttc(registry);
-    TrajectoryRow([
-        Json::from(batches),
-        Json::from(served),
-        Json::from(steps),
-        Json::from(queue_depth),
-        Json::from(wall_ns),
-        Json::Float(served as f64 / secs),
-        Json::Float(steps as f64 / secs),
-        Json::from(all.quantile(0.50)),
-        Json::from(all.quantile(0.99)),
-        Json::from(all.quantile(0.999)),
-    ])
 }
 
 #[cfg(test)]

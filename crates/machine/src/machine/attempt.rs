@@ -7,36 +7,44 @@ impl Machine {
     /// Starts an attempt in the planned mode, or — when the fallback lock
     /// bars the mode — fails the poll and parks until a release.
     pub(super) fn start_attempt(&mut self, c: usize) {
+        if let Some(on) = self.fallback_blocker(c) {
+            if self.cores[c].planned == RetryMode::SpeculativeRetry
+                && !self.cores[c].explicit_fb_recorded
+            {
+                self.stats.aborts.record(AbortKind::ExplicitFallback);
+                self.cores[c].explicit_fb_recorded = true;
+            }
+            self.park(c, on);
+            return;
+        }
         match self.cores[c].planned {
             RetryMode::Fallback => {
-                if self.fallback.try_write(CoreId(c)) {
-                    // Acquiring the lock writes its line, aborting every
-                    // subscribed speculative AR through conflict detection.
-                    let line = self.fallback.line();
-                    let impacts = self.force_apply(c, line, Access::Write, TxTrack::None);
-                    self.abort_victims(c, line, &impacts, AbortKind::OtherFallback);
-                    self.arm_vm(c);
-                    self.cores[c].mode = ExecMode::Fallback;
-                    self.cores[c].attempt_started_at = self.clocks[c];
-                    self.cores[c].first_attempt_at.get_or_insert(self.clocks[c]);
-                    self.trace.record(
-                        self.clocks[c],
-                        c,
-                        TraceEvent::AttemptStart {
-                            mode: RetryMode::Fallback,
-                        },
-                    );
-                    self.phases[c] = Phase::Running;
-                    self.clocks[c] += self.config.timing.xbegin_cost;
-                } else {
-                    self.park(c, WaitOn::FallbackIdle);
-                }
+                let won = self.fallback.try_write(CoreId(c));
+                debug_assert!(won, "fallback_blocker passed a held lock");
+                self.waits.note_acquire();
+                // Acquiring the lock writes its line, aborting every
+                // subscribed speculative AR through conflict detection.
+                let line = self.fallback.line();
+                let impacts = self.force_apply(c, line, Access::Write, TxTrack::None);
+                self.abort_victims(c, line, &impacts, AbortKind::OtherFallback);
+                self.arm_vm(c);
+                self.cores[c].mode = ExecMode::Fallback;
+                self.cores[c].attempt_started_at = self.clocks[c];
+                self.cores[c].first_attempt_at.get_or_insert(self.clocks[c]);
+                self.trace.record(
+                    self.clocks[c],
+                    c,
+                    TraceEvent::AttemptStart {
+                        mode: RetryMode::Fallback,
+                    },
+                );
+                self.phases[c] = Phase::Running;
+                self.clocks[c] += self.config.timing.xbegin_cost;
             }
             RetryMode::NsCl | RetryMode::SCl => {
-                if self.fallback.writer().is_some() || !self.fallback.try_read(CoreId(c)) {
-                    self.park(c, WaitOn::FallbackWriter);
-                    return;
-                }
+                let won = self.fallback.try_read(CoreId(c));
+                debug_assert!(won, "fallback_blocker passed a write-held lock");
+                self.waits.note_acquire();
                 let mode = if self.cores[c].planned == RetryMode::NsCl {
                     ExecMode::NsCl
                 } else {
@@ -90,14 +98,6 @@ impl Machine {
                 };
             }
             RetryMode::SpeculativeRetry => {
-                if self.fallback.writer().is_some() {
-                    if !self.cores[c].explicit_fb_recorded {
-                        self.stats.aborts.record(AbortKind::ExplicitFallback);
-                        self.cores[c].explicit_fb_recorded = true;
-                    }
-                    self.park(c, WaitOn::FallbackWriter);
-                    return;
-                }
                 self.cores[c].explicit_fb_recorded = false;
                 self.arm_vm(c);
                 self.cores[c].mode = ExecMode::Speculative;
@@ -135,6 +135,22 @@ impl Machine {
                 }
                 self.phases[c] = Phase::Running;
                 self.clocks[c] += self.config.timing.xbegin_cost;
+            }
+        }
+    }
+
+    /// What the fallback lock fails `c`'s attempt start on, if anything:
+    /// the read-only test of the start's lock poll. The fallback path needs
+    /// the lock free of its writer and all readers; NS-CL, S-CL and
+    /// speculative starts only need it free of its writer.
+    pub(super) fn fallback_blocker(&self, c: usize) -> Option<WaitOn> {
+        let writer = self.fallback.writer();
+        match self.cores[c].planned {
+            RetryMode::Fallback => writer
+                .map_or(self.fallback.has_readers(), |w| w != CoreId(c))
+                .then_some(WaitOn::FallbackIdle),
+            RetryMode::NsCl | RetryMode::SCl | RetryMode::SpeculativeRetry => {
+                writer.is_some().then_some(WaitOn::FallbackWriter)
             }
         }
     }

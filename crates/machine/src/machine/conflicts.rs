@@ -38,8 +38,6 @@ impl Machine {
         kind: AbortKind,
         from_lock: bool,
     ) {
-        let requester_writes = true; // callers pass only conflicting impacts
-        let _ = requester_writes;
         for imp in impacts {
             let v = imp.core.0;
             if v == requester || !(imp.tx_read || imp.tx_write) {
@@ -85,9 +83,11 @@ impl Machine {
         line: LineAddr,
         aggressor: usize,
     ) {
-        let core = &mut self.cores[v];
-        match core.mode {
+        match self.cores[v].mode {
             ExecMode::Speculative if self.phases[v] == Phase::Running => {
+                // A parked pending victim first moves to the poll it would
+                // be waiting at under per-poll spinning.
+                self.materialize(v);
                 let clock = self.clocks[v];
                 self.trace
                     .record(clock, v, TraceEvent::ConflictReceived { line, aggressor });

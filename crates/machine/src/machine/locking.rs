@@ -9,6 +9,15 @@ impl Machine {
             self.phases[c] = Phase::Running;
             return;
         }
+        // Every poll, failed or not, counts the group scratch buffer.
+        self.perf.allocs_avoided += 1;
+        if let Some(holder) = self.group_blocker(c, idx) {
+            // Another core holds a group line locked: retried request
+            // (Fig. 6). Every re-poll fails until the holder releases its
+            // locks.
+            self.park(c, WaitOn::Line { holder });
+            return;
+        }
         // Lexicographical conflict groups (same directory set) are locked
         // together (§5): entries are lex-sorted, so a group is a maximal
         // consecutive run with one set index.
@@ -27,20 +36,16 @@ impl Machine {
                     .copied(),
             );
         }
-        self.perf.allocs_avoided += 1;
 
         // Policy check over the whole group before stealing anything.
         let mut victims = std::mem::take(&mut self.scratch_victims);
         victims.clear();
-        let mut blocker = None;
         for &line in &group {
             let probe = self.coherence.probe(CoreId(c), line, Access::Write);
-            if let Some(holder) = probe.locked_by_other {
-                // Another core holds a group line locked: retried request
-                // (Fig. 6).
-                blocker = Some(holder.0);
-                break;
-            }
+            debug_assert!(
+                probe.locked_by_other.is_none(),
+                "group_blocker missed a lock"
+            );
             for i in probe
                 .remote_impacts
                 .iter()
@@ -49,18 +54,12 @@ impl Machine {
                 victims.push(self.tx_info(i.core.0));
             }
         }
-        let nacked = blocker.is_none() && !victims.is_empty() && {
+        let nacked = !victims.is_empty() && {
             self.perf.allocs_avoided += 1;
             let me = self.tx_info(c);
             self.config.backend.resolve(me, &victims) == Resolution::NackRequester
         };
         self.scratch_victims = victims;
-        if let Some(holder) = blocker {
-            // Every re-poll fails until the holder releases its locks.
-            self.park(c, WaitOn::Line { holder });
-            self.scratch_group = group;
-            return;
-        }
         if nacked {
             self.perform_abort(c, AbortKind::Nacked);
             self.scratch_group = group;
@@ -80,6 +79,7 @@ impl Machine {
         };
         match result {
             Ok(ok) => {
+                self.waits.note_acquire();
                 self.clocks[c] += ok.latency;
                 let impacts = ok.remote_impacts;
                 // The accumulated spin wait paid for the whole group; it is
@@ -107,7 +107,7 @@ impl Machine {
                 };
             }
             Err(LockFail::LockedBy(_)) => {
-                unreachable!("the probe pass found every group line unlocked")
+                unreachable!("group_blocker found every group line unlocked")
             }
             Err(LockFail::Capacity) => {
                 // Should not happen (discovery verified the fit); treat as a
@@ -118,5 +118,19 @@ impl Machine {
             }
         }
         self.scratch_group = group;
+    }
+
+    /// The core holding a line of `c`'s lock group at `idx` locked, if any:
+    /// the read-only test that fails a lock-acquire poll. The first locked
+    /// line in lock order names the holder.
+    pub(super) fn group_blocker(&self, c: usize, idx: usize) -> Option<usize> {
+        let list = &self.cores[c].lock_list;
+        let dir = self.coherence.dir_geometry();
+        let set = dir.set_index(*list.get(idx)?);
+        list[idx..]
+            .iter()
+            .take_while(|l| dir.set_index(**l) == set)
+            .find_map(|&l| self.coherence.locked_by(l).filter(|h| h.0 != c))
+            .map(|h| h.0)
     }
 }

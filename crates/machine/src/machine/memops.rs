@@ -1,6 +1,7 @@
 //! Per-instruction execution: the run loop body, loads and stores routed
 //! through the store queue, discovery, coherence and conflict policy, and
 //! simulated-fault handling.
+use super::sched::WaitOn;
 use super::*;
 
 impl Machine {
@@ -10,6 +11,37 @@ impl Machine {
             .as_ref()
             .map(|d| d.in_failed_mode())
             .unwrap_or(false)
+    }
+
+    /// The core holding the line of `c`'s pending load or store locked, if
+    /// the re-send would fail on it: the read-only mirror of the re-send's
+    /// routing in `do_load` and `do_store`. Fallback mode and speculative
+    /// mode outside failed-mode discovery probe the line; every other path
+    /// completes without it. A re-send repeats its fault, discovery and
+    /// R/W-set checks without effect, so they cannot newly divert it.
+    pub(super) fn pending_blocker(&self, c: usize) -> Option<usize> {
+        let core = &self.cores[c];
+        let addr = match core.pending? {
+            PendingOp::Load { addr, .. } => {
+                if core.sq.contains_key(&addr.0) {
+                    return None;
+                }
+                addr
+            }
+            PendingOp::Store { addr, .. } => addr,
+        };
+        let probes = match core.mode {
+            ExecMode::Fallback => true,
+            ExecMode::Speculative => !self.in_failed_mode(c),
+            ExecMode::NsCl | ExecMode::SCl => false,
+        };
+        if !probes {
+            return None;
+        }
+        self.coherence
+            .locked_by(addr.line())
+            .filter(|h| h.0 != c)
+            .map(|h| h.0)
     }
 
     pub(super) fn run_step(&mut self, c: usize) {
@@ -213,7 +245,7 @@ impl Machine {
                     return;
                 }
                 let probe = self.coherence.probe(CoreId(c), line, Access::Read);
-                if let Some(_holder) = probe.locked_by_other {
+                if let Some(holder) = probe.locked_by_other {
                     if mode == ExecMode::SCl {
                         // Non-locking S-CL load reaching a locked line is
                         // NACKed and aborts (§4.4.2, Fig. 5).
@@ -221,8 +253,7 @@ impl Machine {
                     } else {
                         // Retried request (Fig. 6): requester re-sends.
                         self.cores[c].pending = Some(PendingOp::Load { addr, indirect });
-                        self.clocks[c] += self.config.timing.spin_interval;
-                        self.stats.pending_stall_cycles += self.config.timing.spin_interval;
+                        self.park(c, WaitOn::Pending { holder: holder.0 });
                     }
                     return;
                 }
@@ -329,14 +360,13 @@ impl Machine {
         match self.cores[c].mode {
             ExecMode::Fallback => {
                 let probe = self.coherence.probe(CoreId(c), line, Access::Write);
-                if probe.locked_by_other.is_some() {
+                if let Some(holder) = probe.locked_by_other {
                     self.cores[c].pending = Some(PendingOp::Store {
                         addr,
                         value,
                         indirect,
                     });
-                    self.clocks[c] += self.config.timing.spin_interval;
-                    self.stats.pending_stall_cycles += self.config.timing.spin_interval;
+                    self.park(c, WaitOn::Pending { holder: holder.0 });
                     return;
                 }
                 let mut conflicts = self.force_apply(c, line, Access::Write, TxTrack::None);
@@ -389,7 +419,7 @@ impl Machine {
                     return;
                 }
                 let probe = self.coherence.probe(CoreId(c), line, Access::Write);
-                if let Some(_holder) = probe.locked_by_other {
+                if let Some(holder) = probe.locked_by_other {
                     if mode == ExecMode::SCl {
                         self.perform_abort(c, AbortKind::Nacked);
                     } else {
@@ -398,8 +428,7 @@ impl Machine {
                             value,
                             indirect,
                         });
-                        self.clocks[c] += self.config.timing.spin_interval;
-                        self.stats.pending_stall_cycles += self.config.timing.spin_interval;
+                        self.park(c, WaitOn::Pending { holder: holder.0 });
                     }
                     return;
                 }

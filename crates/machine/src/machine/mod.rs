@@ -6,18 +6,22 @@
 //! Each simulated core owns a clock; the machine repeatedly advances the
 //! core with the smallest clock (ties broken by core id — fully
 //! deterministic) by one *step*: one retired instruction, one lock
-//! acquisition, one failed lock or fallback-lock poll, or one phase
-//! transition. Memory operations are routed through the store queue, the
+//! acquisition, one failed lock, fallback-lock or pending poll, or one
+//! phase transition. Memory operations are routed through the store queue, the
 //! CLEAR discovery logic, and the two-phase coherence API; conflicting
 //! remote transactions are resolved by the HTM policy (requester-wins /
 //! PowerTM / §5.2 NACK rules).
 //!
-//! A core whose lock-group or fallback-lock poll fails does not re-poll
-//! every `spin_interval` cycles: it parks off the scheduler heap until a
-//! step releases a cacheline lock it is blocked on or the fallback lock,
-//! then resumes at the first poll the polling schedule would have run
-//! after that release, each skipped poll credited to the step, re-key and
-//! wait counters exactly as if it had run (see the `sched` module).
+//! A core whose lock-group poll, fallback-lock poll or pending load or
+//! store re-send fails does not re-poll every `spin_interval` cycles: it
+//! parks off the scheduler heap until a step releases a cacheline lock it
+//! is blocked on or the fallback lock, then resumes at the first poll the
+//! polling schedule would have run after that release, each skipped poll
+//! credited to the step, re-key and wait counters exactly as if it had
+//! run. A conflict that reaches a parked pending core first brings it back
+//! to that poll, and a woken core that a new lock holder blocks again
+//! before its first poll goes straight back to the wait list (see the
+//! `sched` module).
 //!
 //! # Simplifications vs. the paper (documented per DESIGN.md)
 //!
@@ -208,8 +212,9 @@ pub struct Machine {
     /// Cores whose clocks were pushed forward by a remote abort since the
     /// last scheduler step; the run loop re-keys their heap entries.
     sched_touched: Vec<usize>,
-    /// Cores parked off the heap on a failed lock or fallback-lock poll,
-    /// plus the releases of the current step (see the `sched` module).
+    /// Cores parked off the heap on a failed lock, fallback-lock or
+    /// pending poll, plus the releases of the current step (see the
+    /// `sched` module).
     waits: WaitList,
     /// Simulator-kernel counters for the current run (see [`crate::perf`]).
     perf: PerfCounters,
@@ -319,8 +324,9 @@ impl Machine {
     /// Core selection uses an indexed min-heap keyed on `(clock, core_id)`
     /// — a total order, so every step advances the exact same core a
     /// linear `min_by_key` scan would pick, in O(log cores). Cores waiting
-    /// on a held lock are parked off the heap and woken by the step that
-    /// releases it; the skipped polls are credited, not executed.
+    /// on a held lock, or on a line another core holds locked, are parked
+    /// off the heap and woken by the step that releases it; the skipped
+    /// polls are credited, not executed.
     ///
     /// With [`MachineConfig::sim_threads`] ≥ 2 (or `0` = auto), cores tied
     /// at the minimum clock whose next step is provably local — an L1 hit
@@ -358,7 +364,7 @@ impl Machine {
                 // touch `sched_touched`, finish a core, park or release.
                 continue;
             }
-            let key = (self.clocks[c], c);
+            self.waits.begin_step(c, (self.clocks[c], c));
             self.step_core(c);
             self.perf.steps += 1;
             if self.phases[c] == Phase::Finished {
@@ -371,6 +377,9 @@ impl Machine {
             } else if sched.update(c, self.clocks[c]) {
                 self.perf.sched_updates += 1;
             }
+            // Parked victims a conflict brought back re-enter the heap
+            // first, so the re-keys below count as they would have.
+            self.push_materialized(&mut sched);
             // Remote aborts pushed victim clocks forward; re-key them.
             if !self.sched_touched.is_empty() {
                 for i in 0..self.sched_touched.len() {
@@ -382,7 +391,7 @@ impl Machine {
                 }
                 self.sched_touched.clear();
             }
-            self.wake_released(&mut sched, key);
+            self.wake_released(&mut sched);
         }
         self.perf.run_wall_ns += started.elapsed().as_nanos() as u64;
         self.finalize_stats();

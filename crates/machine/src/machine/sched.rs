@@ -10,29 +10,48 @@
 //!
 //! # Parking
 //!
-//! A core whose lock-group poll or fallback-lock poll fails would re-poll
-//! every `spin_interval` cycles, and every one of those polls fails again
-//! until some other core releases what it waits on: a failed poll changes
-//! no state but the poller's own clock and wait counters. So after one
-//! real failed poll the core leaves the heap and parks on the
-//! [`WaitList`], keeping its next poll time as its clock. Its later polls
-//! are never executed; they are *credited* when it wakes.
+//! Three kinds of wait would otherwise re-poll every `spin_interval`
+//! cycles: a lock-group poll, a fallback-lock poll, and the re-send of a
+//! pending load or store whose line another core holds locked (Fig. 6).
+//! Every one of those polls fails again until some other core releases
+//! what the poller waits on, and a failed poll changes no state but the
+//! poller's own clock and wait counters. So after one real failed poll the
+//! core leaves the heap and parks on the [`WaitList`], keeping its next
+//! poll time as its clock. Its later polls are never executed; they are
+//! *credited* when it wakes.
 //!
 //! A step that releases something a parked core polls for wakes it: a
-//! cacheline-lock release wakes the cores blocked on a line of that
-//! holder, a fallback write release wakes every fallback waiter, and a
-//! read release that leaves no readers wakes the fallback-mode waiters.
-//! If the releasing step ran at heap key `(r, R)`, the woken core `w`
-//! re-enters the heap at its first poll time `t` with `(t, w) > (r, R)` —
-//! the first poll the polling scheduler would have run after the release,
-//! since pops come in non-decreasing key order — and every poll it skipped
-//! is credited exactly as the executed poll would have counted it. A
-//! spurious wake is harmless (the core just polls for real at `t`, as it
-//! would have), so wake conditions only have to be complete, not exact.
-//! Runs are therefore step-for-step identical to per-poll spinning,
-//! counters included.
+//! cacheline-lock release wakes the cores whose lock group or pending
+//! line that holder blocks, a fallback write release wakes every fallback
+//! waiter, and a read release that leaves no readers wakes the
+//! fallback-mode waiters. If the releasing step ran at heap key `(r, R)`,
+//! the woken core `w` re-enters the heap at its first poll time `t` with
+//! `(t, w) > (r, R)` — the first poll the polling scheduler would have run
+//! after the release, since pops come in non-decreasing key order — and
+//! every poll it skipped is credited exactly as the executed poll would
+//! have counted it. A spurious wake is harmless (the core just polls for
+//! real at `t`, as it would have), so wake conditions only have to be
+//! complete, not exact. Runs are therefore step-for-step identical to
+//! per-poll spinning, counters included.
+//!
+//! Two more rules keep it that way:
+//!
+//! * **Materialise.** A pending core is still inside a speculative
+//!   attempt, so a remote conflict can reach it while it is parked. The
+//!   conflict reads the victim's clock, so before it is delivered the
+//!   victim is unparked at its first poll after the current step (the
+//!   skipped polls credited) and re-enters the heap after that step.
+//! * **Re-park.** An unlock wakes every core its holder blocks, but the
+//!   first poller to run may take the lock again, and then every other
+//!   woken core's poll fails. So after a step that wakes a core or
+//!   acquires a lock (a cacheline-lock group, or the fallback lock for
+//!   read or write), each woken core whose first poll has not run yet is
+//!   re-checked with that poll's own read-only blocker predicate. If it is
+//!   still blocked it leaves the heap and parks again without a charge:
+//!   its clock already holds its next poll time, and that poll repeats one
+//!   that already failed, so nothing a first poll does is skipped.
 
-use super::Machine;
+use super::{Machine, Phase};
 use clear_coherence::CoreId;
 
 /// Indexed min-heap of core ids keyed by `(clock, core_id)`.
@@ -151,10 +170,17 @@ impl CoreHeap {
 }
 
 /// What a parked core waits for; the wake rule keys on it.
+///
+/// A `holder` only selects which unlock wakes the core: any core holding a
+/// line the poll needs fails the poll until it releases, so it need not be
+/// the holder a real poll would have named.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) enum WaitOn {
     /// A lock-group line held by core `holder` (a lock-acquire spin).
     Line { holder: usize },
+    /// The line of a pending load or store, held by core `holder` (a
+    /// retried request, Fig. 6).
+    Pending { holder: usize },
     /// The fallback lock's writer to leave (CL-mode and speculative
     /// attempt starts).
     FallbackWriter,
@@ -163,44 +189,84 @@ pub(super) enum WaitOn {
     FallbackIdle,
 }
 
+/// Where a core stands on the wait list.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Slot {
+    /// In the heap, or finished.
+    Free,
+    /// Parked off the heap on the wait.
+    Parked(WaitOn),
+    /// Woken from the wait and back in the heap, its first poll not yet
+    /// run: a candidate for a re-park.
+    Woken(WaitOn),
+}
+
 /// Cores parked off the [`CoreHeap`] and the releases the current step
 /// made, which the run loop turns into wakes.
 #[derive(Debug)]
 pub(super) struct WaitList {
-    /// `waits[core]` = what `core` is parked on, if it is parked.
-    waits: Vec<Option<WaitOn>>,
+    /// `slots[core]` = where `core` stands.
+    slots: Vec<Slot>,
     /// Parked core ids (any order: wakes re-key by `(clock, core_id)`).
     parked: Vec<usize>,
+    /// Cores woken since the last re-check, possibly stale (a core that
+    /// polled meanwhile is [`Slot::Free`] again) or repeated.
+    woken: Vec<usize>,
+    /// Cores a conflict unparked during the current step.
+    materialized: Vec<usize>,
+    /// Heap key of the step being run.
+    now: (u64, usize),
     /// Cores that dropped their cacheline locks during the current step.
     unlocked: Vec<usize>,
     /// The current step released the fallback write lock.
     writer_left: bool,
     /// The current step released the last fallback read lock.
     readers_left: bool,
+    /// The current step acquired a cacheline-lock group or the fallback
+    /// lock, or woke a core: a woken core may be blocked again.
+    recheck: bool,
 }
 
 impl WaitList {
     /// An empty wait list for cores `0..n`.
     pub(super) fn new(n: usize) -> Self {
         WaitList {
-            waits: vec![None; n],
+            slots: vec![Slot::Free; n],
             parked: Vec::new(),
+            woken: Vec::new(),
+            materialized: Vec::new(),
+            now: (0, 0),
             unlocked: Vec::new(),
             writer_left: false,
             readers_left: false,
+            recheck: false,
         }
     }
 
     /// Parks `core` on `on`. Must not already be parked.
     pub(super) fn park(&mut self, core: usize, on: WaitOn) {
-        debug_assert!(self.waits[core].is_none(), "core {core} already parked");
-        self.waits[core] = Some(on);
+        debug_assert!(!self.is_parked(core), "core {core} already parked");
+        self.slots[core] = Slot::Parked(on);
         self.parked.push(core);
+    }
+
+    /// Unparks `core`, returning what it waited on; `None` if it was not
+    /// parked. A woken core loses its re-park candidacy either way: the
+    /// caller is about to change its state.
+    fn unpark(&mut self, core: usize) -> Option<WaitOn> {
+        match std::mem::replace(&mut self.slots[core], Slot::Free) {
+            Slot::Parked(on) => {
+                let i = self.parked.iter().position(|&p| p == core).expect("parked");
+                self.parked.swap_remove(i);
+                Some(on)
+            }
+            Slot::Free | Slot::Woken(_) => None,
+        }
     }
 
     /// `true` if `core` is parked.
     pub(super) fn is_parked(&self, core: usize) -> bool {
-        self.waits[core].is_some()
+        matches!(self.slots[core], Slot::Parked(_))
     }
 
     /// `true` if no core is parked.
@@ -208,8 +274,17 @@ impl WaitList {
         self.parked.is_empty()
     }
 
+    /// Opens the step of `core` at heap key `now`: a woken core's first
+    /// poll is about to run, so it stops being a re-park candidate.
+    pub(super) fn begin_step(&mut self, core: usize, now: (u64, usize)) {
+        self.now = now;
+        if let Slot::Woken(_) = self.slots[core] {
+            self.slots[core] = Slot::Free;
+        }
+    }
+
     /// Notes that `core` released its cacheline locks (a no-op unless
-    /// some core is parked on a line).
+    /// some core is parked).
     pub(super) fn note_unlock(&mut self, core: usize) {
         if !self.parked.is_empty() {
             self.unlocked.push(core);
@@ -226,6 +301,12 @@ impl WaitList {
         self.readers_left = true;
     }
 
+    /// Notes a cacheline-lock group or fallback-lock acquisition, which
+    /// may block a woken core again.
+    pub(super) fn note_acquire(&mut self) {
+        self.recheck = true;
+    }
+
     /// Unparks every core the current step's releases may have unblocked,
     /// appending `(core, wait)` to `out`, and forgets the releases.
     pub(super) fn take_woken(&mut self, out: &mut Vec<(usize, WaitOn)>) {
@@ -233,16 +314,22 @@ impl WaitList {
             return;
         }
         let (unlocked, writer, readers) = (&self.unlocked, self.writer_left, self.readers_left);
-        let waits = &mut self.waits;
+        let (slots, woken, recheck) = (&mut self.slots, &mut self.woken, &mut self.recheck);
+        // Drop stale candidates first, so each core is listed at most once.
+        woken.retain(|&c| matches!(slots[c], Slot::Woken(_)));
         self.parked.retain(|&c| {
-            let on = waits[c].expect("parked core has a wait");
+            let Slot::Parked(on) = slots[c] else {
+                unreachable!("parked core {c} has a wait")
+            };
             let wake = match on {
-                WaitOn::Line { holder } => unlocked.contains(&holder),
+                WaitOn::Line { holder } | WaitOn::Pending { holder } => unlocked.contains(&holder),
                 WaitOn::FallbackWriter => writer,
                 WaitOn::FallbackIdle => writer || readers,
             };
             if wake {
-                waits[c] = None;
+                *recheck = true;
+                slots[c] = Slot::Woken(on);
+                woken.push(c);
                 out.push((c, on));
             }
             !wake
@@ -255,8 +342,17 @@ impl WaitList {
     /// Unparks every core, appending `(core, wait)` to `out`.
     pub(super) fn take_all(&mut self, out: &mut Vec<(usize, WaitOn)>) {
         for c in self.parked.drain(..) {
-            out.push((c, self.waits[c].take().expect("parked core has a wait")));
+            let Slot::Parked(on) = std::mem::replace(&mut self.slots[c], Slot::Free) else {
+                unreachable!("parked core {c} has a wait")
+            };
+            out.push((c, on));
         }
+    }
+
+    /// `true` if the current step acquired a lock or woke a core and some
+    /// woken core may not have polled yet; forgets the step's note.
+    fn take_recheck(&mut self) -> bool {
+        std::mem::take(&mut self.recheck) && !self.woken.is_empty()
     }
 
     /// The smallest parked core above `first` whose poll falls exactly at
@@ -295,9 +391,9 @@ pub(super) fn polls_skipped(next_poll: u64, spin: u64, core: usize, after: (u64,
 }
 
 impl Machine {
-    /// A failed lock or fallback-lock poll by core `c`: charges the poll's
-    /// wait interval, then parks `c` until a release (see the module docs).
-    /// The caller's step still counts as a real scheduler step.
+    /// A failed lock, fallback-lock or pending poll by core `c`: charges the
+    /// poll's wait interval, then parks `c` until a release (see the module
+    /// docs). The caller's step still counts as a real scheduler step.
     ///
     /// # Panics
     ///
@@ -321,6 +417,7 @@ impl Machine {
                 self.cores[c].lock_wait_acc += cycles;
                 self.stats.lock_spin_cycles += cycles;
             }
+            WaitOn::Pending { .. } => self.stats.pending_stall_cycles += cycles,
             WaitOn::FallbackWriter | WaitOn::FallbackIdle => {
                 self.stats.fallback_wait_cycles += cycles;
             }
@@ -329,7 +426,8 @@ impl Machine {
 
     /// Credits `polls` skipped polls of parked core `w` exactly as the
     /// executed polls would have counted: each is one scheduler step and
-    /// one heap re-key, and a lock poll reuses the group scratch buffer.
+    /// one heap re-key, and a lock poll reuses the group scratch buffer (a
+    /// failed re-send uses none).
     fn credit_skipped(&mut self, w: usize, on: WaitOn, polls: u64) {
         self.charge_polls(w, on, polls);
         self.perf.steps += polls;
@@ -360,17 +458,84 @@ impl Machine {
         self.waits.note_writer_left();
     }
 
-    /// The wake pass after the step that ran at heap key `after`: every
-    /// core its releases may have unblocked re-enters the heap at its
-    /// first poll ordered after that step, skipped polls credited.
-    pub(super) fn wake_released(&mut self, sched: &mut CoreHeap, after: (u64, usize)) {
+    /// Brings parked core `v` back before a conflict is delivered to it:
+    /// the conflict reads `v`'s clock, so `v` moves to its first poll after
+    /// the current step, skipped polls credited, and re-enters the heap
+    /// after the step ([`Machine::push_materialized`]). A woken core that
+    /// has not polled stops being a re-park candidate, since the conflict
+    /// changes what its next step does.
+    pub(super) fn materialize(&mut self, v: usize) {
+        if let Some(on) = self.waits.unpark(v) {
+            self.catch_up(v, on, self.waits.now);
+            self.waits.materialized.push(v);
+            self.perf.materialized += 1;
+        }
+    }
+
+    /// Pushes the cores the current step materialised back into the heap.
+    pub(super) fn push_materialized(&mut self, sched: &mut CoreHeap) {
+        for v in self.waits.materialized.drain(..) {
+            sched.push(v, self.clocks[v]);
+        }
+    }
+
+    /// The wake pass after the current step: every core its releases may
+    /// have unblocked re-enters the heap at its first poll ordered after
+    /// that step, skipped polls credited. Then, if the step acquired a lock
+    /// or woke a core, the re-park pass.
+    pub(super) fn wake_released(&mut self, sched: &mut CoreHeap) {
         let mut woken = std::mem::take(&mut self.scratch_woken);
         self.waits.take_woken(&mut woken);
         for (w, on) in woken.drain(..) {
-            self.unpark(w, on, after);
+            self.catch_up(w, on, self.waits.now);
             sched.push(w, self.clocks[w]);
         }
         self.scratch_woken = woken;
+        if self.waits.take_recheck() {
+            self.repark_blocked(sched);
+        }
+    }
+
+    /// Sends every woken core whose first poll has not run and would fail
+    /// back to the wait list, uncharged: its clock already holds that
+    /// poll's time, and the wake that ends the new wait credits it.
+    fn repark_blocked(&mut self, sched: &mut CoreHeap) {
+        let mut woken = std::mem::take(&mut self.waits.woken);
+        woken.retain(|&w| {
+            let Slot::Woken(on) = self.waits.slots[w] else {
+                return false;
+            };
+            let Some(again) = self.poll_blocker(w) else {
+                return true;
+            };
+            debug_assert_eq!(
+                std::mem::discriminant(&on),
+                std::mem::discriminant(&again),
+                "core {w} re-checked against another kind of wait"
+            );
+            sched.remove(w);
+            self.waits.slots[w] = Slot::Free;
+            self.waits.park(w, again);
+            self.perf.reparks += 1;
+            false
+        });
+        self.waits.woken = woken;
+    }
+
+    /// What core `c`'s next poll would fail on if it ran now, by the same
+    /// read-only predicate the poll itself decides with; `None` when its
+    /// next step is no poll or would succeed.
+    fn poll_blocker(&self, c: usize) -> Option<WaitOn> {
+        match self.phases[c] {
+            Phase::StartAttempt => self.fallback_blocker(c),
+            Phase::LockAcquire { idx } => self
+                .group_blocker(c, idx)
+                .map(|holder| WaitOn::Line { holder }),
+            Phase::Running => self
+                .pending_blocker(c)
+                .map(|holder| WaitOn::Pending { holder }),
+            Phase::Idle | Phase::Think { .. } | Phase::Finished => None,
+        }
     }
 
     /// The `max_cycles` stop: the polling scheduler would have run every
@@ -381,7 +546,7 @@ impl Machine {
         let mut woken = std::mem::take(&mut self.scratch_woken);
         self.waits.take_all(&mut woken);
         for (w, on) in woken.drain(..) {
-            self.unpark(w, on, (self.config.max_cycles, usize::MAX));
+            self.catch_up(w, on, (self.config.max_cycles, usize::MAX));
         }
         self.scratch_woken = woken;
         self.stats.timed_out = true;
@@ -389,7 +554,7 @@ impl Machine {
 
     /// Advances unparked core `w` to its first poll after heap key
     /// `after`, crediting the polls skipped on the way.
-    fn unpark(&mut self, w: usize, on: WaitOn, after: (u64, usize)) {
+    fn catch_up(&mut self, w: usize, on: WaitOn, after: (u64, usize)) {
         let spin = self.config.timing.spin_interval;
         let polls = polls_skipped(self.clocks[w], spin, w, after);
         self.credit_skipped(w, on, polls);
@@ -534,6 +699,42 @@ mod tests {
         out.clear();
         w.take_all(&mut out);
         assert_eq!(out, vec![(2, WaitOn::Line { holder: 4 })]);
+        assert!(w.is_empty());
+    }
+
+    #[test]
+    fn an_unlock_wakes_pending_waiters_on_that_holder() {
+        let mut w = WaitList::new(4);
+        w.park(1, WaitOn::Pending { holder: 0 });
+        w.park(2, WaitOn::Pending { holder: 3 });
+        w.note_unlock(0);
+        let mut out = Vec::new();
+        w.take_woken(&mut out);
+        assert_eq!(out, vec![(1, WaitOn::Pending { holder: 0 })]);
+        assert!(w.is_parked(2));
+    }
+
+    #[test]
+    fn woken_cores_stay_repark_candidates_until_they_poll() {
+        let mut w = WaitList::new(4);
+        assert!(!w.take_recheck(), "nothing acquired or woken");
+        w.note_acquire();
+        assert!(!w.take_recheck(), "no woken core to re-check");
+        w.park(1, WaitOn::FallbackWriter);
+        w.park(2, WaitOn::FallbackWriter);
+        w.note_writer_left();
+        let mut out = Vec::new();
+        w.take_woken(&mut out);
+        assert_eq!(out.len(), 2);
+        assert!(w.take_recheck(), "a wake re-checks the woken");
+        assert!(!w.take_recheck(), "the note is forgotten");
+        w.begin_step(1, (0, 1));
+        assert_eq!(w.slots[1], Slot::Free, "its first poll is running");
+        assert_eq!(w.slots[2], Slot::Woken(WaitOn::FallbackWriter));
+        assert_eq!(w.unpark(2), None, "a woken core is not parked");
+        assert_eq!(w.slots[2], Slot::Free, "a conflict ends candidacy");
+        w.park(3, WaitOn::Line { holder: 0 });
+        assert_eq!(w.unpark(3), Some(WaitOn::Line { holder: 0 }));
         assert!(w.is_empty());
     }
 

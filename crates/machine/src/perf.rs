@@ -50,10 +50,18 @@ pub struct PerfCounters {
     pub par_batch_steps: u64,
     /// Largest batch formed.
     pub par_batch_max: u64,
-    /// Lock and fallback-lock polls a parked core skipped and had credited
-    /// on wake instead of executing (part of `steps`). Kept out of the
+    /// Lock, fallback-lock and pending polls a parked core skipped and had
+    /// credited on wake instead of executing (part of `steps`). Kept out of the
     /// harness JSON and the metrics gauges, so no golden depends on it.
     pub polls_elided: u64,
+    /// Woken cores sent back to the wait list without polling, because a
+    /// lock taken before their first poll blocked them again. Kept out of
+    /// the harness JSON and the metrics gauges, like `polls_elided`.
+    pub reparks: u64,
+    /// Parked pending cores a conflict brought back to their next poll
+    /// before delivery. Kept out of the harness JSON and the metrics
+    /// gauges, like `polls_elided`.
+    pub materialized: u64,
     /// Wall-clock nanoseconds spent inside `Machine::run`. Host-dependent:
     /// never compared against goldens.
     pub run_wall_ns: u64,

@@ -1,8 +1,11 @@
-//! Parking of waiting cores: a core whose lock or fallback-lock poll fails
-//! leaves the scheduler heap and is woken by the release it waits on, with
-//! the skipped polls credited. Runs must stay step-for-step identical to
-//! per-poll spinning, so the pinned values below were recorded with the
-//! per-poll spinning scheduler parking replaced.
+//! Parking of waiting cores: a core whose lock, fallback-lock or pending
+//! load/store poll fails leaves the scheduler heap and is woken by the
+//! release it waits on, with the skipped polls credited. Runs must stay
+//! step-for-step identical to per-poll spinning, so the pinned values below
+//! were recorded with schedulers that still ran those polls: the lock and
+//! fallback-lock pins with the per-poll spinning scheduler, and the
+//! pending, conflict and re-park pins with the one that re-sent every
+//! pending load and store and let every woken core poll.
 
 use clear_isa::{
     ArId, ArInvocation, ArSpec, Mutability, Program, ProgramBuilder, Reg, Workload, WorkloadMeta,
@@ -80,7 +83,7 @@ fn bench(name: &str, cfg: MachineConfig) -> RunStats {
 
 /// The counters parking must reproduce: outcome, clocks, scheduler work
 /// and wait accounting.
-fn pinned(s: &RunStats) -> [u64; 10] {
+fn pinned(s: &RunStats) -> [u64; 12] {
     [
         s.timed_out as u64,
         s.total_cycles,
@@ -92,7 +95,42 @@ fn pinned(s: &RunStats) -> [u64; 10] {
         s.lock_spin_cycles,
         s.fallback_wait_cycles,
         s.instructions_retired,
+        s.pending_stall_cycles,
+        s.discovery_failed_cycles,
     ]
+}
+
+/// Runs `workload` traced and checks it, then again with two simulation
+/// threads, which must not change any pinned counter. Returns the
+/// sequential run's stats and trace digest.
+fn traced_twice(make: impl Fn() -> Box<dyn Workload>, cfg: MachineConfig) -> (RunStats, u64) {
+    let mut m = Machine::new(cfg.clone(), make());
+    m.enable_tracing();
+    let seq = m.run();
+    m.workload().validate(m.memory()).unwrap();
+    let digest = m.trace().digest();
+    let par = Machine::new(
+        MachineConfig {
+            sim_threads: 2,
+            ..cfg
+        },
+        make(),
+    )
+    .run();
+    assert_eq!(pinned(&par), pinned(&seq), "sim_threads = 2 diverged");
+    assert_eq!(
+        [
+            par.perf.polls_elided,
+            par.perf.reparks,
+            par.perf.materialized
+        ],
+        [
+            seq.perf.polls_elided,
+            seq.perf.reparks,
+            seq.perf.materialized
+        ]
+    );
+    (seq, digest)
 }
 
 #[test]
@@ -106,7 +144,7 @@ fn a_max_cycles_stop_materialises_parked_lock_waiters() {
     let s = Machine::new(cfg, Box::new(LongLockedInc::new())).run();
     assert_eq!(
         pinned(&s),
-        [1, 4083, 0, 0, 282, 282, 269, 4020, 0, 0],
+        [1, 4083, 0, 0, 282, 282, 269, 4020, 0, 0, 0, 0],
         "{s:?}"
     );
     // Two waiters, one real poll each; every other poll was skipped.
@@ -120,7 +158,7 @@ fn a_max_cycles_stop_mid_fallback_convoy_matches_per_poll_spinning() {
     let s = bench("genome", cfg);
     assert_eq!(
         pinned(&s),
-        [1, 20065, 71, 991, 39602, 40108, 508, 0, 476385, 2010],
+        [1, 20065, 71, 991, 39602, 40108, 508, 0, 476385, 2010, 0, 0],
         "{s:?}"
     );
     assert!(s.perf.polls_elided > 0);
@@ -148,7 +186,7 @@ fn parallel_batches_stop_short_of_parked_pollers() {
     let par = bench("genome", cfg.clone());
     assert_eq!(
         pinned(&par),
-        [0, 191250, 960, 1822, 686063, 686227, 36242, 379350, 8716470, 28881]
+        [0, 191250, 960, 1822, 686063, 686227, 36242, 379350, 8716470, 28881, 101715, 98850]
     );
     assert_eq!(
         [
@@ -172,4 +210,66 @@ fn polls_elided_counts_only_contended_waits() {
     let alone = bench("genome", Preset::B.config(1, 2));
     assert!(alone.commits() > 0);
     assert_eq!(alone.perf.polls_elided, 0, "a lone core never waits");
+    assert_eq!([alone.perf.reparks, alone.perf.materialized], [0, 0]);
+}
+
+#[test]
+fn pending_loads_and_stores_park_like_per_poll_resends() {
+    // A contended queue: about a fifth of its steps are pending re-sends
+    // of loads and stores to lines other cores hold locked.
+    let (s, digest) = traced_twice(
+        || by_name("queue", Size::Tiny, 7).expect("known benchmark"),
+        Preset::C.config(32, 5),
+    );
+    assert_eq!(
+        pinned(&s),
+        [0, 57029, 384, 594, 89052, 89116, 42363, 591645, 311640, 3581, 267720, 17058],
+        "{s:?}"
+    );
+    assert_eq!(digest, 0x5c6a_77db_1ca9_7bcf);
+    assert!(
+        s.perf.reparks > 0 && s.perf.materialized > 0,
+        "{:?}",
+        s.perf
+    );
+}
+
+#[test]
+fn a_conflict_reaching_a_parked_pending_core_matches_per_poll_resends() {
+    // The smallest genome run in which a conflict reaches a core parked on
+    // a pending access: the victim is brought back to its next poll
+    // before the conflict aborts it or sends it into failed mode.
+    let (s, digest) = traced_twice(
+        || by_name("genome", Size::Tiny, 7).expect("known benchmark"),
+        Preset::C.config(8, 5),
+    );
+    assert_eq!(
+        pinned(&s),
+        [0, 13615, 96, 83, 6244, 6249, 772, 420, 10755, 2778, 2415, 4901],
+        "{s:?}"
+    );
+    assert_eq!(digest, 0x557c_714d_82c4_c0c7);
+    assert!(
+        s.perf.materialized > 0 && s.perf.reparks > 0,
+        "{:?}",
+        s.perf
+    );
+}
+
+#[test]
+fn a_woken_herd_reparks_behind_the_next_lock_holder() {
+    // Eight cores lock one line in a-priori NS-CL: every unlock wakes all
+    // waiters, the first poller takes the line, and the rest go back to
+    // the wait list without polling.
+    let mut cfg = Preset::B.config(8, 5);
+    cfg.a_priori_locking = true;
+    let (s, digest) = traced_twice(|| Box::new(LongLockedInc::new()), cfg);
+    assert_eq!(
+        pinned(&s),
+        [0, 65012, 16, 0, 21021, 21013, 20877, 312795, 0, 80, 0, 0],
+        "{s:?}"
+    );
+    assert_eq!(digest, 0x343a_331a_d870_c64a);
+    assert!(s.perf.reparks > 0, "{:?}", s.perf);
+    assert_eq!(s.perf.materialized, 0, "NS-CL cores never speculate");
 }

@@ -82,6 +82,7 @@ pub mod families {
     pub const SHARD_LOCK_NACKS: &str = "clear_shard_lock_nacks_total";
     /// Gauge, label `counter`: the simulator-kernel perf counters (the
     /// `clear_machine::PerfCounters` fields), excluding wall-clock time,
-    /// which is never stored in a registry.
+    /// which is never stored in a registry, and the parking counters
+    /// (`polls_elided`, `reparks`, `materialized`).
     pub const SIM_PERF: &str = "clear_sim_perf";
 }
