@@ -102,29 +102,10 @@ pub(super) fn fig01(opts: &SuiteOptions) -> ExperimentOutput {
 pub(super) fn fig08(opts: &SuiteOptions) -> ExperimentOutput {
     let suite = run_suite(opts);
     let mut text = String::new();
-    let mut rows = Vec::new();
-    let mut norms = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
-    let mut disc_rows = Vec::new();
-    for cells in &suite {
-        let base = cells[0].cycles();
-        let mut vals = [0.0; 4];
-        let mut disc = [0.0; 4];
-        for (i, cell) in cells.iter().enumerate() {
-            vals[i] = cell.cycles() / base;
-            norms[i].push(vals[i]);
-            disc[i] = cell.mean(|r| {
-                r.discovery_failed_cycles as f64 / (r.total_cycles as f64 * opts.cores as f64)
-            });
-        }
-        rows.push((cells[0].name.clone(), vals));
-        disc_rows.push((cells[0].name.clone(), disc));
-    }
-    let agg = [
-        geomean(&norms[0]),
-        geomean(&norms[1]),
-        geomean(&norms[2]),
-        geomean(&norms[3]),
-    ];
+    let (rows, agg) = norm_rows(&suite, CellResult::cycles);
+    let (disc_rows, disc_avg) = mean_rows(&suite, |r| {
+        r.discovery_failed_cycles as f64 / (r.total_cycles as f64 * opts.cores as f64)
+    });
     text.push_str(&format_table(
         "Figure 8: Normalized execution time",
         "lower is better; normalized to B",
@@ -135,11 +116,7 @@ pub(super) fn fig08(opts: &SuiteOptions) -> ExperimentOutput {
         "Figure 8 overlay: time running aborted in discovery",
         "fraction of machine time",
         &disc_rows,
-        (
-            "average",
-            [0, 1, 2, 3]
-                .map(|i| disc_rows.iter().map(|r| r.1[i]).sum::<f64>() / disc_rows.len() as f64),
-        ),
+        ("average", disc_avg),
     ));
     let _ = writeln!(text, "\nbest retry threshold per cell:");
     for cells in &suite {
@@ -168,55 +145,26 @@ pub(super) fn fig08(opts: &SuiteOptions) -> ExperimentOutput {
 
 pub(super) fn fig09(opts: &SuiteOptions) -> ExperimentOutput {
     let suite = run_suite(opts);
-    let mut rows = Vec::new();
-    let mut sums = [0.0; 4];
-    for cells in &suite {
-        let mut vals = [0.0; 4];
-        for (i, cell) in cells.iter().enumerate() {
-            vals[i] = cell.mean(|r| r.aborts_per_commit());
-            sums[i] += vals[i];
-        }
-        rows.push((cells[0].name.clone(), vals));
-    }
-    let n = rows.len() as f64;
+    let (rows, avg) = mean_rows(&suite, RunStats::aborts_per_commit);
     let mut text = format_table(
         "Figure 9: Aborts per committed transaction",
         "lower is better",
         &rows,
-        ("average", sums.map(|s| s / n)),
+        ("average", avg),
     );
     let _ = writeln!(text, "\npaper: B 7.9, P 6.6, C 1.6, W 2.3 (average)");
     let json = Json::obj([
         ("experiment", Json::from("fig09")),
         ("options", opts_json(opts)),
         ("suite", suite_json(&suite)),
-        (
-            "average",
-            Json::arr(sums.iter().map(|&s| Json::from(s / n))),
-        ),
+        ("average", Json::arr(avg.iter().map(|&v| Json::from(v)))),
     ]);
     ExperimentOutput::new(text, json)
 }
 
 pub(super) fn fig10(opts: &SuiteOptions) -> ExperimentOutput {
     let suite = run_suite(opts);
-    let mut rows = Vec::new();
-    let mut norms = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
-    for cells in &suite {
-        let base = cells[0].energy();
-        let mut vals = [0.0; 4];
-        for (i, cell) in cells.iter().enumerate() {
-            vals[i] = cell.energy() / base;
-            norms[i].push(vals[i]);
-        }
-        rows.push((cells[0].name.clone(), vals));
-    }
-    let agg = [
-        geomean(&norms[0]),
-        geomean(&norms[1]),
-        geomean(&norms[2]),
-        geomean(&norms[3]),
-    ];
+    let (rows, agg) = norm_rows(&suite, CellResult::energy);
     let mut text = format_table(
         "Figure 10: Normalized energy consumption",
         "lower is better; normalized to B",
@@ -284,9 +232,10 @@ pub(super) fn fig11(opts: &SuiteOptions) -> ExperimentOutput {
     ExperimentOutput::new(text, json)
 }
 
-fn mode_shares(r: &RunStats) -> [f64; 4] {
+/// Commit shares per mode, over `total` commits (the fig12 and report
+/// outputs pick different divisors).
+fn mode_shares(r: &RunStats, total: f64) -> [f64; 4] {
     let m = &r.commits_by_mode;
-    let total = m.total().max(1) as f64;
     [
         m.speculative as f64 / total,
         m.scl as f64 / total,
@@ -306,7 +255,8 @@ pub(super) fn fig12(opts: &SuiteOptions) -> ExperimentOutput {
     );
     for cells in &suite {
         for cell in cells {
-            let s = [0, 1, 2, 3].map(|k| cell.mean(|r| mode_shares(r)[k]));
+            let s = [0, 1, 2, 3]
+                .map(|k| cell.mean(|r| mode_shares(r, r.commits_by_mode.total().max(1) as f64)[k]));
             let _ = writeln!(
                 text,
                 "{:14} {:>2}  {:>11.2} {:>8.2} {:>8.2} {:>9.2}",
@@ -353,13 +303,9 @@ pub(super) fn fig13(opts: &SuiteOptions) -> ExperimentOutput {
         "{:14} {:>2}  {:>9} {:>9} {:>9}",
         "benchmark", "", "1-retry", "n-retry", "fallback"
     );
-    let mut sums = [[0.0; 3]; 4];
     for cells in &suite {
-        for (i, cell) in cells.iter().enumerate() {
+        for cell in cells {
             let s = [0, 1, 2].map(|k| cell.mean(|r| retry_shares(r)[k]));
-            for k in 0..3 {
-                sums[i][k] += s[k];
-            }
             let _ = writeln!(
                 text,
                 "{:14} {:>2}  {:>9.2} {:>9.2} {:>9.2}",
@@ -372,14 +318,14 @@ pub(super) fn fig13(opts: &SuiteOptions) -> ExperimentOutput {
         }
         let _ = writeln!(text);
     }
-    let n = suite.len() as f64;
     for (i, letter) in ['B', 'P', 'C', 'W'].iter().enumerate() {
+        let avg = |k: usize| column_mean(&suite, i, |r| retry_shares(r)[k]);
         let _ = writeln!(
             text,
             "average {letter}: 1-retry {:.2}  n-retry {:.2}  fallback {:.2}",
-            sums[i][0] / n,
-            sums[i][1] / n,
-            sums[i][2] / n
+            avg(0),
+            avg(1),
+            avg(2)
         );
     }
     let _ = writeln!(
@@ -430,6 +376,15 @@ fn mean_rows(
     (rows, sums.map(|s| s / n))
 }
 
+/// The suite average of preset column `i`'s per-cell mean of `metric`.
+fn column_mean(suite: &[[CellResult; 4]], i: usize, metric: impl Fn(&RunStats) -> f64) -> f64 {
+    suite
+        .iter()
+        .map(|cells| cells[i].mean(&metric))
+        .sum::<f64>()
+        / suite.len() as f64
+}
+
 pub(super) fn report(opts: &SuiteOptions) -> ExperimentOutput {
     eprintln!(
         "suite: {:?} size, {} cores, {} seeds, sweep {:?}",
@@ -475,18 +430,7 @@ pub(super) fn report(opts: &SuiteOptions) -> ExperimentOutput {
         "\n=== Figure 11: Abort breakdown per type (suite average shares) ==="
     );
     for (i, letter) in ['B', 'P', 'C', 'W'].iter().enumerate() {
-        let share = |kind: AbortKind| {
-            suite
-                .iter()
-                .map(|cells| {
-                    cells[i].mean(|r| r.aborts.get(kind) as f64 / r.aborts.total().max(1) as f64)
-                })
-                .sum::<f64>()
-                / suite.len() as f64
-        };
-        let mem = share(AbortKind::MemoryConflict);
-        let efb = share(AbortKind::ExplicitFallback);
-        let ofb = share(AbortKind::OtherFallback);
+        let [mem, efb, ofb] = [0, 1, 2].map(|k| column_mean(&suite, i, |r| abort_shares(r)[k]));
         let _ = writeln!(
             text,
             "{letter}: memory-conflict {:.2}  explicit-fallback {:.2}  other-fallback {:.2}  others {:.2}",
@@ -506,19 +450,16 @@ pub(super) fn report(opts: &SuiteOptions) -> ExperimentOutput {
     );
     for cells in &suite {
         for cell in cells {
-            let s = cell.mean(|r| r.commits_by_mode.speculative as f64 / r.commits() as f64);
-            let scl = cell.mean(|r| r.commits_by_mode.scl as f64 / r.commits() as f64);
-            let nscl = cell.mean(|r| r.commits_by_mode.nscl as f64 / r.commits() as f64);
-            let fb = cell.mean(|r| r.commits_by_mode.fallback as f64 / r.commits() as f64);
+            let s = [0, 1, 2, 3].map(|k| cell.mean(|r| mode_shares(r, r.commits() as f64)[k]));
             let _ = writeln!(
                 text,
                 "{:14} {:>2}  {:>11.2} {:>8.2} {:>8.2} {:>9.2}",
                 cell.name,
                 cell.preset.letter(),
-                s,
-                scl,
-                nscl,
-                fb
+                s[0],
+                s[1],
+                s[2],
+                s[3]
             );
         }
     }
@@ -529,13 +470,7 @@ pub(super) fn report(opts: &SuiteOptions) -> ExperimentOutput {
         "\n=== Figure 13: Commit breakdown per number of retries (retried ARs only) ==="
     );
     for (i, letter) in ['B', 'P', 'C', 'W'].iter().enumerate() {
-        let avg = |k: usize| {
-            suite
-                .iter()
-                .map(|cells| cells[i].mean(|r| retry_shares(r)[k]))
-                .sum::<f64>()
-                / suite.len() as f64
-        };
+        let avg = |k: usize| column_mean(&suite, i, |r| retry_shares(r)[k]);
         let _ = writeln!(
             text,
             "{letter}: 1-retry {:.2}  n-retry {:.2}  fallback {:.2}",

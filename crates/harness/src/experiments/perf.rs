@@ -33,23 +33,7 @@ fn perf_metrics<'a>(
 ) -> Json {
     let mut reg = MetricsRegistry::new();
     for (point, s) in points {
-        let p = &s.perf;
-        for (counter, value) in [
-            ("steps", p.steps),
-            ("sched_updates", p.sched_updates),
-            ("coherence_requests", p.coherence_requests),
-            ("allocs_avoided", p.allocs_avoided),
-            ("trace_events_recorded", p.trace_events_recorded),
-            ("trace_events_dropped", p.trace_events_dropped),
-            ("shards", p.shards),
-            ("shard_lines", p.shard_lines),
-            ("shard_lines_max", p.shard_lines_max),
-            ("par_batches", p.par_batches),
-            ("par_batch_steps", p.par_batch_steps),
-            ("par_batch_max", p.par_batch_max),
-            ("lrws_read_capacity_aborts", s.lrws_read_capacity_aborts),
-            ("lrws_write_capacity_aborts", s.lrws_write_capacity_aborts),
-        ] {
+        for (counter, value) in s.sim_perf_gauges() {
             let mut labels: Vec<(&str, &str)> =
                 point.iter().map(|(k, v)| (*k, v.as_str())).collect();
             labels.push(("counter", counter));

@@ -16,7 +16,7 @@ use clear_analysis::{
     analyze_workload, workload_plans, ArReport, LockPrediction, OverflowPrediction, StaticBudget,
     StaticVerdict, WorkloadReport,
 };
-use clear_core::{ObservedClass, PlanAddr, PlanClass, StaticPlan, StaticPlanSet};
+use clear_core::{ObservedClass, PlanAddr, PlanClass, RetryMode, StaticPlan, StaticPlanSet};
 use clear_machine::{BackendId, MachineConfig, Preset, TraceEvent};
 use clear_workloads::{by_name, Size, BENCHMARK_NAMES};
 use std::collections::HashMap;
@@ -71,28 +71,40 @@ fn analyze(name: &str, size: Size, threads: usize, seed: u64) -> Result<Workload
     analyze_workload(&mut *w, threads, &StaticBudget::default())
 }
 
-/// Dynamic side of the gate: per-AR counts of observed classes derived
-/// from every discovery decision of one traced run.
-fn dynamic_side(name: &str) -> HashMap<u32, [u64; 4]> {
+/// Folds every discovery `Decision` of one traced run of `name` — the
+/// pinned sampling context — into a per-AR accumulator, passing each
+/// decision's mode and immutability. The dynamic side of both this gate
+/// and `table1-measured`.
+pub(super) fn fold_decisions<T: Default>(
+    name: &str,
+    mut fold: impl FnMut(&mut T, RetryMode, bool),
+) -> HashMap<u32, T> {
     let cfg = MachineConfig {
         seed: SAMPLE_SEED,
         ..Preset::C.config(SAMPLE_THREADS, 5)
     };
     let (_, m) = run_benchmark(name, Size::Small, cfg, true);
-    let mut per_ar: HashMap<u32, [u64; 4]> = HashMap::new();
+    let mut per_ar: HashMap<u32, T> = HashMap::new();
     for r in m.trace().records() {
         if let TraceEvent::Decision {
             ar,
             mode,
             immutable,
             ..
-        } = &r.event
+        } = r.event
         {
-            let class = ObservedClass::from_mode(*mode, *immutable);
-            per_ar.entry(ar.0).or_default()[observed_idx(class)] += 1;
+            fold(per_ar.entry(ar.0).or_default(), mode, immutable);
         }
     }
     per_ar
+}
+
+/// Dynamic side of the gate: per-AR counts of observed classes derived
+/// from every discovery decision of one traced run.
+fn dynamic_side(name: &str) -> HashMap<u32, [u64; 4]> {
+    fold_decisions(name, |counts: &mut [u64; 4], mode, immutable| {
+        counts[observed_idx(ObservedClass::from_mode(mode, immutable))] += 1;
+    })
 }
 
 /// The observed class seen most often (ties break in `OBSERVED` order);

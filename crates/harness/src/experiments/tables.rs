@@ -1,33 +1,23 @@
 //! Table experiments: the static Table 1 characterization, its measured
 //! (dynamic) validation, and the Table 2 configuration dump.
 
+use super::statics::fold_decisions;
 use super::{opts_json, ExperimentOutput};
 use crate::json::Json;
 use crate::pool;
-use crate::suite::{run_benchmark, SuiteOptions};
+use crate::suite::SuiteOptions;
 use clear_isa::Mutability;
-use clear_machine::{MachineConfig, Preset, TraceEvent};
+use clear_machine::MachineConfig;
 use clear_workloads::{by_name, Size, BENCHMARK_NAMES};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
+/// Per AR: (immutable decisions, all decisions) of the pinned traced run.
 fn measured_immutability(name: &str) -> HashMap<u32, (u64, u64)> {
-    let cfg = MachineConfig {
-        seed: 5,
-        ..Preset::C.config(16, 5)
-    };
-    let (_, m) = run_benchmark(name, Size::Small, cfg, true);
-    let mut per_ar: HashMap<u32, (u64, u64)> = HashMap::new();
-    for r in m.trace().records() {
-        if let TraceEvent::Decision { ar, immutable, .. } = &r.event {
-            let slot = per_ar.entry(ar.0).or_default();
-            slot.1 += 1;
-            if *immutable {
-                slot.0 += 1;
-            }
-        }
-    }
-    per_ar
+    fold_decisions(name, |slot: &mut (u64, u64), _, immutable| {
+        slot.0 += u64::from(immutable);
+        slot.1 += 1;
+    })
 }
 
 pub(super) fn table1_measured(opts: &SuiteOptions) -> ExperimentOutput {

@@ -574,7 +574,9 @@ mod tests {
         let q = r.json.get("queue").expect("queue block");
         assert_eq!(q.get("dropped"), Some(&Json::Int(0)));
         assert!(!r.trajectory.is_empty());
-        assert!(r.registry.hist(families::LOCK_WAIT_CYCLES, &[]).is_some() || r.ars > 0);
+        // The tiny session takes cacheline locks, so the lock-wait fold fires.
+        let lock_waits = r.registry.hist(families::LOCK_WAIT_CYCLES, &[]);
+        assert!(lock_waits.is_some_and(|h| h.count() > 0));
     }
 
     #[test]

@@ -29,10 +29,7 @@ impl Machine {
                 self.abort_victims(c, line, &impacts, AbortKind::OtherFallback);
                 self.arm_vm(c);
                 self.cores[c].mode = ExecMode::Fallback;
-                self.cores[c].attempt_started_at = self.clocks[c];
-                self.cores[c].first_attempt_at.get_or_insert(self.clocks[c]);
-                self.trace.record(
-                    self.clocks[c],
+                self.emit(
                     c,
                     TraceEvent::AttemptStart {
                         mode: RetryMode::Fallback,
@@ -72,17 +69,10 @@ impl Machine {
                     alt.lock_list_into(&mut lock_list);
                 }
                 self.arm_vm(c);
-                self.cores[c].attempt_started_at = self.clocks[c];
-                self.cores[c].first_attempt_at.get_or_insert(self.clocks[c]);
-                self.trace.record(
-                    self.clocks[c],
+                self.emit(
                     c,
                     TraceEvent::AttemptStart {
-                        mode: if mode == ExecMode::NsCl {
-                            RetryMode::NsCl
-                        } else {
-                            RetryMode::SCl
-                        },
+                        mode: mode.commit_bucket(),
                     },
                 );
                 let core = &mut self.cores[c];
@@ -101,10 +91,7 @@ impl Machine {
                 self.cores[c].explicit_fb_recorded = false;
                 self.arm_vm(c);
                 self.cores[c].mode = ExecMode::Speculative;
-                self.cores[c].attempt_started_at = self.clocks[c];
-                self.cores[c].first_attempt_at.get_or_insert(self.clocks[c]);
-                self.trace.record(
-                    self.clocks[c],
+                self.emit(
                     c,
                     TraceEvent::AttemptStart {
                         mode: RetryMode::SpeculativeRetry,
@@ -164,17 +151,8 @@ impl Machine {
         // the heap re-keys this core after the current step.
         self.sched_touched.push(c);
         let span = self.clocks[c].saturating_sub(self.cores[c].attempt_started_at);
-        self.trace
-            .record(self.clocks[c], c, TraceEvent::Abort { kind, span });
-        self.stats.aborts.record(kind);
-        self.metrics_on_abort(kind);
-        if let Some(inv) = self.cores[c].inv.as_ref() {
-            self.stats.ar_stats.entry(inv.ar.0).or_default().aborts += 1;
-        }
+        self.emit(c, TraceEvent::Abort { kind, span });
         let was_scl = self.cores[c].mode == ExecMode::SCl;
-        if let Some(vm) = self.cores[c].vm.as_ref() {
-            self.stats.instructions_wasted += vm.retired();
-        }
         self.note_attempt_end(c, true);
 
         // Roll back all speculative and lock state.
@@ -271,8 +249,7 @@ impl Machine {
                 e.is_immutable = assessment.immutable;
             }
             let mode = decide(&assessment);
-            self.trace.record(
-                self.clocks[c],
+            self.emit(
                 c,
                 TraceEvent::Decision {
                     ar: clear_isa::ArId(ar),
@@ -324,8 +301,7 @@ impl Machine {
     pub(super) fn commit(&mut self, c: usize) {
         self.note_attempt_end(c, false);
         let mode = self.cores[c].mode;
-        self.trace.record(
-            self.clocks[c],
+        self.emit(
             c,
             TraceEvent::Commit {
                 mode: mode.commit_bucket(),
@@ -354,23 +330,6 @@ impl Machine {
             let ar = self.cores[c].inv.as_ref().unwrap().ar.0;
             self.cores[c].ert.entry(ar).decay_sq_full();
         }
-        self.stats.commits_by_mode.record(mode.commit_bucket());
-        if let Some(inv) = self.cores[c].inv.as_ref() {
-            let e = self.stats.ar_stats.entry(inv.ar.0).or_default();
-            e.commits += 1;
-            e.by_mode.record(mode.commit_bucket());
-        }
-        if mode != ExecMode::Fallback {
-            *self
-                .stats
-                .commits_by_retries
-                .entry(self.cores[c].retries_total)
-                .or_insert(0) += 1;
-        }
-        if let Some(vm) = self.cores[c].vm.as_ref() {
-            self.stats.instructions_retired += vm.retired();
-        }
-        self.metrics_on_commit(c, mode.commit_bucket());
         let core = &mut self.cores[c];
         core.discovery = None;
         core.alt = None;

@@ -88,9 +88,7 @@ impl Machine {
                 // A parked pending victim first moves to the poll it would
                 // be waiting at under per-poll spinning.
                 self.materialize(v);
-                let clock = self.clocks[v];
-                self.trace
-                    .record(clock, v, TraceEvent::ConflictReceived { line, aggressor });
+                self.emit(v, TraceEvent::ConflictReceived { line, aggressor });
                 // Reactive elide: where the baseline would enter failed-mode
                 // discovery, a proved-immutable plan already knows the
                 // footprint — decide NS-CL on the spot and abort straight
@@ -105,31 +103,16 @@ impl Machine {
                         _ => None,
                     }
                 };
-                if let Some((alt, footprint)) = elide {
+                if let Some(plan) = elide {
                     let ar = self.cores[v].inv.as_ref().expect("invocation present").ar;
-                    self.trace
-                        .record(clock, v, TraceEvent::DiscoveryElided { ar, eager: false });
-                    self.trace.record(
-                        clock,
-                        v,
-                        TraceEvent::Decision {
-                            ar,
-                            mode: RetryMode::NsCl,
-                            footprint,
-                            immutable: true,
-                        },
-                    );
-                    self.stats.discovery_runs_elided += 1;
-                    let core = &mut self.cores[v];
                     {
+                        let core = &mut self.cores[v];
                         let e = core.ert.entry(ar.0);
                         e.is_convertible = true;
                         e.is_immutable = true;
+                        core.discovery = None;
                     }
-                    core.discovery = None;
-                    core.alt = Some(alt);
-                    core.planned = RetryMode::NsCl;
-                    core.plan_nscl = true;
+                    self.elide_discovery(v, ar, plan, false);
                     self.perform_abort(v, kind);
                     return;
                 }
@@ -138,7 +121,7 @@ impl Machine {
                     if !d.in_failed_mode() && !d.overflowed() {
                         d.on_conflict();
                         core.held_abort = Some(kind);
-                        self.trace.record(clock, v, TraceEvent::EnterFailedMode);
+                        self.emit(v, TraceEvent::EnterFailedMode);
                         return;
                     }
                     if d.in_failed_mode() {
@@ -149,11 +132,7 @@ impl Machine {
                 self.perform_abort(v, kind);
             }
             ExecMode::SCl if self.phases[v] == Phase::Running => {
-                self.trace.record(
-                    self.clocks[v],
-                    v,
-                    TraceEvent::ConflictReceived { line, aggressor },
-                );
+                self.emit(v, TraceEvent::ConflictReceived { line, aggressor });
                 self.perform_abort(v, kind);
             }
             // NS-CL and fallback hold no transactional lines; lock-phase

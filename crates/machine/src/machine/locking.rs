@@ -86,16 +86,11 @@ impl Machine {
                 // attributed to the group's first lock to keep per-line
                 // totals additive.
                 let mut wait_cycles = std::mem::take(&mut self.cores[c].lock_wait_acc);
-                self.metrics_on_locks_acquired(wait_cycles);
                 for &line in &group {
                     if let Some(alt) = self.cores[c].alt.as_mut() {
                         alt.mark_locked(line);
                     }
-                    self.trace.record(
-                        self.clocks[c],
-                        c,
-                        TraceEvent::LockAcquired { line, wait_cycles },
-                    );
+                    self.emit(c, TraceEvent::LockAcquired { line, wait_cycles });
                     wait_cycles = 0;
                 }
                 // The impacts list of a group lock spans lines; CRT

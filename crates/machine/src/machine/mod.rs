@@ -218,8 +218,9 @@ pub struct Machine {
     waits: WaitList,
     /// Simulator-kernel counters for the current run (see [`crate::perf`]).
     perf: PerfCounters,
-    /// Opt-in metrics registry and hooks (see the `metrics` module).
-    metrics: Option<Box<metrics::MachineMetrics>>,
+    /// Opt-in metrics registry, fed by [`Machine::emit`] (see the `events`
+    /// module).
+    metrics: Option<Box<events::MachineMetrics>>,
     /// ARs whose static plan tripped the NS-CL guard: the fast path is
     /// disabled for them for the rest of the run.
     poisoned_plans: FxHashSet<u32>,
@@ -434,7 +435,7 @@ impl Machine {
             self.stats.lock_ops,
             &self.stats.coherence,
         );
-        self.metrics_on_finalize();
+        self.finalize_metrics();
     }
 
     fn jitter(&mut self) -> u64 {
@@ -476,8 +477,8 @@ impl Machine {
         match self.workload.next_ar(c, &self.memory) {
             None => self.phases[c] = Phase::Finished,
             Some(inv) => {
-                self.trace
-                    .record(self.clocks[c], c, TraceEvent::ArFetched { ar: inv.ar });
+                let ar = inv.ar;
+                self.emit(c, TraceEvent::ArFetched { ar });
                 let until = self.clocks[c] + inv.think_cycles;
                 // A-priori locking (§2.2 comparator): eligible ARs start in
                 // NS-CL with their statically-known footprint, bypassing
@@ -518,48 +519,24 @@ impl Machine {
                 } else {
                     Vec::new()
                 };
-                if let Some((_, footprint)) = &plan_alt {
-                    self.trace.record(
-                        self.clocks[c],
-                        c,
-                        TraceEvent::DiscoveryElided {
-                            ar: inv.ar,
-                            eager: true,
-                        },
-                    );
-                    self.trace.record(
-                        self.clocks[c],
-                        c,
-                        TraceEvent::Decision {
-                            ar: inv.ar,
-                            mode: RetryMode::NsCl,
-                            footprint: *footprint,
-                            immutable: true,
-                        },
-                    );
-                    self.stats.discovery_runs_elided += 1;
-                }
                 let core = &mut self.cores[c];
                 core.inv = Some(inv);
-                if let Some(alt) = apriori_alt {
-                    core.alt = Some(alt);
-                    core.planned = RetryMode::NsCl;
-                    core.plan_nscl = false;
-                } else if let Some((alt, _)) = plan_alt {
-                    core.alt = Some(alt);
-                    core.planned = RetryMode::NsCl;
-                    core.plan_nscl = true;
+                core.alt = apriori_alt;
+                core.planned = if core.alt.is_some() {
+                    RetryMode::NsCl
                 } else {
-                    core.planned = RetryMode::SpeculativeRetry;
-                    core.alt = None;
-                    core.plan_nscl = false;
-                }
+                    RetryMode::SpeculativeRetry
+                };
+                core.plan_nscl = false;
                 core.plan_roots = plan_roots;
                 core.plan_root_dirty = false;
                 core.retries_counted = 0;
                 core.retries_total = 0;
                 core.fp_first = None;
                 core.first_attempt_at = None;
+                if let Some(plan) = plan_alt {
+                    self.elide_discovery(c, ar, plan, true);
+                }
                 self.phases[c] = Phase::Think { until };
             }
         }
@@ -586,8 +563,8 @@ impl Machine {
 mod attempt;
 mod batch;
 mod conflicts;
+mod events;
 mod locking;
 mod memops;
-mod metrics;
 mod plans;
 mod sched;

@@ -192,6 +192,32 @@ impl RunStats {
         self.lrws_read_capacity_aborts + self.lrws_write_capacity_aborts
     }
 
+    /// The `clear_sim_perf` gauges: the simulator perf counters (wall
+    /// time excluded) plus the LRWS capacity-abort tallies, in export
+    /// order.
+    pub fn sim_perf_gauges(&self) -> [(&'static str, u64); 14] {
+        let p = &self.perf;
+        [
+            ("steps", p.steps),
+            ("sched_updates", p.sched_updates),
+            ("coherence_requests", p.coherence_requests),
+            ("allocs_avoided", p.allocs_avoided),
+            ("trace_events_recorded", p.trace_events_recorded),
+            ("trace_events_dropped", p.trace_events_dropped),
+            ("shards", p.shards),
+            ("shard_lines", p.shard_lines),
+            ("shard_lines_max", p.shard_lines_max),
+            ("par_batches", p.par_batches),
+            ("par_batch_steps", p.par_batch_steps),
+            ("par_batch_max", p.par_batch_max),
+            ("lrws_read_capacity_aborts", self.lrws_read_capacity_aborts),
+            (
+                "lrws_write_capacity_aborts",
+                self.lrws_write_capacity_aborts,
+            ),
+        ]
+    }
+
     /// Fig. 1 ratio: retrying ARs whose footprint stayed immutable and
     /// small on the first retry.
     pub fn immutable_retry_ratio(&self) -> f64 {

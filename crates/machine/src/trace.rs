@@ -224,7 +224,7 @@ impl Trace {
 
     /// Records an event (no-op while disabled). Once the ring is full the
     /// oldest record is evicted and counted as dropped.
-    pub fn record(&mut self, cycle: u64, core: usize, event: TraceEvent) {
+    pub(crate) fn record(&mut self, cycle: u64, core: usize, event: TraceEvent) {
         if !self.enabled {
             return;
         }

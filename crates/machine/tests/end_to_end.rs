@@ -1,11 +1,18 @@
 //! End-to-end machine tests: tiny synthetic workloads driven through every
 //! preset, checking atomicity and the expected mode behaviour.
 
+use clear_core::{PlanAddr, PlanClass, StaticPlan, StaticPlanSet};
+use clear_htm::AbortKind;
 use clear_isa::{
     ArId, ArInvocation, ArSpec, Mutability, Program, ProgramBuilder, Reg, Workload, WorkloadMeta,
 };
-use clear_machine::{Machine, Preset};
+use clear_machine::{
+    AbortCounts, ArStatsEntry, Machine, MachineConfig, ModeCommits, Preset, RunStats, TraceEvent,
+};
 use clear_mem::{Addr, Memory};
+use clear_metrics::{families, MetricValue, MetricsRegistry};
+use clear_workloads::{by_name, Size};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Builds the canonical increment program: `mem[r0] += 1`.
@@ -360,7 +367,6 @@ fn in_core_small_ars_still_speculate() {
 
 #[test]
 fn trace_records_the_clear_protocol_sequence() {
-    use clear_machine::TraceEvent;
     let mut cfg = Preset::C.config(4, 4);
     cfg.seed = 42;
     let mut m = Machine::new(cfg, Box::new(SharedCounter::new(40)));
@@ -415,20 +421,164 @@ fn trace_records_the_clear_protocol_sequence() {
     }
 }
 
+/// `RunStats` as text, minus the host wall time and the trace-only
+/// counters: the fields every sink combination must leave unchanged.
+fn stats_digest(s: &RunStats) -> String {
+    let mut s = s.clone();
+    s.perf.run_wall_ns = 0;
+    s.perf.trace_events_recorded = 0;
+    s.perf.trace_events_dropped = 0;
+    format!("{s:?}")
+}
+
+/// Runs `cfg` four times — plain, traced, metrics on, both — asserts the
+/// four `RunStats` agree, and returns the run with both sinks on.
+fn run_every_sink(
+    cfg: &MachineConfig,
+    workload: impl Fn() -> Box<dyn Workload>,
+) -> (Machine, RunStats) {
+    let mut runs = Vec::new();
+    for (tracing, metrics) in [(false, false), (true, false), (false, true), (true, true)] {
+        let mut m = Machine::new(cfg.clone(), workload());
+        if tracing {
+            m.enable_tracing();
+        }
+        if metrics {
+            m.enable_metrics();
+        }
+        let s = m.run();
+        assert!(!s.timed_out);
+        assert_eq!(m.trace().is_empty(), !tracing, "tracing is opt-in");
+        assert_eq!(m.metrics().is_some(), metrics, "metrics are opt-in");
+        runs.push((m, s));
+    }
+    let plain = stats_digest(&runs[0].1);
+    for (i, (_, s)) in runs.iter().enumerate() {
+        assert_eq!(stats_digest(s), plain, "sink set {i} perturbed RunStats");
+    }
+    runs.pop().expect("four runs")
+}
+
 #[test]
 fn tracing_disabled_by_default_and_does_not_change_results() {
     let mut cfg = Preset::C.config(4, 4);
     cfg.seed = 42;
-    let mut a = Machine::new(cfg.clone(), Box::new(SharedCounter::new(40)));
-    let sa = a.run();
-    assert!(a.trace().is_empty());
+    run_every_sink(&cfg, || Box::new(SharedCounter::new(40)));
+}
 
-    let mut b = Machine::new(cfg, Box::new(SharedCounter::new(40)));
-    b.enable_tracing();
-    let sb = b.run();
+fn counter(reg: &MetricsRegistry, family: &str, labels: &[(&str, &str)]) -> u64 {
+    match reg.get(family, labels) {
+        Some(MetricValue::Counter(n)) => *n,
+        None => 0,
+        Some(other) => panic!("{family} is not a counter: {other:?}"),
+    }
+}
+
+/// Folds the trace of a run with both sinks on and checks that the trace,
+/// `RunStats` and the metrics registry saw the same commits, aborts, lock
+/// waits and discovery elisions.
+fn assert_sinks_agree(m: &Machine, s: &RunStats) {
+    let reg = m.metrics().expect("metrics enabled");
+    assert_eq!(m.trace().dropped(), 0, "the whole stream is retained");
+    // Core → the AR it fetched last, which every later event belongs to.
+    let mut fetched: BTreeMap<usize, u32> = BTreeMap::new();
+    let mut commits = ModeCommits::default();
+    let mut aborts = AbortCounts::default();
+    let mut per_ar: BTreeMap<u32, ArStatsEntry> = BTreeMap::new();
+    let (mut lock_wait, mut elided) = (0u64, 0u64);
+    for r in m.trace().records() {
+        let ar = fetched.get(&r.core).copied();
+        match r.event {
+            TraceEvent::ArFetched { ar } => {
+                fetched.insert(r.core, ar.0);
+            }
+            TraceEvent::Commit { mode, .. } => {
+                commits.record(mode);
+                let e = per_ar.entry(ar.expect("fetched")).or_default();
+                e.commits += 1;
+                e.by_mode.record(mode);
+            }
+            TraceEvent::Abort { kind, .. } => {
+                aborts.record(kind);
+                per_ar.entry(ar.expect("fetched")).or_default().aborts += 1;
+            }
+            TraceEvent::LockAcquired { wait_cycles, .. } => lock_wait += wait_cycles,
+            TraceEvent::DiscoveryElided { .. } => elided += 1,
+            _ => {}
+        }
+    }
+    assert_eq!(commits, s.commits_by_mode);
+    for (label, want) in [
+        ("speculative", commits.speculative),
+        ("scl", commits.scl),
+        ("nscl", commits.nscl),
+        ("fallback", commits.fallback),
+    ] {
+        let got = counter(reg, families::COMMITS, &[("mode", label)]);
+        assert_eq!(got, want, "{label} commits");
+    }
+    for kind in AbortKind::ALL {
+        // Explicit-fallback aborts are counted only in `RunStats`.
+        let want = if kind == AbortKind::ExplicitFallback {
+            0
+        } else {
+            s.aborts.get(kind)
+        };
+        assert_eq!(aborts.get(kind), want, "{kind} abort records");
+        let cause = kind.to_string();
+        assert_eq!(
+            counter(reg, families::ABORTS, &[("cause", &cause)]),
+            want,
+            "{kind} abort metric"
+        );
+    }
+    assert_eq!(per_ar, s.ar_stats, "per-AR commits and aborts");
+    let wait_hist = reg.hist(families::LOCK_WAIT_CYCLES, &[]);
     assert_eq!(
-        sa.total_cycles, sb.total_cycles,
-        "tracing must not perturb timing"
+        wait_hist.map_or(0, |h| h.sum()),
+        lock_wait,
+        "lock wait cycles"
     );
-    assert_eq!(sa.aborts.total(), sb.aborts.total());
+    assert_eq!(elided, s.discovery_runs_elided, "discovery elisions");
+}
+
+#[test]
+fn trace_stats_and_metrics_agree_on_every_event() {
+    // Contended CLEAR: failed-mode discovery, NS-CL locks, aborts.
+    let mut cfg = Preset::C.config(8, 4);
+    cfg.seed = 7;
+    let (m, s) = run_every_sink(&cfg, || Box::new(SharedCounter::new(30)));
+    assert!(s.commits_by_mode.nscl > 0 && s.aborts.total() > 0);
+    assert_sinks_agree(&m, &s);
+
+    // A STAMP model: several ARs, S-CL and the fallback path.
+    let mut cfg = Preset::C.config(8, 2);
+    cfg.seed = 3;
+    let (m, s) = run_every_sink(&cfg, || {
+        by_name("intruder", Size::Tiny, 3).expect("known benchmark")
+    });
+    assert!(s.ar_stats.len() > 1);
+    assert_sinks_agree(&m, &s);
+
+    // A proved-immutable static plan: discovery is elided.
+    let mut plans = StaticPlanSet::new();
+    let counter_line = PlanAddr::Sym { reg: 0, delta: 0 };
+    plans.insert(
+        0,
+        StaticPlan {
+            class: PlanClass::Immutable,
+            lock_set: vec![counter_line],
+            written: vec![counter_line],
+            root_slots: vec![],
+            complete: true,
+            bound_lines: 1,
+            bound_written: 1,
+        },
+    );
+    let mut cfg = Preset::C.config(8, 4);
+    cfg.seed = 7;
+    cfg.static_plans = Some(Arc::new(plans));
+    let (m, s) = run_every_sink(&cfg, || Box::new(SharedCounter::new(30)));
+    assert!(s.discovery_runs_elided > 0);
+    assert_sinks_agree(&m, &s);
 }
