@@ -9,14 +9,17 @@
 //!   instruction mixes, bounded loops, pointer chases up to the ALT
 //!   depth);
 //! - [`exec`] is the sequential reference executor over the VM;
-//! - [`oracle`] runs each program through the machine solo, under
-//!   contention, and across every built-in speculation backend
-//!   ([`check_case_matrix`]) and compares memory images, commit/abort
+//! - [`oracle`] runs each program through the machine in *legs* — solo,
+//!   contended and static fast path under CLEAR, or a discovery and a
+//!   fast-path leg per built-in speculation backend
+//!   ([`check_case_matrix`]) — and applies one check battery to every
+//!   leg: memory image against the serial VM replay, commit/abort
 //!   accounting, the paper's single-retry bound, capacity-abort
-//!   accounting, and static-verdict soundness;
+//!   accounting and plan-guard trips, plus static-verdict soundness over
+//!   the contended trace;
 //! - [`shrink`](mod@shrink) reduces failing cases to minimal reproducers;
 //! - [`litmus`] pins the classic relaxed-memory shapes (SB, LB, MP, IRIW)
-//!   to their atomic outcomes — the harness's `litmus-conformance` gate.
+//!   to their atomic outcomes — the harness's `litmus-backends` gate.
 //!
 //! Everything is a pure function of `(master_seed, index)`: corpus files
 //! persist only those two numbers, and reports are byte-reproducible
@@ -40,5 +43,5 @@ pub use oracle::{
     check_case, check_case_at, check_case_matrix, BackendOutcome, CaseReport, Divergence,
     MatrixReport,
 };
-pub use shrink::{shrink, shrink_with, Shrunk};
+pub use shrink::{shrink_with, Shrunk};
 pub use workload::{initial_image, FuzzWorkload, Layout, SharedSlot};

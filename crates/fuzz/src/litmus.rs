@@ -6,9 +6,9 @@
 //! **impossible** here: ARs serialize, and every relaxed outcome requires
 //! interleaving inside a region. The forbidden predicate of each case is
 //! exactly that relaxed outcome; observing it even once means atomicity
-//! broke. The harness's `litmus-conformance` experiment runs every case
-//! across all machine presets and a seed sweep and pins the forbidden
-//! counts to zero in a golden file.
+//! broke. The harness's `litmus-backends` experiment runs every case
+//! across every backend id and a seed sweep and pins the forbidden counts
+//! to zero in a golden file.
 
 use crate::workload::SharedSlot;
 use clear_isa::{
@@ -198,7 +198,7 @@ pub fn cases() -> Vec<LitmusCase> {
 pub const IRIW_WIDE_READERS: usize = 126;
 
 /// Wide litmus variants exercising the many-core machine. Kept out of
-/// [`cases`] so the golden-gated `litmus-conformance` corpus and its
+/// [`cases`] so the golden-gated `litmus-backends` corpus and its
 /// baseline stay byte-identical; the harness and unit tests run these
 /// directly at 128 simulated cores.
 ///

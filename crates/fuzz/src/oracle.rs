@@ -4,7 +4,7 @@
 //!
 //! 1. **the clear-isa VM** ([`crate::exec`]) as the sequential reference —
 //!    final memory after replaying every committed invocation serially
-//!    must equal the machine's final memory, both solo and contended;
+//!    must equal the machine's final memory;
 //! 2. **the full machine** — commit/abort accounting must close (every
 //!    invocation commits exactly once, no explicit or fault aborts), and
 //!    the paper's single-retry bound must hold: an attempt started in a
@@ -15,23 +15,26 @@
 //!    whose failed-mode discovery later observes a mutable footprint is a
 //!    soundness violation, full stop.
 //!
-//! [`check_case_matrix`] widens check 1 and 2 across every built-in
-//! [`BackendId`]: the same case runs under all five speculation backends
-//! and each final memory image is cross-checked against the serial VM
-//! replay. The single-retry scan rides the backend's own
-//! `guarantees_commit` answer (only CLEAR promises the bound), and the
-//! limited-R/W-set backend's capacity-abort counters must reconcile with
-//! the abort taxonomy.
+//! Every machine run is one *leg*: a backend, a core count, an optional
+//! static plan set and a phase label. Every leg runs the same check
+//! battery in one fixed order — the run finished, no plan-guard trips, no
+//! dropped trace events, no explicit or fault aborts, the commit count by
+//! the statistics and by the trace, capacity accounting (limited-R/W-set
+//! buffer overflows are a subset of the capacity aborts, and only a
+//! bounded backend reports any), the per-core single-retry scan, and the
+//! final memory against the serial VM replay — and reports the first
+//! failure tagged with its phase.
 //!
-//! Check 4 — **the static fast path** — re-runs the contended
-//! configuration with [`clear_analysis::static_plan`]'s plan installed in
-//! the machine: the fast-path run must land on the byte-identical final
-//! memory, the same commit count, the single-retry bound, and zero
-//! plan-guard violations. A plan whose proved-immutable AR dynamically
-//! mutates trips the NS-CL guard and is an instant
-//! [`Divergence::PlanViolation`]. The matrix oracle runs the same check
-//! under every backend (plans are inert off-CLEAR, which the leg then
-//! doubles as a control for).
+//! [`check_case`] runs three legs under CLEAR: `solo` (one core),
+//! `contended` (every thread on the same lines, followed by the soundness
+//! scan of its trace) and `fastpath`, the contended configuration with
+//! [`clear_analysis::static_plan`]'s plan installed. A plan whose
+//! proved-immutable AR dynamically mutates trips the NS-CL guard and is an
+//! instant [`Divergence::PlanViolation`]. [`check_case_matrix`] runs two
+//! legs per built-in [`BackendId`], `<backend>` and `<backend>+plan`;
+//! plans are inert off-CLEAR, which the plan leg then doubles as a
+//! control for. The single-retry scan rides each backend's own
+//! `guarantees_commit` answer (only CLEAR promises the bound).
 //!
 //! Every check reports a structured [`Divergence`] instead of panicking,
 //! so the harness can shrink the case and file a reproducer.
@@ -42,7 +45,7 @@ use crate::workload::{initial_image, FuzzWorkload, Layout};
 use clear_analysis::{static_plan, StaticBudget, StaticVerdict};
 use clear_core::{RetryMode, StaticPlanSet};
 use clear_htm::AbortKind;
-use clear_machine::{BackendId, Machine, Preset, TraceEvent};
+use clear_machine::{BackendId, Machine, RunStats, TraceEvent};
 use clear_mem::{Addr, Memory, WORD_BYTES};
 use std::fmt;
 use std::sync::Arc;
@@ -55,7 +58,8 @@ const MAX_RETRIES: u32 = 5;
 pub enum Divergence {
     /// The run under test never finished.
     TimedOut {
-        /// `"solo"` or `"contended"`.
+        /// The leg's phase: `solo`, `contended`, `fastpath`,
+        /// `<backend>` or `<backend>+plan`.
         phase: &'static str,
     },
     /// The trace ring dropped events, so the replay order is incomplete.
@@ -65,7 +69,8 @@ pub enum Divergence {
     },
     /// Commit count differs from the invocation count.
     CommitCount {
-        /// `"solo"` or `"contended"`.
+        /// The leg's phase: `solo`, `contended`, `fastpath`,
+        /// `<backend>` or `<backend>+plan`.
         phase: &'static str,
         /// Commits observed.
         got: u64,
@@ -91,7 +96,8 @@ pub enum Divergence {
     },
     /// Final memory differs between machine and reference replay.
     MemoryMismatch {
-        /// `"solo"` or `"contended"`.
+        /// The leg's phase: `solo`, `contended`, `fastpath`,
+        /// `<backend>` or `<backend>+plan`.
         phase: &'static str,
         /// First differing byte address.
         addr: Addr,
@@ -235,9 +241,11 @@ pub struct CaseReport {
     pub threads: usize,
     /// Invocations per thread.
     pub invocations: usize,
-    /// Instructions the machine retired across both phases.
+    /// Instructions the machine retired across the solo, contended and
+    /// fast-path legs.
     pub machine_instructions: u64,
-    /// Steps the reference VM retired across both phases.
+    /// Steps the reference VM retired replaying the solo and contended
+    /// legs (the fast-path leg shares the contended replay).
     pub reference_steps: u64,
     /// Machine commits by mode in the contended phase
     /// `(speculative, nscl, scl, fallback)`.
@@ -272,20 +280,36 @@ fn case_plans(case: &FuzzCase) -> Arc<StaticPlanSet> {
     Arc::new(plans)
 }
 
-/// Replays `n` reference invocations serially on `mem`; returns total
-/// steps or the divergence.
-fn replay(case: &FuzzCase, layout: &Layout, mem: &mut Memory, n: usize) -> Result<u64, Divergence> {
-    let args = case.args(layout);
+/// The serial VM replay a leg's final memory must equal.
+struct Reference {
+    layout: Layout,
+    memory: Memory,
+    /// Steps the reference VM retired.
+    steps: u64,
+}
+
+/// Replays `cores * invocations` invocations serially on the initial
+/// image for `cores` threads. Commit-event order is the serialization
+/// order (see `Trace::commits`), and every invocation runs the same
+/// program with the same args, so an atomic run on `cores` cores must
+/// land on exactly this image.
+fn reference(case: &Arc<FuzzCase>, cores: usize) -> Result<Reference, Divergence> {
+    let (mut memory, layout) = initial_image(case, cores);
+    let args = case.args(&layout);
     let mut steps = 0;
-    for _ in 0..n {
-        match run_invocation(&case.program, &args, mem) {
+    for _ in 0..cores * case.invocations {
+        match run_invocation(&case.program, &args, &mut memory) {
             RefOutcome::Committed { steps: s } => steps += s,
             RefOutcome::Fault { addr } => return Err(Divergence::ReferenceFault { addr }),
             RefOutcome::ExplicitAbort { code } => return Err(Divergence::ReferenceAbort { code }),
             RefOutcome::Runaway => return Err(Divergence::ReferenceRunaway),
         }
     }
-    Ok(steps)
+    Ok(Reference {
+        layout,
+        memory,
+        steps,
+    })
 }
 
 /// Compares two memory images from `start` up; missing trailing words read
@@ -341,6 +365,105 @@ fn single_retry_violation(
     None
 }
 
+/// One traced machine run of a case and the check battery's verdict.
+struct Leg {
+    stats: RunStats,
+    /// The finished machine, kept for its trace.
+    machine: Machine,
+    /// The first check the run failed; `None` means it passed them all.
+    divergence: Option<Divergence>,
+}
+
+/// Runs `case` on `cores` cores of backend `id`, traced and with `plans`
+/// installed if given, then applies the check battery against
+/// `reference`. A divergence carries `phase` where it names one.
+fn leg(
+    case: &Arc<FuzzCase>,
+    id: BackendId,
+    cores: usize,
+    plans: Option<Arc<StaticPlanSet>>,
+    phase: &'static str,
+    reference: &Result<Reference, Divergence>,
+) -> Leg {
+    let mut cfg = id.config(cores, MAX_RETRIES);
+    cfg.seed = case.seed;
+    cfg.static_plans = plans;
+    let mut machine = Machine::new(cfg, Box::new(FuzzWorkload::new(Arc::clone(case))));
+    machine.enable_tracing();
+    let stats = machine.run();
+    let want = (cores * case.invocations) as u64;
+    let divergence = battery(&machine, &stats, id.name(), phase, cores, want, reference).err();
+    Leg {
+        stats,
+        machine,
+        divergence,
+    }
+}
+
+/// The check battery every leg runs, in its one fixed order.
+fn battery(
+    machine: &Machine,
+    run: &RunStats,
+    backend: &'static str,
+    phase: &'static str,
+    cores: usize,
+    want: u64,
+    reference: &Result<Reference, Divergence>,
+) -> Result<(), Divergence> {
+    if run.timed_out {
+        return Err(Divergence::TimedOut { phase });
+    }
+    if run.static_plan_violations > 0 {
+        return Err(Divergence::PlanViolation {
+            count: run.static_plan_violations,
+        });
+    }
+    let trace = machine.trace();
+    if trace.dropped() > 0 {
+        return Err(Divergence::TraceDropped {
+            dropped: trace.dropped(),
+        });
+    }
+    let explicit = run.aborts.get(AbortKind::Explicit);
+    if explicit > 0 {
+        return Err(Divergence::ExplicitAbort { count: explicit });
+    }
+    let faults = run.aborts.get(AbortKind::Other);
+    if faults > 0 {
+        return Err(Divergence::FaultAbort { count: faults });
+    }
+    let (counted, traced) = (run.commits_by_mode.total(), trace.commits().count() as u64);
+    if counted != want || traced != want {
+        return Err(Divergence::CommitCount {
+            phase,
+            got: counted.min(traced),
+            want,
+        });
+    }
+    // Buffer overflows are a subset of the Capacity bucket, and only a
+    // bounded backend may report any.
+    let lrws = run.lrws_capacity_aborts();
+    let capacity = run.aborts.get(AbortKind::Capacity);
+    let bounded = machine.backend().rw_limits().is_some();
+    if (bounded && lrws > capacity) || (!bounded && lrws > 0) {
+        return Err(Divergence::CapacityAccounting {
+            backend,
+            lrws,
+            capacity,
+        });
+    }
+    for core in 0..cores {
+        let events = trace.core_events(core).cloned();
+        if let Some(d) =
+            single_retry_violation(events, core, |m| machine.backend().guarantees_commit(m))
+        {
+            return Err(d);
+        }
+    }
+    let Reference { layout, memory, .. } = reference.as_ref().map_err(Clone::clone)?;
+    compare_images(phase, layout.start, machine.memory(), memory).map_or(Ok(()), Err)
+}
+
 /// Runs the full differential oracle on one case at the case's own
 /// contended-phase thread count.
 pub fn check_case(case: &Arc<FuzzCase>) -> CaseReport {
@@ -377,49 +500,38 @@ pub fn check_case_at(case: &Arc<FuzzCase>, cores: usize) -> CaseReport {
         fastpath_partial: 0,
         divergence: None,
     };
+    let immutable = analysis.verdict == StaticVerdict::StaticImmutable;
+    report.divergence = clear_legs(case, cores, immutable, &mut report).err();
+    report
+}
 
-    // Phase 1: solo — one core, no contention. Any abort at all here is
-    // suspicious, but the binding check is the memory image.
-    {
-        let mut cfg = Preset::C.config(1, MAX_RETRIES);
-        cfg.seed = case.seed;
-        let mut machine = Machine::new(cfg, Box::new(FuzzWorkload::new(Arc::clone(case))));
-        let stats = machine.run();
-        report.machine_instructions += stats.instructions_retired;
-        if stats.timed_out {
-            report.divergence = Some(Divergence::TimedOut { phase: "solo" });
-            return report;
-        }
-        let want = case.invocations as u64;
-        if stats.commits_by_mode.total() != want {
-            report.divergence = Some(Divergence::CommitCount {
-                phase: "solo",
-                got: stats.commits_by_mode.total(),
-                want,
-            });
-            return report;
-        }
-        let (mut ref_mem, layout) = initial_image(case, 1);
-        match replay(case, &layout, &mut ref_mem, case.invocations) {
-            Ok(steps) => report.reference_steps += steps,
-            Err(d) => {
-                report.divergence = Some(d);
-                return report;
-            }
-        }
-        if let Some(d) = compare_images("solo", layout.start, machine.memory(), &ref_mem) {
-            report.divergence = Some(d);
-            return report;
-        }
-    }
+/// The three CLEAR legs of [`check_case_at`], filling `report` as each
+/// finishes and stopping at the first divergence. `immutable` arms the
+/// soundness scan over the contended trace.
+fn clear_legs(
+    case: &Arc<FuzzCase>,
+    cores: usize,
+    immutable: bool,
+    report: &mut CaseReport,
+) -> Result<(), Divergence> {
+    let clear_leg = |cores, plans, phase, reference: &_| {
+        leg(case, BackendId::Clear, cores, plans, phase, reference)
+    };
+    let steps = |reference: &Result<Reference, _>| reference.as_ref().map_or(0, |r| r.steps);
 
-    // Phase 2: contended — every thread hammers the same lines, tracing on.
-    let mut cfg = Preset::C.config(cores, MAX_RETRIES);
-    cfg.seed = case.seed;
-    let mut machine = Machine::new(cfg, Box::new(FuzzWorkload::new(Arc::clone(case))));
-    machine.enable_tracing();
-    let stats = machine.run();
+    // Solo: one core, no contention.
+    let solo_ref = reference(case, 1);
+    let solo = clear_leg(1, None, "solo", &solo_ref);
+    report.machine_instructions += solo.stats.instructions_retired;
+    report.reference_steps += steps(&solo_ref);
+    solo.divergence.map_or(Ok(()), Err)?;
+
+    // Contended: every thread hammers the same lines.
+    let contended_ref = reference(case, cores);
+    let contended = clear_leg(cores, None, "contended", &contended_ref);
+    let stats = &contended.stats;
     report.machine_instructions += stats.instructions_retired;
+    report.reference_steps += steps(&contended_ref);
     report.mode_commits = (
         stats.commits_by_mode.speculative,
         stats.commits_by_mode.nscl,
@@ -427,145 +539,30 @@ pub fn check_case_at(case: &Arc<FuzzCase>, cores: usize) -> CaseReport {
         stats.commits_by_mode.fallback,
     );
     report.aborts = stats.aborts.total();
-    if stats.timed_out {
-        report.divergence = Some(Divergence::TimedOut { phase: "contended" });
-        return report;
-    }
-    if machine.trace().dropped() > 0 {
-        report.divergence = Some(Divergence::TraceDropped {
-            dropped: machine.trace().dropped(),
-        });
-        return report;
-    }
-    let explicit = stats.aborts.get(AbortKind::Explicit);
-    if explicit > 0 {
-        report.divergence = Some(Divergence::ExplicitAbort { count: explicit });
-        return report;
-    }
-    let faults = stats.aborts.get(AbortKind::Other);
-    if faults > 0 {
-        report.divergence = Some(Divergence::FaultAbort { count: faults });
-        return report;
-    }
-    let want = (cores * case.invocations) as u64;
-    let committed = machine.trace().commits().count() as u64;
-    if stats.commits_by_mode.total() != want || committed != want {
-        report.divergence = Some(Divergence::CommitCount {
-            phase: "contended",
-            got: stats.commits_by_mode.total().min(committed),
-            want,
-        });
-        return report;
-    }
-    for core in 0..cores {
-        if let Some(d) =
-            single_retry_violation(machine.trace().core_events(core).cloned(), core, |m| {
-                machine.backend().guarantees_commit(m)
-            })
-        {
-            report.divergence = Some(d);
-            return report;
-        }
-    }
-    // Serialization replay: commit-event order is the serialization order
-    // (see `Trace::commits`); every invocation runs the same program with
-    // the same args, so replaying `want` of them serially must land on
-    // exactly the machine's final image if the ARs were atomic.
-    let (mut ref_mem, layout) = initial_image(case, cores);
-    match replay(case, &layout, &mut ref_mem, want as usize) {
-        Ok(steps) => report.reference_steps += steps,
-        Err(d) => {
-            report.divergence = Some(d);
-            return report;
-        }
-    }
-    if let Some(d) = compare_images("contended", layout.start, machine.memory(), &ref_mem) {
-        report.divergence = Some(d);
-        return report;
-    }
+    contended.divergence.map_or(Ok(()), Err)?;
 
-    // Phase 3: static-verdict soundness against the traced decisions.
-    if analysis.verdict == StaticVerdict::StaticImmutable {
-        let contradicted = machine
+    // Static-verdict soundness against the traced decisions.
+    if immutable {
+        let mutable = contended
+            .machine
             .trace()
             .records()
-            .filter(|r| {
-                matches!(
-                    r.event,
-                    TraceEvent::Decision {
-                        immutable: false,
-                        ..
-                    }
-                )
-            })
-            .count() as u64;
-        if contradicted > 0 {
-            report.divergence = Some(Divergence::SoundnessViolation {
-                decisions: contradicted,
-            });
-            return report;
+            .filter(|r| matches!(r.event, TraceEvent::Decision { immutable: m, .. } if !m));
+        let decisions = mutable.count() as u64;
+        if decisions > 0 {
+            return Err(Divergence::SoundnessViolation { decisions });
         }
     }
 
-    // Phase 4: the static fast path. The same contended configuration
-    // with the analyzer's plan installed must be indistinguishable from
-    // discovery: identical final memory, the same commit count, the
-    // single-retry bound, and no plan-guard trips. A fast-path AR that
-    // dynamically mutates is an instant divergence.
+    // The static fast path: the contended configuration with the
+    // analyzer's plan installed must be indistinguishable from discovery.
     let plans = case_plans(case);
     report.planned_ars = plans.len();
-    let mut cfg = Preset::C.config(cores, MAX_RETRIES);
-    cfg.seed = case.seed;
-    cfg.static_plans = Some(plans);
-    let mut machine = Machine::new(cfg, Box::new(FuzzWorkload::new(Arc::clone(case))));
-    machine.enable_tracing();
-    let stats = machine.run();
-    report.machine_instructions += stats.instructions_retired;
-    report.fastpath_elided = stats.discovery_runs_elided;
-    report.fastpath_partial = stats.partial_discovery_runs;
-    if stats.timed_out {
-        report.divergence = Some(Divergence::TimedOut { phase: "fastpath" });
-        return report;
-    }
-    if stats.static_plan_violations > 0 {
-        report.divergence = Some(Divergence::PlanViolation {
-            count: stats.static_plan_violations,
-        });
-        return report;
-    }
-    if machine.trace().dropped() > 0 {
-        report.divergence = Some(Divergence::TraceDropped {
-            dropped: machine.trace().dropped(),
-        });
-        return report;
-    }
-    if stats.commits_by_mode.total() != want {
-        report.divergence = Some(Divergence::CommitCount {
-            phase: "fastpath",
-            got: stats.commits_by_mode.total(),
-            want,
-        });
-        return report;
-    }
-    for core in 0..cores {
-        if let Some(d) =
-            single_retry_violation(machine.trace().core_events(core).cloned(), core, |m| {
-                machine.backend().guarantees_commit(m)
-            })
-        {
-            report.divergence = Some(d);
-            return report;
-        }
-    }
-    // Every invocation runs the same program with the same args, so the
-    // fast-path serialization replays to the same image the baseline
-    // replay already produced.
-    if let Some(d) = compare_images("fastpath", layout.start, machine.memory(), &ref_mem) {
-        report.divergence = Some(d);
-        return report;
-    }
-
-    report
+    let fastpath = clear_leg(cores, Some(plans), "fastpath", &contended_ref);
+    report.machine_instructions += fastpath.stats.instructions_retired;
+    report.fastpath_elided = fastpath.stats.discovery_runs_elided;
+    report.fastpath_partial = fastpath.stats.partial_discovery_runs;
+    fastpath.divergence.map_or(Ok(()), Err)
 }
 
 /// One backend's verdict on a matrix case.
@@ -586,18 +583,6 @@ pub struct BackendOutcome {
     pub fastpath_elided: u64,
     /// The first divergence under this backend; `None` means it passed.
     pub divergence: Option<Divergence>,
-}
-
-/// Phase label for the fast-path leg of one backend's matrix run.
-fn fastpath_phase(id: BackendId) -> &'static str {
-    match id {
-        BackendId::Tsx => "tsx+plan",
-        BackendId::PowerTm => "powertm+plan",
-        BackendId::Sle => "sle+plan",
-        BackendId::Clear => "clear+plan",
-        BackendId::Lrws => "lrws+plan",
-        BackendId::ClearPowerTm => "clear-powertm+plan",
-    }
 }
 
 /// The backend-matrix oracle's account of one case: one
@@ -631,150 +616,58 @@ impl MatrixReport {
 }
 
 /// Runs one fuzz case under every built-in speculation backend
-/// ([`BackendId::ALL`]) at the case's own thread count, cross-checking
-/// each backend's final memory image against the serial VM replay.
-///
-/// Per backend: the run must finish, trace nothing away, commit exactly
-/// `threads * invocations` ARs (both by the statistics and by the trace),
-/// raise no explicit or fault-class aborts, uphold the single-retry bound
-/// wherever its own `guarantees_commit` promises one, and reconcile the
-/// limited-R/W-set buffer counters with the Capacity bucket of the abort
-/// taxonomy (non-bounded backends must report zero buffer overflows).
+/// ([`BackendId::ALL`]) at the case's own thread count: per backend, a
+/// discovery leg and a fast-path leg with the analyzer's plan installed,
+/// each through the full check battery against one shared serial VM
+/// replay.
 pub fn check_case_matrix(case: &Arc<FuzzCase>) -> MatrixReport {
-    let mut report = MatrixReport {
+    let reference = reference(case, case.threads);
+    let plans = case_plans(case);
+    MatrixReport {
         index: case.index,
         seed: case.seed,
         threads: case.threads,
         invocations: case.invocations,
-        outcomes: Vec::with_capacity(BackendId::ALL.len()),
-    };
-    for id in BackendId::ALL {
-        report.outcomes.push(check_backend(case, id));
+        outcomes: BackendId::ALL
+            .into_iter()
+            .map(|id| check_backend(case, id, &plans, &reference))
+            .collect(),
     }
-    report
 }
 
-/// One backend's leg of the matrix: contended run + full check battery.
-fn check_backend(case: &Arc<FuzzCase>, id: BackendId) -> BackendOutcome {
-    let name = id.name();
-    let mut cfg = id.config(case.threads, MAX_RETRIES);
-    cfg.seed = case.seed;
-    let mut machine = Machine::new(cfg, Box::new(FuzzWorkload::new(Arc::clone(case))));
-    debug_assert_eq!(machine.backend().name(), name);
-    machine.enable_tracing();
-    let stats = machine.run();
+/// One backend's two matrix legs; the fast-path leg runs only if the
+/// discovery leg passed.
+fn check_backend(
+    case: &Arc<FuzzCase>,
+    id: BackendId,
+    plans: &Arc<StaticPlanSet>,
+    reference: &Result<Reference, Divergence>,
+) -> BackendOutcome {
+    let plain = leg(case, id, case.threads, None, id.name(), reference);
+    let stats = &plain.stats;
     let mut outcome = BackendOutcome {
-        backend: name,
+        backend: id.name(),
         commits: stats.commits_by_mode.total(),
         aborts: stats.aborts.total(),
         capacity_aborts: stats.aborts.get(AbortKind::Capacity),
         lrws_capacity_aborts: stats.lrws_capacity_aborts(),
         fastpath_elided: 0,
-        divergence: None,
+        divergence: plain.divergence,
     };
-    if stats.timed_out {
-        outcome.divergence = Some(Divergence::TimedOut { phase: name });
-        return outcome;
+    if outcome.divergence.is_none() {
+        let phase = match id {
+            BackendId::Tsx => "tsx+plan",
+            BackendId::PowerTm => "powertm+plan",
+            BackendId::Sle => "sle+plan",
+            BackendId::Clear => "clear+plan",
+            BackendId::Lrws => "lrws+plan",
+            BackendId::ClearPowerTm => "clear-powertm+plan",
+        };
+        let plans = Some(Arc::clone(plans));
+        let planned = leg(case, id, case.threads, plans, phase, reference);
+        outcome.fastpath_elided = planned.stats.discovery_runs_elided;
+        outcome.divergence = planned.divergence;
     }
-    if machine.trace().dropped() > 0 {
-        outcome.divergence = Some(Divergence::TraceDropped {
-            dropped: machine.trace().dropped(),
-        });
-        return outcome;
-    }
-    let explicit = stats.aborts.get(AbortKind::Explicit);
-    if explicit > 0 {
-        outcome.divergence = Some(Divergence::ExplicitAbort { count: explicit });
-        return outcome;
-    }
-    let faults = stats.aborts.get(AbortKind::Other);
-    if faults > 0 {
-        outcome.divergence = Some(Divergence::FaultAbort { count: faults });
-        return outcome;
-    }
-    let want = (case.threads * case.invocations) as u64;
-    let committed = machine.trace().commits().count() as u64;
-    if stats.commits_by_mode.total() != want || committed != want {
-        outcome.divergence = Some(Divergence::CommitCount {
-            phase: name,
-            got: stats.commits_by_mode.total().min(committed),
-            want,
-        });
-        return outcome;
-    }
-    // Capacity accounting: buffer overflows are a subset of the Capacity
-    // bucket, and only the bounded backend may report any.
-    let lrws = stats.lrws_capacity_aborts();
-    let capacity = stats.aborts.get(AbortKind::Capacity);
-    let bounded = machine.backend().rw_limits().is_some();
-    if (bounded && lrws > capacity) || (!bounded && lrws > 0) {
-        outcome.divergence = Some(Divergence::CapacityAccounting {
-            backend: name,
-            lrws,
-            capacity,
-        });
-        return outcome;
-    }
-    for core in 0..case.threads {
-        if let Some(d) =
-            single_retry_violation(machine.trace().core_events(core).cloned(), core, |m| {
-                machine.backend().guarantees_commit(m)
-            })
-        {
-            outcome.divergence = Some(d);
-            return outcome;
-        }
-    }
-    let (mut ref_mem, layout) = initial_image(case, case.threads);
-    if let Err(d) = replay(case, &layout, &mut ref_mem, want as usize) {
-        outcome.divergence = Some(d);
-        return outcome;
-    }
-    if let Some(d) = compare_images(name, layout.start, machine.memory(), &ref_mem) {
-        outcome.divergence = Some(d);
-        return outcome;
-    }
-
-    // The fast-path leg: same backend, plan installed. Under CLEAR it
-    // must elide discovery without changing anything observable; under
-    // every other backend it must be a strict no-op.
-    let phase = fastpath_phase(id);
-    let mut cfg = id.config(case.threads, MAX_RETRIES);
-    cfg.seed = case.seed;
-    cfg.static_plans = Some(case_plans(case));
-    let mut machine = Machine::new(cfg, Box::new(FuzzWorkload::new(Arc::clone(case))));
-    machine.enable_tracing();
-    let stats = machine.run();
-    outcome.fastpath_elided = stats.discovery_runs_elided;
-    if stats.timed_out {
-        outcome.divergence = Some(Divergence::TimedOut { phase });
-        return outcome;
-    }
-    if stats.static_plan_violations > 0 {
-        outcome.divergence = Some(Divergence::PlanViolation {
-            count: stats.static_plan_violations,
-        });
-        return outcome;
-    }
-    if stats.commits_by_mode.total() != want {
-        outcome.divergence = Some(Divergence::CommitCount {
-            phase,
-            got: stats.commits_by_mode.total(),
-            want,
-        });
-        return outcome;
-    }
-    for core in 0..case.threads {
-        if let Some(d) =
-            single_retry_violation(machine.trace().core_events(core).cloned(), core, |m| {
-                machine.backend().guarantees_commit(m)
-            })
-        {
-            outcome.divergence = Some(d);
-            return outcome;
-        }
-    }
-    outcome.divergence = compare_images(phase, layout.start, machine.memory(), &ref_mem);
     outcome
 }
 

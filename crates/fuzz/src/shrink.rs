@@ -5,7 +5,6 @@
 //! the generator could have emitted.
 
 use crate::gen::{FuzzCase, Shape};
-use crate::oracle::check_case;
 use std::sync::Arc;
 
 /// Oracle-run budget per shrink; a shrink never runs the machine more
@@ -21,14 +20,10 @@ pub struct Shrunk {
     pub attempts: u32,
 }
 
-/// Shrinks `case` against the real differential oracle.
-pub fn shrink(case: Arc<FuzzCase>) -> Shrunk {
-    shrink_with(case, |c| check_case(c).divergence.is_some())
-}
-
-/// Shrinks `case` against an arbitrary failure predicate (tests inject
-/// cheap predicates here). `fails(&case)` must be true on entry; the
-/// result is the smallest candidate for which it stayed true.
+/// Shrinks `case` against a failure predicate — the oracle check that
+/// failed, at the width it failed at (tests inject cheap predicates
+/// here). `fails(&case)` must be true on entry; the result is the
+/// smallest candidate for which it stayed true.
 pub fn shrink_with(case: Arc<FuzzCase>, fails: impl Fn(&Arc<FuzzCase>) -> bool) -> Shrunk {
     let mut best = case;
     let mut attempts = 0u32;

@@ -1,4 +1,4 @@
-//! The `fuzz` subcommand backend and the `litmus-conformance` gate.
+//! The `fuzz` subcommand backend and the `litmus-backends` gate.
 //!
 //! `fuzz_output` drives the clear-fuzz differential oracle over a seeded
 //! case range, shrinks every failure to a minimal reproducer, and renders
@@ -6,12 +6,10 @@
 //! throughput separately for `BENCH_fuzz.json`). `matrix_output`
 //! (`fuzz --matrix`) runs the same case range through every speculation
 //! backend via the backend-differential oracle. `replay_output` re-runs
-//! a checked-in regression corpus. `litmus_conformance` is the ninth
-//! gated experiment: the classic SB/LB/MP/IRIW shapes across every
-//! machine preset and a seed sweep, with each forbidden relaxed outcome
-//! pinned to zero in the golden; `litmus_backends` is its sibling gate
-//! sweeping the speculation backends instead of the presets. Both run
-//! the same body over a list of labelled backends.
+//! a checked-in regression corpus. `litmus_backends` is the atomicity
+//! conformance gate: the classic SB/LB/MP/IRIW shapes across every
+//! backend id and a seed sweep, with each forbidden relaxed outcome
+//! pinned to zero in the golden.
 
 use super::{opts_json, ExperimentOutput};
 use crate::json::Json;
@@ -19,10 +17,10 @@ use crate::pool;
 use crate::suite::SuiteOptions;
 use clear_fuzz::litmus::{cases, outcome_from, LitmusWorkload};
 use clear_fuzz::{
-    check_case, check_case_at, check_case_matrix, shrink, shrink_with, CaseReport, FuzzCase,
-    MatrixReport, Shrunk,
+    check_case_at, check_case_matrix, shrink_with, CaseReport, Divergence, FuzzCase, MatrixReport,
+    Shrunk,
 };
-use clear_machine::{BackendId, Machine, MachineConfig, Preset};
+use clear_machine::{BackendId, Machine, MachineConfig};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -62,34 +60,42 @@ struct CaseOutcome {
 
 /// Runs one generated case; `cores = 0` keeps the case's own
 /// contended-phase thread count, anything else overrides it (the
-/// `fuzz --cores` flag — wide-machine oracle runs).
+/// `fuzz --cores` flag — wide-machine oracle runs). A failure is shrunk
+/// against the same check that failed, at the same width.
 fn run_case(master_seed: u64, index: u64, cores: usize) -> CaseOutcome {
     let case = Arc::new(FuzzCase::generate(master_seed, index));
-    let report = if cores == 0 {
-        check_case(&case)
-    } else {
-        check_case_at(&case, cores)
-    };
-    let shrunk = report.divergence.is_some().then(|| shrink(case));
+    let check = |c: &Arc<FuzzCase>| check_case_at(c, if cores == 0 { c.threads } else { cores });
+    let report = check(&case);
+    let shrunk = report
+        .divergence
+        .is_some()
+        .then(|| shrink_with(case, |c| check(c).divergence.is_some()));
     CaseOutcome { report, shrunk }
 }
 
-fn failure_json(o: &CaseOutcome) -> Json {
-    let d = o.report.divergence.as_ref().expect("failing case");
+/// One failure object of a report: the failing case, the contended width
+/// it failed at, the divergence (and the backend it hit under, for the
+/// matrix), and the shrunk reproducer if there is one.
+fn failure_json(
+    index: u64,
+    seed: u64,
+    cores: usize,
+    backend: Option<&str>,
+    d: &Divergence,
+    shrunk: Option<&Shrunk>,
+) -> Json {
     let mut fields = vec![
-        ("index", Json::from(o.report.index)),
-        ("seed", hex(o.report.seed)),
+        ("index", Json::from(index)),
+        ("seed", hex(seed)),
+        ("cores", Json::from(cores)),
+    ];
+    fields.extend(backend.map(|b| ("backend", Json::from(b))));
+    fields.extend([
         ("kind", Json::from(d.kind())),
         ("detail", Json::from(d.to_string())),
-    ];
-    if let Some(s) = &o.shrunk {
-        let program: Vec<Json> = s
-            .case
-            .program
-            .instrs()
-            .iter()
-            .map(|i| Json::from(i.to_string()))
-            .collect();
+    ]);
+    if let Some(s) = shrunk {
+        let program = s.case.program.instrs().iter().map(|i| i.to_string());
         fields.push((
             "shrunk",
             Json::obj([
@@ -97,16 +103,11 @@ fn failure_json(o: &CaseOutcome) -> Json {
                 ("invocations", Json::from(s.case.invocations)),
                 ("shapes", Json::from(s.case.shapes.len())),
                 ("attempts", Json::from(s.attempts)),
-                ("program", Json::Arr(program)),
+                ("program", Json::arr(program.map(Json::from))),
             ]),
         ));
     }
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+    Json::obj(fields)
 }
 
 /// Aggregates a slice of case outcomes into the deterministic report
@@ -153,7 +154,8 @@ fn aggregate(
             if d.kind() == "soundness-violation" {
                 soundness += 1;
             }
-            failures.push(failure_json(o));
+            let shrunk = o.shrunk.as_ref();
+            failures.push(failure_json(r.index, r.seed, r.threads, None, d, shrunk));
         }
     }
     let diverged = failures.len();
@@ -295,10 +297,10 @@ pub fn replay_output(entries: &[(String, u64, u64)], workers: usize) -> Experime
     out
 }
 
-/// Pinned options for the two litmus goldens: six seeds, retry threshold
-/// 5, every preset (`litmus-conformance`) or every swept backend
-/// (`litmus-backends`). Cores-per-run always equals the case's thread
-/// count, so `cores` here is only documentation.
+/// Pinned options for the `litmus-backends` golden: six seeds, retry
+/// threshold 5, every backend id — the five swept ones plus
+/// `clear-powertm` (preset W). Cores-per-run always equals the case's
+/// thread count, so `cores` here is only documentation.
 pub(super) fn litmus_opts() -> SuiteOptions {
     SuiteOptions {
         size: clear_workloads::Size::Tiny,
@@ -308,76 +310,26 @@ pub(super) fn litmus_opts() -> SuiteOptions {
         benchmarks: vec![],
         workers: pool::default_workers(),
         sim_threads: 1,
-        backends: BackendId::ALL.iter().map(|b| b.name()).collect(),
+        backends: BackendId::ALL
+            .into_iter()
+            .chain([BackendId::ClearPowerTm])
+            .map(BackendId::name)
+            .collect(),
     }
 }
 
-/// The strings that tell the two litmus gates apart.
-struct LitmusGate {
-    experiment: &'static str,
-    title: &'static str,
-    /// Row key naming the swept machine (`"preset"` or `"backend"`).
-    key: &'static str,
-    /// Text width of the `key` column.
-    width: usize,
-    footer: &'static str,
-    /// Whether the document lists the swept labels under `"backends"`.
-    lists_backends: bool,
-}
-
-/// The `litmus-conformance` experiment: SB, LB, MP and IRIW across every
-/// preset × seed, with outcome histograms and the forbidden relaxed
-/// outcome of each shape pinned to zero.
-pub(super) fn litmus_conformance(opts: &SuiteOptions) -> ExperimentOutput {
-    let sweep: Vec<(String, BackendId)> = Preset::ALL
-        .iter()
-        .map(|p| (p.to_string(), p.backend()))
-        .collect();
-    let gate = LitmusGate {
-        experiment: "litmus-conformance",
-        title: "atomic outcomes of the classic shapes",
-        key: "preset",
-        width: 7,
-        footer: "(atomic regions serialize: every relaxed litmus outcome must be impossible)",
-        lists_backends: false,
-    };
-    litmus(opts, &sweep, &gate)
-}
-
 /// The `litmus-backends` experiment: SB, LB, MP and IRIW across every
-/// speculation backend × seed (the `--backend` flag restricts the sweep),
-/// with the forbidden relaxed outcome of each shape pinned to zero. This
-/// gate proves the atomicity argument is backend-independent — including
-/// under the limited-R/W-set backend's capacity aborts.
+/// backend in `opts.backends` × seed (the `--backend` flag restricts the
+/// sweep), with outcome histograms, the forbidden relaxed outcome of each
+/// shape and every broken run counted as a failure. This gate proves the
+/// atomicity argument is backend-independent — including under the
+/// limited-R/W-set backend's capacity aborts.
 pub(super) fn litmus_backends(opts: &SuiteOptions) -> ExperimentOutput {
-    let sweep: Vec<(String, BackendId)> = opts
+    let sweep: Vec<BackendId> = opts
         .backends
         .iter()
-        .map(|n| {
-            let id = BackendId::from_name(n).expect("SuiteOptions validated the backend names");
-            (id.name().to_string(), id)
-        })
+        .map(|n| BackendId::from_name(n).expect("SuiteOptions validated the backend names"))
         .collect();
-    let gate = LitmusGate {
-        experiment: "litmus-backends",
-        title: "atomic outcomes across speculation backends",
-        key: "backend",
-        width: 8,
-        footer: "(serializability is a backend contract: no backend may admit a relaxed outcome)",
-        lists_backends: true,
-    };
-    litmus(opts, &sweep, &gate)
-}
-
-/// Runs every litmus case under every `(label, backend)` of `sweep` × seed
-/// and renders the per-(case, label) outcome histograms, with the
-/// forbidden relaxed outcome of each shape and every broken run counted
-/// as a failure.
-fn litmus(
-    opts: &SuiteOptions,
-    sweep: &[(String, BackendId)],
-    gate: &LitmusGate,
-) -> ExperimentOutput {
     let catalogue = cases();
     let grid: Vec<(usize, usize, u64)> = (0..catalogue.len())
         .flat_map(|ci| {
@@ -393,7 +345,7 @@ fn litmus(
         let layout = workload.layout_handle();
         let cfg = MachineConfig {
             seed,
-            ..sweep[k].1.config(threads, opts.retry_sweep[0])
+            ..sweep[k].config(threads, opts.retry_sweep[0])
         };
         let mut machine = Machine::new(cfg, Box::new(workload));
         let stats = machine.run();
@@ -409,7 +361,7 @@ fn litmus(
     type RowAccum = (BTreeMap<String, u64>, u64, u64);
     let mut rows: BTreeMap<(usize, &str), RowAccum> = BTreeMap::new();
     for (ci, k, timed_out, committed, forbidden, label) in &results {
-        let slot = rows.entry((*ci, sweep[*k].0.as_str())).or_default();
+        let slot = rows.entry((*ci, sweep[*k].name())).or_default();
         *slot.0.entry(label.clone()).or_default() += 1;
         if *forbidden {
             slot.1 += 1;
@@ -419,13 +371,15 @@ fn litmus(
         }
     }
 
-    let width = gate.width;
     let mut text = String::new();
-    let _ = writeln!(text, "=== {}: {} ===", gate.experiment, gate.title);
     let _ = writeln!(
         text,
-        "{:6} {:width$} {:>6} {:>10} {:>7}  outcomes",
-        "case", gate.key, "runs", "forbidden", "broken"
+        "=== litmus-backends: atomic outcomes across speculation backends ==="
+    );
+    let _ = writeln!(
+        text,
+        "{:6} {:13} {:>6} {:>10} {:>7}  outcomes",
+        "case", "backend", "runs", "forbidden", "broken"
     );
     let mut row_json = Vec::new();
     let mut total_forbidden = 0u64;
@@ -442,12 +396,12 @@ fn litmus(
             .join("; ");
         let _ = writeln!(
             text,
-            "{:6} {:width$} {:>6} {:>10} {:>7}  {outcomes}",
+            "{:6} {:13} {:>6} {:>10} {:>7}  {outcomes}",
             case.name, label, runs, forbidden, broken
         );
         row_json.push(Json::obj([
             ("case", Json::from(case.name)),
-            (gate.key, Json::from(*label)),
+            ("backend", Json::from(*label)),
             ("runs", Json::from(runs)),
             ("forbidden", Json::from(*forbidden)),
             ("broken_runs", Json::from(*broken)),
@@ -465,19 +419,18 @@ fn litmus(
         text,
         "\ntotal forbidden outcomes: {total_forbidden}   broken runs: {total_broken}"
     );
-    let _ = writeln!(text, "{}", gate.footer);
+    let _ = writeln!(
+        text,
+        "(serializability is a backend contract: no backend may admit a relaxed outcome)"
+    );
 
-    let mut fields = vec![
-        ("experiment", Json::from(gate.experiment)),
+    let fields = [
+        ("experiment", Json::from("litmus-backends")),
         ("options", opts_json(opts)),
-    ];
-    if gate.lists_backends {
-        fields.push((
+        (
             "backends",
-            Json::arr(sweep.iter().map(|(label, _)| Json::from(label.as_str()))),
-        ));
-    }
-    fields.extend([
+            Json::arr(sweep.iter().map(|id| Json::from(id.name()))),
+        ),
         (
             "cases",
             Json::arr(catalogue.iter().map(|c| {
@@ -491,7 +444,7 @@ fn litmus(
         ("rows", Json::Arr(row_json)),
         ("forbidden_outcomes", Json::from(total_forbidden)),
         ("broken_runs", Json::from(total_broken)),
-    ]);
+    ];
     let mut out = ExperimentOutput::new(text, Json::obj(fields));
     out.failures = (total_forbidden + total_broken) as usize;
     out
@@ -508,42 +461,6 @@ fn run_matrix_case(master_seed: u64, index: u64) -> MatrixOutcome {
     let report = check_case_matrix(&case);
     let shrunk = (!report.passed()).then(|| shrink_with(case, |c| !check_case_matrix(c).passed()));
     MatrixOutcome { report, shrunk }
-}
-
-fn matrix_failure_json(o: &MatrixOutcome) -> Json {
-    let (backend, d) = o.report.divergence().expect("failing case");
-    let mut fields = vec![
-        ("index", Json::from(o.report.index)),
-        ("seed", hex(o.report.seed)),
-        ("backend", Json::from(backend)),
-        ("kind", Json::from(d.kind())),
-        ("detail", Json::from(d.to_string())),
-    ];
-    if let Some(s) = &o.shrunk {
-        let program: Vec<Json> = s
-            .case
-            .program
-            .instrs()
-            .iter()
-            .map(|i| Json::from(i.to_string()))
-            .collect();
-        fields.push((
-            "shrunk",
-            Json::obj([
-                ("threads", Json::from(s.case.threads)),
-                ("invocations", Json::from(s.case.invocations)),
-                ("shapes", Json::from(s.case.shapes.len())),
-                ("attempts", Json::from(s.attempts)),
-                ("program", Json::Arr(program)),
-            ]),
-        ));
-    }
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
 }
 
 /// Runs `count` seeded cases through the backend-differential matrix
@@ -575,9 +492,11 @@ pub fn matrix_output(seed_str: &str, count: u64, workers: usize) -> ExperimentOu
                 slot.5 += 1;
             }
         }
-        if let Some((_, d)) = o.report.divergence() {
+        if let Some((backend, d)) = o.report.divergence() {
             *kinds.entry(d.kind()).or_default() += 1;
-            failures.push(matrix_failure_json(o));
+            let (r, shrunk) = (&o.report, o.shrunk.as_ref());
+            let failure = failure_json(r.index, r.seed, r.threads, Some(backend), d, shrunk);
+            failures.push(failure);
         }
     }
     let diverged = failures.len();
@@ -696,6 +615,27 @@ mod tests {
     }
 
     #[test]
+    fn failure_objects_record_width_and_backend() {
+        let d = Divergence::TimedOut { phase: "lrws+plan" };
+        let f = failure_json(3, 0x10, 128, Some("lrws"), &d, None);
+        let keys: Vec<&str> = match &f {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("expected an object, got {other:?}"),
+        };
+        assert_eq!(
+            keys,
+            ["index", "seed", "cores", "backend", "kind", "detail"]
+        );
+        assert_eq!(f.get("cores"), Some(&Json::Int(128)));
+        assert_eq!(
+            f.get("detail"),
+            Some(&Json::from("lrws+plan run timed out"))
+        );
+        let single = failure_json(3, 0x10, 4, None, &d, None);
+        assert!(single.get("backend").is_none());
+    }
+
+    #[test]
     fn replay_reports_entries_by_name() {
         let entries = vec![
             ("sb-regression".to_string(), parse_seed("0xC1EAR"), 0),
@@ -708,20 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn litmus_gate_pins_forbidden_outcomes_to_zero() {
-        let opts = SuiteOptions {
-            seeds: vec![1, 2],
-            workers: 4,
-            ..litmus_opts()
-        };
-        let out = litmus_conformance(&opts);
-        assert_eq!(out.failures, 0, "{}", out.text);
-        assert!(out.json.get("forbidden_outcomes").is_some());
-        // 4 cases x 4 presets x 2 seeds.
-        assert!(out.text.contains("IRIW"));
-    }
-
-    #[test]
     fn litmus_backends_gate_pins_forbidden_outcomes_to_zero() {
         let opts = SuiteOptions {
             seeds: vec![1, 2],
@@ -730,8 +656,8 @@ mod tests {
         };
         let out = litmus_backends(&opts);
         assert_eq!(out.failures, 0, "{}", out.text);
-        // Every backend shows up as a row label.
-        for id in BackendId::ALL {
+        // Every backend id shows up as a row label.
+        for id in BackendId::ALL.into_iter().chain([BackendId::ClearPowerTm]) {
             assert!(out.text.contains(id.name()), "missing {id}:\n{}", out.text);
         }
         assert!(out.text.contains("IRIW"));

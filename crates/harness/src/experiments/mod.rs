@@ -352,19 +352,10 @@ pub static EXPERIMENTS: &[Experiment] = &[
         }),
     },
     Experiment {
-        name: "litmus-conformance",
-        artifact: "atomicity conformance",
-        about: "SB/LB/MP/IRIW litmus shapes with forbidden outcomes pinned to zero",
-        run: fuzz::litmus_conformance,
-        golden: Some(GoldenSpec {
-            opts: fuzz::litmus_opts,
-            tolerances: GATED_TOLERANCES,
-        }),
-    },
-    Experiment {
         name: "litmus-backends",
         artifact: "atomicity conformance",
-        about: "SB/LB/MP/IRIW litmus shapes across every speculation backend",
+        about:
+            "SB/LB/MP/IRIW litmus shapes across every backend, forbidden outcomes pinned to zero",
         run: fuzz::litmus_backends,
         golden: Some(GoldenSpec {
             opts: fuzz::litmus_opts,
@@ -473,7 +464,6 @@ mod tests {
                 "sim-throughput",
                 "trace-digest",
                 "static-agreement",
-                "litmus-conformance",
                 "litmus-backends",
                 "backend-shootout",
                 "static-fastpath"

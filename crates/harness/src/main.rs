@@ -156,11 +156,18 @@ fn fuzz(args: &[String]) {
                     eprintln!("cannot create {dir}: {e}");
                     std::process::exit(1);
                 });
+                // `fuzz` and `fuzz --matrix` may share one directory, so
+                // the report's command is part of the name.
+                let command = match out.json.get("command") {
+                    Some(Json::Str(c)) => c.as_str(),
+                    _ => "fuzz",
+                };
                 for f in failures {
                     let Some(Json::Int(index)) = f.get("index") else {
                         continue;
                     };
-                    let path = format!("{dir}/repro-{}-{index}.json", seed_str.replace("0x", ""));
+                    let seed = seed_str.replace("0x", "");
+                    let path = format!("{dir}/repro-{command}-{seed}-{index}.json");
                     write_file(&path, &f.to_pretty());
                     eprintln!("wrote reproducer {path}");
                 }

@@ -3,10 +3,11 @@
 //! conformance documents across repeated runs and across worker-pool
 //! widths, mirroring the contract `tests/determinism.rs` pins for the
 //! experiment suite. Without this, CI replay of the regression corpus
-//! and the `litmus-conformance` golden would both be meaningless.
+//! and the `litmus-backends` golden would both be meaningless.
 
-use clear_fuzz::{case_seed, check_case, FuzzCase};
-use clear_harness::experiments::{find, fuzz_output, parse_seed, replay_output};
+use clear_fuzz::{case_seed, check_case, check_case_at, FuzzCase};
+use clear_harness::experiments::{find, fuzz_output, matrix_output, parse_seed, replay_output};
+use std::sync::Arc;
 
 const SEED_STR: &str = "0xC1EAR";
 const CASES: u64 = 48;
@@ -72,7 +73,7 @@ fn replay_is_deterministic_across_worker_widths() {
 fn oracle_verdict_is_stable_per_case() {
     let master = parse_seed(SEED_STR);
     for index in 0..8 {
-        let case = std::sync::Arc::new(FuzzCase::generate(master, index));
+        let case = Arc::new(FuzzCase::generate(master, index));
         let a = check_case(&case);
         let b = check_case(&case);
         assert_eq!(a.verdict, b.verdict, "index {index}: verdict drifted");
@@ -89,7 +90,7 @@ fn oracle_verdict_is_stable_per_case() {
 
 #[test]
 fn litmus_conformance_document_is_worker_independent() {
-    let exp = find("litmus-conformance").expect("litmus-conformance registered");
+    let exp = find("litmus-backends").expect("litmus-backends registered");
     let narrow = {
         let mut opts = (exp.golden.as_ref().expect("gated").opts)();
         opts.workers = 1;
@@ -106,4 +107,31 @@ fn litmus_conformance_document_is_worker_independent() {
         "litmus conformance depends on worker count"
     );
     assert_eq!(narrow.failures, 0, "litmus conformance must gate clean");
+}
+
+/// FNV-1a over a rendered document: a stable 64-bit fingerprint.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Pins the oracle's accounting to recorded values: the single-config
+/// report, the backend-matrix report and one 128-core case. Any leg whose
+/// statistics, replay steps or check order drifts changes one of these.
+#[test]
+fn oracle_output_matches_pinned_values() {
+    let fuzz = fuzz_output(SEED_STR, 24, 2, 0);
+    assert_eq!(fnv1a(&fuzz.json.to_pretty()), 0xe19a_7df2_45b6_52d5);
+    let matrix = matrix_output(SEED_STR, 8, 2);
+    assert_eq!(fnv1a(&matrix.json.to_pretty()), 0x7bbd_a0c2_8b26_8afe);
+    let case = Arc::new(FuzzCase::generate(parse_seed(SEED_STR), 0));
+    assert_eq!(
+        format!("{:?}", check_case_at(&case, 128)),
+        "CaseReport { index: 0, seed: 14122465956551629318, program_len: 10, rejected: 0, \
+         verdict: \"likely-immutable\", threads: 128, invocations: 1, \
+         machine_instructions: 2570, reference_steps: 1290, mode_commits: (0, 0, 128, 0), \
+         aborts: 128, planned_ars: 1, fastpath_elided: 0, fastpath_partial: 128, \
+         divergence: None }"
+    );
 }
