@@ -310,11 +310,7 @@ pub(super) fn litmus_opts() -> SuiteOptions {
         benchmarks: vec![],
         workers: pool::default_workers(),
         sim_threads: 1,
-        backends: BackendId::ALL
-            .into_iter()
-            .chain([BackendId::ClearPowerTm])
-            .map(BackendId::name)
-            .collect(),
+        backends: super::every_backend(),
     }
 }
 

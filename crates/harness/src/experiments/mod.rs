@@ -7,8 +7,6 @@
 //! additionally declare a [`GoldenSpec`] pinning the options and
 //! tolerances used for regression checks against `goldens/`.
 
-mod digest;
-mod fastpath;
 mod figures;
 mod fuzz;
 mod perf;
@@ -25,6 +23,7 @@ pub use statics::analyze_output;
 use crate::golden::Tolerances;
 use crate::json::Json;
 use crate::suite::SuiteOptions;
+use clear_machine::BackendId;
 use clear_workloads::Size;
 
 /// Result of running one experiment.
@@ -34,13 +33,16 @@ pub struct ExperimentOutput {
     pub text: String,
     /// Machine-readable result document.
     pub json: Json,
-    /// Failed checks (only `verify` sets this; drives the exit status).
+    /// Failed checks: broken invariants (`verify`), forbidden litmus
+    /// outcomes, analyzer/dynamic disagreements, plan guard violations
+    /// (`backend-shootout`) or a wide-core throughput collapse. Nonzero
+    /// makes `run` exit 1.
     pub failures: usize,
     /// Optional side-channel metrics snapshot (simulator `PerfCounters`
     /// surfaced through `clear-metrics`). Deliberately NOT part of `json`:
     /// golden baselines compare `json` byte-for-byte, while `run --json`
     /// appends this block to the *printed* document only, so observability
-    /// can grow without re-pinning twelve goldens.
+    /// can grow without re-pinning the goldens.
     pub metrics: Option<Json>,
 }
 
@@ -101,26 +103,6 @@ const GATED_TOLERANCES: Tolerances = Tolerances {
     overrides: &[("pct", 1e-6), ("ratio", 1e-6), ("share", 1e-6)],
     ignored: &[],
 };
-
-/// `sim-throughput` tolerances: the simulated-schedule counters are exact,
-/// but wall-clock timing fields vary per host and are skipped outright.
-const PERF_TOLERANCES: Tolerances = Tolerances {
-    default_rel: 1e-9,
-    overrides: &[],
-    ignored: &["wall_ns", "steps_per_sec"],
-};
-
-/// Pinned options for the `sim-throughput` and `trace-digest` goldens: a
-/// tiny 8-core grid that finishes in well under a second, so CI can gate
-/// on both cheaply.
-fn tiny_perf() -> SuiteOptions {
-    SuiteOptions {
-        size: Size::Tiny,
-        cores: 8,
-        seeds: vec![1],
-        ..SuiteOptions::default()
-    }
-}
 
 /// `slo-latency` tolerances: the streaming percentiles, abort taxonomy
 /// and queue accounting are simulated values and must match exactly; only
@@ -315,31 +297,11 @@ pub static EXPERIMENTS: &[Experiment] = &[
         }),
     },
     Experiment {
-        name: "sim-throughput",
-        artifact: "simulator engineering",
-        about: "simulator-kernel counters and steps/s over a tiny grid",
-        run: perf::sim_throughput,
-        golden: Some(GoldenSpec {
-            opts: tiny_perf,
-            tolerances: PERF_TOLERANCES,
-        }),
-    },
-    Experiment {
         name: "trace",
         artifact: "debugging aid",
         about: "event timeline of a short traced run",
         run: studies::trace_dump,
         golden: None,
-    },
-    Experiment {
-        name: "trace-digest",
-        artifact: "observability",
-        about: "golden-gated FxHash digests of the full trace stream",
-        run: digest::trace_digest,
-        golden: Some(GoldenSpec {
-            opts: tiny_perf,
-            tolerances: GATED_TOLERANCES,
-        }),
     },
     Experiment {
         name: "static-agreement",
@@ -373,16 +335,6 @@ pub static EXPERIMENTS: &[Experiment] = &[
         }),
     },
     Experiment {
-        name: "static-fastpath",
-        artifact: "static-analysis-driven execution",
-        about: "dynamic discovery vs precomputed lock sets per backend",
-        run: fastpath::static_fastpath,
-        golden: Some(GoldenSpec {
-            opts: fastpath::fastpath_opts,
-            tolerances: GATED_TOLERANCES,
-        }),
-    },
-    Experiment {
         name: "verify",
         artifact: "install check",
         about: "atomicity invariants across the full benchmark grid",
@@ -394,6 +346,16 @@ pub static EXPERIMENTS: &[Experiment] = &[
 /// Finds an experiment by registry name.
 pub fn find(name: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.name == name)
+}
+
+/// Every backend id by name: the five [`BackendId::ALL`] sweeps plus
+/// `clear-powertm` (preset W), for the gates that pin all six.
+fn every_backend() -> Vec<&'static str> {
+    BackendId::ALL
+        .into_iter()
+        .chain([BackendId::ClearPowerTm])
+        .map(BackendId::name)
+        .collect()
 }
 
 /// `Size` as its CLI spelling.
@@ -461,14 +423,22 @@ mod tests {
                 "scaling-wide",
                 "sle",
                 "slo-latency",
-                "sim-throughput",
-                "trace-digest",
                 "static-agreement",
                 "litmus-backends",
-                "backend-shootout",
-                "static-fastpath"
+                "backend-shootout"
             ]
         );
+    }
+
+    #[test]
+    fn every_golden_file_has_a_gated_owner() {
+        let owned: Vec<&str> = EXPERIMENTS
+            .iter()
+            .filter(|e| e.golden.is_some())
+            .map(|e| e.name)
+            .collect();
+        let stale = crate::golden::stale(&crate::golden::goldens_dir(), &owned);
+        assert!(stale.is_empty(), "goldens no gate owns: {stale:?}");
     }
 
     #[test]
@@ -503,15 +473,6 @@ mod tests {
         assert_eq!(rows[0].get("cores"), Some(&Json::Int(16)));
         assert!(rows[0].get("shards").is_some());
         assert!(rows[0].get("par_batches").is_some());
-    }
-
-    #[test]
-    fn sim_throughput_golden_skips_wall_clock_only() {
-        let spec = find("sim-throughput").unwrap().golden.unwrap();
-        assert!(spec.tolerances.ignored.contains(&"wall_ns"));
-        assert!(spec.tolerances.ignored.contains(&"steps_per_sec"));
-        // The deterministic counters stay exact.
-        assert_eq!(spec.tolerances.default_rel, 1e-9);
     }
 
     #[test]

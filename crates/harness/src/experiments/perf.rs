@@ -1,22 +1,17 @@
-//! The `sim-throughput` and `scaling-wide` experiments: simulator-kernel
-//! performance counters.
+//! The `scaling-wide` experiment: simulator-kernel performance counters
+//! up a 64→1024 simulated-core ladder.
 //!
-//! Unlike every other experiment these measure the *simulator*, not the
-//! simulated machine: scheduler steps, coherence requests, avoided
-//! allocations, and wall-clock throughput. The deterministic counters are
-//! golden-gated (a kernel change that alters the simulated schedule shows
-//! up as drift here before it shows up in a paper figure); the wall-clock
-//! fields are host-dependent and excluded from the comparison.
-//!
-//! `sim-throughput` runs a fixed tiny grid; `scaling-wide` sweeps one
-//! benchmark up a 64→1024 simulated-core ladder with sharded-directory
-//! occupancy and parallel-batch counters per point, checking that commit
-//! throughput survives the widest configuration.
+//! Unlike most experiments this measures the *simulator*, not the
+//! simulated machine: scheduler steps, coherence requests,
+//! sharded-directory occupancy, parallel-batch counters and wall-clock
+//! throughput per point, checking that commit throughput survives the
+//! widest configuration. The deterministic counters are golden-gated; the
+//! wall-clock fields are host-dependent and excluded from the comparison.
+//! The tiny-grid kernel counters ride in `backend-shootout`'s rows.
 
 use super::{opts_json, ExperimentOutput};
 use crate::json::Json;
 use crate::metrics_export::snapshot_to_json;
-use crate::pool;
 use crate::suite::{run_benchmark, SuiteOptions};
 use clear_machine::{MachineConfig, Preset, RunStats};
 use clear_metrics::{families, MetricsRegistry};
@@ -28,7 +23,7 @@ use std::fmt::Write as _;
 /// Attached to [`ExperimentOutput::metrics`], which `run --json` appends
 /// to the printed document only, so the golden-gated `json` stays
 /// byte-identical.
-fn perf_metrics<'a>(
+pub(super) fn perf_metrics<'a>(
     points: impl Iterator<Item = (Vec<(&'static str, String)>, &'a RunStats)>,
 ) -> Json {
     let mut reg = MetricsRegistry::new();
@@ -41,91 +36,6 @@ fn perf_metrics<'a>(
         }
     }
     snapshot_to_json(&reg.snapshot())
-}
-
-pub(super) fn sim_throughput(opts: &SuiteOptions) -> ExperimentOutput {
-    let presets = Preset::ALL;
-    let np = presets.len();
-    let stats = pool::run_indexed(opts.benchmarks.len() * np, opts.workers, |i| {
-        let cfg = MachineConfig {
-            seed: opts.seeds[0],
-            sim_threads: opts.sim_threads,
-            ..presets[i % np].config(opts.cores, 5)
-        };
-        run_benchmark(opts.benchmarks[i / np], opts.size, cfg, false).0
-    });
-    let mut text = String::new();
-    let _ = writeln!(text, "=== simulator kernel throughput ===");
-    let _ = writeln!(
-        text,
-        "{:14} {:>6} {:>10} {:>12} {:>12} {:>12} {:>10}",
-        "benchmark", "preset", "steps", "sched-upd", "coh-reqs", "allocs-avd", "Msteps/s"
-    );
-    let mut rows = Vec::new();
-    let (mut steps, mut wall_ns) = (0u64, 0u64);
-    for (i, s) in stats.iter().enumerate() {
-        let (name, preset) = (opts.benchmarks[i / np], presets[i % np]);
-        let p = &s.perf;
-        let _ = writeln!(
-            text,
-            "{:14} {:>6} {:>10} {:>12} {:>12} {:>12} {:>10.2}",
-            name,
-            format!("{preset}"),
-            p.steps,
-            p.sched_updates,
-            p.coherence_requests,
-            p.allocs_avoided,
-            p.steps_per_sec() / 1e6,
-        );
-        steps += p.steps;
-        wall_ns += p.run_wall_ns;
-        rows.push(Json::obj([
-            ("benchmark", Json::from(name)),
-            ("preset", Json::from(format!("{preset}"))),
-            ("total_cycles", Json::from(s.total_cycles)),
-            ("commits", Json::from(s.commits())),
-            ("steps", Json::from(p.steps)),
-            ("sched_updates", Json::from(p.sched_updates)),
-            ("coherence_requests", Json::from(p.coherence_requests)),
-            ("allocs_avoided", Json::from(p.allocs_avoided)),
-            // Tracing is off in throughput runs, so gating these at zero
-            // pins the zero-overhead-when-disabled contract.
-            ("trace_events_recorded", Json::from(p.trace_events_recorded)),
-            ("trace_events_dropped", Json::from(p.trace_events_dropped)),
-            ("wall_ns", Json::from(p.run_wall_ns)),
-            ("steps_per_sec", Json::Float(p.steps_per_sec())),
-        ]));
-    }
-    let aggregate = if wall_ns == 0 {
-        0.0
-    } else {
-        steps as f64 * 1e9 / wall_ns as f64
-    };
-    let _ = writeln!(
-        text,
-        "aggregate: {steps} steps in {:.1} ms = {:.2} Msteps/s",
-        wall_ns as f64 / 1e6,
-        aggregate / 1e6,
-    );
-    let json = Json::obj([
-        ("experiment", Json::from("sim-throughput")),
-        ("options", opts_json(opts)),
-        ("rows", Json::Arr(rows)),
-        ("total_steps", Json::from(steps)),
-        ("total_wall_ns", Json::from(wall_ns)),
-        ("aggregate_steps_per_sec", Json::Float(aggregate)),
-    ]);
-    let mut out = ExperimentOutput::new(text, json);
-    out.metrics = Some(perf_metrics(stats.iter().enumerate().map(|(i, s)| {
-        (
-            vec![
-                ("bench", opts.benchmarks[i / np].to_string()),
-                ("preset", format!("{}", presets[i % np])),
-            ],
-            s,
-        )
-    })));
-    out
 }
 
 /// The simulated-core ladder `scaling-wide` sweeps, clipped to the

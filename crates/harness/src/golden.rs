@@ -9,7 +9,7 @@
 //! survives, which is what CI gates on.
 
 use crate::json::Json;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Where golden files live: `goldens/` at the repository root.
 pub fn goldens_dir() -> PathBuf {
@@ -19,6 +19,21 @@ pub fn goldens_dir() -> PathBuf {
 /// Path of one golden file.
 pub fn golden_path(name: &str) -> PathBuf {
     goldens_dir().join(format!("{name}.json"))
+}
+
+/// The `*.json` files in `dir` that no name in `owned` claims, sorted:
+/// leftovers of a deleted or renamed experiment, which a full `check`
+/// reports as drift so they cannot linger unnoticed.
+pub fn stale(dir: &Path, owned: &[&str]) -> Vec<String> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    let mut stale: Vec<String> = entries
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|f| matches!(f.strip_suffix(".json"), Some(stem) if !owned.contains(&stem)))
+        .collect();
+    stale.sort();
+    stale
 }
 
 /// Loads a golden baseline.
@@ -278,6 +293,18 @@ mod tests {
         let t = Tolerances::default();
         assert!(compare(&Json::Int(3), &Json::Float(3.0), &t).is_empty());
         assert_eq!(compare(&Json::Int(3), &Json::Float(3.1), &t).len(), 1);
+    }
+
+    #[test]
+    fn stale_lists_only_unowned_json_files() {
+        let dir = std::env::temp_dir().join(format!("clear-golden-stale-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for f in ["a.json", "b.json", "notes.txt", "c.json"] {
+            std::fs::write(dir.join(f), "{}").unwrap();
+        }
+        assert_eq!(stale(&dir, &["a"]), ["b.json", "c.json"]);
+        assert!(stale(&dir, &["a", "b", "c"]).is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -616,6 +616,16 @@ fn update(names: &[String]) {
 }
 
 fn check(names: &[String]) {
+    // Only a full check knows every owner, so only it can call a file stale.
+    let stale = if names.is_empty() {
+        let owned: Vec<&str> = gated(names).iter().map(|e| e.name).collect();
+        golden::stale(&golden::goldens_dir(), &owned)
+    } else {
+        Vec::new()
+    };
+    for file in &stale {
+        eprintln!("goldens/{file}: no gated experiment owns it (delete it)");
+    }
     let mut drifted = 0usize;
     for e in gated(names) {
         let spec = e.golden.expect("gated");
@@ -652,8 +662,11 @@ fn check(names: &[String]) {
             }
         }
     }
-    if drifted > 0 {
-        eprintln!("\ngolden check FAILED for {drifted} experiment(s)");
+    if drifted > 0 || !stale.is_empty() {
+        eprintln!(
+            "\ngolden check FAILED: {drifted} experiment(s) drifted, {} stale golden(s)",
+            stale.len()
+        );
         std::process::exit(1);
     }
     eprintln!("\nall golden checks passed");

@@ -112,7 +112,7 @@ pub fn chrome_trace(m: &Machine, benchmark: &str, seed: u64) -> Json {
             TraceEvent::Abort { kind, span } => {
                 let args = Json::obj([
                     ("outcome", Json::from("abort")),
-                    ("kind", Json::from(kind.to_string())),
+                    ("kind", Json::from(kind.name())),
                     ("span_cycles", Json::from(*span)),
                 ]);
                 match open.get_mut(&r.core).and_then(Vec::pop) {

@@ -52,11 +52,11 @@ impl AbortKind {
         AbortKind::PlanViolation,
         AbortKind::Other,
     ];
-}
 
-impl fmt::Display for AbortKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// Stable display name (metrics labels and JSON keys use it without
+    /// allocating).
+    pub fn name(self) -> &'static str {
+        match self {
             AbortKind::MemoryConflict => "memory-conflict",
             AbortKind::ExplicitFallback => "explicit-fallback",
             AbortKind::OtherFallback => "other-fallback",
@@ -65,14 +65,26 @@ impl fmt::Display for AbortKind {
             AbortKind::Explicit => "explicit",
             AbortKind::PlanViolation => "plan-violation",
             AbortKind::Other => "other",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for AbortKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn name_matches_display_for_every_kind() {
+        for kind in AbortKind::ALL {
+            assert_eq!(kind.name(), kind.to_string());
+        }
+    }
 
     #[test]
     fn fallback_aborts_do_not_count() {

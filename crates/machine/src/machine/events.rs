@@ -81,8 +81,8 @@ impl Machine {
                     self.stats.instructions_wasted += vm.retired();
                 }
                 if let Some(mx) = self.metrics.as_mut() {
-                    let cause = kind.to_string();
-                    mx.registry.inc(families::ABORTS, &[("cause", &cause)], 1);
+                    mx.registry
+                        .inc(families::ABORTS, &[("cause", kind.name())], 1);
                 }
             }
             TraceEvent::Commit { mode, retries } => {

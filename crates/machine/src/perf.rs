@@ -5,8 +5,9 @@
 //! how many heap allocations the scratch-buffer reuse avoided, and how
 //! long the run took in wall-clock time. They surface through
 //! [`RunStats::perf`](crate::RunStats::perf), the harness JSON, and the
-//! `sim_throughput` gated experiment, so kernel speedups (and regressions)
-//! are tracked like any other golden metric.
+//! rows of the gated `backend-shootout` and `scaling-wide` experiments, so
+//! kernel changes that alter the simulated schedule are tracked like any
+//! other golden metric.
 //!
 //! Every counter except [`PerfCounters::run_wall_ns`] is a pure function
 //! of the simulated run and therefore byte-reproducible across hosts;

@@ -39,18 +39,18 @@ impl ModeCommits {
 /// Abort counters by kind (Fig. 11).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AbortCounts {
-    counts: BTreeMap<String, u64>,
+    counts: BTreeMap<&'static str, u64>,
 }
 
 impl AbortCounts {
     /// Increments the counter for `kind`.
     pub fn record(&mut self, kind: AbortKind) {
-        *self.counts.entry(kind.to_string()).or_insert(0) += 1;
+        *self.counts.entry(kind.name()).or_insert(0) += 1;
     }
 
     /// Count for `kind`.
     pub fn get(&self, kind: AbortKind) -> u64 {
-        self.counts.get(&kind.to_string()).copied().unwrap_or(0)
+        self.counts.get(kind.name()).copied().unwrap_or(0)
     }
 
     /// Total aborts.

@@ -18,8 +18,9 @@
 //! The stream is a pure function of the simulated run, so
 //! [`Trace::digest`] — an FxHash over every deterministic field — is a
 //! byte-stable fingerprint of the whole protocol state machine: the
-//! harness's `trace-digest` experiment gates it against a golden, and the
-//! `trace` subcommand exports the stream as a Chrome-trace JSON timeline.
+//! harness's `backend-shootout` experiment gates it per (benchmark,
+//! backend) cell against a golden, and the `trace` subcommand exports the
+//! stream as a Chrome-trace JSON timeline.
 
 use clear_core::RetryMode;
 use clear_htm::AbortKind;

@@ -450,6 +450,13 @@ fn run_every_sink(
         assert!(!s.timed_out);
         assert_eq!(m.trace().is_empty(), !tracing, "tracing is opt-in");
         assert_eq!(m.metrics().is_some(), metrics, "metrics are opt-in");
+        if tracing {
+            assert_eq!(s.perf.trace_events_recorded, m.trace().recorded());
+        } else {
+            // Tracing off costs nothing and counts nothing.
+            assert_eq!(s.perf.trace_events_recorded, 0);
+            assert_eq!(s.perf.trace_events_dropped, 0);
+        }
         runs.push((m, s));
     }
     let plain = stats_digest(&runs[0].1);
@@ -525,9 +532,8 @@ fn assert_sinks_agree(m: &Machine, s: &RunStats) {
             s.aborts.get(kind)
         };
         assert_eq!(aborts.get(kind), want, "{kind} abort records");
-        let cause = kind.to_string();
         assert_eq!(
-            counter(reg, families::ABORTS, &[("cause", &cause)]),
+            counter(reg, families::ABORTS, &[("cause", kind.name())]),
             want,
             "{kind} abort metric"
         );

@@ -20,10 +20,11 @@ fn tiny(workers: usize) -> SuiteOptions {
 
 /// Three representative experiments: `fig01` exercises the full suite
 /// engine (sweep + seed aggregation), `sle` drives the machine directly
-/// with a non-default speculation mode, and `trace-digest` fingerprints
-/// the entire traced event stream — its rows embed FxHash digests, so a
-/// byte-identical document means the digests reproduced exactly.
-const REPRESENTATIVE: [&str; 3] = ["fig01", "sle", "trace-digest"];
+/// with a non-default speculation mode, and `backend-shootout`
+/// fingerprints the entire traced event stream of every cell — its rows
+/// embed FxHash digests, so a byte-identical document means the digests
+/// reproduced exactly.
+const REPRESENTATIVE: [&str; 3] = ["fig01", "sle", "backend-shootout"];
 
 #[test]
 fn same_seed_runs_render_byte_identical_json() {
@@ -147,7 +148,7 @@ fn scaling_wide_is_independent_of_intra_run_worker_count() {
 }
 
 /// `backend-shootout` options scaled down for debug-mode test runs: two
-/// benchmarks instead of the golden's full 19, all five backends.
+/// benchmarks instead of the golden's full 19, the five swept backends.
 fn shootout(workers: usize, sim_threads: usize) -> SuiteOptions {
     SuiteOptions {
         size: Size::Tiny,
@@ -208,24 +209,23 @@ fn backend_shootout_is_independent_of_intra_run_threads() {
 
 #[test]
 fn intra_run_threads_do_not_change_gated_documents() {
-    // The legacy gated experiments carry no batch counters in their JSON,
-    // so sequential vs parallel intra-run stepping must render the exact
-    // same bytes — the guarantee that keeps all pre-existing goldens
-    // valid under any thread count.
-    for name in ["fig01", "sim-throughput"] {
-        let exp = find(name).expect(name);
-        let seq = (exp.run)(&SuiteOptions {
-            sim_threads: 1,
-            ..tiny(4)
-        });
-        let par = (exp.run)(&SuiteOptions {
-            sim_threads: 4,
-            ..tiny(4)
-        });
-        assert_eq!(
-            deterministic_part(&seq.json),
-            deterministic_part(&par.json),
-            "{name}: sequential vs parallel intra-run stepping drifted"
-        );
-    }
+    // The suite-engine goldens carry no batch counters in their JSON, so
+    // sequential vs parallel intra-run stepping must render the exact same
+    // bytes — the guarantee that keeps them valid under any thread count
+    // (`backend_shootout_is_independent_of_intra_run_threads` covers the
+    // shootout's kernel counters and digests).
+    let exp = find("fig01").expect("fig01 registered");
+    let seq = (exp.run)(&SuiteOptions {
+        sim_threads: 1,
+        ..tiny(4)
+    });
+    let par = (exp.run)(&SuiteOptions {
+        sim_threads: 4,
+        ..tiny(4)
+    });
+    assert_eq!(
+        deterministic_part(&seq.json),
+        deterministic_part(&par.json),
+        "fig01: sequential vs parallel intra-run stepping drifted"
+    );
 }
