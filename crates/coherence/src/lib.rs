@@ -48,6 +48,6 @@ mod types;
 
 pub use config::CoherenceConfig;
 pub use system::{
-    ApplyOk, CoherenceStats, CoherenceSystem, LocalView, ProbeResult, RemoteImpact, ShardProfile,
+    ApplyOk, CoherenceStats, CoherenceSystem, ProbeResult, RemoteImpact, ShardProfile,
 };
 pub use types::{Access, CoreId, LockFail, MesiState, ServedBy, TxTrack};

@@ -7,17 +7,14 @@
 //! shard `s` covers lines `[s·64, (s+1)·64)`, so each shard's LLC presence
 //! is exactly one `u64` word and a line's shard/slot is a shift/mask.
 //! Per-core state (the private cache, L2 shadow and the tx/lock tracking
-//! lists) is grouped into [`PerCore`], so one core's state and one shard
-//! can be borrowed mutably and independently — the basis of the machine's
-//! deterministic intra-run parallelism (see
-//! [`CoherenceSystem::split_local_views`]).
+//! lists) is grouped into [`PerCore`].
 //!
 //! Sharer sets are [`CoreBitSet`]s: allocation-free at ≤64 cores, growable
 //! beyond, iterating in the same ascending-core-id order the previous
 //! fixed-width `u64` masks produced.
 
 use crate::{Access, CoherenceConfig, CoreId, LockFail, MesiState, ServedBy, TxTrack};
-use clear_mem::{disjoint_muts, CacheGeometry, CoreBitSet, LineAddr, LineBitSet, SetAssocCache};
+use clear_mem::{CacheGeometry, CoreBitSet, LineAddr, LineBitSet, SetAssocCache};
 
 /// Lines per directory shard (one `u64` of LLC presence per shard).
 const SHARD_LINES_LOG2: u64 = 6;
@@ -67,8 +64,7 @@ struct DirShard {
     lock_nacks: u64,
 }
 
-/// All coherence state owned by a single core, grouped so a batch of cores
-/// can be borrowed mutably and disjointly for parallel stepping.
+/// All coherence state owned by a single core.
 #[derive(Debug)]
 struct PerCore {
     cache: SetAssocCache<LineMeta>,
@@ -892,140 +888,6 @@ impl CoherenceSystem {
     pub fn fits_locked(&self, lines: &[LineAddr]) -> bool {
         SetAssocCache::<LineMeta>::fits_simultaneously(self.config.l1, lines.iter().copied())
     }
-
-    /// Splits out exclusive views for a batch of cores stepping in
-    /// parallel: each member gets its own per-core state plus (when it will
-    /// perform an L1-hit access) its claimed directory shard.
-    ///
-    /// `members` pairs each core id with its claimed shard, in strictly
-    /// ascending core-id order; claimed shard ids must be pairwise
-    /// distinct. The returned views are `Send`, so the machine can hand
-    /// them to scoped worker threads; L1 hits performed through a view are
-    /// buffered locally and merged back with
-    /// [`CoherenceSystem::merge_local_hits`] at the batch barrier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if core ids are not strictly ascending, a core id is out of
-    /// range, or two members claim the same shard.
-    pub fn split_local_views(&mut self, members: &[(usize, Option<usize>)]) -> Vec<LocalView<'_>> {
-        let mut claims: Vec<usize> = members.iter().filter_map(|&(_, s)| s).collect();
-        claims.sort_unstable();
-        for &s in &claims {
-            self.ensure_shard(s);
-        }
-        let lat_l1 = self.config.lat_l1;
-        let core_ids: Vec<usize> = members.iter().map(|&(c, _)| c).collect();
-        let pcs = disjoint_muts(&mut self.per_core, &core_ids);
-        // `disjoint_muts` rejects duplicates, enforcing distinct claims.
-        let shard_refs = disjoint_muts(&mut self.shards, &claims);
-        let mut shard_slots: Vec<Option<&mut DirShard>> =
-            shard_refs.into_iter().map(Some).collect();
-        members
-            .iter()
-            .zip(pcs)
-            .map(|(&(core, claim), pc)| {
-                let shard = claim.map(|s| {
-                    let pos = claims.binary_search(&s).expect("claim present");
-                    shard_slots[pos].take().expect("claims are distinct")
-                });
-                LocalView {
-                    core: CoreId(core),
-                    pc,
-                    shard,
-                    lat_l1,
-                    l1_hits: 0,
-                }
-            })
-            .collect()
-    }
-
-    /// Merges L1 hits performed through [`LocalView`]s back into the
-    /// global counters (the deterministic batch barrier).
-    pub fn merge_local_hits(&mut self, hits: u64) {
-        self.stats.l1_hits += hits;
-    }
-}
-
-/// Exclusive view of one core's coherence state (plus its claimed
-/// directory shard) during a parallel step batch.
-///
-/// Created by [`CoherenceSystem::split_local_views`]; only supports the
-/// *local* operations the batch classifier admits — an L1-hit load or
-/// store touching the claimed shard.
-#[derive(Debug)]
-pub struct LocalView<'a> {
-    core: CoreId,
-    pc: &'a mut PerCore,
-    shard: Option<&'a mut DirShard>,
-    lat_l1: u64,
-    l1_hits: u64,
-}
-
-impl LocalView<'_> {
-    /// The core this view belongs to.
-    pub fn core(&self) -> CoreId {
-        self.core
-    }
-
-    /// L1 hits performed through this view so far (merged into the global
-    /// stats with [`CoherenceSystem::merge_local_hits`] at the barrier).
-    pub fn l1_hits(&self) -> u64 {
-        self.l1_hits
-    }
-
-    /// Applies an L1-hit access for this core, mirroring the sequential
-    /// [`CoherenceSystem::apply_probed`] own-copy path for a
-    /// [`ServedBy::L1`] hit (which by the MESI invariant has no remote
-    /// impacts and no lock involvement). Returns the latency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the line is not cached with sufficient permission or the
-    /// view holds no shard claim — both are classifier bugs.
-    pub fn apply_hit(&mut self, line: LineAddr, access: Access, tx: TxTrack) -> u64 {
-        let w = self
-            .pc
-            .cache
-            .find_way(line)
-            .expect("local hit step: line must be cached");
-        let shard = self.shard.as_mut().expect("local hit step claims a shard");
-        let (_, sub) = slot(line);
-        let others_share = shard.entries[sub].sharers.contains_other_than(self.core.0);
-        let meta = self.pc.cache.touch_at(w);
-        debug_assert!(
-            access == Access::Read || meta.mesi.is_exclusive(),
-            "write hit requires M/E"
-        );
-        if access == Access::Write {
-            meta.mesi = MesiState::Modified;
-        }
-        if tx != TxTrack::None && !meta.tx_read && !meta.tx_write {
-            self.pc.tx_touched.push(line);
-        }
-        match tx {
-            TxTrack::None => {}
-            TxTrack::Read => meta.tx_read = true,
-            TxTrack::Write => meta.tx_write = true,
-        }
-        let e = &mut shard.entries[sub];
-        e.sharers.insert(self.core.0);
-        match access {
-            Access::Write => {
-                e.owner = Some(self.core);
-                e.sharers.set_only(self.core.0);
-            }
-            Access::Read => {
-                if !others_share {
-                    e.owner = Some(self.core);
-                }
-            }
-        }
-        shard.llc |= 1 << sub;
-        self.pc.l2_shadow.remove(line);
-        self.l1_hits += 1;
-        self.lat_l1
-    }
 }
 
 #[cfg(test)]
@@ -1367,66 +1229,5 @@ mod tests {
             s.probe(CoreId(1), LineAddr(500), Access::Read).served_by,
             ServedBy::Memory
         );
-    }
-
-    #[test]
-    fn local_view_hit_matches_sequential_apply() {
-        // Two identically warmed systems: one applies a read hit and a
-        // write hit sequentially, the other through split LocalViews.
-        let build = || {
-            let mut s = sys(4);
-            s.apply(CoreId(0), LineAddr(3), Access::Read, TxTrack::Read)
-                .unwrap();
-            s.apply(CoreId(1), LineAddr(70), Access::Write, TxTrack::Write)
-                .unwrap();
-            s
-        };
-        let mut seq = build();
-        let a = seq
-            .apply(CoreId(0), LineAddr(3), Access::Read, TxTrack::Read)
-            .unwrap();
-        let b = seq
-            .apply(CoreId(1), LineAddr(70), Access::Write, TxTrack::Write)
-            .unwrap();
-        assert_eq!(a.served_by, ServedBy::L1);
-        assert_eq!(b.served_by, ServedBy::L1);
-
-        let mut par = build();
-        let members = [
-            (0usize, Some(CoherenceSystem::shard_of(LineAddr(3)))),
-            (1usize, Some(CoherenceSystem::shard_of(LineAddr(70)))),
-        ];
-        let mut views = par.split_local_views(&members);
-        let lat0 = views[0].apply_hit(LineAddr(3), Access::Read, TxTrack::Read);
-        let lat1 = views[1].apply_hit(LineAddr(70), Access::Write, TxTrack::Write);
-        assert_eq!(lat0, a.latency);
-        assert_eq!(lat1, b.latency);
-        let hits: u64 = views.iter().map(|v| v.l1_hits()).sum();
-        drop(views);
-        par.merge_local_hits(hits);
-
-        assert_eq!(seq.stats(), par.stats());
-        for l in [LineAddr(3), LineAddr(70)] {
-            for c in 0..4 {
-                assert_eq!(
-                    seq.per_core[c].cache.get(l),
-                    par.per_core[c].cache.get(l),
-                    "core {c} line {l:?}"
-                );
-            }
-            let (se, pe) = (seq.dir_ref(l).unwrap(), par.dir_ref(l).unwrap());
-            assert_eq!(se.owner, pe.owner);
-            assert_eq!(se.sharers, pe.sharers);
-            assert_eq!(se.locked_by, pe.locked_by);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn split_rejects_duplicate_shard_claims() {
-        let mut s = sys(2);
-        s.apply(CoreId(0), LineAddr(1), Access::Read, TxTrack::None)
-            .unwrap();
-        let _ = s.split_local_views(&[(0, Some(0)), (1, Some(0))]);
     }
 }

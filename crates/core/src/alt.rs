@@ -118,13 +118,6 @@ impl Alt {
         self.entries.iter().any(|e| e.line == line)
     }
 
-    /// `true` if [`Alt::observe`]`(line, _)` would return [`AltOverflow`]:
-    /// the non-mutating mirror of its only failure condition (a new line
-    /// while the table is full), used by the parallel-step classifier.
-    pub fn would_overflow(&self, line: LineAddr) -> bool {
-        self.entries.len() == self.capacity && !self.contains(line)
-    }
-
     fn key_of(&self, e: &AltEntry) -> LexKey {
         LexKey::new(self.dir, e.line)
     }

@@ -171,13 +171,6 @@ impl Discovery {
         self.alt
     }
 
-    /// `true` if [`Discovery::on_access`] for `line` would set the
-    /// overflowed flag — the non-mutating lookahead the parallel-step
-    /// classifier uses to keep overflow handling on the sequential path.
-    pub fn would_overflow(&self, line: LineAddr) -> bool {
-        self.alt.would_overflow(line)
-    }
-
     /// Records a retired memory access: its cacheline, whether it was a
     /// store, and whether its address base register carried the indirection
     /// bit.

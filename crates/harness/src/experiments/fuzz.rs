@@ -309,7 +309,6 @@ pub(super) fn litmus_opts() -> SuiteOptions {
         retry_sweep: vec![5],
         benchmarks: vec![],
         workers: pool::default_workers(),
-        sim_threads: 1,
         backends: super::every_backend(),
     }
 }

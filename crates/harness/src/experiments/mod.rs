@@ -124,18 +124,13 @@ const SCALING_TOLERANCES: Tolerances = Tolerances {
 
 /// Pinned options for the `scaling-wide` golden: the full 64→1024 core
 /// ladder on a benchmark whose footprint spans many directory shards
-/// (genome reaches ~23 shards and ~12k parallel batches at 1024 cores),
-/// with intra-run parallel stepping pinned *on* (`sim_threads: 2`) so the
-/// gate also locks down the batch-formation counters. The simulation is
-/// byte-identical for any `sim_threads`, so the deterministic row fields
-/// would match a sequential run too.
+/// (genome reaches ~23 shards at 1024 cores).
 fn wide_opts() -> SuiteOptions {
     SuiteOptions {
         size: Size::Tiny,
         cores: 1024,
         seeds: vec![1],
         benchmarks: vec!["genome"],
-        sim_threads: 2,
         ..SuiteOptions::default()
     }
 }
@@ -269,7 +264,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "scaling-wide",
         artifact: "simulator engineering",
-        about: "commit throughput and shard/batch counters at 64-1024 cores",
+        about: "commit throughput and shard counters at 64-1024 cores",
         run: perf::scaling_wide,
         golden: Some(GoldenSpec {
             opts: wide_opts,
@@ -442,11 +437,10 @@ mod tests {
     }
 
     #[test]
-    fn scaling_wide_golden_pins_the_full_ladder_with_batching_on() {
+    fn scaling_wide_golden_pins_the_full_ladder() {
         let spec = find("scaling-wide").unwrap().golden.unwrap();
         let opts = (spec.opts)();
         assert_eq!(opts.cores, 1024);
-        assert_eq!(opts.sim_threads, 2);
         assert_eq!(opts.benchmarks, ["genome"]);
         for frag in ["wall_ns", "steps_per_sec", "ratio"] {
             assert!(spec.tolerances.ignored.contains(&frag), "{frag}");
@@ -472,7 +466,6 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get("cores"), Some(&Json::Int(16)));
         assert!(rows[0].get("shards").is_some());
-        assert!(rows[0].get("par_batches").is_some());
     }
 
     #[test]
@@ -484,7 +477,6 @@ mod tests {
             retry_sweep: vec![5],
             benchmarks: vec!["mwobject"],
             workers: 4,
-            sim_threads: 1,
             backends: vec!["tsx", "clear"],
         };
         for name in [

@@ -3,10 +3,10 @@
 //!
 //! Unlike most experiments this measures the *simulator*, not the
 //! simulated machine: scheduler steps, coherence requests,
-//! sharded-directory occupancy, parallel-batch counters and wall-clock
-//! throughput per point, checking that commit throughput survives the
-//! widest configuration. The deterministic counters are golden-gated; the
-//! wall-clock fields are host-dependent and excluded from the comparison.
+//! sharded-directory occupancy and wall-clock throughput per point,
+//! checking that commit throughput survives the widest configuration.
+//! The deterministic counters are golden-gated; the wall-clock fields are
+//! host-dependent and excluded from the comparison.
 //! The tiny-grid kernel counters ride in `backend-shootout`'s rows.
 
 use super::{opts_json, ExperimentOutput};
@@ -48,9 +48,9 @@ const WIDE_MIN_RATIO: f64 = 0.25;
 
 /// `scaling-wide`: one benchmark stepped up the core ladder. Each point is
 /// a full run whose deterministic counters (steps, commits, cycles,
-/// coherence traffic, directory-shard occupancy, parallel-batch stats) are
-/// golden-gated; the wall-clock columns feed `BENCH_sim.json` and the
-/// throughput-retention check but never the golden comparison. Points run
+/// coherence traffic, directory-shard occupancy) are golden-gated; the
+/// wall-clock columns feed `BENCH_sim.json` and the throughput-retention
+/// check but never the golden comparison. Points run
 /// sequentially — never through the grid pool — so their wall clocks are
 /// not distorted by each other.
 pub(super) fn scaling_wide(opts: &SuiteOptions) -> ExperimentOutput {
@@ -68,7 +68,6 @@ pub(super) fn scaling_wide(opts: &SuiteOptions) -> ExperimentOutput {
         .map(|&cores| {
             let cfg = MachineConfig {
                 seed: opts.seeds[0],
-                sim_threads: opts.sim_threads,
                 ..Preset::C.config(cores, 5)
             };
             run_benchmark(bench, opts.size, cfg, false).0
@@ -82,31 +81,21 @@ pub(super) fn scaling_wide(opts: &SuiteOptions) -> ExperimentOutput {
     );
     let _ = writeln!(
         text,
-        "{:>6} {:>10} {:>9} {:>12} {:>12} {:>7} {:>8} {:>9} {:>10}",
-        "cores",
-        "steps",
-        "commits",
-        "cycles",
-        "coh-reqs",
-        "shards",
-        "batches",
-        "max-batch",
-        "Msteps/s"
+        "{:>6} {:>10} {:>9} {:>12} {:>12} {:>7} {:>10}",
+        "cores", "steps", "commits", "cycles", "coh-reqs", "shards", "Msteps/s"
     );
     let mut rows = Vec::new();
     for (&cores, s) in ladder.iter().zip(&stats) {
         let p = &s.perf;
         let _ = writeln!(
             text,
-            "{:>6} {:>10} {:>9} {:>12} {:>12} {:>7} {:>8} {:>9} {:>10.2}",
+            "{:>6} {:>10} {:>9} {:>12} {:>12} {:>7} {:>10.2}",
             cores,
             p.steps,
             s.commits(),
             s.total_cycles,
             p.coherence_requests,
             p.shards,
-            p.par_batches,
-            p.par_batch_max,
             p.steps_per_sec() / 1e6,
         );
         rows.push(Json::obj([
@@ -118,9 +107,6 @@ pub(super) fn scaling_wide(opts: &SuiteOptions) -> ExperimentOutput {
             ("shards", Json::from(p.shards)),
             ("shard_lines", Json::from(p.shard_lines)),
             ("shard_lines_max", Json::from(p.shard_lines_max)),
-            ("par_batches", Json::from(p.par_batches)),
-            ("par_batch_steps", Json::from(p.par_batch_steps)),
-            ("par_batch_max", Json::from(p.par_batch_max)),
             ("wall_ns", Json::from(p.run_wall_ns)),
             ("steps_per_sec", Json::Float(p.steps_per_sec())),
         ]));
@@ -152,7 +138,6 @@ pub(super) fn scaling_wide(opts: &SuiteOptions) -> ExperimentOutput {
         ("experiment", Json::from("scaling-wide")),
         ("options", opts_json(opts)),
         ("benchmark", Json::from(bench)),
-        ("sim_threads", Json::from(opts.sim_threads)),
         ("rows", Json::Arr(rows)),
         ("throughput_ratio_wide_vs_narrow", Json::Float(ratio)),
     ]);

@@ -43,7 +43,6 @@ pub(super) fn shootout_opts() -> SuiteOptions {
         cores: 8,
         seeds: vec![1],
         retry_sweep: vec![5],
-        sim_threads: 1,
         backends: every_backend(),
         ..SuiteOptions::default()
     }
@@ -174,7 +173,6 @@ pub(super) fn backend_shootout(opts: &SuiteOptions) -> ExperimentOutput {
         let (b, k, seed, planned) = grid[g];
         let cfg = MachineConfig {
             seed,
-            sim_threads: opts.sim_threads,
             static_plans: planned.then(|| Arc::clone(&plans[b])),
             ..backends[k].config(opts.cores, retries)
         };
@@ -383,7 +381,6 @@ mod tests {
             retry_sweep: vec![5],
             benchmarks: vec!["mwobject", "arrayswap"],
             workers: 4,
-            sim_threads: 1,
             ..SuiteOptions::default()
         }
     }

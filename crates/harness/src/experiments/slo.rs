@@ -21,16 +21,13 @@ use std::fmt::Write as _;
 
 /// Pinned options for the `slo-latency` golden: two benchmarks with
 /// different AR-class mixes (arrayswap's ARs are all immutable-footprint,
-/// queue mixes mutable and likely-immutable ARs) on the tiny 8-core grid,
-/// with intra-run parallel stepping on so the gate also re-checks that
-/// `sim_threads` cannot leak into the percentiles.
+/// queue mixes mutable and likely-immutable ARs) on the tiny 8-core grid.
 pub(super) fn slo_opts() -> SuiteOptions {
     SuiteOptions {
         size: Size::Tiny,
         cores: 8,
         seeds: vec![1],
         benchmarks: vec!["arrayswap", "queue"],
-        sim_threads: 2,
         ..SuiteOptions::default()
     }
 }
@@ -47,9 +44,9 @@ fn cell_opts(opts: &SuiteOptions, bench: &str) -> ServeOptions {
         queue: 256,
         rate: 24,
         replay_gaps: None,
-        sim_threads: opts.sim_threads,
         snapshot_every: 4,
         max_retries: 5,
+        ..ServeOptions::default()
     }
 }
 
@@ -126,8 +123,7 @@ mod tests {
     #[test]
     fn slo_document_is_deterministic_across_runs() {
         // Strip the wall fields the golden ignores; the rest must be
-        // byte-identical run to run (and across sim_threads, which the
-        // serve tests check separately).
+        // byte-identical run to run.
         fn strip(json: &Json) -> String {
             let text = json.to_pretty();
             text.lines()

@@ -583,7 +583,6 @@ mod tests {
             retry_sweep: vec![5],
             benchmarks: vec!["mwobject"],
             workers: 2,
-            sim_threads: 1,
             ..SuiteOptions::default()
         }
     }

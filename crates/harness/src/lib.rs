@@ -46,6 +46,6 @@ pub mod suite;
 pub mod trace_export;
 
 pub use suite::{
-    bar, format_table, geomean, run_benchmark, run_cell, run_suite, split_threads, trimmed_mean,
-    CellResult, SuiteOptions,
+    bar, format_table, geomean, run_benchmark, run_cell, run_suite, trimmed_mean, CellResult,
+    SuiteOptions,
 };

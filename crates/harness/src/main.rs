@@ -23,9 +23,9 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  clear-harness list\n  clear-harness run <name>|all \
          [--size tiny|small|medium] [--cores N] [--seeds N]\n      \
-         [--sweep full|quick|none] [--bench NAME] [--workers N] [--threads N]\n      \
+         [--sweep full|quick|none] [--bench NAME] [--workers N]\n      \
          [--bench-out FILE] [--json]\n  \
-         clear-harness serve <workload> [--size ...] [--cores N] [--seeds N] [--threads N]\n      \
+         clear-harness serve <workload> [--size ...] [--cores N] [--seeds N]\n      \
          [--ars N] [--batch N] [--queue N] [--rate CYCLES] [--replay FILE]\n      \
          [--snapshot-out FILE] [--prom-out FILE] [--bench-out FILE] [--json]\n  \
          clear-harness trace <workload> [--size ...] [--cores N] [--seeds N]\n      \
@@ -286,9 +286,9 @@ fn serve(args: &[String]) {
         queue,
         rate,
         replay_gaps,
-        sim_threads: opts.sim_threads,
         snapshot_every: 8,
         max_retries: 5,
+        ..ServeOptions::default()
     };
     let report = serve_session(&sopts);
     if as_json {

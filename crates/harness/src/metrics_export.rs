@@ -4,7 +4,7 @@
 //!
 //! Both exporters are pure functions of the snapshot, which itself holds
 //! only simulated-deterministic values — so the rendered bytes are
-//! reproducible across hosts, workers and `sim_threads` modes. The
+//! reproducible across hosts and worker counts. The
 //! Prometheus writer shares its label escaping with the JSON layer
 //! ([`crate::json::escape_into`]), and [`validate_prometheus`] re-parses
 //! the rendered text as a structural self-check, the same honesty rule the

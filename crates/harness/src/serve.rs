@@ -63,7 +63,9 @@ pub struct ServeOptions {
     /// Recorded inter-arrival gaps to replay (cycled when shorter than
     /// `total_ars`); `None` selects the synthetic generator.
     pub replay_gaps: Option<Vec<u64>>,
-    /// Intra-run stepping threads per batch machine.
+    /// Ignored: every batch machine steps one core at a time. The field
+    /// stays only because the repository benchmark still sets it, and goes
+    /// when the benchmark stops setting it.
     pub sim_threads: usize,
     /// Emit a trajectory row every this many batches.
     pub snapshot_every: usize,
@@ -293,7 +295,6 @@ pub fn serve_session(opts: &ServeOptions) -> ServeReport {
             .unwrap_or_else(|| panic!("unknown benchmark {}", opts.workload));
         let mut cfg: MachineConfig = Preset::C.config(opts.cores, opts.max_retries);
         cfg.seed = opts.seed.wrapping_add(batches);
-        cfg.sim_threads = opts.sim_threads;
         let mut machine = Machine::new(
             cfg,
             Box::new(ServeWorkload {

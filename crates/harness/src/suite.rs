@@ -31,11 +31,6 @@ pub struct SuiteOptions {
     /// Worker threads for the parallel grid (≥ 1; default: all cores, at
     /// least 4).
     pub workers: usize,
-    /// Intra-run stepping threads per simulated machine (1 = strictly
-    /// sequential, 0 = all host cores, n ≥ 2 = capped). Results are
-    /// byte-identical for every value; only the `par_batch_*` perf
-    /// counters reveal whether batching was on.
-    pub sim_threads: usize,
     /// Speculation backends for backend-sweep experiments (stable
     /// [`BackendId`] names). Defaults to all five; `--backend NAME`
     /// restricts the sweep, repeatable. Preset-grid experiments ignore
@@ -52,39 +47,9 @@ impl Default for SuiteOptions {
             retry_sweep: vec![2, 5, 8],
             benchmarks: BENCHMARK_NAMES.to_vec(),
             workers: pool::default_workers(),
-            sim_threads: default_sim_threads(),
             backends: BackendId::ALL.iter().map(|b| b.name()).collect(),
         }
     }
-}
-
-/// The default intra-run thread count: the `CLEAR_SIM_THREADS` environment
-/// variable if set to an integer (`0` meaning all host cores), otherwise 1
-/// (sequential stepping). Precedence, lowest to highest: built-in defaults,
-/// then the environment (`CLEAR_WORKERS` seeds the grid share,
-/// `CLEAR_SIM_THREADS` the intra-run share), then CLI flags in order —
-/// `--threads N` reassigns both shares from one budget, a later `--workers`
-/// or another `--threads` rewrites its share again.
-fn default_sim_threads() -> usize {
-    std::env::var("CLEAR_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-}
-
-/// Splits a total thread budget between the experiment grid and intra-run
-/// stepping. Grid parallelism is embarrassingly parallel and scales
-/// near-linearly, so it is funded first: the intra-run share is at most the
-/// integer square root of the budget and the grid takes the quotient, so
-/// `workers * sim_threads` never exceeds the budget. Returns
-/// `(workers, sim_threads)`.
-pub fn split_threads(total: usize) -> (usize, usize) {
-    let total = total.max(1);
-    let mut sim = 1usize;
-    while (sim + 1) * (sim + 1) <= total {
-        sim += 1;
-    }
-    ((total / sim).max(1), sim)
 }
 
 impl SuiteOptions {
@@ -103,7 +68,8 @@ impl SuiteOptions {
     ///
     /// # Panics
     ///
-    /// Panics with a usage message on malformed options.
+    /// Panics with a usage message on malformed options, including a zero
+    /// `--cores` or `--seeds`.
     pub fn from_arg_slice(args: &[String]) -> Self {
         let mut o = SuiteOptions::default();
         let mut picked: Vec<&'static str> = Vec::new();
@@ -124,11 +90,14 @@ impl SuiteOptions {
                         other => panic!("unknown size {other}"),
                     }
                 }
-                "--cores" => o.cores = val().parse().expect("--cores N"),
-                "--seeds" => {
-                    let n: u64 = val().parse().expect("--seeds N");
-                    o.seeds = (1..=n).collect();
-                }
+                "--cores" => match val().parse().expect("--cores N") {
+                    0 => panic!("--cores must be at least 1"),
+                    n => o.cores = n,
+                },
+                "--seeds" => match val().parse::<u64>().expect("--seeds N") {
+                    0 => panic!("--seeds must be at least 1"),
+                    n => o.seeds = (1..=n).collect(),
+                },
                 "--sweep" => {
                     o.retry_sweep = match val().as_str() {
                         "full" => (1..=10).collect(),
@@ -152,17 +121,11 @@ impl SuiteOptions {
                     picked_backends.push(known.name());
                 }
                 "--workers" => o.workers = val().parse::<usize>().expect("--workers N").max(1),
-                "--threads" => {
-                    let total: usize = val().parse().expect("--threads N");
-                    let (workers, sim) = split_threads(total);
-                    o.workers = workers;
-                    o.sim_threads = sim;
-                }
                 "--help" | "-h" => {
                     eprintln!(
                         "options: --size tiny|small|medium --cores N --seeds N \
                          --sweep full|quick|none --bench NAME --backend NAME \
-                         --workers N --threads N"
+                         --workers N"
                     );
                     std::process::exit(0);
                 }
@@ -310,7 +273,6 @@ pub fn run_cell(name: &str, preset: Preset, opts: &SuiteOptions) -> CellResult {
                 .map(|&seed| {
                     let cfg = MachineConfig {
                         seed,
-                        sim_threads: opts.sim_threads,
                         ..preset.config(opts.cores, retries)
                     };
                     run_benchmark(name, opts.size, cfg, false).0
@@ -343,7 +305,6 @@ pub fn run_suite(opts: &SuiteOptions) -> Vec<[CellResult; 4]> {
         let b = i / (ns * nr * np);
         let cfg = MachineConfig {
             seed: opts.seeds[s],
-            sim_threads: opts.sim_threads,
             ..presets[p].config(opts.cores, opts.retry_sweep[r])
         };
         run_benchmark(opts.benchmarks[b], opts.size, cfg, false).0
@@ -469,32 +430,20 @@ mod tests {
         assert_eq!(bar(1.0, 0.0, 10), "", "zero max renders nothing");
     }
 
-    #[test]
-    fn split_threads_funds_the_grid_first() {
-        assert_eq!(split_threads(0), (1, 1));
-        assert_eq!(split_threads(1), (1, 1));
-        assert_eq!(split_threads(2), (2, 1));
-        assert_eq!(split_threads(4), (2, 2));
-        assert_eq!(split_threads(8), (4, 2));
-        assert_eq!(split_threads(16), (4, 4));
-        for total in 1..=64 {
-            let (w, s) = split_threads(total);
-            assert!(w * s <= total.max(1), "budget exceeded at {total}");
-            assert!(w >= s, "grid is funded first at {total}");
-        }
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
     }
 
     #[test]
-    fn threads_flag_splits_and_later_workers_overrides() {
-        let args: Vec<String> = ["--threads", "8"].iter().map(|s| s.to_string()).collect();
-        let o = SuiteOptions::from_arg_slice(&args);
-        assert_eq!((o.workers, o.sim_threads), (4, 2));
-        let args: Vec<String> = ["--threads", "8", "--workers", "1"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let o = SuiteOptions::from_arg_slice(&args);
-        assert_eq!((o.workers, o.sim_threads), (1, 2));
+    #[should_panic(expected = "--seeds must be at least 1")]
+    fn zero_seeds_is_rejected() {
+        SuiteOptions::from_arg_slice(&args(&["--seeds", "0"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "--cores must be at least 1")]
+    fn zero_cores_is_rejected() {
+        SuiteOptions::from_arg_slice(&args(&["--cores", "0"]));
     }
 
     #[test]
@@ -518,11 +467,7 @@ mod tests {
     fn backend_flag_restricts_the_sweep() {
         let o = SuiteOptions::default();
         assert_eq!(o.backends, vec!["tsx", "powertm", "sle", "clear", "lrws"]);
-        let args: Vec<String> = ["--backend", "lrws", "--backend", "clear"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let o = SuiteOptions::from_arg_slice(&args);
+        let o = SuiteOptions::from_arg_slice(&args(&["--backend", "lrws", "--backend", "clear"]));
         assert_eq!(o.backends, vec!["lrws", "clear"]);
     }
 
@@ -562,7 +507,6 @@ mod tests {
             retry_sweep: vec![2, 5],
             benchmarks: vec!["arrayswap", "mwobject"],
             workers: 4,
-            sim_threads: 1,
             backends: vec!["clear"],
         };
         let suite = run_suite(&opts);

@@ -1,7 +1,7 @@
 //! Cross-cutting determinism guarantees of the metrics layer: snapshots
 //! must be byte-identical regardless of how the work was partitioned —
-//! across grid-pool worker counts, across `sim_threads` modes, and
-//! across serve-loop batch boundaries. These are the properties that let
+//! across grid-pool worker counts, merge orders and serve-loop batch
+//! boundaries. These are the properties that let
 //! the `slo-latency` golden pin p50/p99/p999 exactly.
 
 use clear_harness::metrics_export::{prometheus_text, snapshot_to_json, validate_prometheus};
@@ -12,11 +12,10 @@ use clear_metrics::MetricsRegistry;
 use clear_workloads::{by_name, Size};
 
 /// One metrics-enabled run of a tiny benchmark cell.
-fn run_cell(bench: &str, seed: u64, sim_threads: usize) -> MetricsRegistry {
+fn run_cell(bench: &str, seed: u64) -> MetricsRegistry {
     let workload = by_name(bench, Size::Tiny, seed).expect(bench);
     let mut cfg: MachineConfig = Preset::C.config(8, 5);
     cfg.seed = seed;
-    cfg.sim_threads = sim_threads;
     let mut machine = Machine::new(cfg, workload);
     machine.enable_metrics();
     let stats = machine.run();
@@ -38,7 +37,7 @@ fn merge_is_identical_for_one_vs_many_workers() {
     let merged_on = |workers: usize| {
         let regs = pool::run_indexed(cells.len(), workers, |i| {
             let (bench, seed) = cells[i];
-            run_cell(bench, seed, 1)
+            run_cell(bench, seed)
         });
         let mut all = MetricsRegistry::new();
         for r in &regs {
@@ -51,8 +50,8 @@ fn merge_is_identical_for_one_vs_many_workers() {
 
 #[test]
 fn merge_order_does_not_change_the_snapshot() {
-    let a = run_cell("arrayswap", 3, 1);
-    let b = run_cell("mwobject", 4, 1);
+    let a = run_cell("arrayswap", 3);
+    let b = run_cell("mwobject", 4);
     let mut ab = MetricsRegistry::new();
     ab.merge(&a);
     ab.merge(&b);
@@ -60,37 +59,6 @@ fn merge_order_does_not_change_the_snapshot() {
     ba.merge(&b);
     ba.merge(&a);
     assert_eq!(canon(&ab), canon(&ba));
-}
-
-#[test]
-fn sim_threads_cannot_leak_into_metrics() {
-    // The simulated schedule is byte-identical for any sim_threads, and
-    // every metrics hook sits on a sequential path; 2-vs-8 must agree on
-    // everything, including the par_batch_* gauges.
-    assert_eq!(
-        canon(&run_cell("arrayswap", 1, 2)),
-        canon(&run_cell("arrayswap", 1, 8))
-    );
-}
-
-#[test]
-fn serve_session_is_identical_across_sim_threads() {
-    let opts = |threads: usize| ServeOptions {
-        total_ars: 128,
-        batch: 64,
-        queue: 96,
-        sim_threads: threads,
-        ..ServeOptions::default()
-    };
-    let a = serve_session(&opts(2));
-    let b = serve_session(&opts(8));
-    assert_eq!(a.json.to_pretty(), b.json.to_pretty());
-    // The Prometheus exposition of the merged registry agrees too, and
-    // self-validates.
-    let pa = prometheus_text(&a.registry.snapshot());
-    let pb = prometheus_text(&b.registry.snapshot());
-    assert_eq!(pa, pb);
-    validate_prometheus(&pa).expect("valid exposition");
 }
 
 #[test]
@@ -117,4 +85,6 @@ fn serve_backpressure_bounds_the_queue_without_drops() {
         Some(&clear_harness::json::Json::Int(0)),
         "steady state drops nothing"
     );
+    // The merged registry renders a self-validating Prometheus exposition.
+    validate_prometheus(&prometheus_text(&r.registry.snapshot())).expect("valid exposition");
 }

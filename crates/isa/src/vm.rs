@@ -152,18 +152,6 @@ impl Vm {
         Addr(self.regs[base.index()].wrapping_add_signed(offset))
     }
 
-    /// Returns the effect [`Vm::step`] would produce without retiring the
-    /// instruction — the parallel-step classifier's lookahead. Implemented
-    /// by stepping a clone, so it can never disagree with the real step.
-    ///
-    /// # Panics
-    ///
-    /// Panics exactly when [`Vm::step`] would.
-    pub fn peek_effect(&self) -> Effect {
-        let mut probe = self.clone();
-        probe.step()
-    }
-
     /// Retires the next instruction and returns its effect.
     ///
     /// # Panics

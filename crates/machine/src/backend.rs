@@ -1,7 +1,7 @@
 //! Pluggable speculation backends: the attempt/conflict/fallback policy
 //! surface of the machine as a trait.
 //!
-//! The machine's mechanism — coherence, scheduling, batching, workloads,
+//! The machine's mechanism — coherence, scheduling, workloads,
 //! statistics — is shared by every HTM design point; what differs between
 //! CLEAR, requester-wins TSX, PowerTM, SLE and the FORTH limited
 //! read/write-set scheme is *policy*: how conflicts are arbitrated, when

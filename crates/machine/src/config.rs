@@ -99,11 +99,10 @@ pub struct MachineConfig {
     pub seed: u64,
     /// Hard stop after this many cycles on any core (deadlock guard).
     pub max_cycles: u64,
-    /// Host worker threads for deterministic intra-run parallel stepping:
-    /// `1` (the default) steps strictly sequentially, `0` uses all host
-    /// cores, `n ≥ 2` uses at most `n`. Results are byte-identical for
-    /// every value — only the `par_batch_*` perf counters differ between
-    /// `1` and `≥ 2`.
+    /// Ignored: the machine always steps one core at a time on the
+    /// calling thread. The field stays only because the repository
+    /// benchmark still sets it, and goes when the benchmark stops setting
+    /// it.
     pub sim_threads: usize,
 }
 

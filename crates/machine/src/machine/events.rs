@@ -8,9 +8,8 @@
 //! decisions, so statistics must come out the same with tracing and
 //! metrics on or off. Metrics record only simulated-deterministic values
 //! (cycles, counts — never wall-clock time), so an enabled registry
-//! snapshot is byte-reproducible across hosts, worker counts and
-//! `sim_threads` modes. `emit` takes `&mut Machine`, which parallel step
-//! batches never hold, so no sink runs inside a batch and none needs
+//! snapshot is byte-reproducible across hosts and worker counts. The
+//! machine steps one core at a time on one thread, so no sink needs
 //! synchronization.
 //!
 //! Counters that only one sink sees (`conflicts_from_*`, wait-cycle
@@ -171,9 +170,7 @@ impl Machine {
     /// [`Machine::run`]; the registry fills during the run and finalizes
     /// with shard-occupancy gauges and the simulator perf counters. The
     /// registry stores only simulated-deterministic values, so snapshots
-    /// are byte-identical across hosts and thread counts (two multi-
-    /// threaded runs agree on the `par_batch_*` gauges too, exactly as
-    /// [`PerfCounters`] documents).
+    /// are byte-identical across hosts and worker counts.
     pub fn enable_metrics(&mut self) {
         let mut ar_class = FxHashMap::default();
         for ar in self.workload.meta().ars {
@@ -193,7 +190,7 @@ impl Machine {
     }
 
     /// Takes the collected metrics out of the machine, for merging across
-    /// runs/batches (`None` unless enabled).
+    /// runs (`None` unless enabled).
     pub fn take_metrics(&mut self) -> Option<MetricsRegistry> {
         self.metrics.take().map(|m| m.registry)
     }

@@ -198,9 +198,6 @@ pub struct Machine {
     clocks: Vec<u64>,
     /// Per-core phases, indexed by core id (SoA twin of `cores`).
     phases: Vec<Phase>,
-    /// Resolved intra-run worker budget (from
-    /// [`MachineConfig::sim_threads`]; `1` disables parallel stepping).
-    sim_threads: usize,
     coherence: CoherenceSystem,
     fallback: FallbackLock,
     power_token: PowerToken,
@@ -252,12 +249,6 @@ impl Machine {
             .map(|_| Core::new(config.backend.as_ref()))
             .collect();
         let rng = Xoshiro256PlusPlus::seed_from_u64(config.seed);
-        let sim_threads = match config.sim_threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        };
         Machine {
             coherence: CoherenceSystem::new(config.coherence),
             fallback: FallbackLock::new(fallback_line),
@@ -267,7 +258,6 @@ impl Machine {
             cores,
             clocks: vec![0; config.cores],
             phases: vec![Phase::Idle; config.cores],
-            sim_threads,
             stats: RunStats::default(),
             rng,
             trace: Trace::new(),
@@ -327,17 +317,10 @@ impl Machine {
     /// linear `min_by_key` scan would pick, in O(log cores). Cores waiting
     /// on a held lock, or on a line another core holds locked, are parked
     /// off the heap and woken by the step that releases it; the skipped
-    /// polls are credited, not executed.
-    ///
-    /// With [`MachineConfig::sim_threads`] ≥ 2 (or `0` = auto), cores tied
-    /// at the minimum clock whose next step is provably local — an L1 hit
-    /// in a distinct directory shard, a compute/branch step, or think time
-    /// — are stepped as one parallel batch (see the `batch` module). The
-    /// batch path is byte-identical to sequential stepping: only the
-    /// `par_batch_*` perf counters reveal it ran.
+    /// polls are credited, not executed. This loop is the only way a core
+    /// advances: every step runs on the calling thread, one core at a time.
     pub fn run(&mut self) -> RunStats {
         let started = std::time::Instant::now();
-        let batching = self.batching_viable();
         let mut sched = CoreHeap::new(self.cores.len());
         for (i, &phase) in self.phases.iter().enumerate() {
             if phase != Phase::Finished {
@@ -359,11 +342,6 @@ impl Machine {
             if self.clocks[c] > self.config.max_cycles {
                 self.time_out_parked();
                 break;
-            }
-            if batching && self.try_parallel_batch(&mut sched) {
-                // Batch members were re-keyed inside; local steps never
-                // touch `sched_touched`, finish a core, park or release.
-                continue;
             }
             self.waits.begin_step(c, (self.clocks[c], c));
             self.step_core(c);
@@ -561,7 +539,6 @@ impl Machine {
 }
 
 mod attempt;
-mod batch;
 mod conflicts;
 mod events;
 mod locking;

@@ -354,21 +354,6 @@ impl WaitList {
     fn take_recheck(&mut self) -> bool {
         std::mem::take(&mut self.recheck) && !self.woken.is_empty()
     }
-
-    /// The smallest parked core above `first` whose poll falls exactly at
-    /// `clock` (`usize::MAX` if none): the polling scheduler would pop it
-    /// among the cores tied at `clock`, so a parallel batch starting at
-    /// `first` must stop short of it.
-    pub(super) fn poll_cut(&self, clocks: &[u64], spin: u64, first: usize, clock: u64) -> usize {
-        self.parked
-            .iter()
-            .copied()
-            .filter(|&w| {
-                w > first && clocks[w] <= clock && (clock - clocks[w]).is_multiple_of(spin)
-            })
-            .min()
-            .unwrap_or(usize::MAX)
-    }
 }
 
 /// The number of polls a parked core skips before waking: its polls fall
@@ -746,21 +731,6 @@ mod tests {
         let mut out = Vec::new();
         w.take_woken(&mut out);
         assert!(out.is_empty(), "an unlock before the park is stale");
-    }
-
-    #[test]
-    fn poll_cut_finds_the_first_parked_poller_above_the_batch_head() {
-        let mut w = WaitList::new(6);
-        let clocks = [0, 0, 70, 55, 40, 85];
-        w.park(2, WaitOn::FallbackWriter); // polls 70, 85, …
-        w.park(3, WaitOn::FallbackWriter); // polls 55, 70, 85, …
-        w.park(4, WaitOn::FallbackWriter); // polls 40, 55, 70, 85, …
-        w.park(5, WaitOn::FallbackWriter); // polls 85, …
-        assert_eq!(w.poll_cut(&clocks, 15, 0, 70), 2);
-        assert_eq!(w.poll_cut(&clocks, 15, 2, 70), 3);
-        assert_eq!(w.poll_cut(&clocks, 15, 0, 55), 3);
-        assert_eq!(w.poll_cut(&clocks, 15, 4, 55), usize::MAX);
-        assert_eq!(w.poll_cut(&clocks, 15, 0, 60), usize::MAX);
     }
 
     #[test]

@@ -42,15 +42,6 @@ pub struct PerfCounters {
     /// Directory entries in the fullest shard (imbalance indicator; equal
     /// to `shard_lines / shards` only for a perfectly uniform footprint).
     pub shard_lines_max: u64,
-    /// Parallel step batches formed (≥ 2 same-clock cores with provably
-    /// local, shard-disjoint next steps). Zero when `sim_threads` is 1.
-    /// Batch counters are a function of the thread *mode* (off vs on), not
-    /// the worker count, so any two multi-threaded runs agree on them.
-    pub par_batches: u64,
-    /// Scheduler steps executed inside parallel batches.
-    pub par_batch_steps: u64,
-    /// Largest batch formed.
-    pub par_batch_max: u64,
     /// Lock, fallback-lock and pending polls a parked core skipped and had
     /// credited on wake instead of executing (part of `steps`). Kept out of the
     /// harness JSON and the metrics gauges, so no golden depends on it.

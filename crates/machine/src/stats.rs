@@ -195,7 +195,7 @@ impl RunStats {
     /// The `clear_sim_perf` gauges: the simulator perf counters (wall
     /// time excluded) plus the LRWS capacity-abort tallies, in export
     /// order.
-    pub fn sim_perf_gauges(&self) -> [(&'static str, u64); 14] {
+    pub fn sim_perf_gauges(&self) -> [(&'static str, u64); 11] {
         let p = &self.perf;
         [
             ("steps", p.steps),
@@ -207,9 +207,6 @@ impl RunStats {
             ("shards", p.shards),
             ("shard_lines", p.shard_lines),
             ("shard_lines_max", p.shard_lines_max),
-            ("par_batches", p.par_batches),
-            ("par_batch_steps", p.par_batch_steps),
-            ("par_batch_max", p.par_batch_max),
             ("lrws_read_capacity_aborts", self.lrws_read_capacity_aborts),
             (
                 "lrws_write_capacity_aborts",

@@ -232,6 +232,19 @@ fn runs_are_deterministic() {
 }
 
 #[test]
+fn shard_counters_surface_directory_occupancy() {
+    let (_, s) = run(
+        Preset::C,
+        8,
+        by_name("hashmap", Size::Tiny, 7).expect("known benchmark"),
+    );
+    assert!(s.perf.shards > 0);
+    assert!(s.perf.shard_lines >= s.perf.shards, "entries fill shards");
+    assert!(s.perf.shard_lines_max <= s.perf.shard_lines);
+    assert!(s.perf.shard_lines_max * s.perf.shards >= s.perf.shard_lines);
+}
+
+#[test]
 fn energy_is_positive_and_includes_both_components() {
     let (_, s) = run(Preset::B, 2, Box::new(SharedCounter::new(10)));
     assert!(s.energy.static_energy > 0.0);

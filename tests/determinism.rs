@@ -78,31 +78,24 @@ fn worker_pool_width_does_not_change_results() {
 
 /// `scaling-wide` options scaled down for debug-mode test runs: a 64/128
 /// ladder instead of the golden's full 64→1024 sweep.
-fn wide(workers: usize, sim_threads: usize) -> SuiteOptions {
+fn wide(workers: usize) -> SuiteOptions {
     SuiteOptions {
         size: Size::Tiny,
         cores: 128,
         seeds: vec![1],
         benchmarks: vec!["arrayswap"],
         workers,
-        sim_threads,
         ..SuiteOptions::default()
     }
 }
 
-/// Strips the wall-clock columns (the only host-dependent fields) plus
-/// the top-level `sim_threads` echo (which records the requested thread
-/// count by design) so the remaining document — every simulated counter —
-/// can be compared byte-for-byte.
+/// Strips the wall-clock columns (the only host-dependent fields) so the
+/// remaining document — every simulated counter — can be compared
+/// byte-for-byte.
 fn deterministic_part(json: &clear_harness::json::Json) -> String {
     json.to_pretty()
         .lines()
-        .filter(|l| {
-            !l.contains("wall_ns")
-                && !l.contains("steps_per_sec")
-                && !l.contains("ratio")
-                && !l.contains("\"sim_threads\"")
-        })
+        .filter(|l| !l.contains("wall_ns") && !l.contains("steps_per_sec") && !l.contains("ratio"))
         .collect::<Vec<_>>()
         .join("\n")
 }
@@ -110,8 +103,8 @@ fn deterministic_part(json: &clear_harness::json::Json) -> String {
 #[test]
 fn scaling_wide_reproduces_byte_identically_across_runs() {
     let exp = find("scaling-wide").expect("scaling-wide registered");
-    let a = (exp.run)(&wide(4, 2));
-    let b = (exp.run)(&wide(4, 2));
+    let a = (exp.run)(&wide(4));
+    let b = (exp.run)(&wide(4));
     assert_eq!(
         deterministic_part(&a.json),
         deterministic_part(&b.json),
@@ -123,8 +116,8 @@ fn scaling_wide_reproduces_byte_identically_across_runs() {
 #[test]
 fn scaling_wide_is_independent_of_grid_workers() {
     let exp = find("scaling-wide").expect("scaling-wide registered");
-    let serial = (exp.run)(&wide(1, 2));
-    let parallel = (exp.run)(&wide(8, 2));
+    let serial = (exp.run)(&wide(1));
+    let parallel = (exp.run)(&wide(8));
     assert_eq!(
         deterministic_part(&serial.json),
         deterministic_part(&parallel.json),
@@ -132,24 +125,9 @@ fn scaling_wide_is_independent_of_grid_workers() {
     );
 }
 
-#[test]
-fn scaling_wide_is_independent_of_intra_run_worker_count() {
-    // Both runs have batching ON (sim_threads >= 2), so even the
-    // par_batch_* counters in the rows must agree: batch formation is a
-    // function of the thread mode, never of the worker count.
-    let exp = find("scaling-wide").expect("scaling-wide registered");
-    let two = (exp.run)(&wide(4, 2));
-    let eight = (exp.run)(&wide(4, 8));
-    assert_eq!(
-        deterministic_part(&two.json),
-        deterministic_part(&eight.json),
-        "scaling-wide: sim_threads=2 vs 8 drifted"
-    );
-}
-
 /// `backend-shootout` options scaled down for debug-mode test runs: two
 /// benchmarks instead of the golden's full 19, the five swept backends.
-fn shootout(workers: usize, sim_threads: usize) -> SuiteOptions {
+fn shootout(workers: usize) -> SuiteOptions {
     SuiteOptions {
         size: Size::Tiny,
         cores: 8,
@@ -157,7 +135,6 @@ fn shootout(workers: usize, sim_threads: usize) -> SuiteOptions {
         retry_sweep: vec![5],
         benchmarks: vec!["arrayswap", "mwobject"],
         workers,
-        sim_threads,
         ..SuiteOptions::default()
     }
 }
@@ -165,8 +142,8 @@ fn shootout(workers: usize, sim_threads: usize) -> SuiteOptions {
 #[test]
 fn backend_shootout_reproduces_byte_identically_across_runs() {
     let exp = find("backend-shootout").expect("backend-shootout registered");
-    let a = (exp.run)(&shootout(4, 1));
-    let b = (exp.run)(&shootout(4, 1));
+    let a = (exp.run)(&shootout(4));
+    let b = (exp.run)(&shootout(4));
     // The shootout document carries no wall-clock fields at all, so the
     // whole thing — text and JSON — must reproduce byte-for-byte.
     assert_eq!(a.json.to_pretty(), b.json.to_pretty());
@@ -177,55 +154,11 @@ fn backend_shootout_reproduces_byte_identically_across_runs() {
 #[test]
 fn backend_shootout_is_independent_of_grid_workers() {
     let exp = find("backend-shootout").expect("backend-shootout registered");
-    let serial = (exp.run)(&shootout(1, 1));
-    let parallel = (exp.run)(&shootout(8, 1));
+    let serial = (exp.run)(&shootout(1));
+    let parallel = (exp.run)(&shootout(8));
     assert_eq!(
         serial.json.to_pretty(),
         parallel.json.to_pretty(),
         "backend-shootout: 1-worker vs 8-worker run drifted"
-    );
-}
-
-#[test]
-fn backend_shootout_is_independent_of_intra_run_threads() {
-    // sim_threads toggles parallel intra-run stepping (and, under the
-    // limited-R/W-set backend, forces the batching classifier off); the
-    // rendered document must not notice either way.
-    let exp = find("backend-shootout").expect("backend-shootout registered");
-    let two = (exp.run)(&shootout(4, 2));
-    let eight = (exp.run)(&shootout(4, 8));
-    let sequential = (exp.run)(&shootout(4, 1));
-    assert_eq!(
-        two.json.to_pretty(),
-        eight.json.to_pretty(),
-        "backend-shootout: sim_threads=2 vs 8 drifted"
-    );
-    assert_eq!(
-        sequential.json.to_pretty(),
-        two.json.to_pretty(),
-        "backend-shootout: sequential vs batched stepping drifted"
-    );
-}
-
-#[test]
-fn intra_run_threads_do_not_change_gated_documents() {
-    // The suite-engine goldens carry no batch counters in their JSON, so
-    // sequential vs parallel intra-run stepping must render the exact same
-    // bytes — the guarantee that keeps them valid under any thread count
-    // (`backend_shootout_is_independent_of_intra_run_threads` covers the
-    // shootout's kernel counters and digests).
-    let exp = find("fig01").expect("fig01 registered");
-    let seq = (exp.run)(&SuiteOptions {
-        sim_threads: 1,
-        ..tiny(4)
-    });
-    let par = (exp.run)(&SuiteOptions {
-        sim_threads: 4,
-        ..tiny(4)
-    });
-    assert_eq!(
-        deterministic_part(&seq.json),
-        deterministic_part(&par.json),
-        "fig01: sequential vs parallel intra-run stepping drifted"
     );
 }
