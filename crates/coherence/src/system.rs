@@ -846,6 +846,13 @@ impl CoherenceSystem {
         }
     }
 
+    /// The lines `core` has locked since its last [`Self::unlock_all`], in
+    /// acquisition order: the lines that call will release. A line
+    /// released alone since, by [`Self::unlock_line`], is still listed.
+    pub fn locks_held(&self, core: CoreId) -> &[LineAddr] {
+        &self.per_core[core.0].locks_held
+    }
+
     /// Bulk-releases every lock `core` holds (the XEnd bulk unlock of §5.1).
     pub fn unlock_all(&mut self, core: CoreId) {
         // Drain the tracked lock list instead of sweeping every cache way;

@@ -21,7 +21,6 @@ impl Machine {
             RetryMode::Fallback => {
                 let won = self.fallback.try_write(CoreId(c));
                 debug_assert!(won, "fallback_blocker passed a held lock");
-                self.waits.note_acquire();
                 // Acquiring the lock writes its line, aborting every
                 // subscribed speculative AR through conflict detection.
                 let line = self.fallback.line();
@@ -41,7 +40,6 @@ impl Machine {
             RetryMode::NsCl | RetryMode::SCl => {
                 let won = self.fallback.try_read(CoreId(c));
                 debug_assert!(won, "fallback_blocker passed a write-held lock");
-                self.waits.note_acquire();
                 let mode = if self.cores[c].planned == RetryMode::NsCl {
                     ExecMode::NsCl
                 } else {

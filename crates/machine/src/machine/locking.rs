@@ -11,11 +11,10 @@ impl Machine {
         }
         // Every poll, failed or not, counts the group scratch buffer.
         self.perf.allocs_avoided += 1;
-        if let Some(holder) = self.group_blocker(c, idx) {
+        if let Some(line) = self.group_blocker(c, idx) {
             // Another core holds a group line locked: retried request
-            // (Fig. 6). Every re-poll fails until the holder releases its
-            // locks.
-            self.park(c, WaitOn::Line { holder });
+            // (Fig. 6). Every re-poll fails until that line is released.
+            self.park(c, WaitOn::Line { line });
             return;
         }
         // Lexicographical conflict groups (same directory set) are locked
@@ -79,7 +78,9 @@ impl Machine {
         };
         match result {
             Ok(ok) => {
-                self.waits.note_acquire();
+                for &line in &group {
+                    self.waits.note_locked(line);
+                }
                 self.clocks[c] += ok.latency;
                 let impacts = ok.remote_impacts;
                 // The accumulated spin wait paid for the whole group; it is
@@ -115,17 +116,17 @@ impl Machine {
         self.scratch_group = group;
     }
 
-    /// The core holding a line of `c`'s lock group at `idx` locked, if any:
-    /// the read-only test that fails a lock-acquire poll. The first locked
-    /// line in lock order names the holder.
-    pub(super) fn group_blocker(&self, c: usize, idx: usize) -> Option<usize> {
+    /// The first line in lock order of `c`'s lock group at `idx` that
+    /// another core holds locked, if any: the read-only test that fails a
+    /// lock-acquire poll.
+    pub(super) fn group_blocker(&self, c: usize, idx: usize) -> Option<LineAddr> {
         let list = &self.cores[c].lock_list;
         let dir = self.coherence.dir_geometry();
         let set = dir.set_index(*list.get(idx)?);
         list[idx..]
             .iter()
             .take_while(|l| dir.set_index(**l) == set)
-            .find_map(|&l| self.coherence.locked_by(l).filter(|h| h.0 != c))
-            .map(|h| h.0)
+            .copied()
+            .find(|&l| self.coherence.locked_by(l).is_some_and(|h| h.0 != c))
     }
 }

@@ -13,13 +13,14 @@ impl Machine {
             .unwrap_or(false)
     }
 
-    /// The core holding the line of `c`'s pending load or store locked, if
-    /// the re-send would fail on it: the read-only mirror of the re-send's
-    /// routing in `do_load` and `do_store`. Fallback mode and speculative
-    /// mode outside failed-mode discovery probe the line; every other path
-    /// completes without it. A re-send repeats its fault, discovery and
-    /// R/W-set checks without effect, so they cannot newly divert it.
-    pub(super) fn pending_blocker(&self, c: usize) -> Option<usize> {
+    /// The line of `c`'s pending load or store, if another core holds it
+    /// locked and the re-send would fail on it: the read-only mirror of the
+    /// re-send's routing in `do_load` and `do_store`. Fallback mode and
+    /// speculative mode outside failed-mode discovery probe the line; every
+    /// other path completes without it. A re-send repeats its fault,
+    /// discovery and R/W-set checks without effect, so they cannot newly
+    /// divert it.
+    pub(super) fn pending_blocker(&self, c: usize) -> Option<LineAddr> {
         let core = &self.cores[c];
         let addr = match core.pending? {
             PendingOp::Load { addr, .. } => {
@@ -38,10 +39,11 @@ impl Machine {
         if !probes {
             return None;
         }
+        let line = addr.line();
         self.coherence
-            .locked_by(addr.line())
-            .filter(|h| h.0 != c)
-            .map(|h| h.0)
+            .locked_by(line)
+            .is_some_and(|h| h.0 != c)
+            .then_some(line)
     }
 
     pub(super) fn run_step(&mut self, c: usize) {
@@ -245,7 +247,7 @@ impl Machine {
                     return;
                 }
                 let probe = self.coherence.probe(CoreId(c), line, Access::Read);
-                if let Some(holder) = probe.locked_by_other {
+                if probe.locked_by_other.is_some() {
                     if mode == ExecMode::SCl {
                         // Non-locking S-CL load reaching a locked line is
                         // NACKed and aborts (§4.4.2, Fig. 5).
@@ -253,7 +255,7 @@ impl Machine {
                     } else {
                         // Retried request (Fig. 6): requester re-sends.
                         self.cores[c].pending = Some(PendingOp::Load { addr, indirect });
-                        self.park(c, WaitOn::Pending { holder: holder.0 });
+                        self.park(c, WaitOn::Pending { line });
                     }
                     return;
                 }
@@ -360,13 +362,13 @@ impl Machine {
         match self.cores[c].mode {
             ExecMode::Fallback => {
                 let probe = self.coherence.probe(CoreId(c), line, Access::Write);
-                if let Some(holder) = probe.locked_by_other {
+                if probe.locked_by_other.is_some() {
                     self.cores[c].pending = Some(PendingOp::Store {
                         addr,
                         value,
                         indirect,
                     });
-                    self.park(c, WaitOn::Pending { holder: holder.0 });
+                    self.park(c, WaitOn::Pending { line });
                     return;
                 }
                 let mut conflicts = self.force_apply(c, line, Access::Write, TxTrack::None);
@@ -419,7 +421,7 @@ impl Machine {
                     return;
                 }
                 let probe = self.coherence.probe(CoreId(c), line, Access::Write);
-                if let Some(holder) = probe.locked_by_other {
+                if probe.locked_by_other.is_some() {
                     if mode == ExecMode::SCl {
                         self.perform_abort(c, AbortKind::Nacked);
                     } else {
@@ -428,7 +430,7 @@ impl Machine {
                             value,
                             indirect,
                         });
-                        self.park(c, WaitOn::Pending { holder: holder.0 });
+                        self.park(c, WaitOn::Pending { line });
                     }
                     return;
                 }

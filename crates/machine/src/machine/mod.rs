@@ -14,14 +14,16 @@
 //!
 //! A core whose lock-group poll, fallback-lock poll or pending load or
 //! store re-send fails does not re-poll every `spin_interval` cycles: it
-//! parks off the scheduler heap until a step releases a cacheline lock it
-//! is blocked on or the fallback lock, then resumes at the first poll the
-//! polling schedule would have run after that release, each skipped poll
-//! credited to the step, re-key and wait counters exactly as if it had
-//! run. A conflict that reaches a parked pending core first brings it back
-//! to that poll, and a woken core that a new lock holder blocks again
-//! before its first poll goes straight back to the wait list (see the
-//! `sched` module).
+//! parks off the scheduler heap, in the queue of the line it is blocked on
+//! or on the fallback lock, and resumes at the first poll the polling
+//! schedule would have run after the release it waits for, each skipped
+//! poll credited to the step, re-key and wait counters exactly as if it
+//! had run. A line release wakes one waiter, the queue's head, the one
+//! whose poll comes first, and the next only once that head has polled
+//! and left the line free. A conflict that reaches a parked pending core
+//! first brings it back to that poll, and a woken core whose first poll
+//! would fail parks again when it reaches the heap top (see the `sched`
+//! module).
 //!
 //! # Simplifications vs. the paper (documented per DESIGN.md)
 //!
@@ -210,8 +212,8 @@ pub struct Machine {
     /// last scheduler step; the run loop re-keys their heap entries.
     sched_touched: Vec<usize>,
     /// Cores parked off the heap on a failed lock, fallback-lock or
-    /// pending poll, plus the releases of the current step (see the
-    /// `sched` module).
+    /// pending poll, in per-line queues or on the fallback lock, plus the
+    /// releases and locks of the current step (see the `sched` module).
     waits: WaitList,
     /// Simulator-kernel counters for the current run (see [`crate::perf`]).
     perf: PerfCounters,
@@ -225,7 +227,7 @@ pub struct Machine {
     /// groups and woken cores; taken, filled, and put back on the hot path.
     scratch_victims: Vec<TxInfo>,
     scratch_group: Vec<LineAddr>,
-    scratch_woken: Vec<(usize, sched::WaitOn)>,
+    scratch_wakes: Vec<sched::Wake>,
 }
 
 impl std::fmt::Debug for Machine {
@@ -268,7 +270,7 @@ impl Machine {
             poisoned_plans: FxHashSet::default(),
             scratch_victims: Vec::new(),
             scratch_group: Vec::new(),
-            scratch_woken: Vec::new(),
+            scratch_wakes: Vec::new(),
             config,
         }
     }
@@ -316,9 +318,13 @@ impl Machine {
     /// — a total order, so every step advances the exact same core a
     /// linear `min_by_key` scan would pick, in O(log cores). Cores waiting
     /// on a held lock, or on a line another core holds locked, are parked
-    /// off the heap and woken by the step that releases it; the skipped
-    /// polls are credited, not executed. This loop is the only way a core
-    /// advances: every step runs on the calling thread, one core at a time.
+    /// off the heap. A line release puts one of the line's waiters back
+    /// into the heap, a fallback-lock release every fallback waiter, and
+    /// the skipped polls are credited, not executed.
+    /// A woken core is checked once at the heap top, before the
+    /// `max_cycles` test, and parks again if its poll would fail. This loop
+    /// is the only way a core advances: every step runs on the calling
+    /// thread, one core at a time.
     pub fn run(&mut self) -> RunStats {
         let started = std::time::Instant::now();
         let mut sched = CoreHeap::new(self.cores.len());
@@ -337,6 +343,11 @@ impl Machine {
                 }
                 break;
             };
+            // A woken core whose first poll would fail parks again before
+            // the stop test reads its clock.
+            if self.repark_if_blocked(c, &mut sched) {
+                continue;
+            }
             #[cfg(debug_assertions)]
             self.debug_assert_heap_min(c);
             if self.clocks[c] > self.config.max_cycles {

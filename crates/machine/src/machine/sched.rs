@@ -1,5 +1,5 @@
 //! The core scheduler: an indexed binary min-heap over `(clock, core_id)`,
-//! plus the wait list of cores parked off it.
+//! plus the wait queues of cores parked off it.
 //!
 //! [`Machine::run`](super::Machine::run) must always advance the core with
 //! the smallest clock, ties broken by core id. A linear scan is O(cores)
@@ -20,39 +20,62 @@
 //! poll time as its clock. Its later polls are never executed; they are
 //! *credited* when it wakes.
 //!
-//! A step that releases something a parked core polls for wakes it: a
-//! cacheline-lock release wakes the cores whose lock group or pending
-//! line that holder blocks, a fallback write release wakes every fallback
-//! waiter, and a read release that leaves no readers wakes the
-//! fallback-mode waiters. If the releasing step ran at heap key `(r, R)`,
-//! the woken core `w` re-enters the heap at its first poll time `t` with
-//! `(t, w) > (r, R)` — the first poll the polling scheduler would have run
-//! after the release, since pops come in non-decreasing key order — and
-//! every poll it skipped is credited exactly as the executed poll would
-//! have counted it. A spurious wake is harmless (the core just polls for
-//! real at `t`, as it would have), so wake conditions only have to be
-//! complete, not exact. Runs are therefore step-for-step identical to
-//! per-poll spinning, counters included.
+//! A lock or pending waiter parks in the queue of the *line* its poll
+//! failed on; a fallback waiter parks on the fallback lock. If the step
+//! that releases what a core `w` waits on ran at heap key `(r, R)`, the
+//! next poll per-poll spinning would run for `w` is its first poll time
+//! `t` with `(t, w) > (r, R)`, since pops come in non-decreasing key
+//! order. A woken core re-enters the heap at `t`, and every poll it
+//! skipped is credited exactly as the executed poll would have counted it.
+//! A spurious wake is harmless (the core just polls for real at `t`, as it
+//! would have), so wake conditions only have to be complete, not exact.
+//! Runs are therefore step-for-step identical to per-poll spinning,
+//! counters included. These rules keep it that way:
 //!
-//! Two more rules keep it that way:
-//!
+//! * **Line queues.** A released line's queue turns *live* at the release
+//!   key, and one member, the *head*, goes back into the heap: the one
+//!   with the smallest first-poll key. Per-poll spinning would run the
+//!   members' polls in that key order. Each poll either takes the line (a
+//!   lock poll) or leaves it free (a pending re-send, or a lock poll that
+//!   another group line fails), so when the head has stepped and the line
+//!   is still free, the next head is elected from the same release key,
+//!   and it polls after the head did. A lock taken on the line makes the
+//!   queue *dormant*: every member left would fail its poll. An elected
+//!   head whose poll has not run leaves the heap and rejoins the members,
+//!   uncharged, since its clock already holds that poll's time.
+//! * **Deferred catch-up.** Only a head is caught up. A member keeps its
+//!   stale clock across any number of releases: catching up from it to
+//!   the first poll after a later release credits the same polls as
+//!   catching up at each release in turn, because every poll before the
+//!   earlier release key also precedes the later one.
+//! * **Fallback waiters.** A fallback write release wakes every fallback
+//!   waiter, and a read release that leaves no readers wakes the cores
+//!   waiting to enter the fallback path.
+//! * **Lazy check.** A woken core (a head or a fallback waiter) may be
+//!   blocked again before its first poll runs: by another line of its
+//!   lock group, or by a fallback lock taken after the wake. So when it
+//!   reaches the heap top, before the `max_cycles` test, it runs its
+//!   poll's own read-only blocker predicate once. If the poll would fail,
+//!   the core leaves the heap and parks on its new blocker without a
+//!   charge, and a head's old queue elects its next head. The repeated
+//!   poll would change nothing: this wait already ran one real failed
+//!   poll, so one-time effects such as the `ExplicitFallback` record are
+//!   not skipped.
 //! * **Materialise.** A pending core is still inside a speculative
 //!   attempt, so a remote conflict can reach it while it is parked. The
 //!   conflict reads the victim's clock, so before it is delivered the
 //!   victim is unparked at its first poll after the current step (the
-//!   skipped polls credited) and re-enters the heap after that step.
-//! * **Re-park.** An unlock wakes every core its holder blocks, but the
-//!   first poller to run may take the lock again, and then every other
-//!   woken core's poll fails. So after a step that wakes a core or
-//!   acquires a lock (a cacheline-lock group, or the fallback lock for
-//!   read or write), each woken core whose first poll has not run yet is
-//!   re-checked with that poll's own read-only blocker predicate. If it is
-//!   still blocked it leaves the heap and parks again without a charge:
-//!   its clock already holds its next poll time, and that poll repeats one
-//!   that already failed, so nothing a first poll does is skipped.
+//!   skipped polls credited) and re-enters the heap after that step. For
+//!   a member of a live queue that is the poll its release scheduled,
+//!   which lies after the current step. A head is already in the heap: it
+//!   leaves its queue, and the queue elects the next head.
+//! * **Time-out.** At the `max_cycles` stop, the members of a live queue
+//!   catch up to its release key, and every other parked core to its
+//!   first poll past `max_cycles`.
 
 use super::{Machine, Phase};
 use clear_coherence::CoreId;
+use clear_mem::{FxHashMap, LineAddr};
 
 /// Indexed min-heap of core ids keyed by `(clock, core_id)`.
 #[derive(Debug)]
@@ -170,17 +193,13 @@ impl CoreHeap {
 }
 
 /// What a parked core waits for; the wake rule keys on it.
-///
-/// A `holder` only selects which unlock wakes the core: any core holding a
-/// line the poll needs fails the poll until it releases, so it need not be
-/// the holder a real poll would have named.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) enum WaitOn {
-    /// A lock-group line held by core `holder` (a lock-acquire spin).
-    Line { holder: usize },
-    /// The line of a pending load or store, held by core `holder` (a
-    /// retried request, Fig. 6).
-    Pending { holder: usize },
+    /// A lock-group line another core holds locked (a lock-acquire spin).
+    Line { line: LineAddr },
+    /// The line of a pending load or store, which another core holds
+    /// locked (a retried request, Fig. 6).
+    Pending { line: LineAddr },
     /// The fallback lock's writer to leave (CL-mode and speculative
     /// attempt starts).
     FallbackWriter,
@@ -189,42 +208,81 @@ pub(super) enum WaitOn {
     FallbackIdle,
 }
 
+impl WaitOn {
+    /// The line whose queue the wait joins; `None` for a fallback wait.
+    fn line(self) -> Option<LineAddr> {
+        match self {
+            WaitOn::Line { line } | WaitOn::Pending { line } => Some(line),
+            WaitOn::FallbackWriter | WaitOn::FallbackIdle => None,
+        }
+    }
+}
+
 /// Where a core stands on the wait list.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Slot {
     /// In the heap, or finished.
     Free,
-    /// Parked off the heap on the wait.
+    /// Parked off the heap: a member of its line's queue, or a fallback
+    /// waiter.
     Parked(WaitOn),
-    /// Woken from the wait and back in the heap, its first poll not yet
-    /// run: a candidate for a re-park.
+    /// Back in the heap with its first poll since the wake not yet run: a
+    /// queue head or a woken fallback waiter (see the lazy check).
     Woken(WaitOn),
 }
 
-/// Cores parked off the [`CoreHeap`] and the releases the current step
-/// made, which the run loop turns into wakes.
+/// The cores parked on one line.
+#[derive(Debug, Default)]
+struct LineQueue {
+    /// Parked members, any order. Their clocks may be stale: a member is
+    /// caught up only when it is elected or brought back.
+    members: Vec<usize>,
+    /// The elected member in the heap whose first poll has not run.
+    head: Option<usize>,
+    /// Heap key of the release that freed the line; `None` (dormant)
+    /// while the line is locked.
+    live: Option<(u64, usize)>,
+}
+
+/// A core a wake pass puts back into the heap at its first poll after
+/// heap key `after`, the polls it skipped credited.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) struct Wake {
+    pub(super) core: usize,
+    pub(super) on: WaitOn,
+    pub(super) after: (u64, usize),
+}
+
+/// Cores parked off the [`CoreHeap`]: per-line queues with one live head
+/// and the fallback waiters, plus what the current step released and
+/// locked, which the wake pass turns into wakes.
 #[derive(Debug)]
 pub(super) struct WaitList {
     /// `slots[core]` = where `core` stands.
     slots: Vec<Slot>,
-    /// Parked core ids (any order: wakes re-key by `(clock, core_id)`).
-    parked: Vec<usize>,
-    /// Cores woken since the last re-check, possibly stale (a core that
-    /// polled meanwhile is [`Slot::Free`] again) or repeated.
-    woken: Vec<usize>,
+    /// Number of [`Slot::Parked`] cores.
+    parked: usize,
+    /// The queue of every line some core waits on or heads. A queue with
+    /// no member and no head is dropped.
+    queues: FxHashMap<LineAddr, LineQueue>,
+    /// Member buffers of dropped queues, reused by new ones.
+    spare: Vec<Vec<usize>>,
+    /// Cores parked on the fallback lock (any order).
+    fallback: Vec<usize>,
+    /// Lines whose queue the wake pass must settle: released lines,
+    /// locked lines with a head, lines whose head left. May repeat.
+    touched: Vec<LineAddr>,
+    /// Heads a lock sent back to their queue; the run loop takes them out
+    /// of the heap.
+    unheaded: Vec<usize>,
     /// Cores a conflict unparked during the current step.
     materialized: Vec<usize>,
     /// Heap key of the step being run.
     now: (u64, usize),
-    /// Cores that dropped their cacheline locks during the current step.
-    unlocked: Vec<usize>,
     /// The current step released the fallback write lock.
     writer_left: bool,
     /// The current step released the last fallback read lock.
     readers_left: bool,
-    /// The current step acquired a cacheline-lock group or the fallback
-    /// lock, or woke a core: a woken core may be blocked again.
-    recheck: bool,
 }
 
 impl WaitList {
@@ -232,35 +290,82 @@ impl WaitList {
     pub(super) fn new(n: usize) -> Self {
         WaitList {
             slots: vec![Slot::Free; n],
-            parked: Vec::new(),
-            woken: Vec::new(),
+            parked: 0,
+            queues: FxHashMap::default(),
+            spare: Vec::new(),
+            fallback: Vec::new(),
+            touched: Vec::new(),
+            unheaded: Vec::new(),
             materialized: Vec::new(),
             now: (0, 0),
-            unlocked: Vec::new(),
             writer_left: false,
             readers_left: false,
-            recheck: false,
         }
     }
 
-    /// Parks `core` on `on`. Must not already be parked.
+    /// Parks `core` on `on`: in the queue of its line, which is locked and
+    /// so dormant, or on the fallback lock. Must not already be parked.
     pub(super) fn park(&mut self, core: usize, on: WaitOn) {
         debug_assert!(!self.is_parked(core), "core {core} already parked");
         self.slots[core] = Slot::Parked(on);
-        self.parked.push(core);
+        self.parked += 1;
+        match on.line() {
+            Some(line) => {
+                let spare = &mut self.spare;
+                let q = self.queues.entry(line).or_insert_with(|| LineQueue {
+                    members: spare.pop().unwrap_or_default(),
+                    ..LineQueue::default()
+                });
+                debug_assert!(q.live.is_none(), "core {core} parked on a free line");
+                q.members.push(core);
+            }
+            None => self.fallback.push(core),
+        }
     }
 
-    /// Unparks `core`, returning what it waited on; `None` if it was not
-    /// parked. A woken core loses its re-park candidacy either way: the
-    /// caller is about to change its state.
-    fn unpark(&mut self, core: usize) -> Option<WaitOn> {
+    /// Sends woken `core`, whose first poll would fail on `on`, back to the
+    /// wait list; a head's old queue elects its next head in the wake pass.
+    pub(super) fn repark(&mut self, core: usize, on: WaitOn) {
+        let Slot::Woken(was) = self.slots[core] else {
+            unreachable!("core {core} re-parked without a wake")
+        };
+        self.slots[core] = Slot::Free;
+        self.leave_head(core, was);
+        self.park(core, on);
+    }
+
+    /// Takes woken `core` out of its queue's head seat, if it holds one.
+    fn leave_head(&mut self, core: usize, on: WaitOn) {
+        if let Some(line) = on.line() {
+            let q = self.queues.get_mut(&line).expect("a head has a queue");
+            debug_assert_eq!(q.head, Some(core), "core {core} is not its queue's head");
+            q.head = None;
+            self.touched.push(line);
+        }
+    }
+
+    /// Unparks `core` for a conflict. Returns what it waited on, and
+    /// `true` unless it sat in a live queue; `None` if it was not parked.
+    /// A woken core stops being checked: the conflict changes what its
+    /// next step does. A head also leaves its queue.
+    fn unpark(&mut self, core: usize) -> Option<(WaitOn, bool)> {
         match std::mem::replace(&mut self.slots[core], Slot::Free) {
             Slot::Parked(on) => {
-                let i = self.parked.iter().position(|&p| p == core).expect("parked");
-                self.parked.swap_remove(i);
-                Some(on)
+                self.parked -= 1;
+                let Some(line) = on.line() else {
+                    remove(&mut self.fallback, core);
+                    return Some((on, true));
+                };
+                let q = self.queues.get_mut(&line).expect("a member has a queue");
+                remove(&mut q.members, core);
+                self.touched.push(line);
+                Some((on, q.live.is_none()))
             }
-            Slot::Free | Slot::Woken(_) => None,
+            Slot::Woken(on) => {
+                self.leave_head(core, on);
+                None
+            }
+            Slot::Free => None,
         }
     }
 
@@ -269,25 +374,50 @@ impl WaitList {
         matches!(self.slots[core], Slot::Parked(_))
     }
 
-    /// `true` if no core is parked.
-    pub(super) fn is_empty(&self) -> bool {
-        self.parked.is_empty()
+    /// `true` if `core` is back in the heap and its first poll since the
+    /// wake has not run.
+    pub(super) fn is_woken(&self, core: usize) -> bool {
+        matches!(self.slots[core], Slot::Woken(_))
     }
 
-    /// Opens the step of `core` at heap key `now`: a woken core's first
-    /// poll is about to run, so it stops being a re-park candidate.
+    /// `true` if no core is parked.
+    pub(super) fn is_empty(&self) -> bool {
+        self.parked == 0
+    }
+
+    /// Opens the step of `core` at heap key `now`. A woken core's first
+    /// poll is about to run: a head leaves its queue, which elects its
+    /// next head after the step if the line is still free.
     pub(super) fn begin_step(&mut self, core: usize, now: (u64, usize)) {
         self.now = now;
-        if let Slot::Woken(_) = self.slots[core] {
+        if let Slot::Woken(on) = self.slots[core] {
             self.slots[core] = Slot::Free;
+            self.leave_head(core, on);
         }
     }
 
-    /// Notes that `core` released its cacheline locks (a no-op unless
-    /// some core is parked).
-    pub(super) fn note_unlock(&mut self, core: usize) {
-        if !self.parked.is_empty() {
-            self.unlocked.push(core);
+    /// Notes that the current step released the cacheline locks on
+    /// `lines`: their queues turn live at the step's key.
+    pub(super) fn note_released(&mut self, lines: &[LineAddr]) {
+        if self.queues.is_empty() {
+            return;
+        }
+        for line in lines {
+            if let Some(q) = self.queues.get_mut(line) {
+                q.live = Some(self.now);
+                self.touched.push(*line);
+            }
+        }
+    }
+
+    /// Notes that the current step locked `line`: its queue turns dormant,
+    /// and the wake pass sends an unpolled head back to the members.
+    pub(super) fn note_locked(&mut self, line: LineAddr) {
+        if let Some(q) = self.queues.get_mut(&line) {
+            q.live = None;
+            if q.head.is_some() {
+                self.touched.push(line);
+            }
         }
     }
 
@@ -301,59 +431,126 @@ impl WaitList {
         self.readers_left = true;
     }
 
-    /// Notes a cacheline-lock group or fallback-lock acquisition, which
-    /// may block a woken core again.
-    pub(super) fn note_acquire(&mut self) {
-        self.recheck = true;
+    /// `true` if the current step left nothing for the wake pass.
+    fn is_settled(&self) -> bool {
+        self.touched.is_empty() && !self.writer_left && !self.readers_left
     }
 
-    /// Unparks every core the current step's releases may have unblocked,
-    /// appending `(core, wait)` to `out`, and forgets the releases.
-    pub(super) fn take_woken(&mut self, out: &mut Vec<(usize, WaitOn)>) {
-        if self.unlocked.is_empty() && !self.writer_left && !self.readers_left {
-            return;
-        }
-        let (unlocked, writer, readers) = (&self.unlocked, self.writer_left, self.readers_left);
-        let (slots, woken, recheck) = (&mut self.slots, &mut self.woken, &mut self.recheck);
-        // Drop stale candidates first, so each core is listed at most once.
-        woken.retain(|&c| matches!(slots[c], Slot::Woken(_)));
-        self.parked.retain(|&c| {
-            let Slot::Parked(on) = slots[c] else {
-                unreachable!("parked core {c} has a wait")
+    /// The wake pass of the current step: each touched queue that is
+    /// dormant sends its head to [`WaitList::unheaded`], each live queue
+    /// without a head elects the member with the smallest first-poll key
+    /// after its release, and a fallback release wakes its waiters. Every
+    /// woken core is appended to `out`. `clocks` are the cores' clocks
+    /// and `spin` the poll interval.
+    pub(super) fn take_wakes(&mut self, clocks: &[u64], spin: u64, out: &mut Vec<Wake>) {
+        for line in self.touched.drain(..) {
+            let Some(q) = self.queues.get_mut(&line) else {
+                continue;
             };
-            let wake = match on {
-                WaitOn::Line { holder } | WaitOn::Pending { holder } => unlocked.contains(&holder),
-                WaitOn::FallbackWriter => writer,
-                WaitOn::FallbackIdle => writer || readers,
-            };
-            if wake {
-                *recheck = true;
-                slots[c] = Slot::Woken(on);
-                woken.push(c);
-                out.push((c, on));
+            match (q.live, q.head) {
+                (None, Some(head)) => {
+                    let Slot::Woken(on) = self.slots[head] else {
+                        unreachable!("head {head} is not woken")
+                    };
+                    self.slots[head] = Slot::Parked(on);
+                    self.parked += 1;
+                    q.head = None;
+                    q.members.push(head);
+                    self.unheaded.push(head);
+                }
+                (Some(after), None) if !q.members.is_empty() => {
+                    let first_poll = |&m: &usize| {
+                        (
+                            clocks[m] + polls_skipped(clocks[m], spin, m, after) * spin,
+                            m,
+                        )
+                    };
+                    let (i, _) = q
+                        .members
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, m)| first_poll(m))
+                        .expect("members");
+                    let head = q.members.swap_remove(i);
+                    let Slot::Parked(on) = self.slots[head] else {
+                        unreachable!("member {head} is not parked")
+                    };
+                    self.slots[head] = Slot::Woken(on);
+                    self.parked -= 1;
+                    q.head = Some(head);
+                    out.push(Wake {
+                        core: head,
+                        on,
+                        after,
+                    });
+                }
+                _ => {}
             }
-            !wake
-        });
-        self.unlocked.clear();
-        self.writer_left = false;
-        self.readers_left = false;
-    }
-
-    /// Unparks every core, appending `(core, wait)` to `out`.
-    pub(super) fn take_all(&mut self, out: &mut Vec<(usize, WaitOn)>) {
-        for c in self.parked.drain(..) {
-            let Slot::Parked(on) = std::mem::replace(&mut self.slots[c], Slot::Free) else {
-                unreachable!("parked core {c} has a wait")
-            };
-            out.push((c, on));
+            if q.head.is_none() && q.members.is_empty() {
+                let q = self.queues.remove(&line).expect("queue present");
+                self.spare.push(q.members);
+            }
+        }
+        if self.writer_left || self.readers_left {
+            let (writer, readers, after) = (self.writer_left, self.readers_left, self.now);
+            let (slots, parked) = (&mut self.slots, &mut self.parked);
+            self.fallback.retain(|&c| {
+                let Slot::Parked(on) = slots[c] else {
+                    unreachable!("fallback waiter {c} is not parked")
+                };
+                let wake = match on {
+                    WaitOn::FallbackWriter => writer,
+                    WaitOn::FallbackIdle => writer || readers,
+                    WaitOn::Line { .. } | WaitOn::Pending { .. } => unreachable!(),
+                };
+                if wake {
+                    slots[c] = Slot::Woken(on);
+                    *parked -= 1;
+                    out.push(Wake { core: c, on, after });
+                }
+                !wake
+            });
+            self.writer_left = false;
+            self.readers_left = false;
         }
     }
 
-    /// `true` if the current step acquired a lock or woke a core and some
-    /// woken core may not have polled yet; forgets the step's note.
-    fn take_recheck(&mut self) -> bool {
-        std::mem::take(&mut self.recheck) && !self.woken.is_empty()
+    /// Unparks every core for the stop at heap key `stop`, appending each
+    /// to `out`: a member of a live queue catches up to its release key,
+    /// every other parked core to `stop`. Heads, already caught up, just
+    /// leave their queues.
+    pub(super) fn take_all(&mut self, stop: (u64, usize), out: &mut Vec<Wake>) {
+        for (_, mut q) in self.queues.drain() {
+            if let Some(head) = q.head {
+                self.slots[head] = Slot::Free;
+            }
+            let after = q.live.unwrap_or(stop);
+            for c in q.members.drain(..) {
+                let Slot::Parked(on) = std::mem::replace(&mut self.slots[c], Slot::Free) else {
+                    unreachable!("member {c} is not parked")
+                };
+                out.push(Wake { core: c, on, after });
+            }
+            self.spare.push(q.members);
+        }
+        for c in self.fallback.drain(..) {
+            let Slot::Parked(on) = std::mem::replace(&mut self.slots[c], Slot::Free) else {
+                unreachable!("fallback waiter {c} is not parked")
+            };
+            out.push(Wake {
+                core: c,
+                on,
+                after: stop,
+            });
+        }
+        self.parked = 0;
     }
+}
+
+/// Removes `core` from an unordered core list that holds it.
+fn remove(list: &mut Vec<usize>, core: usize) {
+    let i = list.iter().position(|&c| c == core).expect("listed");
+    list.swap_remove(i);
 }
 
 /// The number of polls a parked core skips before waking: its polls fall
@@ -426,8 +623,14 @@ impl Machine {
     /// Drops `c`'s cacheline locks and its fallback read lock, noting both
     /// releases for the wake pass.
     pub(super) fn release_cl_locks(&mut self, c: usize) {
+        let held = self.coherence.locks_held(CoreId(c));
+        debug_assert!(
+            held.iter()
+                .all(|&l| self.coherence.locked_by(l) == Some(CoreId(c))),
+            "core {c} lists a line it does not hold"
+        );
+        self.waits.note_released(held);
         self.coherence.unlock_all(CoreId(c));
-        self.waits.note_unlock(c);
         if self.fallback.is_reader(CoreId(c)) {
             self.fallback.release_read(CoreId(c));
             if !self.fallback.has_readers() {
@@ -446,14 +649,17 @@ impl Machine {
     /// Brings parked core `v` back before a conflict is delivered to it:
     /// the conflict reads `v`'s clock, so `v` moves to its first poll after
     /// the current step, skipped polls credited, and re-enters the heap
-    /// after the step ([`Machine::push_materialized`]). A woken core that
-    /// has not polled stops being a re-park candidate, since the conflict
+    /// after the step ([`Machine::push_materialized`]). For a member of a
+    /// live queue that is the poll its release scheduled. A woken core
+    /// stays in the heap and is no longer checked, since the conflict
     /// changes what its next step does.
     pub(super) fn materialize(&mut self, v: usize) {
-        if let Some(on) = self.waits.unpark(v) {
+        if let Some((on, parked)) = self.waits.unpark(v) {
             self.catch_up(v, on, self.waits.now);
             self.waits.materialized.push(v);
-            self.perf.materialized += 1;
+            if parked {
+                self.perf.materialized += 1;
+            }
         }
     }
 
@@ -464,47 +670,43 @@ impl Machine {
         }
     }
 
-    /// The wake pass after the current step: every core its releases may
-    /// have unblocked re-enters the heap at its first poll ordered after
-    /// that step, skipped polls credited. Then, if the step acquired a lock
-    /// or woke a core, the re-park pass.
+    /// The wake pass after the current step: heads a lock sent back leave
+    /// the heap, and every core [`WaitList::take_wakes`] wakes re-enters it
+    /// at its first poll after its release, skipped polls credited.
     pub(super) fn wake_released(&mut self, sched: &mut CoreHeap) {
-        let mut woken = std::mem::take(&mut self.scratch_woken);
-        self.waits.take_woken(&mut woken);
-        for (w, on) in woken.drain(..) {
-            self.catch_up(w, on, self.waits.now);
-            sched.push(w, self.clocks[w]);
+        if self.waits.is_settled() {
+            return;
         }
-        self.scratch_woken = woken;
-        if self.waits.take_recheck() {
-            self.repark_blocked(sched);
+        let mut wakes = std::mem::take(&mut self.scratch_wakes);
+        let spin = self.config.timing.spin_interval;
+        self.waits.take_wakes(&self.clocks, spin, &mut wakes);
+        for h in self.waits.unheaded.drain(..) {
+            sched.remove(h);
         }
+        for Wake { core, on, after } in wakes.drain(..) {
+            self.catch_up(core, on, after);
+            sched.push(core, self.clocks[core]);
+            self.perf.wakes += 1;
+        }
+        self.scratch_wakes = wakes;
     }
 
-    /// Sends every woken core whose first poll has not run and would fail
-    /// back to the wait list, uncharged: its clock already holds that
-    /// poll's time, and the wake that ends the new wait credits it.
-    fn repark_blocked(&mut self, sched: &mut CoreHeap) {
-        let mut woken = std::mem::take(&mut self.waits.woken);
-        woken.retain(|&w| {
-            let Slot::Woken(on) = self.waits.slots[w] else {
-                return false;
-            };
-            let Some(again) = self.poll_blocker(w) else {
-                return true;
-            };
-            debug_assert_eq!(
-                std::mem::discriminant(&on),
-                std::mem::discriminant(&again),
-                "core {w} re-checked against another kind of wait"
-            );
-            sched.remove(w);
-            self.waits.slots[w] = Slot::Free;
-            self.waits.park(w, again);
-            self.perf.reparks += 1;
-            false
-        });
-        self.waits.woken = woken;
+    /// The lazy check of core `c` at the heap top: if `c` was woken and its
+    /// first poll would fail, it leaves the heap and parks on its new
+    /// blocker, uncharged (its clock already holds that poll's time), and
+    /// its old queue elects the next head. Returns `true` if `c` parked.
+    pub(super) fn repark_if_blocked(&mut self, c: usize, sched: &mut CoreHeap) -> bool {
+        if !self.waits.is_woken(c) {
+            return false;
+        }
+        let Some(on) = self.poll_blocker(c) else {
+            return false;
+        };
+        sched.remove(c);
+        self.waits.repark(c, on);
+        self.perf.reparks += 1;
+        self.wake_released(sched);
+        true
     }
 
     /// What core `c`'s next poll would fail on if it ran now, by the same
@@ -513,27 +715,26 @@ impl Machine {
     fn poll_blocker(&self, c: usize) -> Option<WaitOn> {
         match self.phases[c] {
             Phase::StartAttempt => self.fallback_blocker(c),
-            Phase::LockAcquire { idx } => self
-                .group_blocker(c, idx)
-                .map(|holder| WaitOn::Line { holder }),
-            Phase::Running => self
-                .pending_blocker(c)
-                .map(|holder| WaitOn::Pending { holder }),
+            Phase::LockAcquire { idx } => {
+                self.group_blocker(c, idx).map(|line| WaitOn::Line { line })
+            }
+            Phase::Running => self.pending_blocker(c).map(|line| WaitOn::Pending { line }),
             Phase::Idle | Phase::Think { .. } | Phase::Finished => None,
         }
     }
 
     /// The `max_cycles` stop: the polling scheduler would have run every
     /// poll at or before `max_cycles`, so each parked core materialises at
-    /// its first poll past it (those polls credited), and the run is marked
-    /// timed out.
+    /// its first poll past it, or, in a live queue, at the poll its release
+    /// scheduled (those polls credited), and the run is marked timed out.
     pub(super) fn time_out_parked(&mut self) {
-        let mut woken = std::mem::take(&mut self.scratch_woken);
-        self.waits.take_all(&mut woken);
-        for (w, on) in woken.drain(..) {
-            self.catch_up(w, on, (self.config.max_cycles, usize::MAX));
+        let mut wakes = std::mem::take(&mut self.scratch_wakes);
+        self.waits
+            .take_all((self.config.max_cycles, usize::MAX), &mut wakes);
+        for Wake { core, on, after } in wakes.drain(..) {
+            self.catch_up(core, on, after);
         }
-        self.scratch_woken = woken;
+        self.scratch_wakes = wakes;
         self.stats.timed_out = true;
     }
 
@@ -650,87 +851,569 @@ mod tests {
     }
 
     #[test]
-    fn releases_wake_exactly_their_waiters() {
-        let mut w = WaitList::new(5);
-        w.park(1, WaitOn::Line { holder: 0 });
-        w.park(2, WaitOn::Line { holder: 4 });
-        w.park(3, WaitOn::FallbackWriter);
-        w.park(4, WaitOn::FallbackIdle);
+    fn a_catch_up_from_a_stale_clock_equals_two_successive_catch_ups() {
+        use clear_mem::rng::SplitMix64;
+        let mut rng = SplitMix64::new(0x5747);
+        let releaser = |rng: &mut SplitMix64, core: usize| loop {
+            let r = if rng.below(8) == 0 {
+                usize::MAX
+            } else {
+                rng.index(8)
+            };
+            if r != core {
+                return r;
+            }
+        };
+        for _ in 0..20_000 {
+            let spin = 1 + rng.below(20);
+            let stale = rng.below(200);
+            let core = rng.index(8);
+            let first = (rng.below(400), releaser(&mut rng, core));
+            let second = (
+                first.0 + rng.below(3) * spin + rng.below(40),
+                releaser(&mut rng, core),
+            );
+            let (first, second) = (first.min(second), first.max(second));
+            let k1 = polls_skipped(stale, spin, core, first);
+            let k2 = polls_skipped(stale + k1 * spin, spin, core, second);
+            assert_eq!(
+                polls_skipped(stale, spin, core, second),
+                k1 + k2,
+                "stale {stale} spin {spin} core {core} after {first:?} then {second:?}"
+            );
+        }
+    }
+
+    const A: LineAddr = LineAddr(1);
+    const B: LineAddr = LineAddr(2);
+
+    /// Runs the wake pass with every clock at `clocks`, returning the
+    /// wakes and the heads sent back to their queues.
+    fn settle(w: &mut WaitList, clocks: &[u64], spin: u64) -> (Vec<Wake>, Vec<usize>) {
         let mut out = Vec::new();
-        w.take_woken(&mut out);
-        assert!(out.is_empty(), "no release, no wake");
+        w.take_wakes(clocks, spin, &mut out);
+        (out, w.unheaded.drain(..).collect())
+    }
 
-        w.note_unlock(0);
-        w.take_woken(&mut out);
-        assert_eq!(out, vec![(1, WaitOn::Line { holder: 0 })]);
-        assert!(!w.is_parked(1) && w.is_parked(2));
-
-        out.clear();
-        w.note_readers_left();
-        w.take_woken(&mut out);
-        assert_eq!(out, vec![(4, WaitOn::FallbackIdle)]);
-
-        out.clear();
-        w.park(4, WaitOn::FallbackIdle);
-        w.note_writer_left();
-        w.take_woken(&mut out);
-        out.sort_by_key(|&(c, _)| c);
-        assert_eq!(
-            out,
-            vec![(3, WaitOn::FallbackWriter), (4, WaitOn::FallbackIdle)]
-        );
-        assert!(w.is_parked(2) && !w.is_empty());
-
-        out.clear();
-        w.take_all(&mut out);
-        assert_eq!(out, vec![(2, WaitOn::Line { holder: 4 })]);
-        assert!(w.is_empty());
+    fn wake(core: usize, on: WaitOn, after: (u64, usize)) -> Wake {
+        Wake { core, on, after }
     }
 
     #[test]
-    fn an_unlock_wakes_pending_waiters_on_that_holder() {
-        let mut w = WaitList::new(4);
-        w.park(1, WaitOn::Pending { holder: 0 });
-        w.park(2, WaitOn::Pending { holder: 3 });
-        w.note_unlock(0);
+    fn releases_wake_exactly_their_waiters() {
+        let clocks = [0; 5];
+        let mut w = WaitList::new(5);
+        w.park(1, WaitOn::Line { line: A });
+        w.park(2, WaitOn::Line { line: B });
+        w.park(3, WaitOn::FallbackWriter);
+        w.park(4, WaitOn::FallbackIdle);
+        assert!(w.is_settled(), "no release, nothing to do");
+
+        w.begin_step(0, (90, 0));
+        w.note_released(&[A]);
+        let (out, _) = settle(&mut w, &clocks, 15);
+        assert_eq!(out, vec![wake(1, WaitOn::Line { line: A }, (90, 0))]);
+        assert!(w.is_woken(1) && !w.is_parked(1) && w.is_parked(2));
+
+        w.begin_step(1, (90, 1));
+        w.note_readers_left();
+        let (out, _) = settle(&mut w, &clocks, 15);
+        assert_eq!(out, vec![wake(4, WaitOn::FallbackIdle, (90, 1))]);
+
+        w.begin_step(4, (90, 4));
+        w.park(4, WaitOn::FallbackIdle);
+        w.note_writer_left();
+        let (mut out, _) = settle(&mut w, &clocks, 15);
+        out.sort_by_key(|k| k.core);
+        assert_eq!(
+            out,
+            vec![
+                wake(3, WaitOn::FallbackWriter, (90, 4)),
+                wake(4, WaitOn::FallbackIdle, (90, 4))
+            ]
+        );
+        assert!(w.is_parked(2) && !w.is_empty());
+
         let mut out = Vec::new();
-        w.take_woken(&mut out);
-        assert_eq!(out, vec![(1, WaitOn::Pending { holder: 0 })]);
+        w.take_all((500, usize::MAX), &mut out);
+        assert_eq!(
+            out,
+            vec![wake(2, WaitOn::Line { line: B }, (500, usize::MAX))]
+        );
+        assert!(w.is_empty() && w.queues.is_empty());
+    }
+
+    #[test]
+    fn a_release_wakes_pending_waiters_on_that_line() {
+        let mut w = WaitList::new(4);
+        w.park(1, WaitOn::Pending { line: A });
+        w.park(2, WaitOn::Pending { line: B });
+        w.begin_step(0, (7, 0));
+        w.note_released(&[A]);
+        let (out, _) = settle(&mut w, &[0; 4], 15);
+        assert_eq!(out, vec![wake(1, WaitOn::Pending { line: A }, (7, 0))]);
         assert!(w.is_parked(2));
     }
 
     #[test]
-    fn woken_cores_stay_repark_candidates_until_they_poll() {
-        let mut w = WaitList::new(4);
-        assert!(!w.take_recheck(), "nothing acquired or woken");
-        w.note_acquire();
-        assert!(!w.take_recheck(), "no woken core to re-check");
-        w.park(1, WaitOn::FallbackWriter);
-        w.park(2, WaitOn::FallbackWriter);
-        w.note_writer_left();
-        let mut out = Vec::new();
-        w.take_woken(&mut out);
-        assert_eq!(out.len(), 2);
-        assert!(w.take_recheck(), "a wake re-checks the woken");
-        assert!(!w.take_recheck(), "the note is forgotten");
-        w.begin_step(1, (0, 1));
-        assert_eq!(w.slots[1], Slot::Free, "its first poll is running");
-        assert_eq!(w.slots[2], Slot::Woken(WaitOn::FallbackWriter));
-        assert_eq!(w.unpark(2), None, "a woken core is not parked");
-        assert_eq!(w.slots[2], Slot::Free, "a conflict ends candidacy");
-        w.park(3, WaitOn::Line { holder: 0 });
-        assert_eq!(w.unpark(3), Some(WaitOn::Line { holder: 0 }));
-        assert!(w.is_empty());
+    fn a_release_elects_the_member_that_polls_first() {
+        // Polls every 10 cycles; the release runs at key (100, 3).
+        let on = WaitOn::Pending { line: A };
+        let clocks = [0, 95, 100, 0, 3, 100];
+        let mut w = WaitList::new(6);
+        for c in [1, 2, 4, 5] {
+            w.park(c, on);
+        }
+        w.begin_step(3, (100, 3));
+        w.note_released(&[A]);
+        // First polls after the release: core 1 at 105, core 2 at 110
+        // (its 100 poll ran before core 3's step), core 4 at 103, and
+        // core 5 at 100 (it polls right after core 3 at the same clock).
+        let mut order = Vec::new();
+        for _ in 0..4 {
+            let (out, _) = settle(&mut w, &clocks, 10);
+            let [k] = out[..] else {
+                panic!("one head at a time: {out:?}")
+            };
+            assert_eq!(k.after, (100, 3), "every head catches up to the release");
+            assert!(w.is_woken(k.core));
+            order.push(k.core);
+            // The head's re-send leaves the line free: the next is elected.
+            w.begin_step(k.core, (clocks[k.core], k.core));
+        }
+        assert_eq!(order, vec![5, 4, 1, 2]);
+        let (out, _) = settle(&mut w, &clocks, 10);
+        assert!(out.is_empty() && w.is_empty());
+        assert!(w.queues.is_empty(), "an empty queue is dropped");
     }
 
     #[test]
-    fn unlocks_are_only_noted_while_someone_waits() {
+    fn a_lock_makes_a_queue_dormant_and_returns_its_head() {
+        let on = WaitOn::Line { line: A };
+        let clocks = [0, 30, 40, 0];
+        let mut w = WaitList::new(4);
+        w.park(1, on);
+        w.park(2, on);
+        w.begin_step(0, (20, 0));
+        w.note_released(&[A]);
+        let (out, _) = settle(&mut w, &clocks, 15);
+        assert_eq!(out, vec![wake(1, on, (20, 0))]);
+        // Core 3 takes the line before the head polls.
+        w.begin_step(3, (25, 3));
+        w.note_locked(A);
+        let (out, unheaded) = settle(&mut w, &clocks, 15);
+        assert!(out.is_empty(), "a dormant queue elects nobody");
+        assert_eq!(unheaded, vec![1]);
+        assert!(w.is_parked(1) && w.is_parked(2) && !w.is_woken(1));
+        // A lock with no head to return leaves nothing to settle.
+        w.begin_step(3, (26, 3));
+        w.note_locked(A);
+        assert!(w.is_settled());
+        // The next release elects from both again.
+        w.begin_step(3, (50, 3));
+        w.note_released(&[A]);
+        let (out, _) = settle(&mut w, &clocks, 15);
+        assert_eq!(
+            out,
+            vec![wake(2, on, (50, 3))],
+            "40 + 15 polls before 30 + 30"
+        );
+    }
+
+    #[test]
+    fn materialising_a_member_or_a_head() {
+        let on = WaitOn::Pending { line: A };
+        let clocks = [0, 10, 20, 30, 0, 40];
+        let mut w = WaitList::new(6);
+        for c in [1, 2, 3, 5] {
+            w.park(c, on);
+        }
+        w.park(4, WaitOn::FallbackWriter);
+        w.begin_step(0, (5, 0));
+        // A member of a dormant queue, and a fallback waiter, were parked.
+        assert_eq!(w.unpark(3), Some((on, true)));
+        assert_eq!(w.unpark(4), Some((WaitOn::FallbackWriter, true)));
+        assert_eq!(w.unpark(4), None, "no longer parked");
+        w.note_released(&[A]);
+        let (out, _) = settle(&mut w, &clocks, 15);
+        assert_eq!(out, vec![wake(1, on, (5, 0))]);
+        // A member of a live queue sits where its release scheduled it.
+        w.begin_step(0, (8, 0));
+        assert_eq!(w.unpark(2), Some((on, false)));
+        // A head stays in the heap and stops being checked; its queue
+        // elects the next head from the same release.
+        assert_eq!(w.unpark(1), None);
+        assert!(!w.is_woken(1) && !w.is_parked(1));
+        let (out, _) = settle(&mut w, &clocks, 15);
+        assert_eq!(out, vec![wake(5, on, (5, 0))]);
+        // With no member left, the queue is dropped once its head goes.
+        assert_eq!(w.unpark(5), None);
+        let (out, _) = settle(&mut w, &clocks, 15);
+        assert!(out.is_empty() && w.queues.is_empty() && w.is_empty());
+    }
+
+    #[test]
+    fn woken_cores_stay_checked_until_they_poll() {
+        let on = WaitOn::Line { line: A };
+        let mut w = WaitList::new(4);
+        w.park(1, WaitOn::FallbackWriter);
+        w.park(2, WaitOn::FallbackWriter);
+        w.park(3, on);
+        w.begin_step(0, (0, 0));
+        w.note_writer_left();
+        w.note_released(&[A]);
+        let (out, _) = settle(&mut w, &[0; 4], 15);
+        assert_eq!(out.len(), 3);
+        assert!((1..4).all(|c| w.is_woken(c)));
+        w.begin_step(1, (0, 1));
+        assert!(!w.is_woken(1), "its first poll is running");
+        // A lock group blocked on another line: the head moves queues, and
+        // its old queue, now empty, is dropped.
+        w.repark(3, WaitOn::Line { line: B });
+        assert!(w.is_parked(3));
+        let (out, _) = settle(&mut w, &[0; 4], 15);
+        assert!(out.is_empty());
+        assert!(!w.queues.contains_key(&A) && w.queues[&B].members == [3]);
+        // A woken fallback waiter re-parks on the fallback lock.
+        w.repark(2, WaitOn::FallbackWriter);
+        assert!(w.is_parked(2) && w.fallback == [2]);
+    }
+
+    #[test]
+    fn releases_are_only_noted_for_lines_someone_waits_on() {
         let mut w = WaitList::new(3);
-        w.note_unlock(0);
-        w.park(1, WaitOn::Line { holder: 0 });
-        let mut out = Vec::new();
-        w.take_woken(&mut out);
-        assert!(out.is_empty(), "an unlock before the park is stale");
+        w.note_released(&[A]);
+        assert!(w.is_settled(), "no queue, nothing to note");
+        w.park(1, WaitOn::Line { line: A });
+        w.note_released(&[B]);
+        assert!(w.is_settled(), "nobody waits on B");
+        let (out, _) = settle(&mut w, &[0; 3], 15);
+        assert!(out.is_empty(), "a release before the park is stale");
+        assert!(w.is_parked(1));
+    }
+
+    /// One step of a [`Toy`] core's script.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Op {
+        /// Lock `lines[..n]` at once (one directory-set group), hold them
+        /// for `hold` cycles and release them. Taking the locks delivers a
+        /// conflict to core `hit`, if it is waiting to peek.
+        Lock {
+            lines: [LineAddr; 2],
+            n: usize,
+            hold: u64,
+            hit: Option<usize>,
+        },
+        /// Re-send an access to `line` until no other core holds it locked
+        /// (a pending load or store).
+        Peek { line: LineAddr },
+    }
+
+    /// What one [`Toy`] step did.
+    enum Outcome {
+        Ran,
+        /// The poll failed on `on`, a line the second core holds.
+        Blocked(WaitOn, usize),
+        /// The step locked these lines and hit this core.
+        Locked(Vec<LineAddr>, Option<usize>),
+        Released(Vec<LineAddr>),
+        Finished,
+    }
+
+    /// A machine small enough to run under both wake rules: cores run
+    /// scripts of lock holds and peeks over a few lines.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Toy {
+        spin: u64,
+        max_cycles: u64,
+        script: Vec<Vec<Op>>,
+        pc: Vec<usize>,
+        /// Whether a core holds the locks of its current op.
+        holding: Vec<bool>,
+        clocks: Vec<u64>,
+        owner: FxHashMap<LineAddr, usize>,
+        /// Polls credited to each core instead of run.
+        credited: Vec<u64>,
+        /// Every executed step as `(core, clock)`.
+        executed: Vec<(usize, u64)>,
+    }
+
+    impl Toy {
+        fn random(rng: &mut clear_mem::rng::SplitMix64) -> Toy {
+            let cores = 2 + rng.index(7);
+            let lines = 1 + rng.below(4);
+            let line = |rng: &mut clear_mem::rng::SplitMix64| LineAddr(rng.below(lines));
+            let script = (0..cores)
+                .map(|_| {
+                    (0..1 + rng.index(4))
+                        .map(|_| {
+                            if rng.below(5) < 3 {
+                                let (a, b) = (line(rng), line(rng));
+                                Op::Lock {
+                                    lines: [a.min(b), a.max(b)],
+                                    n: if a == b { 1 } else { 2 },
+                                    hold: rng.below(60),
+                                    hit: (rng.below(3) == 0).then(|| rng.index(cores)),
+                                }
+                            } else {
+                                Op::Peek { line: line(rng) }
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            Toy {
+                spin: 1 + rng.below(20),
+                max_cycles: if rng.flip() {
+                    u64::MAX / 2
+                } else {
+                    rng.below(300)
+                },
+                script,
+                pc: vec![0; cores],
+                holding: vec![false; cores],
+                clocks: (0..cores).map(|_| rng.below(20)).collect(),
+                owner: FxHashMap::default(),
+                credited: vec![0; cores],
+                executed: Vec::new(),
+            }
+        }
+
+        /// The read-only test of `c`'s next poll: the wait it would fail
+        /// on and the core holding that line.
+        fn blocker(&self, c: usize) -> Option<(WaitOn, usize)> {
+            if self.holding[c] {
+                return None;
+            }
+            let held = |line: &LineAddr| self.owner.get(line).filter(|&&h| h != c).copied();
+            match *self.script[c].get(self.pc[c])? {
+                Op::Lock { lines, n, .. } => lines[..n]
+                    .iter()
+                    .find_map(|l| held(l).map(|h| (WaitOn::Line { line: *l }, h))),
+                Op::Peek { line } => held(&line).map(|h| (WaitOn::Pending { line }, h)),
+            }
+        }
+
+        fn step(&mut self, c: usize) -> Outcome {
+            self.executed.push((c, self.clocks[c]));
+            let Some(&op) = self.script[c].get(self.pc[c]) else {
+                return Outcome::Finished;
+            };
+            if let Some((on, holder)) = self.blocker(c) {
+                self.clocks[c] += self.spin;
+                return Outcome::Blocked(on, holder);
+            }
+            match op {
+                Op::Lock {
+                    lines,
+                    n,
+                    hold,
+                    hit,
+                } => {
+                    let lines = lines[..n].to_vec();
+                    self.clocks[c] += 1;
+                    if self.holding[c] {
+                        for l in &lines {
+                            self.owner.remove(l);
+                        }
+                        self.holding[c] = false;
+                        self.pc[c] += 1;
+                        return Outcome::Released(lines);
+                    }
+                    for &l in &lines {
+                        self.owner.insert(l, c);
+                    }
+                    self.holding[c] = true;
+                    self.clocks[c] += hold;
+                    Outcome::Locked(lines, hit.filter(|&v| self.peeking(v) && v != c))
+                }
+                Op::Peek { .. } => {
+                    self.clocks[c] += 1;
+                    self.pc[c] += 1;
+                    Outcome::Ran
+                }
+            }
+        }
+
+        fn peeking(&self, v: usize) -> bool {
+            matches!(self.script[v].get(self.pc[v]), Some(Op::Peek { .. }))
+        }
+
+        /// A conflict aborts the hit core's peek and charges a penalty.
+        fn abort(&mut self, v: usize) {
+            self.pc[v] += 1;
+            self.clocks[v] += 7;
+        }
+
+        fn catch_up(&mut self, c: usize, after: (u64, usize)) {
+            let polls = polls_skipped(self.clocks[c], self.spin, c, after);
+            self.clocks[c] += polls * self.spin;
+            self.credited[c] += polls;
+        }
+
+        fn heap(&self) -> CoreHeap {
+            let mut heap = CoreHeap::new(self.clocks.len());
+            for (c, &clock) in self.clocks.iter().enumerate() {
+                heap.push(c, clock);
+            }
+            heap
+        }
+    }
+
+    /// Runs `t` under [`WaitList`], the way `Machine::run` drives it.
+    fn run_line_queues(mut t: Toy) -> Toy {
+        fn settle(t: &mut Toy, w: &mut WaitList, heap: &mut CoreHeap, wakes: &mut Vec<Wake>) {
+            w.take_wakes(&t.clocks, t.spin, wakes);
+            for h in w.unheaded.drain(..) {
+                heap.remove(h);
+            }
+            for k in wakes.drain(..) {
+                t.catch_up(k.core, k.after);
+                heap.push(k.core, t.clocks[k.core]);
+            }
+        }
+        let mut heap = t.heap();
+        let mut w = WaitList::new(t.clocks.len());
+        let mut wakes = Vec::new();
+        while let Some(c) = heap.peek() {
+            if w.is_woken(c) {
+                if let Some((on, _)) = t.blocker(c) {
+                    heap.remove(c);
+                    w.repark(c, on);
+                    settle(&mut t, &mut w, &mut heap, &mut wakes);
+                    continue;
+                }
+            }
+            if t.clocks[c] > t.max_cycles {
+                break;
+            }
+            w.begin_step(c, (t.clocks[c], c));
+            let mut touched = None;
+            match t.step(c) {
+                Outcome::Finished => heap.remove(c),
+                Outcome::Blocked(on, _) => {
+                    heap.remove(c);
+                    w.park(c, on);
+                }
+                Outcome::Locked(lines, hit) => {
+                    for l in lines {
+                        w.note_locked(l);
+                    }
+                    if let Some(v) = hit {
+                        if w.unpark(v).is_some() {
+                            t.catch_up(v, w.now);
+                            w.materialized.push(v);
+                        }
+                        t.abort(v);
+                        touched = Some(v);
+                    }
+                }
+                Outcome::Released(lines) => w.note_released(&lines),
+                Outcome::Ran => {}
+            }
+            heap.update(c, t.clocks[c]);
+            for v in w.materialized.drain(..) {
+                heap.push(v, t.clocks[v]);
+            }
+            if let Some(v) = touched {
+                heap.update(v, t.clocks[v]);
+            }
+            settle(&mut t, &mut w, &mut heap, &mut wakes);
+        }
+        w.take_all((t.max_cycles, usize::MAX), &mut wakes);
+        for k in wakes.drain(..) {
+            t.catch_up(k.core, k.after);
+        }
+        t
+    }
+
+    /// Runs `t` under the wake-all rule this scheduler replaced: a release
+    /// wakes every core parked on the releasing holder, and every step that
+    /// takes a lock or wakes a core re-checks each woken core whose first
+    /// poll has not run, parking the blocked ones again.
+    fn run_wake_all(mut t: Toy) -> Toy {
+        let mut heap = t.heap();
+        let mut parked: Vec<(usize, usize)> = Vec::new();
+        let mut woken: Vec<usize> = Vec::new();
+        while let Some(c) = heap.peek() {
+            if t.clocks[c] > t.max_cycles {
+                break;
+            }
+            woken.retain(|&w| w != c);
+            let now = (t.clocks[c], c);
+            let (mut recheck, mut touched, mut materialized, mut released) =
+                (false, None, None, false);
+            match t.step(c) {
+                Outcome::Finished => heap.remove(c),
+                Outcome::Blocked(_, holder) => {
+                    heap.remove(c);
+                    parked.push((c, holder));
+                }
+                Outcome::Locked(_, hit) => {
+                    recheck = true;
+                    if let Some(v) = hit {
+                        if let Some(i) = parked.iter().position(|&(p, _)| p == v) {
+                            parked.remove(i);
+                            t.catch_up(v, now);
+                            materialized = Some(v);
+                        }
+                        woken.retain(|&w| w != v);
+                        t.abort(v);
+                        touched = Some(v);
+                    }
+                }
+                Outcome::Released(_) => released = true,
+                Outcome::Ran => {}
+            }
+            heap.update(c, t.clocks[c]);
+            if let Some(v) = materialized {
+                heap.push(v, t.clocks[v]);
+            }
+            if let Some(v) = touched {
+                heap.update(v, t.clocks[v]);
+            }
+            if released {
+                for (w, _) in parked
+                    .extract_if(.., |&mut (_, h)| h == c)
+                    .collect::<Vec<_>>()
+                {
+                    t.catch_up(w, now);
+                    heap.push(w, t.clocks[w]);
+                    woken.push(w);
+                    recheck = true;
+                }
+            }
+            if recheck {
+                for w in std::mem::take(&mut woken) {
+                    match t.blocker(w) {
+                        Some((_, holder)) => {
+                            heap.remove(w);
+                            parked.push((w, holder));
+                        }
+                        None => woken.push(w),
+                    }
+                }
+            }
+        }
+        for (w, _) in parked {
+            t.catch_up(w, (t.max_cycles, usize::MAX));
+        }
+        t
+    }
+
+    #[test]
+    fn line_queues_run_exactly_like_waking_every_waiter() {
+        use clear_mem::rng::SplitMix64;
+        let mut rng = SplitMix64::new(0x11E5);
+        let mut credited = 0;
+        for case in 0..3000 {
+            let toy = Toy::random(&mut rng);
+            let queues = run_line_queues(toy.clone());
+            let wake_all = run_wake_all(toy.clone());
+            assert_eq!(queues, wake_all, "case {case}: {toy:?}");
+            credited += queues.credited.iter().sum::<u64>();
+        }
+        assert!(credited > 0, "no case skipped a poll");
     }
 
     #[test]

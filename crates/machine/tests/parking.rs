@@ -3,9 +3,10 @@
 //! release it waits on, with the skipped polls credited. Runs must stay
 //! step-for-step identical to per-poll spinning, so the pinned values below
 //! were recorded with schedulers that still ran those polls: the lock and
-//! fallback-lock pins with the per-poll spinning scheduler, and the
-//! pending, conflict and re-park pins with the one that re-sent every
-//! pending load and store and let every woken core poll.
+//! fallback-lock pins with the per-poll spinning scheduler, the pending,
+//! conflict and herd pins with the one that re-sent every pending load and
+//! store and let every woken core poll, and the live-queue stop pin with
+//! the one that woke every waiter on a release and re-parked the blocked.
 
 use clear_isa::{
     ArId, ArInvocation, ArSpec, Mutability, Program, ProgramBuilder, Reg, Workload, WorkloadMeta,
@@ -220,10 +221,10 @@ fn a_conflict_reaching_a_parked_pending_core_matches_per_poll_resends() {
 }
 
 #[test]
-fn a_woken_herd_reparks_behind_the_next_lock_holder() {
-    // Eight cores lock one line in a-priori NS-CL: every unlock wakes all
-    // waiters, the first poller takes the line, and the rest go back to
-    // the wait list without polling.
+fn a_released_herd_wakes_one_head() {
+    // Eight cores lock one line in a-priori NS-CL: an unlock elects one
+    // waiter of the line's queue, that head takes the line, and the rest
+    // never leave the queue, so nothing is woken only to park again.
     let mut cfg = Preset::B.config(8, 5);
     cfg.a_priori_locking = true;
     let (s, digest) = traced(Box::new(LongLockedInc::new()), cfg);
@@ -233,6 +234,25 @@ fn a_woken_herd_reparks_behind_the_next_lock_holder() {
         "{s:?}"
     );
     assert_eq!(digest, 0x343a_331a_d870_c64a);
-    assert!(s.perf.reparks > 0, "{:?}", s.perf);
+    assert_eq!(s.perf.reparks, 0, "{:?}", s.perf);
+    assert!(s.perf.wakes <= s.commits(), "{:?}", s.perf);
     assert_eq!(s.perf.materialized, 0, "NS-CL cores never speculate");
+}
+
+#[test]
+fn a_max_cycles_stop_between_a_release_and_its_heads_poll() {
+    // Core 0 releases the line at cycle 4084 and the waiters' first polls
+    // after that release fall past 4090: the stop lands while the line's
+    // queue is live and its elected head has not polled, so the head and
+    // the members all stop at the poll that release scheduled.
+    let mut cfg = Preset::B.config(8, 5);
+    cfg.a_priori_locking = true;
+    cfg.max_cycles = 4090;
+    let s = Machine::new(cfg, Box::new(LongLockedInc::new())).run();
+    assert_eq!(
+        pinned(&s),
+        [1, 4096, 1, 0, 1942, 1942, 1912, 28665, 0, 5, 0, 0],
+        "{s:?}"
+    );
+    assert_eq!(s.perf.polls_elided, 1904);
 }

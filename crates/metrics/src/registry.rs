@@ -36,11 +36,12 @@ impl MetricKey {
 
 /// One series' value.
 ///
-/// `Hist` dwarfs the scalar variants (a `Log2Hist` carries 64 buckets
-/// inline), but boxing it would put a pointer chase on the per-sample
-/// `observe` path; series live in the registry map by value either way,
-/// and histogram series dominate real registries.
-#[allow(clippy::large_enum_variant)]
+/// A `Log2Hist` carries 64 buckets inline, so `Hist` boxes it: a map
+/// entry is as large as the largest variant, so unboxed, every counter
+/// and gauge series took 540 bytes too. The merged registry of a
+/// 625-batch `queue` serve session is 8.5 KB boxed against 29 KB
+/// unboxed. The extra pointer chase on `observe` is small next to the
+/// map lookup before it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MetricValue {
     /// Monotonic event count; merges by addition.
@@ -50,7 +51,7 @@ pub enum MetricValue {
     /// registries this crate merges (each part owns a disjoint share).
     Gauge(u64),
     /// A streaming histogram; merges bucket-wise.
-    Hist(Log2Hist),
+    Hist(Box<Log2Hist>),
 }
 
 /// A registry of labelled metrics.
@@ -112,7 +113,7 @@ impl MetricsRegistry {
         match self
             .series
             .entry(MetricKey::new(name, labels))
-            .or_insert_with(|| MetricValue::Hist(Log2Hist::new()))
+            .or_insert_with(|| MetricValue::Hist(Box::default()))
         {
             MetricValue::Hist(h) => h.observe(value),
             other => panic!("{name}: histogram op on {other:?}"),
