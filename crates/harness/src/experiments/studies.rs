@@ -500,14 +500,7 @@ pub(super) fn trace_dump(opts: &SuiteOptions) -> ExperimentOutput {
         text,
         "=== trace of {name} under CLEAR ({cores} cores, tiny input) ===\n"
     );
-    let total = m.trace().len();
-    let shown = total.min(400);
-    for r in m.trace().records().take(shown) {
-        let _ = writeln!(text, "{:>8}  core{:<2}  {}", r.cycle, r.core, r.event);
-    }
-    if total > shown {
-        let _ = writeln!(text, "... {} more events", total - shown);
-    }
+    text.push_str(&crate::trace_export::timeline_text(&m, 400));
     let _ = writeln!(
         text,
         "\n{} commits ({} NS-CL, {} S-CL, {} fallback), {} aborts, {} cycles",
@@ -522,7 +515,7 @@ pub(super) fn trace_dump(opts: &SuiteOptions) -> ExperimentOutput {
         ("experiment", Json::from("trace")),
         ("options", opts_json(opts)),
         ("benchmark", Json::from(name)),
-        ("events", Json::from(total)),
+        ("events", Json::from(m.trace().len())),
         ("events_recorded", Json::from(m.trace().recorded())),
         ("events_dropped", Json::from(m.trace().dropped())),
         (

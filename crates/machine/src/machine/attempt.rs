@@ -19,8 +19,7 @@ impl Machine {
         }
         match self.cores[c].planned {
             RetryMode::Fallback => {
-                let won = self.fallback.try_write(CoreId(c));
-                debug_assert!(won, "fallback_blocker passed a held lock");
+                self.take_fallback(c, true);
                 // Acquiring the lock writes its line, aborting every
                 // subscribed speculative AR through conflict detection.
                 let line = self.fallback.line();
@@ -38,8 +37,7 @@ impl Machine {
                 self.clocks[c] += self.config.timing.xbegin_cost;
             }
             RetryMode::NsCl | RetryMode::SCl => {
-                let won = self.fallback.try_read(CoreId(c));
-                debug_assert!(won, "fallback_blocker passed a write-held lock");
+                self.take_fallback(c, false);
                 let mode = if self.cores[c].planned == RetryMode::NsCl {
                     ExecMode::NsCl
                 } else {

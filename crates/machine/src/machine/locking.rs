@@ -1,6 +1,6 @@
 //! The NS-CL/S-CL lock-acquisition phase: lexicographical order, group
 //! locking with the ALT Hit-bit fast path, and lock-conflict policy.
-use super::sched::WaitOn;
+use super::sched::{QueueKey, WaitOn};
 use super::*;
 
 impl Machine {
@@ -78,9 +78,8 @@ impl Machine {
         };
         match result {
             Ok(ok) => {
-                for &line in &group {
-                    self.waits.note_locked(line);
-                }
+                self.waits
+                    .note_locked(group.iter().map(|&l| QueueKey::Line(l)));
                 self.clocks[c] += ok.latency;
                 let impacts = ok.remote_impacts;
                 // The accumulated spin wait paid for the whole group; it is

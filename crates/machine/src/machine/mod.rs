@@ -15,15 +15,15 @@
 //! A core whose lock-group poll, fallback-lock poll or pending load or
 //! store re-send fails does not re-poll every `spin_interval` cycles: it
 //! parks off the scheduler heap, in the queue of the line it is blocked on
-//! or on the fallback lock, and resumes at the first poll the polling
-//! schedule would have run after the release it waits for, each skipped
-//! poll credited to the step, re-key and wait counters exactly as if it
-//! had run. A line release wakes one waiter, the queue's head, the one
-//! whose poll comes first, and the next only once that head has polled
-//! and left the line free. A conflict that reaches a parked pending core
-//! first brings it back to that poll, and a woken core whose first poll
-//! would fail parks again when it reaches the heap top (see the `sched`
-//! module).
+//! or in one of the fallback lock's two queues, and resumes at the first
+//! poll the polling schedule would have run after the release it waits
+//! for, each skipped poll credited to the step, re-key and wait counters
+//! exactly as if it had run. A release wakes one waiter per queue it
+//! frees, the queue's head, the one whose poll comes first, and the next
+//! only once that head has polled and left the lock free for the rest. A
+//! conflict that reaches a parked pending core first brings it back to
+//! that poll, and a woken core whose first poll would fail parks again
+//! when it reaches the heap top (see the `sched` module).
 //!
 //! # Simplifications vs. the paper (documented per DESIGN.md)
 //!
@@ -212,7 +212,7 @@ pub struct Machine {
     /// last scheduler step; the run loop re-keys their heap entries.
     sched_touched: Vec<usize>,
     /// Cores parked off the heap on a failed lock, fallback-lock or
-    /// pending poll, in per-line queues or on the fallback lock, plus the
+    /// pending poll, in per-line and fallback-lock queues, plus the
     /// releases and locks of the current step (see the `sched` module).
     waits: WaitList,
     /// Simulator-kernel counters for the current run (see [`crate::perf`]).
@@ -318,9 +318,9 @@ impl Machine {
     /// — a total order, so every step advances the exact same core a
     /// linear `min_by_key` scan would pick, in O(log cores). Cores waiting
     /// on a held lock, or on a line another core holds locked, are parked
-    /// off the heap. A line release puts one of the line's waiters back
-    /// into the heap, a fallback-lock release every fallback waiter, and
-    /// the skipped polls are credited, not executed.
+    /// off the heap in keyed queues. A release puts one waiter of each
+    /// queue it frees back into the heap, the next once that one has
+    /// polled, and the skipped polls are credited, not executed.
     /// A woken core is checked once at the heap top, before the
     /// `max_cycles` test, and parks again if its poll would fail. This loop
     /// is the only way a core advances: every step runs on the calling

@@ -20,47 +20,52 @@
 //! poll time as its clock. Its later polls are never executed; they are
 //! *credited* when it wakes.
 //!
-//! A lock or pending waiter parks in the queue of the *line* its poll
-//! failed on; a fallback waiter parks on the fallback lock. If the step
-//! that releases what a core `w` waits on ran at heap key `(r, R)`, the
-//! next poll per-poll spinning would run for `w` is its first poll time
-//! `t` with `(t, w) > (r, R)`, since pops come in non-decreasing key
-//! order. A woken core re-enters the heap at `t`, and every poll it
-//! skipped is credited exactly as the executed poll would have counted it.
-//! A spurious wake is harmless (the core just polls for real at `t`, as it
-//! would have), so wake conditions only have to be complete, not exact.
-//! Runs are therefore step-for-step identical to per-poll spinning,
-//! counters included. These rules keep it that way:
+//! Every waiter parks in one keyed queue: a lock or pending waiter in the
+//! queue of the *line* its poll failed on, a fallback waiter in one of the
+//! fallback lock's two queues, [`QueueKey::FallbackWriter`] (waiting for
+//! the writer to leave) or [`QueueKey::FallbackIdle`] (waiting for the
+//! writer and every reader to leave). If the step that releases what a
+//! core `w` waits on ran at heap key `(r, R)`, the next poll per-poll
+//! spinning would run for `w` is its first poll time `t` with
+//! `(t, w) > (r, R)`, since pops come in non-decreasing key order. A woken
+//! core re-enters the heap at `t`, and every poll it skipped is credited
+//! exactly as the executed poll would have counted it. A spurious wake is
+//! harmless (the core just polls for real at `t`, as it would have), so
+//! wake conditions only have to be complete, not exact. Runs are therefore
+//! step-for-step identical to per-poll spinning, counters included. These
+//! rules keep it that way:
 //!
-//! * **Line queues.** A released line's queue turns *live* at the release
-//!   key, and one member, the *head*, goes back into the heap: the one
-//!   with the smallest first-poll key. Per-poll spinning would run the
-//!   members' polls in that key order. Each poll either takes the line (a
-//!   lock poll) or leaves it free (a pending re-send, or a lock poll that
-//!   another group line fails), so when the head has stepped and the line
-//!   is still free, the next head is elected from the same release key,
-//!   and it polls after the head did. A lock taken on the line makes the
-//!   queue *dormant*: every member left would fail its poll. An elected
-//!   head whose poll has not run leaves the heap and rejoins the members,
-//!   uncharged, since its clock already holds that poll's time.
+//! * **Queues.** A release turns a queue *live* at the release key: a line
+//!   release its line's queue, a fallback write release both fallback
+//!   queues, and a read release that leaves no readers the
+//!   `FallbackIdle` queue. One member, the *head*, goes back into the
+//!   heap: the one with the smallest first-poll key. Per-poll spinning
+//!   would run the members' polls in that key order. Each poll either
+//!   takes the lock (a lock poll, a fallback-path entry) or leaves it free
+//!   for the rest of the queue (a pending re-send, a lock poll that
+//!   another group line fails, a speculative start, or a CL-mode start,
+//!   whose read lock does not bar the writer queue), so when the head has
+//!   stepped and the queue is still live, the next head is elected from
+//!   the same release key, and it polls after the head did. A lock that
+//!   fails every member's poll makes the queue *dormant*: a line lock its
+//!   line's queue, a fallback write lock both fallback queues, a read
+//!   lock the `FallbackIdle` queue. An elected head whose poll has not
+//!   run leaves the heap and rejoins the members, uncharged, since its
+//!   clock already holds that poll's time.
 //! * **Deferred catch-up.** Only a head is caught up. A member keeps its
 //!   stale clock across any number of releases: catching up from it to
 //!   the first poll after a later release credits the same polls as
 //!   catching up at each release in turn, because every poll before the
 //!   earlier release key also precedes the later one.
-//! * **Fallback waiters.** A fallback write release wakes every fallback
-//!   waiter, and a read release that leaves no readers wakes the cores
-//!   waiting to enter the fallback path.
-//! * **Lazy check.** A woken core (a head or a fallback waiter) may be
-//!   blocked again before its first poll runs: by another line of its
-//!   lock group, or by a fallback lock taken after the wake. So when it
-//!   reaches the heap top, before the `max_cycles` test, it runs its
-//!   poll's own read-only blocker predicate once. If the poll would fail,
-//!   the core leaves the heap and parks on its new blocker without a
-//!   charge, and a head's old queue elects its next head. The repeated
-//!   poll would change nothing: this wait already ran one real failed
-//!   poll, so one-time effects such as the `ExplicitFallback` record are
-//!   not skipped.
+//! * **Lazy check.** A head may be blocked again before its first poll
+//!   runs, by another line of its lock group, which leaves its own queue
+//!   live. So when it reaches the heap top, before the `max_cycles` test,
+//!   it runs its poll's own read-only blocker predicate once. If the poll
+//!   would fail, the core leaves the heap and parks on its new blocker
+//!   without a charge, and its old queue elects its next head. The
+//!   repeated poll would change nothing: this wait already ran one real
+//!   failed poll, so one-time effects such as the `ExplicitFallback`
+//!   record are not skipped.
 //! * **Materialise.** A pending core is still inside a speculative
 //!   attempt, so a remote conflict can reach it while it is parked. The
 //!   conflict reads the victim's clock, so before it is delivered the
@@ -70,8 +75,8 @@
 //!   which lies after the current step. A head is already in the heap: it
 //!   leaves its queue, and the queue elects the next head.
 //! * **Time-out.** At the `max_cycles` stop, the members of a live queue
-//!   catch up to its release key, and every other parked core to its
-//!   first poll past `max_cycles`.
+//!   catch up to its release key, and the members of a dormant queue to
+//!   their first poll past `max_cycles`.
 
 use super::{Machine, Phase};
 use clear_coherence::CoreId;
@@ -209,13 +214,29 @@ pub(super) enum WaitOn {
 }
 
 impl WaitOn {
-    /// The line whose queue the wait joins; `None` for a fallback wait.
-    fn line(self) -> Option<LineAddr> {
+    /// The queue the wait joins.
+    fn key(self) -> QueueKey {
         match self {
-            WaitOn::Line { line } | WaitOn::Pending { line } => Some(line),
-            WaitOn::FallbackWriter | WaitOn::FallbackIdle => None,
+            WaitOn::Line { line } | WaitOn::Pending { line } => QueueKey::Line(line),
+            WaitOn::FallbackWriter => QueueKey::FallbackWriter,
+            WaitOn::FallbackIdle => QueueKey::FallbackIdle,
         }
     }
+}
+
+/// A wait queue: a line's, shared by lock and pending waits, or one of the
+/// fallback lock's two. A release makes a queue live, a lock dormant.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(super) enum QueueKey {
+    /// Waits until the line is unlocked.
+    Line(LineAddr),
+    /// Waits until the fallback lock's writer leaves: a write release
+    /// makes it live, a write lock dormant.
+    FallbackWriter,
+    /// Waits until the fallback lock's writer and every reader have left:
+    /// a write release, or a read release that leaves no readers, makes it
+    /// live, and a write or read lock dormant.
+    FallbackIdle,
 }
 
 /// Where a core stands on the wait list.
@@ -223,24 +244,23 @@ impl WaitOn {
 enum Slot {
     /// In the heap, or finished.
     Free,
-    /// Parked off the heap: a member of its line's queue, or a fallback
-    /// waiter.
+    /// Parked off the heap, a member of its wait's queue.
     Parked(WaitOn),
-    /// Back in the heap with its first poll since the wake not yet run: a
-    /// queue head or a woken fallback waiter (see the lazy check).
+    /// Back in the heap with its first poll since the wake not yet run:
+    /// its queue's head (see the lazy check).
     Woken(WaitOn),
 }
 
-/// The cores parked on one line.
+/// The cores parked on one [`QueueKey`].
 #[derive(Debug, Default)]
-struct LineQueue {
+struct WaitQueue {
     /// Parked members, any order. Their clocks may be stale: a member is
     /// caught up only when it is elected or brought back.
     members: Vec<usize>,
     /// The elected member in the heap whose first poll has not run.
     head: Option<usize>,
-    /// Heap key of the release that freed the line; `None` (dormant)
-    /// while the line is locked.
+    /// Heap key of the release that made the queue live; `None` (dormant)
+    /// while every member's poll would fail.
     live: Option<(u64, usize)>,
 }
 
@@ -253,25 +273,23 @@ pub(super) struct Wake {
     pub(super) after: (u64, usize),
 }
 
-/// Cores parked off the [`CoreHeap`]: per-line queues with one live head
-/// and the fallback waiters, plus what the current step released and
-/// locked, which the wake pass turns into wakes.
+/// Cores parked off the [`CoreHeap`] in keyed queues with one live head,
+/// plus what the current step released and locked, which the wake pass
+/// turns into wakes.
 #[derive(Debug)]
 pub(super) struct WaitList {
     /// `slots[core]` = where `core` stands.
     slots: Vec<Slot>,
     /// Number of [`Slot::Parked`] cores.
     parked: usize,
-    /// The queue of every line some core waits on or heads. A queue with
+    /// The queue of every key some core waits on or heads. A queue with
     /// no member and no head is dropped.
-    queues: FxHashMap<LineAddr, LineQueue>,
+    queues: FxHashMap<QueueKey, WaitQueue>,
     /// Member buffers of dropped queues, reused by new ones.
     spare: Vec<Vec<usize>>,
-    /// Cores parked on the fallback lock (any order).
-    fallback: Vec<usize>,
-    /// Lines whose queue the wake pass must settle: released lines,
-    /// locked lines with a head, lines whose head left. May repeat.
-    touched: Vec<LineAddr>,
+    /// Queues the wake pass must settle: released ones, locked ones with
+    /// a head, ones whose head left. May repeat.
+    touched: Vec<QueueKey>,
     /// Heads a lock sent back to their queue; the run loop takes them out
     /// of the heap.
     unheaded: Vec<usize>,
@@ -279,10 +297,6 @@ pub(super) struct WaitList {
     materialized: Vec<usize>,
     /// Heap key of the step being run.
     now: (u64, usize),
-    /// The current step released the fallback write lock.
-    writer_left: bool,
-    /// The current step released the last fallback read lock.
-    readers_left: bool,
 }
 
 impl WaitList {
@@ -293,38 +307,30 @@ impl WaitList {
             parked: 0,
             queues: FxHashMap::default(),
             spare: Vec::new(),
-            fallback: Vec::new(),
             touched: Vec::new(),
             unheaded: Vec::new(),
             materialized: Vec::new(),
             now: (0, 0),
-            writer_left: false,
-            readers_left: false,
         }
     }
 
-    /// Parks `core` on `on`: in the queue of its line, which is locked and
-    /// so dormant, or on the fallback lock. Must not already be parked.
+    /// Parks `core` on `on`, in the queue of its key, which is locked and
+    /// so dormant. Must not already be parked.
     pub(super) fn park(&mut self, core: usize, on: WaitOn) {
         debug_assert!(!self.is_parked(core), "core {core} already parked");
         self.slots[core] = Slot::Parked(on);
         self.parked += 1;
-        match on.line() {
-            Some(line) => {
-                let spare = &mut self.spare;
-                let q = self.queues.entry(line).or_insert_with(|| LineQueue {
-                    members: spare.pop().unwrap_or_default(),
-                    ..LineQueue::default()
-                });
-                debug_assert!(q.live.is_none(), "core {core} parked on a free line");
-                q.members.push(core);
-            }
-            None => self.fallback.push(core),
-        }
+        let spare = &mut self.spare;
+        let q = self.queues.entry(on.key()).or_insert_with(|| WaitQueue {
+            members: spare.pop().unwrap_or_default(),
+            ..WaitQueue::default()
+        });
+        debug_assert!(q.live.is_none(), "core {core} parked on a live queue");
+        q.members.push(core);
     }
 
     /// Sends woken `core`, whose first poll would fail on `on`, back to the
-    /// wait list; a head's old queue elects its next head in the wake pass.
+    /// wait list; its old queue elects its next head in the wake pass.
     pub(super) fn repark(&mut self, core: usize, on: WaitOn) {
         let Slot::Woken(was) = self.slots[core] else {
             unreachable!("core {core} re-parked without a wake")
@@ -334,14 +340,13 @@ impl WaitList {
         self.park(core, on);
     }
 
-    /// Takes woken `core` out of its queue's head seat, if it holds one.
+    /// Takes woken `core` out of its queue's head seat.
     fn leave_head(&mut self, core: usize, on: WaitOn) {
-        if let Some(line) = on.line() {
-            let q = self.queues.get_mut(&line).expect("a head has a queue");
-            debug_assert_eq!(q.head, Some(core), "core {core} is not its queue's head");
-            q.head = None;
-            self.touched.push(line);
-        }
+        let key = on.key();
+        let q = self.queues.get_mut(&key).expect("a head has a queue");
+        debug_assert_eq!(q.head, Some(core), "core {core} is not its queue's head");
+        q.head = None;
+        self.touched.push(key);
     }
 
     /// Unparks `core` for a conflict. Returns what it waited on, and
@@ -352,13 +357,11 @@ impl WaitList {
         match std::mem::replace(&mut self.slots[core], Slot::Free) {
             Slot::Parked(on) => {
                 self.parked -= 1;
-                let Some(line) = on.line() else {
-                    remove(&mut self.fallback, core);
-                    return Some((on, true));
-                };
-                let q = self.queues.get_mut(&line).expect("a member has a queue");
-                remove(&mut q.members, core);
-                self.touched.push(line);
+                let key = on.key();
+                let q = self.queues.get_mut(&key).expect("a member has a queue");
+                let i = q.members.iter().position(|&m| m == core).expect("listed");
+                q.members.swap_remove(i);
+                self.touched.push(key);
                 Some((on, q.live.is_none()))
             }
             Slot::Woken(on) => {
@@ -396,55 +399,47 @@ impl WaitList {
         }
     }
 
-    /// Notes that the current step released the cacheline locks on
-    /// `lines`: their queues turn live at the step's key.
-    pub(super) fn note_released(&mut self, lines: &[LineAddr]) {
+    /// Notes that the current step released what the queues `keys` wait
+    /// on: those queues turn live at the step's key.
+    pub(super) fn note_released(&mut self, keys: impl IntoIterator<Item = QueueKey>) {
         if self.queues.is_empty() {
             return;
         }
-        for line in lines {
-            if let Some(q) = self.queues.get_mut(line) {
+        for key in keys {
+            if let Some(q) = self.queues.get_mut(&key) {
                 q.live = Some(self.now);
-                self.touched.push(*line);
+                self.touched.push(key);
             }
         }
     }
 
-    /// Notes that the current step locked `line`: its queue turns dormant,
-    /// and the wake pass sends an unpolled head back to the members.
-    pub(super) fn note_locked(&mut self, line: LineAddr) {
-        if let Some(q) = self.queues.get_mut(&line) {
-            q.live = None;
-            if q.head.is_some() {
-                self.touched.push(line);
+    /// Notes that the current step took a lock that fails every poll of
+    /// the queues `keys`: they turn dormant, and the wake pass sends an
+    /// unpolled head back to the members.
+    pub(super) fn note_locked(&mut self, keys: impl IntoIterator<Item = QueueKey>) {
+        for key in keys {
+            if let Some(q) = self.queues.get_mut(&key) {
+                q.live = None;
+                if q.head.is_some() {
+                    self.touched.push(key);
+                }
             }
         }
-    }
-
-    /// Notes a fallback write-lock release.
-    pub(super) fn note_writer_left(&mut self) {
-        self.writer_left = true;
-    }
-
-    /// Notes a fallback read-lock release that left no readers.
-    pub(super) fn note_readers_left(&mut self) {
-        self.readers_left = true;
     }
 
     /// `true` if the current step left nothing for the wake pass.
     fn is_settled(&self) -> bool {
-        self.touched.is_empty() && !self.writer_left && !self.readers_left
+        self.touched.is_empty()
     }
 
     /// The wake pass of the current step: each touched queue that is
-    /// dormant sends its head to [`WaitList::unheaded`], each live queue
-    /// without a head elects the member with the smallest first-poll key
-    /// after its release, and a fallback release wakes its waiters. Every
-    /// woken core is appended to `out`. `clocks` are the cores' clocks
-    /// and `spin` the poll interval.
+    /// dormant sends its head to [`WaitList::unheaded`], and each live
+    /// queue without a head elects the member with the smallest first-poll
+    /// key after its release, appending it to `out`. `clocks` are the
+    /// cores' clocks and `spin` the poll interval.
     pub(super) fn take_wakes(&mut self, clocks: &[u64], spin: u64, out: &mut Vec<Wake>) {
-        for line in self.touched.drain(..) {
-            let Some(q) = self.queues.get_mut(&line) else {
+        for key in self.touched.drain(..) {
+            let Some(q) = self.queues.get_mut(&key) else {
                 continue;
             };
             match (q.live, q.head) {
@@ -487,31 +482,9 @@ impl WaitList {
                 _ => {}
             }
             if q.head.is_none() && q.members.is_empty() {
-                let q = self.queues.remove(&line).expect("queue present");
+                let q = self.queues.remove(&key).expect("queue present");
                 self.spare.push(q.members);
             }
-        }
-        if self.writer_left || self.readers_left {
-            let (writer, readers, after) = (self.writer_left, self.readers_left, self.now);
-            let (slots, parked) = (&mut self.slots, &mut self.parked);
-            self.fallback.retain(|&c| {
-                let Slot::Parked(on) = slots[c] else {
-                    unreachable!("fallback waiter {c} is not parked")
-                };
-                let wake = match on {
-                    WaitOn::FallbackWriter => writer,
-                    WaitOn::FallbackIdle => writer || readers,
-                    WaitOn::Line { .. } | WaitOn::Pending { .. } => unreachable!(),
-                };
-                if wake {
-                    slots[c] = Slot::Woken(on);
-                    *parked -= 1;
-                    out.push(Wake { core: c, on, after });
-                }
-                !wake
-            });
-            self.writer_left = false;
-            self.readers_left = false;
         }
     }
 
@@ -533,24 +506,8 @@ impl WaitList {
             }
             self.spare.push(q.members);
         }
-        for c in self.fallback.drain(..) {
-            let Slot::Parked(on) = std::mem::replace(&mut self.slots[c], Slot::Free) else {
-                unreachable!("fallback waiter {c} is not parked")
-            };
-            out.push(Wake {
-                core: c,
-                on,
-                after: stop,
-            });
-        }
         self.parked = 0;
     }
-}
-
-/// Removes `core` from an unordered core list that holds it.
-fn remove(list: &mut Vec<usize>, core: usize) {
-    let i = list.iter().position(|&c| c == core).expect("listed");
-    list.swap_remove(i);
 }
 
 /// The number of polls a parked core skips before waking: its polls fall
@@ -629,13 +586,30 @@ impl Machine {
                 .all(|&l| self.coherence.locked_by(l) == Some(CoreId(c))),
             "core {c} lists a line it does not hold"
         );
-        self.waits.note_released(held);
+        self.waits
+            .note_released(held.iter().map(|&l| QueueKey::Line(l)));
         self.coherence.unlock_all(CoreId(c));
         if self.fallback.is_reader(CoreId(c)) {
             self.fallback.release_read(CoreId(c));
             if !self.fallback.has_readers() {
-                self.waits.note_readers_left();
+                self.waits.note_released([QueueKey::FallbackIdle]);
             }
+        }
+    }
+
+    /// Takes the fallback lock for `c`, for writing (a fallback-path entry)
+    /// or reading (a CL-mode start), noting the queues it makes dormant:
+    /// a write lock bars both, a read lock only the idle queue.
+    pub(super) fn take_fallback(&mut self, c: usize, write: bool) {
+        if write {
+            let won = self.fallback.try_write(CoreId(c));
+            debug_assert!(won, "fallback_blocker passed a held lock");
+            self.waits
+                .note_locked([QueueKey::FallbackWriter, QueueKey::FallbackIdle]);
+        } else {
+            let won = self.fallback.try_read(CoreId(c));
+            debug_assert!(won, "fallback_blocker passed a write-held lock");
+            self.waits.note_locked([QueueKey::FallbackIdle]);
         }
     }
 
@@ -643,7 +617,8 @@ impl Machine {
     /// pass.
     pub(super) fn release_fallback_write(&mut self, c: usize) {
         self.fallback.release_write(CoreId(c));
-        self.waits.note_writer_left();
+        self.waits
+            .note_released([QueueKey::FallbackWriter, QueueKey::FallbackIdle]);
     }
 
     /// Brings parked core `v` back before a conflict is delivered to it:
@@ -886,6 +861,7 @@ mod tests {
 
     const A: LineAddr = LineAddr(1);
     const B: LineAddr = LineAddr(2);
+    const FALLBACK: [QueueKey; 2] = [QueueKey::FallbackWriter, QueueKey::FallbackIdle];
 
     /// Runs the wake pass with every clock at `clocks`, returning the
     /// wakes and the heads sent back to their queues.
@@ -901,36 +877,43 @@ mod tests {
 
     #[test]
     fn releases_wake_exactly_their_waiters() {
-        let clocks = [0; 5];
-        let mut w = WaitList::new(5);
+        let (writer, idle) = (WaitOn::FallbackWriter, WaitOn::FallbackIdle);
+        let clocks = [0; 6];
+        let mut w = WaitList::new(6);
         w.park(1, WaitOn::Line { line: A });
         w.park(2, WaitOn::Line { line: B });
-        w.park(3, WaitOn::FallbackWriter);
-        w.park(4, WaitOn::FallbackIdle);
+        w.park(3, writer);
+        w.park(4, idle);
+        w.park(5, idle);
         assert!(w.is_settled(), "no release, nothing to do");
 
         w.begin_step(0, (90, 0));
-        w.note_released(&[A]);
+        w.note_released([QueueKey::Line(A)]);
         let (out, _) = settle(&mut w, &clocks, 15);
         assert_eq!(out, vec![wake(1, WaitOn::Line { line: A }, (90, 0))]);
         assert!(w.is_woken(1) && !w.is_parked(1) && w.is_parked(2));
 
+        // The last reader leaves: one idle waiter is elected, not both.
         w.begin_step(1, (90, 1));
-        w.note_readers_left();
+        w.note_released([QueueKey::FallbackIdle]);
         let (out, _) = settle(&mut w, &clocks, 15);
-        assert_eq!(out, vec![wake(4, WaitOn::FallbackIdle, (90, 1))]);
+        assert_eq!(out, vec![wake(4, idle, (90, 1))]);
+        assert!(w.is_parked(3) && w.is_parked(5));
 
+        // Its poll takes the write lock: nobody else is elected.
         w.begin_step(4, (90, 4));
-        w.park(4, WaitOn::FallbackIdle);
-        w.note_writer_left();
-        let (mut out, _) = settle(&mut w, &clocks, 15);
-        out.sort_by_key(|k| k.core);
+        w.note_locked(FALLBACK);
+        let (out, unheaded) = settle(&mut w, &clocks, 15);
+        assert!(out.is_empty() && unheaded.is_empty());
+
+        // The write release makes both fallback queues live: each elects
+        // one head from the same release key.
+        w.begin_step(4, (200, 4));
+        w.note_released(FALLBACK);
+        let (out, _) = settle(&mut w, &clocks, 15);
         assert_eq!(
             out,
-            vec![
-                wake(3, WaitOn::FallbackWriter, (90, 4)),
-                wake(4, WaitOn::FallbackIdle, (90, 4))
-            ]
+            vec![wake(3, writer, (200, 4)), wake(5, idle, (200, 4))]
         );
         assert!(w.is_parked(2) && !w.is_empty());
 
@@ -944,12 +927,40 @@ mod tests {
     }
 
     #[test]
+    fn a_read_lock_makes_only_the_idle_queue_dormant() {
+        let (writer, idle) = (WaitOn::FallbackWriter, WaitOn::FallbackIdle);
+        let clocks = [0, 10, 20, 30, 0];
+        let mut w = WaitList::new(5);
+        for c in [1, 2] {
+            w.park(c, writer);
+        }
+        w.park(3, idle);
+        w.begin_step(0, (5, 0));
+        w.note_released(FALLBACK);
+        let (out, _) = settle(&mut w, &clocks, 15);
+        assert_eq!(out, vec![wake(1, writer, (5, 0)), wake(3, idle, (5, 0))]);
+        // Core 1's CL-mode start takes a read lock: the idle head goes
+        // back, and the writer queue, still live, elects core 2.
+        w.begin_step(1, (10, 1));
+        w.note_locked([QueueKey::FallbackIdle]);
+        let (out, unheaded) = settle(&mut w, &clocks, 15);
+        assert_eq!(out, vec![wake(2, writer, (5, 0))]);
+        assert_eq!(unheaded, vec![3]);
+        assert!(w.is_parked(3) && !w.is_woken(3));
+        // The read release that leaves no readers elects it again.
+        w.begin_step(4, (60, 4));
+        w.note_released([QueueKey::FallbackIdle]);
+        let (out, _) = settle(&mut w, &clocks, 15);
+        assert_eq!(out, vec![wake(3, idle, (60, 4))]);
+    }
+
+    #[test]
     fn a_release_wakes_pending_waiters_on_that_line() {
         let mut w = WaitList::new(4);
         w.park(1, WaitOn::Pending { line: A });
         w.park(2, WaitOn::Pending { line: B });
         w.begin_step(0, (7, 0));
-        w.note_released(&[A]);
+        w.note_released([QueueKey::Line(A)]);
         let (out, _) = settle(&mut w, &[0; 4], 15);
         assert_eq!(out, vec![wake(1, WaitOn::Pending { line: A }, (7, 0))]);
         assert!(w.is_parked(2));
@@ -965,7 +976,7 @@ mod tests {
             w.park(c, on);
         }
         w.begin_step(3, (100, 3));
-        w.note_released(&[A]);
+        w.note_released([QueueKey::Line(A)]);
         // First polls after the release: core 1 at 105, core 2 at 110
         // (its 100 poll ran before core 3's step), core 4 at 103, and
         // core 5 at 100 (it polls right after core 3 at the same clock).
@@ -995,23 +1006,23 @@ mod tests {
         w.park(1, on);
         w.park(2, on);
         w.begin_step(0, (20, 0));
-        w.note_released(&[A]);
+        w.note_released([QueueKey::Line(A)]);
         let (out, _) = settle(&mut w, &clocks, 15);
         assert_eq!(out, vec![wake(1, on, (20, 0))]);
         // Core 3 takes the line before the head polls.
         w.begin_step(3, (25, 3));
-        w.note_locked(A);
+        w.note_locked([QueueKey::Line(A)]);
         let (out, unheaded) = settle(&mut w, &clocks, 15);
         assert!(out.is_empty(), "a dormant queue elects nobody");
         assert_eq!(unheaded, vec![1]);
         assert!(w.is_parked(1) && w.is_parked(2) && !w.is_woken(1));
         // A lock with no head to return leaves nothing to settle.
         w.begin_step(3, (26, 3));
-        w.note_locked(A);
+        w.note_locked([QueueKey::Line(A)]);
         assert!(w.is_settled());
         // The next release elects from both again.
         w.begin_step(3, (50, 3));
-        w.note_released(&[A]);
+        w.note_released([QueueKey::Line(A)]);
         let (out, _) = settle(&mut w, &clocks, 15);
         assert_eq!(
             out,
@@ -1030,13 +1041,14 @@ mod tests {
         }
         w.park(4, WaitOn::FallbackWriter);
         w.begin_step(0, (5, 0));
-        // A member of a dormant queue, and a fallback waiter, were parked.
+        // Members of dormant queues, a line's and the fallback writer's.
         assert_eq!(w.unpark(3), Some((on, true)));
         assert_eq!(w.unpark(4), Some((WaitOn::FallbackWriter, true)));
         assert_eq!(w.unpark(4), None, "no longer parked");
-        w.note_released(&[A]);
+        w.note_released([QueueKey::Line(A)]);
         let (out, _) = settle(&mut w, &clocks, 15);
         assert_eq!(out, vec![wake(1, on, (5, 0))]);
+        assert!(!w.queues.contains_key(&QueueKey::FallbackWriter));
         // A member of a live queue sits where its release scheduled it.
         w.begin_step(0, (8, 0));
         assert_eq!(w.unpark(2), Some((on, false)));
@@ -1054,39 +1066,47 @@ mod tests {
 
     #[test]
     fn woken_cores_stay_checked_until_they_poll() {
-        let on = WaitOn::Line { line: A };
-        let mut w = WaitList::new(4);
-        w.park(1, WaitOn::FallbackWriter);
-        w.park(2, WaitOn::FallbackWriter);
+        let (on, writer) = (WaitOn::Line { line: A }, WaitOn::FallbackWriter);
+        let mut w = WaitList::new(5);
+        w.park(1, writer);
+        w.park(2, writer);
         w.park(3, on);
         w.begin_step(0, (0, 0));
-        w.note_writer_left();
-        w.note_released(&[A]);
-        let (out, _) = settle(&mut w, &[0; 4], 15);
-        assert_eq!(out.len(), 3);
-        assert!((1..4).all(|c| w.is_woken(c)));
+        w.note_released(FALLBACK);
+        w.note_released([QueueKey::Line(A)]);
+        let (out, _) = settle(&mut w, &[0; 5], 15);
+        assert_eq!(out, vec![wake(1, writer, (0, 0)), wake(3, on, (0, 0))]);
+        assert!(w.is_woken(1) && w.is_woken(3) && w.is_parked(2));
         w.begin_step(1, (0, 1));
         assert!(!w.is_woken(1), "its first poll is running");
+        // Its speculative start leaves the writer seat free: core 2 next.
+        let (out, _) = settle(&mut w, &[0; 5], 15);
+        assert_eq!(out, vec![wake(2, writer, (0, 0))]);
         // A lock group blocked on another line: the head moves queues, and
         // its old queue, now empty, is dropped.
         w.repark(3, WaitOn::Line { line: B });
         assert!(w.is_parked(3));
-        let (out, _) = settle(&mut w, &[0; 4], 15);
+        let (out, _) = settle(&mut w, &[0; 5], 15);
         assert!(out.is_empty());
-        assert!(!w.queues.contains_key(&A) && w.queues[&B].members == [3]);
-        // A woken fallback waiter re-parks on the fallback lock.
-        w.repark(2, WaitOn::FallbackWriter);
-        assert!(w.is_parked(2) && w.fallback == [2]);
+        let line = |l| &w.queues[&QueueKey::Line(l)];
+        assert!(!w.queues.contains_key(&QueueKey::Line(A)) && line(B).members == [3]);
+        // A woken fallback waiter blocked again moves to its new queue.
+        w.repark(2, WaitOn::FallbackIdle);
+        let (out, _) = settle(&mut w, &[0; 5], 15);
+        assert!(out.is_empty() && w.is_parked(2));
+        assert!(!w.queues.contains_key(&QueueKey::FallbackWriter));
+        assert_eq!(w.queues[&QueueKey::FallbackIdle].members, [2]);
     }
 
     #[test]
-    fn releases_are_only_noted_for_lines_someone_waits_on() {
+    fn releases_are_only_noted_for_queues_someone_waits_on() {
         let mut w = WaitList::new(3);
-        w.note_released(&[A]);
+        w.note_released([QueueKey::Line(A)]);
+        w.note_released(FALLBACK);
         assert!(w.is_settled(), "no queue, nothing to note");
         w.park(1, WaitOn::Line { line: A });
-        w.note_released(&[B]);
-        assert!(w.is_settled(), "nobody waits on B");
+        w.note_released([QueueKey::Line(B), QueueKey::FallbackIdle]);
+        assert!(w.is_settled(), "nobody waits on B or the fallback lock");
         let (out, _) = settle(&mut w, &[0; 3], 15);
         assert!(out.is_empty(), "a release before the park is stale");
         assert!(w.is_parked(1));
@@ -1107,21 +1127,36 @@ mod tests {
         /// Re-send an access to `line` until no other core holds it locked
         /// (a pending load or store).
         Peek { line: LineAddr },
+        /// Take the fallback lock for writing (a fallback-path entry, which
+        /// waits for the writer and every reader to leave) or reading (a
+        /// CL-mode start, which waits for the writer), hold it for `hold`
+        /// cycles and release it. A write delivers a conflict to core
+        /// `hit`, if it is waiting to peek.
+        Fallback {
+            write: bool,
+            hold: u64,
+            hit: Option<usize>,
+        },
+        /// Wait for the fallback lock's writer to leave, taking nothing (a
+        /// speculative start).
+        Subscribe,
     }
 
     /// What one [`Toy`] step did.
     enum Outcome {
         Ran,
-        /// The poll failed on `on`, a line the second core holds.
-        Blocked(WaitOn, usize),
-        /// The step locked these lines and hit this core.
-        Locked(Vec<LineAddr>, Option<usize>),
-        Released(Vec<LineAddr>),
+        /// The poll failed on `on`, a line the second core holds, or the
+        /// fallback lock (`None`).
+        Blocked(WaitOn, Option<usize>),
+        /// The step locked these queues and hit this core.
+        Locked(Vec<QueueKey>, Option<usize>),
+        Released(Vec<QueueKey>),
         Finished,
     }
 
     /// A machine small enough to run under both wake rules: cores run
-    /// scripts of lock holds and peeks over a few lines.
+    /// scripts of lock holds, peeks and fallback-lock entries over a few
+    /// lines.
     #[derive(Clone, Debug, PartialEq)]
     struct Toy {
         spin: u64,
@@ -1132,6 +1167,8 @@ mod tests {
         holding: Vec<bool>,
         clocks: Vec<u64>,
         owner: FxHashMap<LineAddr, usize>,
+        writer: Option<usize>,
+        readers: Vec<bool>,
         /// Polls credited to each core instead of run.
         credited: Vec<u64>,
         /// Every executed step as `(core, clock)`.
@@ -1143,21 +1180,32 @@ mod tests {
             let cores = 2 + rng.index(7);
             let lines = 1 + rng.below(4);
             let line = |rng: &mut clear_mem::rng::SplitMix64| LineAddr(rng.below(lines));
+            let hit = |rng: &mut clear_mem::rng::SplitMix64| {
+                (rng.below(3) == 0).then(|| rng.index(cores))
+            };
             let script = (0..cores)
                 .map(|_| {
                     (0..1 + rng.index(4))
-                        .map(|_| {
-                            if rng.below(5) < 3 {
+                        .map(|_| match rng.below(10) {
+                            0..5 => {
                                 let (a, b) = (line(rng), line(rng));
                                 Op::Lock {
                                     lines: [a.min(b), a.max(b)],
                                     n: if a == b { 1 } else { 2 },
                                     hold: rng.below(60),
-                                    hit: (rng.below(3) == 0).then(|| rng.index(cores)),
+                                    hit: hit(rng),
                                 }
-                            } else {
-                                Op::Peek { line: line(rng) }
                             }
+                            5..7 => Op::Peek { line: line(rng) },
+                            7..9 => {
+                                let write = rng.flip();
+                                Op::Fallback {
+                                    write,
+                                    hold: rng.below(60),
+                                    hit: if write { hit(rng) } else { None },
+                                }
+                            }
+                            _ => Op::Subscribe,
                         })
                         .collect()
                 })
@@ -1174,23 +1222,32 @@ mod tests {
                 holding: vec![false; cores],
                 clocks: (0..cores).map(|_| rng.below(20)).collect(),
                 owner: FxHashMap::default(),
+                writer: None,
+                readers: vec![false; cores],
                 credited: vec![0; cores],
                 executed: Vec::new(),
             }
         }
 
         /// The read-only test of `c`'s next poll: the wait it would fail
-        /// on and the core holding that line.
-        fn blocker(&self, c: usize) -> Option<(WaitOn, usize)> {
+        /// on and the core holding that line (`None` for the fallback lock).
+        fn blocker(&self, c: usize) -> Option<(WaitOn, Option<usize>)> {
             if self.holding[c] {
                 return None;
             }
             let held = |line: &LineAddr| self.owner.get(line).filter(|&&h| h != c).copied();
+            let writer = self.writer.is_some();
             match *self.script[c].get(self.pc[c])? {
                 Op::Lock { lines, n, .. } => lines[..n]
                     .iter()
-                    .find_map(|l| held(l).map(|h| (WaitOn::Line { line: *l }, h))),
-                Op::Peek { line } => held(&line).map(|h| (WaitOn::Pending { line }, h)),
+                    .find_map(|l| held(l).map(|h| (WaitOn::Line { line: *l }, Some(h)))),
+                Op::Peek { line } => held(&line).map(|h| (WaitOn::Pending { line }, Some(h))),
+                Op::Fallback { write: true, .. } => {
+                    (writer || self.readers.contains(&true)).then_some((WaitOn::FallbackIdle, None))
+                }
+                Op::Fallback { write: false, .. } | Op::Subscribe => {
+                    writer.then_some((WaitOn::FallbackWriter, None))
+                }
             }
         }
 
@@ -1203,36 +1260,53 @@ mod tests {
                 self.clocks[c] += self.spin;
                 return Outcome::Blocked(on, holder);
             }
-            match op {
+            self.clocks[c] += 1;
+            let release = self.holding[c];
+            let mut keys = Vec::new();
+            let (hold, hit) = match op {
+                Op::Peek { .. } | Op::Subscribe => {
+                    self.pc[c] += 1;
+                    return Outcome::Ran;
+                }
                 Op::Lock {
                     lines,
                     n,
                     hold,
                     hit,
                 } => {
-                    let lines = lines[..n].to_vec();
-                    self.clocks[c] += 1;
-                    if self.holding[c] {
-                        for l in &lines {
-                            self.owner.remove(l);
+                    for &l in &lines[..n] {
+                        if release {
+                            self.owner.remove(&l);
+                        } else {
+                            self.owner.insert(l, c);
                         }
-                        self.holding[c] = false;
-                        self.pc[c] += 1;
-                        return Outcome::Released(lines);
+                        keys.push(QueueKey::Line(l));
                     }
-                    for &l in &lines {
-                        self.owner.insert(l, c);
+                    (hold, hit)
+                }
+                Op::Fallback { write, hold, hit } => {
+                    if write {
+                        self.writer = (!release).then_some(c);
+                        keys.extend(FALLBACK);
+                    } else {
+                        self.readers[c] = !release;
+                        // A read lock bars the idle queue; a read release
+                        // frees it only once no reader is left.
+                        if !(release && self.readers.contains(&true)) {
+                            keys.push(QueueKey::FallbackIdle);
+                        }
                     }
-                    self.holding[c] = true;
-                    self.clocks[c] += hold;
-                    Outcome::Locked(lines, hit.filter(|&v| self.peeking(v) && v != c))
+                    (hold, hit)
                 }
-                Op::Peek { .. } => {
-                    self.clocks[c] += 1;
-                    self.pc[c] += 1;
-                    Outcome::Ran
-                }
+            };
+            if release {
+                self.holding[c] = false;
+                self.pc[c] += 1;
+                return Outcome::Released(keys);
             }
+            self.holding[c] = true;
+            self.clocks[c] += hold;
+            Outcome::Locked(keys, hit.filter(|&v| self.peeking(v) && v != c))
         }
 
         fn peeking(&self, v: usize) -> bool {
@@ -1261,26 +1335,31 @@ mod tests {
     }
 
     /// Runs `t` under [`WaitList`], the way `Machine::run` drives it.
-    fn run_line_queues(mut t: Toy) -> Toy {
-        fn settle(t: &mut Toy, w: &mut WaitList, heap: &mut CoreHeap, wakes: &mut Vec<Wake>) {
-            w.take_wakes(&t.clocks, t.spin, wakes);
+    /// Also returns the number of fallback-lock waiters elected.
+    fn run_queues(mut t: Toy) -> (Toy, u64) {
+        let mut fallback_wakes = 0;
+        let mut settle = |t: &mut Toy, w: &mut WaitList, heap: &mut CoreHeap| {
+            let mut wakes = Vec::new();
+            w.take_wakes(&t.clocks, t.spin, &mut wakes);
             for h in w.unheaded.drain(..) {
                 heap.remove(h);
             }
-            for k in wakes.drain(..) {
+            for k in wakes {
+                if !matches!(k.on.key(), QueueKey::Line(_)) {
+                    fallback_wakes += 1;
+                }
                 t.catch_up(k.core, k.after);
                 heap.push(k.core, t.clocks[k.core]);
             }
-        }
+        };
         let mut heap = t.heap();
         let mut w = WaitList::new(t.clocks.len());
-        let mut wakes = Vec::new();
         while let Some(c) = heap.peek() {
             if w.is_woken(c) {
                 if let Some((on, _)) = t.blocker(c) {
                     heap.remove(c);
                     w.repark(c, on);
-                    settle(&mut t, &mut w, &mut heap, &mut wakes);
+                    settle(&mut t, &mut w, &mut heap);
                     continue;
                 }
             }
@@ -1295,10 +1374,8 @@ mod tests {
                     heap.remove(c);
                     w.park(c, on);
                 }
-                Outcome::Locked(lines, hit) => {
-                    for l in lines {
-                        w.note_locked(l);
-                    }
+                Outcome::Locked(keys, hit) => {
+                    w.note_locked(keys);
                     if let Some(v) = hit {
                         if w.unpark(v).is_some() {
                             t.catch_up(v, w.now);
@@ -1308,7 +1385,7 @@ mod tests {
                         touched = Some(v);
                     }
                 }
-                Outcome::Released(lines) => w.note_released(&lines),
+                Outcome::Released(keys) => w.note_released(keys),
                 Outcome::Ran => {}
             }
             heap.update(c, t.clocks[c]);
@@ -1318,22 +1395,26 @@ mod tests {
             if let Some(v) = touched {
                 heap.update(v, t.clocks[v]);
             }
-            settle(&mut t, &mut w, &mut heap, &mut wakes);
+            settle(&mut t, &mut w, &mut heap);
         }
+        let mut wakes = Vec::new();
         w.take_all((t.max_cycles, usize::MAX), &mut wakes);
-        for k in wakes.drain(..) {
+        for k in wakes {
             t.catch_up(k.core, k.after);
         }
-        t
+        (t, fallback_wakes)
     }
 
-    /// Runs `t` under the wake-all rule this scheduler replaced: a release
-    /// wakes every core parked on the releasing holder, and every step that
-    /// takes a lock or wakes a core re-checks each woken core whose first
-    /// poll has not run, parking the blocked ones again.
+    /// Runs `t` under the wake-all rule this scheduler replaced: a line
+    /// release wakes every core parked on the releasing holder, a fallback
+    /// release every fallback waiter, and every step that takes a lock or
+    /// wakes a core re-checks each woken core whose first poll has not
+    /// run, parking the blocked ones again.
     fn run_wake_all(mut t: Toy) -> Toy {
         let mut heap = t.heap();
-        let mut parked: Vec<(usize, usize)> = Vec::new();
+        // Parked cores and the line holder they wait on (`None`: the
+        // fallback lock).
+        let mut parked: Vec<(usize, Option<usize>)> = Vec::new();
         let mut woken: Vec<usize> = Vec::new();
         while let Some(c) = heap.peek() {
             if t.clocks[c] > t.max_cycles {
@@ -1342,7 +1423,7 @@ mod tests {
             woken.retain(|&w| w != c);
             let now = (t.clocks[c], c);
             let (mut recheck, mut touched, mut materialized, mut released) =
-                (false, None, None, false);
+                (false, None, None, None);
             match t.step(c) {
                 Outcome::Finished => heap.remove(c),
                 Outcome::Blocked(_, holder) => {
@@ -1362,7 +1443,10 @@ mod tests {
                         touched = Some(v);
                     }
                 }
-                Outcome::Released(_) => released = true,
+                Outcome::Released(keys) => {
+                    let fallback = keys.iter().any(|k| !matches!(k, QueueKey::Line(_)));
+                    released = Some(if fallback { None } else { Some(c) });
+                }
                 Outcome::Ran => {}
             }
             heap.update(c, t.clocks[c]);
@@ -1372,9 +1456,9 @@ mod tests {
             if let Some(v) = touched {
                 heap.update(v, t.clocks[v]);
             }
-            if released {
+            if let Some(waker) = released {
                 for (w, _) in parked
-                    .extract_if(.., |&mut (_, h)| h == c)
+                    .extract_if(.., |&mut (_, h)| h == waker)
                     .collect::<Vec<_>>()
                 {
                     t.catch_up(w, now);
@@ -1402,18 +1486,20 @@ mod tests {
     }
 
     #[test]
-    fn line_queues_run_exactly_like_waking_every_waiter() {
+    fn wait_queues_run_exactly_like_waking_every_waiter() {
         use clear_mem::rng::SplitMix64;
         let mut rng = SplitMix64::new(0x11E5);
-        let mut credited = 0;
+        let (mut credited, mut fallback_wakes) = (0, 0);
         for case in 0..3000 {
             let toy = Toy::random(&mut rng);
-            let queues = run_line_queues(toy.clone());
+            let (queues, fallback) = run_queues(toy.clone());
             let wake_all = run_wake_all(toy.clone());
             assert_eq!(queues, wake_all, "case {case}: {toy:?}");
             credited += queues.credited.iter().sum::<u64>();
+            fallback_wakes += fallback;
         }
         assert!(credited > 0, "no case skipped a poll");
+        assert!(fallback_wakes > 0, "no case woke a fallback waiter");
     }
 
     #[test]

@@ -46,20 +46,22 @@ pub struct PerfCounters {
     /// credited on wake instead of executing (part of `steps`). Kept out of the
     /// harness JSON and the metrics gauges, so no golden depends on it.
     pub polls_elided: u64,
-    /// Cores a release put back into the heap: queue heads elected (one
-    /// per released line, then one per head that polled and left the line
-    /// free) plus woken fallback waiters. Kept out of the harness JSON and
-    /// the metrics gauges, like `polls_elided`.
+    /// Cores a release put back into the heap: queue heads elected, one
+    /// per queue the release made live (a line's, or the fallback lock's
+    /// writer and idle queues), then one per head that polled and left the
+    /// lock free for the rest. Kept out of the harness JSON and the metrics
+    /// gauges, like `polls_elided`.
     pub wakes: u64,
     /// Woken cores sent back to the wait list without polling, because
     /// their first poll, checked when they reached the heap top, would
-    /// have failed: another line of the lock group, or a fallback lock
-    /// taken after the wake, blocked them again. Kept out of the harness
-    /// JSON and the metrics gauges, like `polls_elided`.
+    /// have failed: another line of the lock group blocked them again.
+    /// Kept out of the harness JSON and the metrics gauges, like
+    /// `polls_elided`.
     pub reparks: u64,
     /// Parked pending cores a conflict brought back to their next poll
-    /// before delivery. Kept out of the harness JSON and the metrics
-    /// gauges, like `polls_elided`.
+    /// before delivery. Only a pending core is parked inside a running
+    /// speculative attempt, so no lock or fallback waiter is counted. Kept
+    /// out of the harness JSON and the metrics gauges, like `polls_elided`.
     pub materialized: u64,
     /// Wall-clock nanoseconds spent inside `Machine::run`. Host-dependent:
     /// never compared against goldens.
