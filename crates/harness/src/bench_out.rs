@@ -1,7 +1,6 @@
 //! The single writer behind every `BENCH_*.json` artifact.
 //!
-//! `fuzz --bench-out`, `run --bench-out` and `serve --bench-out` used to
-//! assemble their documents ad hoc; they now all call [`bench_doc`], so
+//! `fuzz --bench-out` and `serve --bench-out` both call [`bench_doc`], so
 //! every benchmark artifact shares one schema: `name`, `unit`, `seed`,
 //! `toolchain`, and a `values` array of rows whose shape is the bench's
 //! own. CI's bench-trajectory steps append these files across commits and

@@ -3,9 +3,10 @@
 //!
 //! Every experiment is a pure function from [`SuiteOptions`] to an
 //! [`ExperimentOutput`]: the text `clear-harness run <name>` prints plus a
-//! machine-readable JSON document. Gated experiments
-//! additionally declare a [`GoldenSpec`] pinning the options and
-//! tolerances used for regression checks against `goldens/`.
+//! machine-readable JSON document. Gated experiments additionally pin
+//! the options their regression checks against `goldens/` run with
+//! ([`Experiment::golden`]); the document holds simulated values only,
+//! so one comparison rule ([`crate::golden::compare`]) fits every gate.
 
 mod figures;
 mod fuzz;
@@ -20,7 +21,6 @@ mod verify;
 pub use fuzz::{fuzz_output, matrix_output, parse_seed, replay_output};
 pub use statics::analyze_output;
 
-use crate::golden::Tolerances;
 use crate::json::Json;
 use crate::suite::SuiteOptions;
 use clear_machine::BackendId;
@@ -68,17 +68,9 @@ pub struct Experiment {
     pub about: &'static str,
     /// The runner.
     pub run: fn(&SuiteOptions) -> ExperimentOutput,
-    /// Golden gating, if this experiment is regression-checked.
-    pub golden: Option<GoldenSpec>,
-}
-
-/// How a gated experiment pins its golden baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct GoldenSpec {
-    /// Options the golden was generated with (fixed, CLI flags ignored).
-    pub opts: fn() -> SuiteOptions,
-    /// Float tolerances for the comparison.
-    pub tolerances: Tolerances,
+    /// Options the golden baseline was generated with (fixed, CLI flags
+    /// ignored), if this experiment is regression-checked.
+    pub golden: Option<fn() -> SuiteOptions>,
 }
 
 fn small() -> SuiteOptions {
@@ -94,33 +86,6 @@ fn medium() -> SuiteOptions {
         ..SuiteOptions::default()
     }
 }
-
-/// Tolerances for gated experiments: integer metrics (cycles, counts)
-/// must match exactly; derived float metrics (ratios, percentages, means)
-/// absorb only serialization round-off.
-const GATED_TOLERANCES: Tolerances = Tolerances {
-    default_rel: 1e-9,
-    overrides: &[("pct", 1e-6), ("ratio", 1e-6), ("share", 1e-6)],
-    ignored: &[],
-};
-
-/// `slo-latency` tolerances: the streaming percentiles, abort taxonomy
-/// and queue accounting are simulated values and must match exactly; only
-/// the wall-clock throughput fields riding along for humans are skipped.
-const SLO_TOLERANCES: Tolerances = Tolerances {
-    default_rel: 1e-9,
-    overrides: &[],
-    ignored: &["wall_ns", "ars_per_sec"],
-};
-
-/// `scaling-wide` tolerances: per-run schedule counters are exact; the
-/// wall-clock columns and the throughput-retention ratio derived from them
-/// are host-dependent and skipped.
-const SCALING_TOLERANCES: Tolerances = Tolerances {
-    default_rel: 1e-9,
-    overrides: &[],
-    ignored: &["wall_ns", "steps_per_sec", "ratio"],
-};
 
 /// Pinned options for the `scaling-wide` golden: the full 64→1024 core
 /// ladder on a benchmark whose footprint spans many directory shards
@@ -142,10 +107,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
         artifact: "Figure 1",
         about: "share of retried ARs with a small immutable footprint",
         run: figures::fig01,
-        golden: Some(GoldenSpec {
-            opts: medium,
-            tolerances: GATED_TOLERANCES,
-        }),
+        golden: Some(medium),
     },
     Experiment {
         name: "fig08",
@@ -194,10 +156,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
         artifact: "Figures 8-13",
         about: "one-pass evaluation report over a single suite run",
         run: figures::report,
-        golden: Some(GoldenSpec {
-            opts: medium,
-            tolerances: GATED_TOLERANCES,
-        }),
+        golden: Some(medium),
     },
     Experiment {
         name: "table1",
@@ -211,10 +170,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
         artifact: "Table 1 (measured)",
         about: "dynamic immutability of discovery decisions per AR",
         run: tables::table1_measured,
-        golden: Some(GoldenSpec {
-            opts: SuiteOptions::default,
-            tolerances: GATED_TOLERANCES,
-        }),
+        golden: Some(SuiteOptions::default),
     },
     Experiment {
         name: "table2",
@@ -228,10 +184,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
         artifact: "DESIGN.md ablations",
         about: "CLEAR design-choice ablations (CRT, lock policy, ALT, ERT)",
         run: studies::ablation,
-        golden: Some(GoldenSpec {
-            opts: small,
-            tolerances: GATED_TOLERANCES,
-        }),
+        golden: Some(small),
     },
     Experiment {
         name: "ar-breakdown",
@@ -266,47 +219,28 @@ pub static EXPERIMENTS: &[Experiment] = &[
         artifact: "simulator engineering",
         about: "commit throughput and shard counters at 64-1024 cores",
         run: perf::scaling_wide,
-        golden: Some(GoldenSpec {
-            opts: wide_opts,
-            tolerances: SCALING_TOLERANCES,
-        }),
+        golden: Some(wide_opts),
     },
     Experiment {
         name: "sle",
         artifact: "extension study (§4.1 vs §4.2)",
         about: "CLEAR with in-core (SLE) vs HTM speculation",
         run: studies::sle_vs_htm,
-        golden: Some(GoldenSpec {
-            opts: small,
-            tolerances: GATED_TOLERANCES,
-        }),
+        golden: Some(small),
     },
     Experiment {
         name: "slo-latency",
         artifact: "observability / SLO gate",
         about: "streaming p50/p99/p999 time-to-commit from the serve loop",
         run: slo::slo_latency,
-        golden: Some(GoldenSpec {
-            opts: slo::slo_opts,
-            tolerances: SLO_TOLERANCES,
-        }),
-    },
-    Experiment {
-        name: "trace",
-        artifact: "debugging aid",
-        about: "event timeline of a short traced run",
-        run: studies::trace_dump,
-        golden: None,
+        golden: Some(slo::slo_opts),
     },
     Experiment {
         name: "static-agreement",
         artifact: "static analyzer validation",
         about: "ahead-of-time AR verdicts vs dynamic discovery observations",
         run: statics::static_agreement,
-        golden: Some(GoldenSpec {
-            opts: SuiteOptions::default,
-            tolerances: GATED_TOLERANCES,
-        }),
+        golden: Some(SuiteOptions::default),
     },
     Experiment {
         name: "litmus-backends",
@@ -314,20 +248,14 @@ pub static EXPERIMENTS: &[Experiment] = &[
         about:
             "SB/LB/MP/IRIW litmus shapes across every backend, forbidden outcomes pinned to zero",
         run: fuzz::litmus_backends,
-        golden: Some(GoldenSpec {
-            opts: fuzz::litmus_opts,
-            tolerances: GATED_TOLERANCES,
-        }),
+        golden: Some(fuzz::litmus_opts),
     },
     Experiment {
         name: "backend-shootout",
         artifact: "backend comparison study",
         about: "commit throughput, abort taxonomy and fallback occupancy per backend",
         run: shootout::backend_shootout,
-        golden: Some(GoldenSpec {
-            opts: shootout::shootout_opts,
-            tolerances: GATED_TOLERANCES,
-        }),
+        golden: Some(shootout::shootout_opts),
     },
     Experiment {
         name: "verify",
@@ -438,14 +366,9 @@ mod tests {
 
     #[test]
     fn scaling_wide_golden_pins_the_full_ladder() {
-        let spec = find("scaling-wide").unwrap().golden.unwrap();
-        let opts = (spec.opts)();
+        let opts = (find("scaling-wide").unwrap().golden.unwrap())();
         assert_eq!(opts.cores, 1024);
         assert_eq!(opts.benchmarks, ["genome"]);
-        for frag in ["wall_ns", "steps_per_sec", "ratio"] {
-            assert!(spec.tolerances.ignored.contains(&frag), "{frag}");
-        }
-        assert_eq!(spec.tolerances.default_rel, 1e-9);
     }
 
     #[test]
@@ -485,7 +408,6 @@ mod tests {
             "table2",
             "sle",
             "verify",
-            "trace",
             "backend-shootout",
         ] {
             let exp = find(name).expect(name);

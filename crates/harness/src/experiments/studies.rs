@@ -1,6 +1,6 @@
 //! Study experiments: the ablation grid, per-AR breakdown, retry-threshold
-//! DSE, a-priori-locking comparison, core scaling, SLE-vs-HTM speculation,
-//! and the trace dump.
+//! DSE, a-priori-locking comparison, core scaling and SLE-vs-HTM
+//! speculation.
 
 use super::{opts_json, ExperimentOutput};
 use crate::json::Json;
@@ -8,7 +8,7 @@ use crate::pool;
 use crate::suite::{run_benchmark, trimmed_mean, SuiteOptions};
 use clear_core::{ClearConfig, SclLockPolicy};
 use clear_machine::{ClearBackend, MachineConfig, Preset, RunStats, SpeculationKind};
-use clear_workloads::{by_name, Size};
+use clear_workloads::by_name;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -482,49 +482,6 @@ pub(super) fn sle_vs_htm(opts: &SuiteOptions) -> ExperimentOutput {
         ("experiment", Json::from("sle")),
         ("options", opts_json(opts)),
         ("rows", Json::Arr(rows)),
-    ]);
-    ExperimentOutput::new(text, json)
-}
-
-pub(super) fn trace_dump(opts: &SuiteOptions) -> ExperimentOutput {
-    let name = opts.benchmarks.first().copied().unwrap_or("mwobject");
-    let cores = opts.cores.min(8);
-    let cfg = MachineConfig {
-        seed: opts.seeds[0],
-        ..Preset::C.config(cores, 5)
-    };
-    let (stats, m) = run_benchmark(name, Size::Tiny, cfg, true);
-
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "=== trace of {name} under CLEAR ({cores} cores, tiny input) ===\n"
-    );
-    text.push_str(&crate::trace_export::timeline_text(&m, 400));
-    let _ = writeln!(
-        text,
-        "\n{} commits ({} NS-CL, {} S-CL, {} fallback), {} aborts, {} cycles",
-        stats.commits(),
-        stats.commits_by_mode.nscl,
-        stats.commits_by_mode.scl,
-        stats.commits_by_mode.fallback,
-        stats.aborts.total(),
-        stats.total_cycles
-    );
-    let json = Json::obj([
-        ("experiment", Json::from("trace")),
-        ("options", opts_json(opts)),
-        ("benchmark", Json::from(name)),
-        ("events", Json::from(m.trace().len())),
-        ("events_recorded", Json::from(m.trace().recorded())),
-        ("events_dropped", Json::from(m.trace().dropped())),
-        (
-            "digest",
-            Json::from(crate::trace_export::digest_hex(m.trace().digest())),
-        ),
-        ("commits", Json::from(stats.commits())),
-        ("aborts", Json::from(stats.aborts.total())),
-        ("total_cycles", Json::from(stats.total_cycles)),
     ]);
     ExperimentOutput::new(text, json)
 }

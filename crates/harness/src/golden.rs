@@ -2,11 +2,13 @@
 //!
 //! Each gated experiment stores its JSON result under `goldens/<name>.json`
 //! at the repository root. A check re-runs the experiment with the pinned
-//! options and walks both trees: integers must match exactly, floats must
-//! agree within a relative tolerance (a default plus per-metric overrides
-//! keyed on path fragments), and any structural difference — missing key,
-//! extra row, type change — is a drift. The CLI exits nonzero if any drift
-//! survives, which is what CI gates on.
+//! options and walks both trees under one rule for every gate: integers,
+//! strings, bools and structure must match exactly, floats must agree
+//! within a relative 1e-9, and any structural difference — missing key,
+//! extra row, type change (an integer where the golden has a float, too)
+//! — is a drift. A golden holds only simulated values, so nothing in it
+//! is skipped. The CLI exits nonzero if any drift survives, which is what
+//! CI gates on.
 
 use crate::json::Json;
 use std::path::{Path, PathBuf};
@@ -77,62 +79,21 @@ impl std::fmt::Display for Drift {
     }
 }
 
-/// Float comparison tolerances: a default relative bound plus overrides
-/// that apply to any path containing the given fragment.
-#[derive(Clone, Copy, Debug)]
-pub struct Tolerances {
-    /// Relative tolerance for floats with no matching override.
-    pub default_rel: f64,
-    /// `(path fragment, relative tolerance)` overrides; the first matching
-    /// fragment wins.
-    pub overrides: &'static [(&'static str, f64)],
-    /// Path fragments whose values are skipped entirely — for
-    /// non-deterministic metrics such as wall-clock timings, where both
-    /// sides must have the key but any value (and value type) passes.
-    pub ignored: &'static [&'static str],
-}
-
-impl Default for Tolerances {
-    fn default() -> Self {
-        // The simulation is deterministic, so goldens should reproduce to
-        // the last bit; the nonzero default only absorbs float-formatting
-        // round-trips.
-        Tolerances {
-            default_rel: 1e-9,
-            overrides: &[],
-            ignored: &[],
-        }
-    }
-}
-
-impl Tolerances {
-    fn rel_for(&self, path: &str) -> f64 {
-        for (fragment, rel) in self.overrides {
-            if path.contains(fragment) {
-                return *rel;
-            }
-        }
-        self.default_rel
-    }
-
-    fn is_ignored(&self, path: &str) -> bool {
-        self.ignored.iter().any(|fragment| path.contains(fragment))
-    }
-}
+/// Relative bound within which a float must agree with its golden. The
+/// simulation is deterministic, so goldens reproduce to the last bit on
+/// one host; the bound only absorbs a libm ulp between hosts.
+const FLOAT_REL: f64 = 1e-9;
 
 /// Compares an actual result against the golden baseline.
 ///
 /// Returns every drift found (empty = pass).
-pub fn compare(golden: &Json, actual: &Json, tol: &Tolerances) -> Vec<Drift> {
+pub fn compare(golden: &Json, actual: &Json) -> Vec<Drift> {
     let mut drifts = Vec::new();
-    walk(golden, actual, "", tol, &mut drifts);
+    walk(golden, actual, "", &mut drifts);
     drifts
 }
 
-fn walk(golden: &Json, actual: &Json, path: &str, tol: &Tolerances, out: &mut Vec<Drift>) {
-    if tol.is_ignored(path) {
-        return;
-    }
+fn walk(golden: &Json, actual: &Json, path: &str, out: &mut Vec<Drift>) {
     let here = |p: &str| {
         if p.is_empty() {
             "<root>".to_string()
@@ -159,22 +120,16 @@ fn walk(golden: &Json, actual: &Json, path: &str, tol: &Tolerances, out: &mut Ve
             }
         }
         (Json::Float(g), Json::Float(a)) => {
-            let rel = tol.rel_for(path);
             let scale = g.abs().max(a.abs()).max(1e-300);
-            if (g - a).abs() > rel * scale {
+            if (g - a).abs() > FLOAT_REL * scale {
                 out.push(Drift {
                     path: here(path),
                     detail: format!(
-                        "expected {g}, got {a} (relative error {:.3e} > tolerance {rel:.1e})",
+                        "expected {g}, got {a} (relative error {:.3e} > {FLOAT_REL:.0e})",
                         (g - a).abs() / scale
                     ),
                 });
             }
-        }
-        // Integer/float mixes compare numerically (a metric may cross the
-        // serialization boundary when a mean lands on a whole number).
-        (Json::Int(g), Json::Float(a)) | (Json::Float(a), Json::Int(g)) => {
-            walk(&Json::Float(*g as f64), &Json::Float(*a), path, tol, out);
         }
         (Json::Str(g), Json::Str(a)) => {
             if g != a {
@@ -192,14 +147,14 @@ fn walk(golden: &Json, actual: &Json, path: &str, tol: &Tolerances, out: &mut Ve
                 });
             }
             for (i, (gv, av)) in g.iter().zip(a.iter()).enumerate() {
-                walk(gv, av, &format!("{path}/{i}"), tol, out);
+                walk(gv, av, &format!("{path}/{i}"), out);
             }
         }
         (Json::Obj(g), Json::Obj(a)) => {
             for (k, gv) in g {
                 let child = format!("{path}/{k}");
                 match a.iter().find(|(ak, _)| ak == k) {
-                    Some((_, av)) => walk(gv, av, &child, tol, out),
+                    Some((_, av)) => walk(gv, av, &child, out),
                     None => out.push(Drift {
                         path: child,
                         detail: "missing in actual result".to_string(),
@@ -241,58 +196,45 @@ mod tests {
 
     #[test]
     fn identical_documents_pass() {
-        let t = Tolerances::default();
-        assert!(compare(&doc(100, 0.5), &doc(100, 0.5), &t).is_empty());
+        assert!(compare(&doc(100, 0.5), &doc(100, 0.5)).is_empty());
     }
 
     #[test]
     fn integer_drift_is_exact() {
-        let t = Tolerances::default();
-        let drifts = compare(&doc(100, 0.5), &doc(101, 0.5), &t);
+        let drifts = compare(&doc(100, 0.5), &doc(101, 0.5));
         assert_eq!(drifts.len(), 1);
         assert_eq!(drifts[0].path, "/rows/0/cycles");
     }
 
     #[test]
     fn float_within_tolerance_passes_beyond_fails() {
-        let t = Tolerances {
-            default_rel: 1e-6,
-            overrides: &[],
-            ignored: &[],
-        };
-        assert!(compare(&doc(1, 0.5), &doc(1, 0.5 * (1.0 + 1e-8)), &t).is_empty());
-        let drifts = compare(&doc(1, 0.5), &doc(1, 0.5 * (1.0 + 1e-3)), &t);
+        assert!(compare(&doc(1, 0.5), &doc(1, 0.5 * (1.0 + 1e-10))).is_empty());
+        let drifts = compare(&doc(1, 0.5), &doc(1, 0.5 * (1.0 + 1e-8)));
         assert_eq!(drifts.len(), 1);
         assert_eq!(drifts[0].path, "/rows/0/ratio");
     }
 
     #[test]
-    fn per_metric_override_applies_by_fragment() {
-        let t = Tolerances {
-            default_rel: 1e-9,
-            overrides: &[("ratio", 0.5)],
-            ignored: &[],
-        };
-        assert!(compare(&doc(1, 0.5), &doc(1, 0.6), &t).is_empty());
-    }
-
-    #[test]
     fn structural_differences_are_drifts() {
-        let t = Tolerances::default();
         let golden = Json::obj([("a", Json::Int(1)), ("b", Json::Int(2))]);
         let actual = Json::obj([("a", Json::Int(1)), ("c", Json::Int(3))]);
-        let drifts = compare(&golden, &actual, &t);
+        let drifts = compare(&golden, &actual);
         assert_eq!(drifts.len(), 2, "{drifts:?}");
         let golden = Json::arr([Json::Int(1)]);
         let actual = Json::arr([Json::Int(1), Json::Int(2)]);
-        assert_eq!(compare(&golden, &actual, &t).len(), 1);
+        assert_eq!(compare(&golden, &actual).len(), 1);
     }
 
     #[test]
-    fn int_float_mix_compares_numerically() {
-        let t = Tolerances::default();
-        assert!(compare(&Json::Int(3), &Json::Float(3.0), &t).is_empty());
-        assert_eq!(compare(&Json::Int(3), &Json::Float(3.1), &t).len(), 1);
+    fn int_vs_float_is_a_type_mismatch() {
+        for (golden, actual) in [
+            (Json::Int(3), Json::Float(3.0)),
+            (Json::Float(3.0), Json::Int(3)),
+        ] {
+            let drifts = compare(&golden, &actual);
+            assert_eq!(drifts.len(), 1);
+            assert!(drifts[0].detail.starts_with("type mismatch"), "{drifts:?}");
+        }
     }
 
     #[test]
@@ -305,21 +247,5 @@ mod tests {
         assert_eq!(stale(&dir, &["a"]), ["b.json", "c.json"]);
         assert!(stale(&dir, &["a", "b", "c"]).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn ignored_fragments_skip_values_and_types() {
-        let t = Tolerances {
-            default_rel: 1e-9,
-            overrides: &[],
-            ignored: &["wall_ns"],
-        };
-        let golden = Json::obj([("steps", Json::Int(10)), ("wall_ns", Json::Int(123))]);
-        // Value drift, and even a type change, under an ignored path passes.
-        let actual = Json::obj([("steps", Json::Int(10)), ("wall_ns", Json::Float(9.5))]);
-        assert!(compare(&golden, &actual, &t).is_empty());
-        // Non-ignored siblings still compare exactly.
-        let bad = Json::obj([("steps", Json::Int(11)), ("wall_ns", Json::Int(0))]);
-        assert_eq!(compare(&golden, &bad, &t).len(), 1);
     }
 }

@@ -13,9 +13,9 @@
 //!   while keeping results bit-identical to a sequential run.
 //! - [`json`]: a small hand-rolled JSON document model (emit + parse), so
 //!   the harness needs no external crates.
-//! - [`golden`]: versioned golden baselines under `goldens/` with
-//!   per-metric drift tolerances; the CLI's `check` exits nonzero on any
-//!   drift, which is what CI gates on.
+//! - [`golden`]: versioned golden baselines under `goldens/`, holding
+//!   simulated values only and compared by one rule for every gate; the
+//!   CLI's `check` exits nonzero on any drift, which is what CI gates on.
 //! - [`trace_export`]: consumers of the machine's execution trace — the
 //!   Chrome-trace exporter behind `clear-harness trace`, the plain-text
 //!   timeline, and the per-AR derived-metrics pass.
@@ -25,8 +25,9 @@
 //! - [`serve`]: the bounded-memory trace-replay / open-loop service loop
 //!   behind `clear-harness serve`, reporting streaming time-to-commit
 //!   percentiles per AR class.
-//! - [`bench_out`]: the single writer behind every `BENCH_*.json`
-//!   artifact (shared name/unit/seed/toolchain/values schema).
+//! - [`bench_out`]: the single writer behind the `serve` and `fuzz`
+//!   `BENCH_*.json` artifacts (shared name/unit/seed/toolchain/values
+//!   schema).
 //!
 //! ```text
 //! cargo run --release -p clear-harness -- list

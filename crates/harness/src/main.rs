@@ -18,13 +18,13 @@ use clear_harness::json::Json;
 use clear_harness::serve::{serve_session, ServeOptions};
 use clear_harness::{bench_out, golden, metrics_export, run_benchmark, trace_export, SuiteOptions};
 use clear_machine::{MachineConfig, Preset};
+use clear_workloads::BENCHMARK_NAMES;
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n  clear-harness list\n  clear-harness run <name>|all \
          [--size tiny|small|medium] [--cores N] [--seeds N]\n      \
-         [--sweep full|quick|none] [--bench NAME] [--workers N]\n      \
-         [--bench-out FILE] [--json]\n  \
+         [--sweep full|quick|none] [--bench NAME] [--workers N] [--json]\n  \
          clear-harness serve <workload> [--size ...] [--cores N] [--seeds N]\n      \
          [--ars N] [--batch N] [--queue N] [--rate CYCLES] [--replay FILE]\n      \
          [--snapshot-out FILE] [--prom-out FILE] [--bench-out FILE] [--json]\n  \
@@ -54,50 +54,67 @@ fn main() {
     }
 }
 
+/// Removes `flag` and the value after it from `rest`, exiting 2 when the
+/// value is missing.
+fn take_value(rest: &mut Vec<String>, flag: &str) -> Option<String> {
+    let i = rest.iter().position(|a| a == flag)?;
+    if i + 1 >= rest.len() {
+        eprintln!("missing value for {flag}");
+        std::process::exit(2);
+    }
+    let v = rest.remove(i + 1);
+    rest.remove(i);
+    Some(v)
+}
+
+/// Removes the switch `flag` from `rest`, reporting whether it was given.
+fn take_switch(rest: &mut Vec<String>, flag: &str) -> bool {
+    rest.iter()
+        .position(|a| a == flag)
+        .map(|i| rest.remove(i))
+        .is_some()
+}
+
+/// The benchmark `trace` and `serve` run: the first argument, which must
+/// name a registered workload (exit 2 otherwise).
+fn workload_arg(args: &[String]) -> &str {
+    let Some(name) = args.first() else { usage() };
+    if !BENCHMARK_NAMES.contains(&name.as_str()) {
+        eprintln!(
+            "unknown benchmark {name} (known: {})",
+            BENCHMARK_NAMES.join(", ")
+        );
+        std::process::exit(2);
+    }
+    name
+}
+
 /// `clear-harness fuzz`: differential fuzzing of the AR semantics — the
 /// clear-isa VM vs the full machine under contention vs the static
 /// analyzer. The report itself is deterministic; only `BENCH_fuzz.json`
 /// carries wall-clock throughput.
 fn fuzz(args: &[String]) {
     let mut rest: Vec<String> = args.to_vec();
-    let mut take_value = |flag: &str| -> Option<String> {
-        let i = rest.iter().position(|a| a == flag)?;
-        if i + 1 >= rest.len() {
-            eprintln!("missing value for {flag}");
-            std::process::exit(2);
-        }
-        let v = rest.remove(i + 1);
-        rest.remove(i);
-        Some(v)
-    };
-    let seed_str = take_value("--seed").unwrap_or_else(|| "0xC1EAR".to_string());
-    let count: u64 = take_value("--count")
+    let seed_str = take_value(&mut rest, "--seed").unwrap_or_else(|| "0xC1EAR".to_string());
+    let count: u64 = take_value(&mut rest, "--count")
         .map(|v| v.parse().expect("--count N"))
         .unwrap_or(256);
-    let workers: usize = take_value("--workers")
+    let workers: usize = take_value(&mut rest, "--workers")
         .map(|v| v.parse::<usize>().expect("--workers N").max(1))
         .unwrap_or_else(clear_harness::pool::default_workers);
     // 0 (the default) keeps each case's own contended thread count; a
     // positive value widens every contended phase to that many cores.
-    let cores: usize = take_value("--cores")
+    let cores: usize = take_value(&mut rest, "--cores")
         .map(|v| v.parse::<usize>().expect("--cores N"))
         .unwrap_or(0);
-    let out_path = take_value("--out");
-    let bench_path = take_value("--bench-out");
-    let repro_dir = take_value("--repro-dir");
-    let replay_path = take_value("--replay");
-    let as_json = rest
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| rest.remove(i))
-        .is_some();
+    let out_path = take_value(&mut rest, "--out");
+    let bench_path = take_value(&mut rest, "--bench-out");
+    let repro_dir = take_value(&mut rest, "--repro-dir");
+    let replay_path = take_value(&mut rest, "--replay");
+    let as_json = take_switch(&mut rest, "--json");
     // `--matrix`: run each case through every speculation backend via the
     // backend-differential oracle instead of the single-config oracle.
-    let matrix = rest
-        .iter()
-        .position(|a| a == "--matrix")
-        .map(|i| rest.remove(i))
-        .is_some();
+    let matrix = take_switch(&mut rest, "--matrix");
     if !rest.is_empty() {
         eprintln!("unknown fuzz option {}", rest[0]);
         std::process::exit(2);
@@ -240,44 +257,28 @@ fn write_file(path: &str, text: &str) {
 /// open-loop service loop with streaming time-to-commit percentiles.
 /// Memory use is independent of `--ars`, so million-AR sessions are fine.
 fn serve(args: &[String]) {
-    let Some(workload) = args.first() else {
-        usage()
-    };
+    let workload = workload_arg(args);
     let mut rest: Vec<String> = args[1..].to_vec();
-    let mut take_value = |flag: &str| -> Option<String> {
-        let i = rest.iter().position(|a| a == flag)?;
-        if i + 1 >= rest.len() {
-            eprintln!("missing value for {flag}");
-            std::process::exit(2);
-        }
-        let v = rest.remove(i + 1);
-        rest.remove(i);
-        Some(v)
-    };
-    let total_ars: u64 = take_value("--ars")
+    let total_ars: u64 = take_value(&mut rest, "--ars")
         .map(|v| v.parse().expect("--ars N"))
         .unwrap_or(4096);
-    let batch: usize = take_value("--batch")
+    let batch: usize = take_value(&mut rest, "--batch")
         .map(|v| v.parse().expect("--batch N"))
         .unwrap_or(256);
-    let queue: usize = take_value("--queue")
+    let queue: usize = take_value(&mut rest, "--queue")
         .map(|v| v.parse().expect("--queue N"))
         .unwrap_or(512);
-    let rate: u64 = take_value("--rate")
+    let rate: u64 = take_value(&mut rest, "--rate")
         .map(|v| v.parse().expect("--rate CYCLES"))
         .unwrap_or(24);
-    let replay_gaps = take_value("--replay").map(|path| read_gaps(&path));
-    let snapshot_path = take_value("--snapshot-out");
-    let prom_path = take_value("--prom-out");
-    let bench_path = take_value("--bench-out");
-    let as_json = rest
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| rest.remove(i))
-        .is_some();
+    let replay_gaps = take_value(&mut rest, "--replay").map(|path| read_gaps(&path));
+    let snapshot_path = take_value(&mut rest, "--snapshot-out");
+    let prom_path = take_value(&mut rest, "--prom-out");
+    let bench_path = take_value(&mut rest, "--bench-out");
+    let as_json = take_switch(&mut rest, "--json");
     let opts = SuiteOptions::from_arg_slice(&rest);
     let sopts = ServeOptions {
-        workload: workload.clone(),
+        workload: workload.to_string(),
         size: opts.size,
         cores: opts.cores,
         seed: opts.seeds[0],
@@ -359,30 +360,14 @@ fn read_gaps(path: &str) -> Vec<u64> {
 /// print the timeline and derived metrics, and optionally export the
 /// stream as Chrome Trace Event Format JSON (Perfetto-loadable).
 fn trace(args: &[String]) {
-    let Some(workload) = args.first() else {
-        usage()
-    };
+    let workload = workload_arg(args);
     let mut rest: Vec<String> = args[1..].to_vec();
-    let mut take_value = |flag: &str| -> Option<String> {
-        let i = rest.iter().position(|a| a == flag)?;
-        if i + 1 >= rest.len() {
-            eprintln!("missing value for {flag}");
-            std::process::exit(2);
-        }
-        let v = rest.remove(i + 1);
-        rest.remove(i);
-        Some(v)
-    };
-    let chrome_path = take_value("--chrome");
-    let arrivals_path = take_value("--arrivals");
-    let events_limit: usize = take_value("--events")
+    let chrome_path = take_value(&mut rest, "--chrome");
+    let arrivals_path = take_value(&mut rest, "--arrivals");
+    let events_limit: usize = take_value(&mut rest, "--events")
         .map(|v| v.parse().expect("--events N"))
         .unwrap_or(400);
-    let as_json = rest
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| rest.remove(i))
-        .is_some();
+    let as_json = take_switch(&mut rest, "--json");
     let opts = SuiteOptions::from_arg_slice(&rest);
     let seed = opts.seeds[0];
     let cfg = MachineConfig {
@@ -423,7 +408,7 @@ fn trace(args: &[String]) {
 
     if as_json {
         let doc = Json::obj([
-            ("benchmark", Json::from(workload.as_str())),
+            ("benchmark", Json::from(workload)),
             ("cores", Json::from(opts.cores)),
             ("seed", Json::from(seed)),
             ("events_recorded", Json::from(m.trace().recorded())),
@@ -455,18 +440,10 @@ fn analyze(args: &[String]) {
         usage()
     };
     let mut rest: Vec<String> = args[1..].to_vec();
-    let as_json = rest
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| rest.remove(i))
-        .is_some();
+    let as_json = take_switch(&mut rest, "--json");
     // `--plan`: also emit the analyzer's StaticPlans (fast-path lock
     // sets, written subsets, root slots, per-backend budget fit).
-    let with_plans = rest
-        .iter()
-        .position(|a| a == "--plan")
-        .map(|i| rest.remove(i))
-        .is_some();
+    let with_plans = take_switch(&mut rest, "--plan");
     let opts = SuiteOptions::from_arg_slice(&rest);
     let out = analyze_output(workload, &opts, with_plans).unwrap_or_else(|e| {
         eprintln!("{e}");
@@ -493,22 +470,7 @@ fn list() {
 fn run(args: &[String]) {
     let Some(name) = args.first() else { usage() };
     let mut rest: Vec<String> = args[1..].to_vec();
-    let mut take_value = |flag: &str| -> Option<String> {
-        let i = rest.iter().position(|a| a == flag)?;
-        if i + 1 >= rest.len() {
-            eprintln!("missing value for {flag}");
-            std::process::exit(2);
-        }
-        let v = rest.remove(i + 1);
-        rest.remove(i);
-        Some(v)
-    };
-    let bench_path = take_value("--bench-out");
-    let as_json = rest
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| rest.remove(i))
-        .is_some();
+    let as_json = take_switch(&mut rest, "--json");
     let opts = SuiteOptions::from_arg_slice(&rest);
     let selected: Vec<&Experiment> = if name == "all" {
         EXPERIMENTS.iter().collect()
@@ -519,7 +481,6 @@ fn run(args: &[String]) {
         })]
     };
     let mut failures = 0;
-    let mut curve: Vec<Json> = Vec::new();
     for e in selected {
         let out = (e.run)(&opts);
         if as_json {
@@ -533,45 +494,11 @@ fn run(args: &[String]) {
         } else {
             print!("{}", out.text);
         }
-        curve.extend(throughput_curve(&out.json));
         failures += out.failures;
-    }
-    if let Some(path) = &bench_path {
-        let mut rows = curve;
-        for row in &mut rows {
-            if let Json::Obj(fields) = row {
-                fields.insert(0, ("experiment".to_string(), Json::from(name.as_str())));
-            }
-        }
-        let bench = bench_out::bench_doc("sim", "steps/s", &opts.seeds[0].to_string(), rows);
-        write_file(path, &bench.to_pretty());
-        eprintln!("wrote {path}");
     }
     if failures > 0 {
         std::process::exit(1);
     }
-}
-
-/// Extracts a steps-per-second-by-core-count curve from an experiment
-/// document for `BENCH_sim.json`: every row carrying both a `cores` and a
-/// `steps_per_sec` field contributes one point (today that is the
-/// `scaling-wide` ladder; other experiments simply contribute nothing).
-fn throughput_curve(doc: &Json) -> Vec<Json> {
-    let Some(Json::Arr(rows)) = doc.get("rows") else {
-        return Vec::new();
-    };
-    rows.iter()
-        .filter(|r| r.get("cores").is_some() && r.get("steps_per_sec").is_some())
-        .map(|r| {
-            let f = |k: &str| r.get(k).cloned().unwrap_or(Json::Null);
-            Json::obj([
-                ("cores", f("cores")),
-                ("steps", f("steps")),
-                ("wall_ns", f("wall_ns")),
-                ("steps_per_sec", f("steps_per_sec")),
-            ])
-        })
-        .collect()
 }
 
 /// Resolves the gated experiments named on the command line (all of them
@@ -601,8 +528,7 @@ fn gated_names(all: &[&Experiment]) -> String {
 
 fn update(names: &[String]) {
     for e in gated(names) {
-        let spec = e.golden.expect("gated");
-        let opts = (spec.opts)();
+        let opts = (e.golden.expect("gated"))();
         eprintln!("regenerating golden for {} ({})...", e.name, e.artifact);
         let out = (e.run)(&opts);
         match golden::store(e.name, &out.json) {
@@ -628,7 +554,6 @@ fn check(names: &[String]) {
     }
     let mut drifted = 0usize;
     for e in gated(names) {
-        let spec = e.golden.expect("gated");
         let baseline = match golden::load(e.name) {
             Ok(b) => b,
             Err(msg) => {
@@ -641,14 +566,14 @@ fn check(names: &[String]) {
                 continue;
             }
         };
-        let opts = (spec.opts)();
+        let opts = (e.golden.expect("gated"))();
         eprintln!(
             "checking {} against {}...",
             e.name,
             golden::golden_path(e.name).display()
         );
         let out = (e.run)(&opts);
-        let drifts = golden::compare(&baseline, &out.json, &spec.tolerances);
+        let drifts = golden::compare(&baseline, &out.json);
         if drifts.is_empty() {
             eprintln!("  ok");
         } else {

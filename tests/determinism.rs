@@ -89,25 +89,14 @@ fn wide(workers: usize) -> SuiteOptions {
     }
 }
 
-/// Strips the wall-clock columns (the only host-dependent fields) so the
-/// remaining document — every simulated counter — can be compared
-/// byte-for-byte.
-fn deterministic_part(json: &clear_harness::json::Json) -> String {
-    json.to_pretty()
-        .lines()
-        .filter(|l| !l.contains("wall_ns") && !l.contains("steps_per_sec") && !l.contains("ratio"))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[test]
 fn scaling_wide_reproduces_byte_identically_across_runs() {
     let exp = find("scaling-wide").expect("scaling-wide registered");
     let a = (exp.run)(&wide(4));
     let b = (exp.run)(&wide(4));
     assert_eq!(
-        deterministic_part(&a.json),
-        deterministic_part(&b.json),
+        a.json.to_pretty(),
+        b.json.to_pretty(),
         "scaling-wide drifted between identical runs"
     );
     assert_eq!(a.failures, 0);
@@ -119,8 +108,8 @@ fn scaling_wide_is_independent_of_grid_workers() {
     let serial = (exp.run)(&wide(1));
     let parallel = (exp.run)(&wide(8));
     assert_eq!(
-        deterministic_part(&serial.json),
-        deterministic_part(&parallel.json),
+        serial.json.to_pretty(),
+        parallel.json.to_pretty(),
         "scaling-wide: 1-worker vs 8-worker run drifted"
     );
 }

@@ -92,12 +92,12 @@ fn oracle_verdict_is_stable_per_case() {
 fn litmus_conformance_document_is_worker_independent() {
     let exp = find("litmus-backends").expect("litmus-backends registered");
     let narrow = {
-        let mut opts = (exp.golden.as_ref().expect("gated").opts)();
+        let mut opts = (exp.golden.expect("gated"))();
         opts.workers = 1;
         (exp.run)(&opts)
     };
     let wide = {
-        let mut opts = (exp.golden.as_ref().expect("gated").opts)();
+        let mut opts = (exp.golden.expect("gated"))();
         opts.workers = 8;
         (exp.run)(&opts)
     };
