@@ -34,9 +34,8 @@ pub struct ExperimentOutput {
     /// Machine-readable result document.
     pub json: Json,
     /// Failed checks: broken invariants (`verify`), forbidden litmus
-    /// outcomes, analyzer/dynamic disagreements, plan guard violations
-    /// (`backend-shootout`) or a wide-core throughput collapse. Nonzero
-    /// makes `run` exit 1.
+    /// outcomes, analyzer/dynamic disagreements or plan guard violations
+    /// (`backend-shootout`). Nonzero makes `run` exit 1.
     pub failures: usize,
     /// Optional side-channel metrics snapshot (simulator `PerfCounters`
     /// surfaced through `clear-metrics`). Deliberately NOT part of `json`:

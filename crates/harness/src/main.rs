@@ -39,6 +39,14 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The suite options in `args`; a usage error exits 2.
+fn suite_options(args: &[String]) -> SuiteOptions {
+    SuiteOptions::from_arg_slice(args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -276,7 +284,7 @@ fn serve(args: &[String]) {
     let prom_path = take_value(&mut rest, "--prom-out");
     let bench_path = take_value(&mut rest, "--bench-out");
     let as_json = take_switch(&mut rest, "--json");
-    let opts = SuiteOptions::from_arg_slice(&rest);
+    let opts = suite_options(&rest);
     let sopts = ServeOptions {
         workload: workload.to_string(),
         size: opts.size,
@@ -368,7 +376,7 @@ fn trace(args: &[String]) {
         .map(|v| v.parse().expect("--events N"))
         .unwrap_or(400);
     let as_json = take_switch(&mut rest, "--json");
-    let opts = SuiteOptions::from_arg_slice(&rest);
+    let opts = suite_options(&rest);
     let seed = opts.seeds[0];
     let cfg = MachineConfig {
         seed,
@@ -444,7 +452,7 @@ fn analyze(args: &[String]) {
     // `--plan`: also emit the analyzer's StaticPlans (fast-path lock
     // sets, written subsets, root slots, per-backend budget fit).
     let with_plans = take_switch(&mut rest, "--plan");
-    let opts = SuiteOptions::from_arg_slice(&rest);
+    let opts = suite_options(&rest);
     let out = analyze_output(workload, &opts, with_plans).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
@@ -471,7 +479,7 @@ fn run(args: &[String]) {
     let Some(name) = args.first() else { usage() };
     let mut rest: Vec<String> = args[1..].to_vec();
     let as_json = take_switch(&mut rest, "--json");
-    let opts = SuiteOptions::from_arg_slice(&rest);
+    let opts = suite_options(&rest);
     let selected: Vec<&Experiment> = if name == "all" {
         EXPERIMENTS.iter().collect()
     } else {

@@ -53,74 +53,65 @@ impl Default for SuiteOptions {
 }
 
 impl SuiteOptions {
-    /// Parses `std::env::args()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed options.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_arg_slice(&args)
-    }
-
     /// Parses an explicit argument list (the CLI passes the tail of its
-    /// own argument vector here).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed options, including a zero
-    /// `--cores` or `--seeds`.
-    pub fn from_arg_slice(args: &[String]) -> Self {
+    /// own argument vector here). An unknown option or value, a missing or
+    /// malformed value, and a zero `--cores` or `--seeds` are usage
+    /// errors, returned as their message.
+    pub fn from_arg_slice(args: &[String]) -> Result<Self, String> {
         let mut o = SuiteOptions::default();
         let mut picked: Vec<&'static str> = Vec::new();
         let mut picked_backends: Vec<&'static str> = Vec::new();
         let mut args = args.iter();
         while let Some(a) = args.next() {
-            let mut val = || {
-                args.next()
-                    .cloned()
-                    .unwrap_or_else(|| panic!("missing value for {a}"))
+            let mut val = || args.next().ok_or_else(|| format!("missing value for {a}"));
+            let mut count = |what: &str| {
+                let v = val()?;
+                match v.parse::<usize>() {
+                    Ok(0) => Err(format!("{a} must be at least 1")),
+                    Ok(n) => Ok(n),
+                    Err(_) => Err(format!("{a} wants a {what}, not {v}")),
+                }
             };
             match a.as_str() {
                 "--size" => {
-                    o.size = match val().as_str() {
+                    o.size = match val()?.as_str() {
                         "tiny" => Size::Tiny,
                         "small" => Size::Small,
                         "medium" => Size::Medium,
-                        other => panic!("unknown size {other}"),
+                        other => return Err(format!("unknown size {other}")),
                     }
                 }
-                "--cores" => match val().parse().expect("--cores N") {
-                    0 => panic!("--cores must be at least 1"),
-                    n => o.cores = n,
-                },
-                "--seeds" => match val().parse::<u64>().expect("--seeds N") {
-                    0 => panic!("--seeds must be at least 1"),
-                    n => o.seeds = (1..=n).collect(),
-                },
+                "--cores" => o.cores = count("core count")?,
+                "--seeds" => o.seeds = (1..=count("seed count")? as u64).collect(),
                 "--sweep" => {
-                    o.retry_sweep = match val().as_str() {
+                    o.retry_sweep = match val()?.as_str() {
                         "full" => (1..=10).collect(),
                         "quick" => vec![2, 5, 8],
                         "none" => vec![5],
-                        other => panic!("unknown sweep {other}"),
+                        other => return Err(format!("unknown sweep {other}")),
                     }
                 }
                 "--bench" => {
-                    let name = val();
+                    let name = val()?;
                     let known = BENCHMARK_NAMES
                         .iter()
-                        .find(|n| **n == name)
-                        .unwrap_or_else(|| panic!("unknown benchmark {name}"));
+                        .find(|n| **n == name.as_str())
+                        .ok_or_else(|| format!("unknown benchmark {name}"))?;
                     picked.push(known);
                 }
                 "--backend" => {
-                    let name = val();
-                    let known = BackendId::from_name(&name)
-                        .unwrap_or_else(|| panic!("unknown backend {name}"));
+                    let name = val()?;
+                    let known = BackendId::from_name(name)
+                        .ok_or_else(|| format!("unknown backend {name}"))?;
                     picked_backends.push(known.name());
                 }
-                "--workers" => o.workers = val().parse::<usize>().expect("--workers N").max(1),
+                "--workers" => {
+                    let v = val()?;
+                    let n: usize = v
+                        .parse()
+                        .map_err(|_| format!("{a} wants a worker count, not {v}"))?;
+                    o.workers = n.max(1);
+                }
                 "--help" | "-h" => {
                     eprintln!(
                         "options: --size tiny|small|medium --cores N --seeds N \
@@ -129,7 +120,7 @@ impl SuiteOptions {
                     );
                     std::process::exit(0);
                 }
-                other => panic!("unknown option {other}"),
+                other => return Err(format!("unknown option {other}")),
             }
         }
         if !picked.is_empty() {
@@ -138,7 +129,7 @@ impl SuiteOptions {
         if !picked_backends.is_empty() {
             o.backends = picked_backends;
         }
-        o
+        Ok(o)
     }
 }
 
@@ -435,15 +426,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--seeds must be at least 1")]
     fn zero_seeds_is_rejected() {
-        SuiteOptions::from_arg_slice(&args(&["--seeds", "0"]));
+        let err = SuiteOptions::from_arg_slice(&args(&["--seeds", "0"])).unwrap_err();
+        assert_eq!(err, "--seeds must be at least 1");
     }
 
     #[test]
-    #[should_panic(expected = "--cores must be at least 1")]
     fn zero_cores_is_rejected() {
-        SuiteOptions::from_arg_slice(&args(&["--cores", "0"]));
+        let err = SuiteOptions::from_arg_slice(&args(&["--cores", "0"])).unwrap_err();
+        assert_eq!(err, "--cores must be at least 1");
     }
 
     #[test]
@@ -467,7 +458,8 @@ mod tests {
     fn backend_flag_restricts_the_sweep() {
         let o = SuiteOptions::default();
         assert_eq!(o.backends, vec!["tsx", "powertm", "sle", "clear", "lrws"]);
-        let o = SuiteOptions::from_arg_slice(&args(&["--backend", "lrws", "--backend", "clear"]));
+        let o = SuiteOptions::from_arg_slice(&args(&["--backend", "lrws", "--backend", "clear"]))
+            .expect("known backends");
         assert_eq!(o.backends, vec!["lrws", "clear"]);
     }
 

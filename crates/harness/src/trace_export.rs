@@ -14,6 +14,7 @@
 use crate::json::Json;
 use clear_core::RetryMode;
 use clear_machine::{Machine, TraceEvent};
+use clear_metrics::Log2Hist;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -267,28 +268,10 @@ pub struct ModeLatency {
     pub commits: u64,
     /// Attempts that aborted.
     pub aborts: u64,
-    /// Sum of finished-attempt latencies in cycles.
-    pub total_cycles: u64,
-    /// Shortest finished attempt.
-    pub min_cycles: u64,
-    /// Longest finished attempt.
-    pub max_cycles: u64,
-    /// Log2-bucketed latency histogram: bucket `i` counts finished
-    /// attempts with latency in `[2^i, 2^(i+1))` (bucket 0 also holds
-    /// zero-cycle attempts).
-    pub hist_log2: [u64; 32],
-}
-
-impl ModeLatency {
-    fn add(&mut self, latency: u64) {
-        self.total_cycles += latency;
-        if self.commits + self.aborts == 1 || latency < self.min_cycles {
-            self.min_cycles = latency;
-        }
-        self.max_cycles = self.max_cycles.max(latency);
-        let bucket = (64 - latency.leading_zeros()).saturating_sub(1).min(31);
-        self.hist_log2[bucket as usize] += 1;
-    }
+    /// Latencies of the finished attempts in cycles: bucket `i` of the
+    /// log2 histogram counts latencies in `[2^i, 2^(i+1))` (bucket 0 also
+    /// holds zero-cycle attempts).
+    pub latency: Log2Hist,
 }
 
 /// Per-AR outcome aggregate.
@@ -358,14 +341,14 @@ pub fn derive_metrics(m: &Machine, top_k: usize) -> DerivedMetrics {
                 if let Some((mode, _)) = attempt.remove(&r.core) {
                     let agg = &mut by_mode[mode_slot(mode)].1;
                     agg.aborts += 1;
-                    agg.add(*span);
+                    agg.latency.observe(*span);
                 }
             }
             TraceEvent::Commit { .. } => {
                 if let Some((mode, start)) = attempt.remove(&r.core) {
                     let agg = &mut by_mode[mode_slot(mode)].1;
                     agg.commits += 1;
-                    agg.add(r.cycle.saturating_sub(start));
+                    agg.latency.observe(r.cycle.saturating_sub(start));
                 }
                 if let Some((ar, fetch_cycle)) = fetched.remove(&r.core) {
                     let slot = per_ar.entry(ar).or_default();
@@ -424,14 +407,9 @@ impl DerivedMetrics {
     /// `trace` subcommand embeds in its `--json` output).
     pub fn to_json(&self) -> Json {
         let modes = self.by_mode.iter().map(|(mode, agg)| {
-            let finished = agg.commits + agg.aborts;
-            let mean = if finished == 0 {
-                0.0
-            } else {
-                agg.total_cycles as f64 / finished as f64
-            };
-            let top = agg
-                .hist_log2
+            let hist = &agg.latency;
+            let top = hist
+                .buckets()
                 .iter()
                 .rposition(|&n| n > 0)
                 .map_or(0, |i| i + 1);
@@ -440,12 +418,12 @@ impl DerivedMetrics {
                 ("attempts", Json::from(agg.attempts)),
                 ("commits", Json::from(agg.commits)),
                 ("aborts", Json::from(agg.aborts)),
-                ("min_cycles", Json::from(agg.min_cycles)),
-                ("max_cycles", Json::from(agg.max_cycles)),
-                ("mean_cycles", Json::Float(mean)),
+                ("min_cycles", Json::from(hist.min())),
+                ("max_cycles", Json::from(hist.max())),
+                ("mean_cycles", Json::Float(hist.mean())),
                 (
                     "hist_log2",
-                    Json::arr(agg.hist_log2[..top].iter().map(|&n| Json::from(n))),
+                    Json::arr(hist.buckets()[..top].iter().map(|&n| Json::from(n))),
                 ),
             ])
         });
@@ -493,12 +471,6 @@ impl DerivedMetrics {
             if agg.attempts == 0 {
                 continue;
             }
-            let finished = agg.commits + agg.aborts;
-            let mean = if finished == 0 {
-                0.0
-            } else {
-                agg.total_cycles as f64 / finished as f64
-            };
             let _ = writeln!(
                 text,
                 "{:12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10.1}",
@@ -506,9 +478,9 @@ impl DerivedMetrics {
                 agg.attempts,
                 agg.commits,
                 agg.aborts,
-                agg.min_cycles,
-                agg.max_cycles,
-                mean
+                agg.latency.min(),
+                agg.latency.max(),
+                agg.latency.mean()
             );
         }
         let _ = writeln!(text, "--- per AR ---");
@@ -673,8 +645,9 @@ mod tests {
         assert!(commits > 0);
         // Histogram mass equals finished attempts.
         for (_, agg) in &d.by_mode {
-            let mass: u64 = agg.hist_log2.iter().sum();
+            let mass: u64 = agg.latency.buckets().iter().sum();
             assert_eq!(mass, agg.commits + agg.aborts);
+            assert_eq!(agg.latency.count(), mass);
         }
         // Every AR that committed has a first-commit cycle.
         for (ar, o) in &d.per_ar {

@@ -13,39 +13,6 @@ impl Machine {
             .unwrap_or(false)
     }
 
-    /// The line of `c`'s pending load or store, if another core holds it
-    /// locked and the re-send would fail on it: the read-only mirror of the
-    /// re-send's routing in `do_load` and `do_store`. Fallback mode and
-    /// speculative mode outside failed-mode discovery probe the line; every
-    /// other path completes without it. A re-send repeats its fault,
-    /// discovery and R/W-set checks without effect, so they cannot newly
-    /// divert it.
-    pub(super) fn pending_blocker(&self, c: usize) -> Option<LineAddr> {
-        let core = &self.cores[c];
-        let addr = match core.pending? {
-            PendingOp::Load { addr, .. } => {
-                if core.sq.contains_key(&addr.0) {
-                    return None;
-                }
-                addr
-            }
-            PendingOp::Store { addr, .. } => addr,
-        };
-        let probes = match core.mode {
-            ExecMode::Fallback => true,
-            ExecMode::Speculative => !self.in_failed_mode(c),
-            ExecMode::NsCl | ExecMode::SCl => false,
-        };
-        if !probes {
-            return None;
-        }
-        let line = addr.line();
-        self.coherence
-            .locked_by(line)
-            .is_some_and(|h| h.0 != c)
-            .then_some(line)
-    }
-
     pub(super) fn run_step(&mut self, c: usize) {
         let before = self.clocks[c];
         // Retry a stalled memory operation first.

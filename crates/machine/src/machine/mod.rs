@@ -21,9 +21,9 @@
 //! exactly as if it had run. A release wakes one waiter per queue it
 //! frees, the queue's head, the one whose poll comes first, and the next
 //! only once that head has polled and left the lock free for the rest. A
-//! conflict that reaches a parked pending core first brings it back to
-//! that poll, and a woken core whose first poll would fail parks again
-//! when it reaches the heap top (see the `sched` module).
+//! woken head's first poll always runs; if it fails, the head parks again
+//! like any failed poll. A conflict that reaches a parked pending core
+//! first brings it back to that poll (see the `sched` module).
 //!
 //! # Simplifications vs. the paper (documented per DESIGN.md)
 //!
@@ -320,11 +320,10 @@ impl Machine {
     /// on a held lock, or on a line another core holds locked, are parked
     /// off the heap in keyed queues. A release puts one waiter of each
     /// queue it frees back into the heap, the next once that one has
-    /// polled, and the skipped polls are credited, not executed.
-    /// A woken core is checked once at the heap top, before the
-    /// `max_cycles` test, and parks again if its poll would fail. This loop
-    /// is the only way a core advances: every step runs on the calling
-    /// thread, one core at a time.
+    /// polled, and the skipped polls are credited, not executed. A woken
+    /// core's first poll runs like any other step. This loop is the only
+    /// way a core advances: every step runs on the calling thread, one
+    /// core at a time.
     pub fn run(&mut self) -> RunStats {
         let started = std::time::Instant::now();
         let mut sched = CoreHeap::new(self.cores.len());
@@ -343,11 +342,6 @@ impl Machine {
                 }
                 break;
             };
-            // A woken core whose first poll would fail parks again before
-            // the stop test reads its clock.
-            if self.repark_if_blocked(c, &mut sched) {
-                continue;
-            }
             #[cfg(debug_assertions)]
             self.debug_assert_heap_min(c);
             if self.clocks[c] > self.config.max_cycles {

@@ -49,23 +49,18 @@
 //!   the same release key, and it polls after the head did. A lock that
 //!   fails every member's poll makes the queue *dormant*: a line lock its
 //!   line's queue, a fallback write lock both fallback queues, a read
-//!   lock the `FallbackIdle` queue. An elected head whose poll has not
-//!   run leaves the heap and rejoins the members, uncharged, since its
-//!   clock already holds that poll's time.
+//!   lock the `FallbackIdle` queue. A dormant queue elects no one, but a
+//!   head it already elected stays in the heap until its first poll runs.
+//!   If that poll fails, on this lock or on another line of its lock
+//!   group, the head parks like every failed poll: charged once, in the
+//!   queue of whatever blocks it now. Per-poll spinning runs that poll
+//!   too, so this is exact; the queue only has to stop electing heads
+//!   whose polls would fail one after another.
 //! * **Deferred catch-up.** Only a head is caught up. A member keeps its
 //!   stale clock across any number of releases: catching up from it to
 //!   the first poll after a later release credits the same polls as
 //!   catching up at each release in turn, because every poll before the
 //!   earlier release key also precedes the later one.
-//! * **Lazy check.** A head may be blocked again before its first poll
-//!   runs, by another line of its lock group, which leaves its own queue
-//!   live. So when it reaches the heap top, before the `max_cycles` test,
-//!   it runs its poll's own read-only blocker predicate once. If the poll
-//!   would fail, the core leaves the heap and parks on its new blocker
-//!   without a charge, and its old queue elects its next head. The
-//!   repeated poll would change nothing: this wait already ran one real
-//!   failed poll, so one-time effects such as the `ExplicitFallback`
-//!   record are not skipped.
 //! * **Materialise.** A pending core is still inside a speculative
 //!   attempt, so a remote conflict can reach it while it is parked. The
 //!   conflict reads the victim's clock, so before it is delivered the
@@ -78,7 +73,7 @@
 //!   catch up to its release key, and the members of a dormant queue to
 //!   their first poll past `max_cycles`.
 
-use super::{Machine, Phase};
+use super::Machine;
 use clear_coherence::CoreId;
 use clear_mem::{FxHashMap, LineAddr};
 
@@ -247,7 +242,7 @@ enum Slot {
     /// Parked off the heap, a member of its wait's queue.
     Parked(WaitOn),
     /// Back in the heap with its first poll since the wake not yet run:
-    /// its queue's head (see the lazy check).
+    /// its queue's head.
     Woken(WaitOn),
 }
 
@@ -287,12 +282,9 @@ pub(super) struct WaitList {
     queues: FxHashMap<QueueKey, WaitQueue>,
     /// Member buffers of dropped queues, reused by new ones.
     spare: Vec<Vec<usize>>,
-    /// Queues the wake pass must settle: released ones, locked ones with
-    /// a head, ones whose head left. May repeat.
+    /// Queues the wake pass must settle: released ones and ones whose
+    /// head or a member left. May repeat.
     touched: Vec<QueueKey>,
-    /// Heads a lock sent back to their queue; the run loop takes them out
-    /// of the heap.
-    unheaded: Vec<usize>,
     /// Cores a conflict unparked during the current step.
     materialized: Vec<usize>,
     /// Heap key of the step being run.
@@ -308,7 +300,6 @@ impl WaitList {
             queues: FxHashMap::default(),
             spare: Vec::new(),
             touched: Vec::new(),
-            unheaded: Vec::new(),
             materialized: Vec::new(),
             now: (0, 0),
         }
@@ -329,17 +320,6 @@ impl WaitList {
         q.members.push(core);
     }
 
-    /// Sends woken `core`, whose first poll would fail on `on`, back to the
-    /// wait list; its old queue elects its next head in the wake pass.
-    pub(super) fn repark(&mut self, core: usize, on: WaitOn) {
-        let Slot::Woken(was) = self.slots[core] else {
-            unreachable!("core {core} re-parked without a wake")
-        };
-        self.slots[core] = Slot::Free;
-        self.leave_head(core, was);
-        self.park(core, on);
-    }
-
     /// Takes woken `core` out of its queue's head seat.
     fn leave_head(&mut self, core: usize, on: WaitOn) {
         let key = on.key();
@@ -351,8 +331,7 @@ impl WaitList {
 
     /// Unparks `core` for a conflict. Returns what it waited on, and
     /// `true` unless it sat in a live queue; `None` if it was not parked.
-    /// A woken core stops being checked: the conflict changes what its
-    /// next step does. A head also leaves its queue.
+    /// A head, already in the heap, leaves its queue.
     fn unpark(&mut self, core: usize) -> Option<(WaitOn, bool)> {
         match std::mem::replace(&mut self.slots[core], Slot::Free) {
             Slot::Parked(on) => {
@@ -375,12 +354,6 @@ impl WaitList {
     /// `true` if `core` is parked.
     pub(super) fn is_parked(&self, core: usize) -> bool {
         matches!(self.slots[core], Slot::Parked(_))
-    }
-
-    /// `true` if `core` is back in the heap and its first poll since the
-    /// wake has not run.
-    pub(super) fn is_woken(&self, core: usize) -> bool {
-        matches!(self.slots[core], Slot::Woken(_))
     }
 
     /// `true` if no core is parked.
@@ -414,15 +387,12 @@ impl WaitList {
     }
 
     /// Notes that the current step took a lock that fails every poll of
-    /// the queues `keys`: they turn dormant, and the wake pass sends an
-    /// unpolled head back to the members.
+    /// the queues `keys`: they turn dormant and elect no further head. A
+    /// head already in the heap stays there until its poll runs.
     pub(super) fn note_locked(&mut self, keys: impl IntoIterator<Item = QueueKey>) {
         for key in keys {
             if let Some(q) = self.queues.get_mut(&key) {
                 q.live = None;
-                if q.head.is_some() {
-                    self.touched.push(key);
-                }
             }
         }
     }
@@ -432,40 +402,28 @@ impl WaitList {
         self.touched.is_empty()
     }
 
-    /// The wake pass of the current step: each touched queue that is
-    /// dormant sends its head to [`WaitList::unheaded`], and each live
-    /// queue without a head elects the member with the smallest first-poll
-    /// key after its release, appending it to `out`. `clocks` are the
-    /// cores' clocks and `spin` the poll interval.
+    /// The wake pass of the current step: each touched live queue without
+    /// a head elects the member with the smallest first-poll key after its
+    /// release, appending it to `out`. `clocks` are the cores' clocks and
+    /// `spin` the poll interval.
     pub(super) fn take_wakes(&mut self, clocks: &[u64], spin: u64, out: &mut Vec<Wake>) {
         for key in self.touched.drain(..) {
             let Some(q) = self.queues.get_mut(&key) else {
                 continue;
             };
-            match (q.live, q.head) {
-                (None, Some(head)) => {
-                    let Slot::Woken(on) = self.slots[head] else {
-                        unreachable!("head {head} is not woken")
-                    };
-                    self.slots[head] = Slot::Parked(on);
-                    self.parked += 1;
-                    q.head = None;
-                    q.members.push(head);
-                    self.unheaded.push(head);
-                }
-                (Some(after), None) if !q.members.is_empty() => {
-                    let first_poll = |&m: &usize| {
-                        (
-                            clocks[m] + polls_skipped(clocks[m], spin, m, after) * spin,
-                            m,
-                        )
-                    };
-                    let (i, _) = q
-                        .members
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, m)| first_poll(m))
-                        .expect("members");
+            if let (Some(after), None) = (q.live, q.head) {
+                let first_poll = |&m: &usize| {
+                    (
+                        clocks[m] + polls_skipped(clocks[m], spin, m, after) * spin,
+                        m,
+                    )
+                };
+                let elected = q
+                    .members
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, m)| first_poll(m));
+                if let Some((i, _)) = elected {
                     let head = q.members.swap_remove(i);
                     let Slot::Parked(on) = self.slots[head] else {
                         unreachable!("member {head} is not parked")
@@ -479,7 +437,6 @@ impl WaitList {
                         after,
                     });
                 }
-                _ => {}
             }
             if q.head.is_none() && q.members.is_empty() {
                 let q = self.queues.remove(&key).expect("queue present");
@@ -625,9 +582,8 @@ impl Machine {
     /// the conflict reads `v`'s clock, so `v` moves to its first poll after
     /// the current step, skipped polls credited, and re-enters the heap
     /// after the step ([`Machine::push_materialized`]). For a member of a
-    /// live queue that is the poll its release scheduled. A woken core
-    /// stays in the heap and is no longer checked, since the conflict
-    /// changes what its next step does.
+    /// live queue that is the poll its release scheduled. A head stays in
+    /// the heap and leaves its queue.
     pub(super) fn materialize(&mut self, v: usize) {
         if let Some((on, parked)) = self.waits.unpark(v) {
             self.catch_up(v, on, self.waits.now);
@@ -645,9 +601,9 @@ impl Machine {
         }
     }
 
-    /// The wake pass after the current step: heads a lock sent back leave
-    /// the heap, and every core [`WaitList::take_wakes`] wakes re-enters it
-    /// at its first poll after its release, skipped polls credited.
+    /// The wake pass after the current step: every core
+    /// [`WaitList::take_wakes`] wakes re-enters the heap at its first poll
+    /// after its release, skipped polls credited.
     pub(super) fn wake_released(&mut self, sched: &mut CoreHeap) {
         if self.waits.is_settled() {
             return;
@@ -655,47 +611,12 @@ impl Machine {
         let mut wakes = std::mem::take(&mut self.scratch_wakes);
         let spin = self.config.timing.spin_interval;
         self.waits.take_wakes(&self.clocks, spin, &mut wakes);
-        for h in self.waits.unheaded.drain(..) {
-            sched.remove(h);
-        }
         for Wake { core, on, after } in wakes.drain(..) {
             self.catch_up(core, on, after);
             sched.push(core, self.clocks[core]);
             self.perf.wakes += 1;
         }
         self.scratch_wakes = wakes;
-    }
-
-    /// The lazy check of core `c` at the heap top: if `c` was woken and its
-    /// first poll would fail, it leaves the heap and parks on its new
-    /// blocker, uncharged (its clock already holds that poll's time), and
-    /// its old queue elects the next head. Returns `true` if `c` parked.
-    pub(super) fn repark_if_blocked(&mut self, c: usize, sched: &mut CoreHeap) -> bool {
-        if !self.waits.is_woken(c) {
-            return false;
-        }
-        let Some(on) = self.poll_blocker(c) else {
-            return false;
-        };
-        sched.remove(c);
-        self.waits.repark(c, on);
-        self.perf.reparks += 1;
-        self.wake_released(sched);
-        true
-    }
-
-    /// What core `c`'s next poll would fail on if it ran now, by the same
-    /// read-only predicate the poll itself decides with; `None` when its
-    /// next step is no poll or would succeed.
-    fn poll_blocker(&self, c: usize) -> Option<WaitOn> {
-        match self.phases[c] {
-            Phase::StartAttempt => self.fallback_blocker(c),
-            Phase::LockAcquire { idx } => {
-                self.group_blocker(c, idx).map(|line| WaitOn::Line { line })
-            }
-            Phase::Running => self.pending_blocker(c).map(|line| WaitOn::Pending { line }),
-            Phase::Idle | Phase::Think { .. } | Phase::Finished => None,
-        }
     }
 
     /// The `max_cycles` stop: the polling scheduler would have run every
@@ -864,11 +785,17 @@ mod tests {
     const FALLBACK: [QueueKey; 2] = [QueueKey::FallbackWriter, QueueKey::FallbackIdle];
 
     /// Runs the wake pass with every clock at `clocks`, returning the
-    /// wakes and the heads sent back to their queues.
-    fn settle(w: &mut WaitList, clocks: &[u64], spin: u64) -> (Vec<Wake>, Vec<usize>) {
+    /// wakes.
+    fn settle(w: &mut WaitList, clocks: &[u64], spin: u64) -> Vec<Wake> {
         let mut out = Vec::new();
         w.take_wakes(clocks, spin, &mut out);
-        (out, w.unheaded.drain(..).collect())
+        out
+    }
+
+    /// `true` if `core` heads its queue: back in the heap, its first poll
+    /// since the wake not yet run.
+    fn woken(w: &WaitList, core: usize) -> bool {
+        matches!(w.slots[core], Slot::Woken(_))
     }
 
     fn wake(core: usize, on: WaitOn, after: (u64, usize)) -> Wake {
@@ -889,28 +816,27 @@ mod tests {
 
         w.begin_step(0, (90, 0));
         w.note_released([QueueKey::Line(A)]);
-        let (out, _) = settle(&mut w, &clocks, 15);
+        let out = settle(&mut w, &clocks, 15);
         assert_eq!(out, vec![wake(1, WaitOn::Line { line: A }, (90, 0))]);
-        assert!(w.is_woken(1) && !w.is_parked(1) && w.is_parked(2));
+        assert!(woken(&w, 1) && !w.is_parked(1) && w.is_parked(2));
 
         // The last reader leaves: one idle waiter is elected, not both.
         w.begin_step(1, (90, 1));
         w.note_released([QueueKey::FallbackIdle]);
-        let (out, _) = settle(&mut w, &clocks, 15);
+        let out = settle(&mut w, &clocks, 15);
         assert_eq!(out, vec![wake(4, idle, (90, 1))]);
         assert!(w.is_parked(3) && w.is_parked(5));
 
         // Its poll takes the write lock: nobody else is elected.
         w.begin_step(4, (90, 4));
         w.note_locked(FALLBACK);
-        let (out, unheaded) = settle(&mut w, &clocks, 15);
-        assert!(out.is_empty() && unheaded.is_empty());
+        assert!(settle(&mut w, &clocks, 15).is_empty());
 
         // The write release makes both fallback queues live: each elects
         // one head from the same release key.
         w.begin_step(4, (200, 4));
         w.note_released(FALLBACK);
-        let (out, _) = settle(&mut w, &clocks, 15);
+        let out = settle(&mut w, &clocks, 15);
         assert_eq!(
             out,
             vec![wake(3, writer, (200, 4)), wake(5, idle, (200, 4))]
@@ -937,20 +863,26 @@ mod tests {
         w.park(3, idle);
         w.begin_step(0, (5, 0));
         w.note_released(FALLBACK);
-        let (out, _) = settle(&mut w, &clocks, 15);
+        let out = settle(&mut w, &clocks, 15);
         assert_eq!(out, vec![wake(1, writer, (5, 0)), wake(3, idle, (5, 0))]);
-        // Core 1's CL-mode start takes a read lock: the idle head goes
-        // back, and the writer queue, still live, elects core 2.
+        // Core 1's CL-mode start takes a read lock: the idle queue turns
+        // dormant and keeps its unpolled head in the heap, and the writer
+        // queue, still live, elects core 2.
         w.begin_step(1, (10, 1));
         w.note_locked([QueueKey::FallbackIdle]);
-        let (out, unheaded) = settle(&mut w, &clocks, 15);
+        let out = settle(&mut w, &clocks, 15);
         assert_eq!(out, vec![wake(2, writer, (5, 0))]);
-        assert_eq!(unheaded, vec![3]);
-        assert!(w.is_parked(3) && !w.is_woken(3));
+        assert!(woken(&w, 3) && !w.is_parked(3));
+        // The head's poll runs and fails on the read lock: it parks again,
+        // and the dormant queue elects nobody.
+        w.begin_step(3, (30, 3));
+        w.park(3, idle);
+        assert!(settle(&mut w, &clocks, 15).is_empty());
+        assert!(w.is_parked(3));
         // The read release that leaves no readers elects it again.
         w.begin_step(4, (60, 4));
         w.note_released([QueueKey::FallbackIdle]);
-        let (out, _) = settle(&mut w, &clocks, 15);
+        let out = settle(&mut w, &clocks, 15);
         assert_eq!(out, vec![wake(3, idle, (60, 4))]);
     }
 
@@ -961,7 +893,7 @@ mod tests {
         w.park(2, WaitOn::Pending { line: B });
         w.begin_step(0, (7, 0));
         w.note_released([QueueKey::Line(A)]);
-        let (out, _) = settle(&mut w, &[0; 4], 15);
+        let out = settle(&mut w, &[0; 4], 15);
         assert_eq!(out, vec![wake(1, WaitOn::Pending { line: A }, (7, 0))]);
         assert!(w.is_parked(2));
     }
@@ -982,53 +914,52 @@ mod tests {
         // core 5 at 100 (it polls right after core 3 at the same clock).
         let mut order = Vec::new();
         for _ in 0..4 {
-            let (out, _) = settle(&mut w, &clocks, 10);
+            let out = settle(&mut w, &clocks, 10);
             let [k] = out[..] else {
                 panic!("one head at a time: {out:?}")
             };
             assert_eq!(k.after, (100, 3), "every head catches up to the release");
-            assert!(w.is_woken(k.core));
+            assert!(woken(&w, k.core));
             order.push(k.core);
             // The head's re-send leaves the line free: the next is elected.
             w.begin_step(k.core, (clocks[k.core], k.core));
         }
         assert_eq!(order, vec![5, 4, 1, 2]);
-        let (out, _) = settle(&mut w, &clocks, 10);
+        let out = settle(&mut w, &clocks, 10);
         assert!(out.is_empty() && w.is_empty());
         assert!(w.queues.is_empty(), "an empty queue is dropped");
     }
 
     #[test]
-    fn a_lock_makes_a_queue_dormant_and_returns_its_head() {
+    fn a_lock_makes_a_queue_dormant_and_keeps_its_head() {
         let on = WaitOn::Line { line: A };
-        let clocks = [0, 30, 40, 0];
+        let mut clocks = [0, 30, 40, 0];
         let mut w = WaitList::new(4);
         w.park(1, on);
         w.park(2, on);
         w.begin_step(0, (20, 0));
         w.note_released([QueueKey::Line(A)]);
-        let (out, _) = settle(&mut w, &clocks, 15);
+        let out = settle(&mut w, &clocks, 15);
         assert_eq!(out, vec![wake(1, on, (20, 0))]);
-        // Core 3 takes the line before the head polls.
+        // Core 3 takes the line before the head polls: the queue turns
+        // dormant, the head stays in the heap, and nothing is left to
+        // settle.
         w.begin_step(3, (25, 3));
         w.note_locked([QueueKey::Line(A)]);
-        let (out, unheaded) = settle(&mut w, &clocks, 15);
-        assert!(out.is_empty(), "a dormant queue elects nobody");
-        assert_eq!(unheaded, vec![1]);
-        assert!(w.is_parked(1) && w.is_parked(2) && !w.is_woken(1));
-        // A lock with no head to return leaves nothing to settle.
-        w.begin_step(3, (26, 3));
-        w.note_locked([QueueKey::Line(A)]);
         assert!(w.is_settled());
+        assert!(woken(&w, 1) && w.is_parked(2));
+        // The head's poll runs, fails and is charged; it parks again, and
+        // the dormant queue elects nobody.
+        w.begin_step(1, (30, 1));
+        clocks[1] += 15;
+        w.park(1, on);
+        assert!(settle(&mut w, &clocks, 15).is_empty());
+        assert!(w.is_parked(1) && w.is_parked(2));
         // The next release elects from both again.
         w.begin_step(3, (50, 3));
         w.note_released([QueueKey::Line(A)]);
-        let (out, _) = settle(&mut w, &clocks, 15);
-        assert_eq!(
-            out,
-            vec![wake(2, on, (50, 3))],
-            "40 + 15 polls before 30 + 30"
-        );
+        let out = settle(&mut w, &clocks, 15);
+        assert_eq!(out, vec![wake(2, on, (50, 3))], "55 polls before 60");
     }
 
     #[test]
@@ -1046,26 +977,26 @@ mod tests {
         assert_eq!(w.unpark(4), Some((WaitOn::FallbackWriter, true)));
         assert_eq!(w.unpark(4), None, "no longer parked");
         w.note_released([QueueKey::Line(A)]);
-        let (out, _) = settle(&mut w, &clocks, 15);
+        let out = settle(&mut w, &clocks, 15);
         assert_eq!(out, vec![wake(1, on, (5, 0))]);
         assert!(!w.queues.contains_key(&QueueKey::FallbackWriter));
         // A member of a live queue sits where its release scheduled it.
         w.begin_step(0, (8, 0));
         assert_eq!(w.unpark(2), Some((on, false)));
-        // A head stays in the heap and stops being checked; its queue
-        // elects the next head from the same release.
+        // A head stays in the heap and leaves its queue, which elects the
+        // next head from the same release.
         assert_eq!(w.unpark(1), None);
-        assert!(!w.is_woken(1) && !w.is_parked(1));
-        let (out, _) = settle(&mut w, &clocks, 15);
+        assert!(!woken(&w, 1) && !w.is_parked(1));
+        let out = settle(&mut w, &clocks, 15);
         assert_eq!(out, vec![wake(5, on, (5, 0))]);
         // With no member left, the queue is dropped once its head goes.
         assert_eq!(w.unpark(5), None);
-        let (out, _) = settle(&mut w, &clocks, 15);
+        let out = settle(&mut w, &clocks, 15);
         assert!(out.is_empty() && w.queues.is_empty() && w.is_empty());
     }
 
     #[test]
-    fn woken_cores_stay_checked_until_they_poll() {
+    fn a_head_whose_first_poll_fails_parks_on_its_new_blocker() {
         let (on, writer) = (WaitOn::Line { line: A }, WaitOn::FallbackWriter);
         let mut w = WaitList::new(5);
         w.park(1, writer);
@@ -1074,26 +1005,26 @@ mod tests {
         w.begin_step(0, (0, 0));
         w.note_released(FALLBACK);
         w.note_released([QueueKey::Line(A)]);
-        let (out, _) = settle(&mut w, &[0; 5], 15);
+        let out = settle(&mut w, &[0; 5], 15);
         assert_eq!(out, vec![wake(1, writer, (0, 0)), wake(3, on, (0, 0))]);
-        assert!(w.is_woken(1) && w.is_woken(3) && w.is_parked(2));
+        assert!(woken(&w, 1) && woken(&w, 3) && w.is_parked(2));
         w.begin_step(1, (0, 1));
-        assert!(!w.is_woken(1), "its first poll is running");
+        assert!(!woken(&w, 1), "its first poll is running");
         // Its speculative start leaves the writer seat free: core 2 next.
-        let (out, _) = settle(&mut w, &[0; 5], 15);
+        let out = settle(&mut w, &[0; 5], 15);
         assert_eq!(out, vec![wake(2, writer, (0, 0))]);
-        // A lock group blocked on another line: the head moves queues, and
-        // its old queue, now empty, is dropped.
-        w.repark(3, WaitOn::Line { line: B });
-        assert!(w.is_parked(3));
-        let (out, _) = settle(&mut w, &[0; 5], 15);
-        assert!(out.is_empty());
+        // A lock group's poll fails on another line: the head parks in
+        // that line's queue, and its old queue, now empty, is dropped.
+        w.begin_step(3, (0, 3));
+        w.park(3, WaitOn::Line { line: B });
+        assert!(settle(&mut w, &[0; 5], 15).is_empty());
         let line = |l| &w.queues[&QueueKey::Line(l)];
         assert!(!w.queues.contains_key(&QueueKey::Line(A)) && line(B).members == [3]);
-        // A woken fallback waiter blocked again moves to its new queue.
-        w.repark(2, WaitOn::FallbackIdle);
-        let (out, _) = settle(&mut w, &[0; 5], 15);
-        assert!(out.is_empty() && w.is_parked(2));
+        // A fallback head whose poll now fails on the other fallback queue's
+        // wait moves to that queue.
+        w.begin_step(2, (0, 2));
+        w.park(2, WaitOn::FallbackIdle);
+        assert!(settle(&mut w, &[0; 5], 15).is_empty() && w.is_parked(2));
         assert!(!w.queues.contains_key(&QueueKey::FallbackWriter));
         assert_eq!(w.queues[&QueueKey::FallbackIdle].members, [2]);
     }
@@ -1107,7 +1038,7 @@ mod tests {
         w.park(1, WaitOn::Line { line: A });
         w.note_released([QueueKey::Line(B), QueueKey::FallbackIdle]);
         assert!(w.is_settled(), "nobody waits on B or the fallback lock");
-        let (out, _) = settle(&mut w, &[0; 3], 15);
+        let out = settle(&mut w, &[0; 3], 15);
         assert!(out.is_empty(), "a release before the park is stale");
         assert!(w.is_parked(1));
     }
@@ -1171,7 +1102,9 @@ mod tests {
         readers: Vec<bool>,
         /// Polls credited to each core instead of run.
         credited: Vec<u64>,
-        /// Every executed step as `(core, clock)`.
+        /// Failed polls each core ran.
+        failed: Vec<u64>,
+        /// Every executed step but a failed poll, as `(core, clock)`.
         executed: Vec<(usize, u64)>,
     }
 
@@ -1225,6 +1158,7 @@ mod tests {
                 writer: None,
                 readers: vec![false; cores],
                 credited: vec![0; cores],
+                failed: vec![0; cores],
                 executed: Vec::new(),
             }
         }
@@ -1252,14 +1186,15 @@ mod tests {
         }
 
         fn step(&mut self, c: usize) -> Outcome {
+            if let Some((on, holder)) = self.blocker(c) {
+                self.failed[c] += 1;
+                self.clocks[c] += self.spin;
+                return Outcome::Blocked(on, holder);
+            }
             self.executed.push((c, self.clocks[c]));
             let Some(&op) = self.script[c].get(self.pc[c]) else {
                 return Outcome::Finished;
             };
-            if let Some((on, holder)) = self.blocker(c) {
-                self.clocks[c] += self.spin;
-                return Outcome::Blocked(on, holder);
-            }
             self.clocks[c] += 1;
             let release = self.holding[c];
             let mut keys = Vec::new();
@@ -1325,6 +1260,16 @@ mod tests {
             self.credited[c] += polls;
         }
 
+        /// Each core's failed polls, run or credited, and the rest of the
+        /// state: one wake rule may run a failed poll the other credits.
+        fn split_polls(mut self) -> (Vec<u64>, Toy) {
+            let polls = self.failed.iter().zip(&self.credited);
+            let polls = polls.map(|(f, c)| f + c).collect();
+            self.failed.fill(0);
+            self.credited.fill(0);
+            (polls, self)
+        }
+
         fn heap(&self) -> CoreHeap {
             let mut heap = CoreHeap::new(self.clocks.len());
             for (c, &clock) in self.clocks.iter().enumerate() {
@@ -1335,15 +1280,13 @@ mod tests {
     }
 
     /// Runs `t` under [`WaitList`], the way `Machine::run` drives it.
-    /// Also returns the number of fallback-lock waiters elected.
-    fn run_queues(mut t: Toy) -> (Toy, u64) {
-        let mut fallback_wakes = 0;
+    /// Also returns the number of fallback-lock waiters elected and of
+    /// heads whose first poll failed.
+    fn run_queues(mut t: Toy) -> (Toy, u64, u64) {
+        let (mut fallback_wakes, mut failed_heads) = (0, 0);
         let mut settle = |t: &mut Toy, w: &mut WaitList, heap: &mut CoreHeap| {
             let mut wakes = Vec::new();
             w.take_wakes(&t.clocks, t.spin, &mut wakes);
-            for h in w.unheaded.drain(..) {
-                heap.remove(h);
-            }
             for k in wakes {
                 if !matches!(k.on.key(), QueueKey::Line(_)) {
                     fallback_wakes += 1;
@@ -1355,22 +1298,16 @@ mod tests {
         let mut heap = t.heap();
         let mut w = WaitList::new(t.clocks.len());
         while let Some(c) = heap.peek() {
-            if w.is_woken(c) {
-                if let Some((on, _)) = t.blocker(c) {
-                    heap.remove(c);
-                    w.repark(c, on);
-                    settle(&mut t, &mut w, &mut heap);
-                    continue;
-                }
-            }
             if t.clocks[c] > t.max_cycles {
                 break;
             }
+            let head = woken(&w, c);
             w.begin_step(c, (t.clocks[c], c));
             let mut touched = None;
             match t.step(c) {
                 Outcome::Finished => heap.remove(c),
                 Outcome::Blocked(on, _) => {
+                    failed_heads += u64::from(head);
                     heap.remove(c);
                     w.park(c, on);
                 }
@@ -1402,7 +1339,7 @@ mod tests {
         for k in wakes {
             t.catch_up(k.core, k.after);
         }
-        (t, fallback_wakes)
+        (t, fallback_wakes, failed_heads)
     }
 
     /// Runs `t` under the wake-all rule this scheduler replaced: a line
@@ -1489,17 +1426,21 @@ mod tests {
     fn wait_queues_run_exactly_like_waking_every_waiter() {
         use clear_mem::rng::SplitMix64;
         let mut rng = SplitMix64::new(0x11E5);
-        let (mut credited, mut fallback_wakes) = (0, 0);
+        let (mut credited, mut fallback_wakes, mut failed_heads) = (0, 0, 0);
         for case in 0..3000 {
             let toy = Toy::random(&mut rng);
-            let (queues, fallback) = run_queues(toy.clone());
-            let wake_all = run_wake_all(toy.clone());
-            assert_eq!(queues, wake_all, "case {case}: {toy:?}");
+            let (queues, fallback, failed) = run_queues(toy.clone());
             credited += queues.credited.iter().sum::<u64>();
             fallback_wakes += fallback;
+            failed_heads += failed;
+            let (polls, queues) = queues.split_polls();
+            let (want_polls, wake_all) = run_wake_all(toy.clone()).split_polls();
+            assert_eq!(polls, want_polls, "case {case}: {toy:?}");
+            assert_eq!(queues, wake_all, "case {case}: {toy:?}");
         }
         assert!(credited > 0, "no case skipped a poll");
         assert!(fallback_wakes > 0, "no case woke a fallback waiter");
+        assert!(failed_heads > 0, "no head's first poll failed");
     }
 
     #[test]

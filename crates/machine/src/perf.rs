@@ -52,12 +52,6 @@ pub struct PerfCounters {
     /// lock free for the rest. Kept out of the harness JSON and the metrics
     /// gauges, like `polls_elided`.
     pub wakes: u64,
-    /// Woken cores sent back to the wait list without polling, because
-    /// their first poll, checked when they reached the heap top, would
-    /// have failed: another line of the lock group blocked them again.
-    /// Kept out of the harness JSON and the metrics gauges, like
-    /// `polls_elided`.
-    pub reparks: u64,
     /// Parked pending cores a conflict brought back to their next poll
     /// before delivery. Only a pending core is parked inside a running
     /// speculative attempt, so no lock or fallback waiter is counted. Kept
@@ -66,30 +60,4 @@ pub struct PerfCounters {
     /// Wall-clock nanoseconds spent inside `Machine::run`. Host-dependent:
     /// never compared against goldens.
     pub run_wall_ns: u64,
-}
-
-impl PerfCounters {
-    /// Simulator throughput in steps per wall-clock second; `0.0` when no
-    /// time was measured.
-    pub fn steps_per_sec(&self) -> f64 {
-        if self.run_wall_ns == 0 {
-            0.0
-        } else {
-            self.steps as f64 * 1e9 / self.run_wall_ns as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn steps_per_sec_guards_zero_time() {
-        let mut p = PerfCounters::default();
-        assert_eq!(p.steps_per_sec(), 0.0);
-        p.steps = 1000;
-        p.run_wall_ns = 500_000_000; // 0.5 s
-        assert!((p.steps_per_sec() - 2000.0).abs() < 1e-9);
-    }
 }

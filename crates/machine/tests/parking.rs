@@ -161,7 +161,7 @@ fn a_fallback_convoy_elects_one_waiter_at_a_time() {
         "{s:?}"
     );
     assert_eq!(digest, 0x7212_4fce_4bb8_9aeb);
-    assert_eq!([s.perf.wakes, s.perf.reparks], [2935, 0], "{:?}", s.perf);
+    assert_eq!(s.perf.wakes, 2935, "{:?}", s.perf);
 }
 
 #[test]
@@ -196,7 +196,7 @@ fn polls_elided_counts_only_contended_waits() {
     let alone = bench("genome", Preset::B.config(1, 2));
     assert!(alone.commits() > 0);
     assert_eq!(alone.perf.polls_elided, 0, "a lone core never waits");
-    assert_eq!([alone.perf.reparks, alone.perf.materialized], [0, 0]);
+    assert_eq!(alone.perf.materialized, 0);
 }
 
 #[test]
@@ -213,11 +213,7 @@ fn pending_loads_and_stores_park_like_per_poll_resends() {
         "{s:?}"
     );
     assert_eq!(digest, 0x5c6a_77db_1ca9_7bcf);
-    assert!(
-        s.perf.reparks == 0 && s.perf.materialized > 0,
-        "{:?}",
-        s.perf
-    );
+    assert!(s.perf.materialized > 0, "{:?}", s.perf);
 }
 
 #[test]
@@ -235,11 +231,7 @@ fn a_conflict_reaching_a_parked_pending_core_matches_per_poll_resends() {
         "{s:?}"
     );
     assert_eq!(digest, 0x557c_714d_82c4_c0c7);
-    assert!(
-        s.perf.materialized > 0 && s.perf.reparks == 0,
-        "{:?}",
-        s.perf
-    );
+    assert!(s.perf.materialized > 0, "{:?}", s.perf);
 }
 
 #[test]
@@ -256,7 +248,6 @@ fn a_released_herd_wakes_one_head() {
         "{s:?}"
     );
     assert_eq!(digest, 0x343a_331a_d870_c64a);
-    assert_eq!(s.perf.reparks, 0, "{:?}", s.perf);
     assert!(s.perf.wakes <= s.commits(), "{:?}", s.perf);
     assert_eq!(s.perf.materialized, 0, "NS-CL cores never speculate");
 }

@@ -1,8 +1,8 @@
 //! A log2-bucketed streaming histogram over `u64` samples.
 //!
-//! The bucket layout matches the derived-metrics pass of the harness trace
-//! exporter: bucket 0 covers `[0, 2)` and bucket `i ≥ 1` covers
-//! `[2^i, 2^(i+1))`, with 64 buckets so every `u64` value has a home.
+//! Bucket 0 covers `[0, 2)` and bucket `i ≥ 1` covers `[2^i, 2^(i+1))`,
+//! with 64 buckets so every `u64` value has a home. The harness trace
+//! exporter's per-mode attempt latencies use this type too.
 //! Observation and merge are pure integer arithmetic, so any partition of
 //! a sample stream across workers, shards or batches merges back to the
 //! exact histogram a sequential pass would have produced, in any merge

@@ -83,6 +83,6 @@ pub mod families {
     /// Gauge, label `counter`: the simulator-kernel perf counters (the
     /// `clear_machine::PerfCounters` fields), excluding wall-clock time,
     /// which is never stored in a registry, and the parking counters
-    /// (`polls_elided`, `wakes`, `reparks`, `materialized`).
+    /// (`polls_elided`, `wakes`, `materialized`).
     pub const SIM_PERF: &str = "clear_sim_perf";
 }
