@@ -1,15 +1,16 @@
 //! Figure experiments: Fig. 1 (motivation) and Figs. 8-13 (evaluation),
-//! plus the one-pass `report` that derives Figs. 8-13 from a single suite
-//! run.
+//! plus `report`, which prints Figs. 8-13 in order from one suite run.
+//!
+//! Every figure reads the one preset [`Grid`](crate::suite::Grid): Fig. 1
+//! is its Preset-B, retry-5 slice, and each of Figs. 8-13 has exactly one
+//! renderer over the grid's best cells, which both its own experiment and
+//! `report` call.
 
 use super::{opts_json, ExperimentOutput};
 use crate::json::Json;
-use crate::pool;
-use crate::suite::{
-    format_table, geomean, run_benchmark, run_suite, trimmed_mean, CellResult, SuiteOptions,
-};
+use crate::suite::{format_table, geomean, run_suite, CellResult, Grid, SuiteOptions};
 use clear_htm::AbortKind;
-use clear_machine::{MachineConfig, Preset, RunStats};
+use clear_machine::{Preset, RunStats};
 use std::fmt::Write as _;
 
 /// Per-cell JSON: the raw per-seed cycle counts are included as integers
@@ -17,7 +18,7 @@ use std::fmt::Write as _;
 fn cell_json(cell: &CellResult) -> Json {
     Json::obj([
         ("preset", Json::from(cell.preset.letter().to_string())),
-        ("best_retries", Json::from(cell.best_retries)),
+        ("best_retries", Json::from(cell.retries)),
         ("cycles", Json::from(cell.cycles())),
         ("energy", Json::from(cell.energy())),
         (
@@ -31,13 +32,28 @@ fn cell_json(cell: &CellResult) -> Json {
     ])
 }
 
-fn suite_json(suite: &[[CellResult; 4]]) -> Json {
-    Json::arr(suite.iter().map(|cells| {
+fn floats(vals: &[f64]) -> Json {
+    Json::arr(vals.iter().map(|&v| Json::from(v)))
+}
+
+/// The document of a suite experiment: its name, options and best cells,
+/// then the fields its figure adds.
+fn suite_doc(name: &str, opts: &SuiteOptions, suite: &[[CellResult; 4]], fields: Fields) -> Json {
+    let cells = Json::arr(suite.iter().map(|cells| {
         Json::obj([
-            ("benchmark", Json::from(cells[0].name.clone())),
+            ("benchmark", Json::from(cells[0].name)),
             ("cells", Json::arr(cells.iter().map(cell_json))),
         ])
-    }))
+    }));
+    Json::obj(
+        [
+            ("experiment", Json::from(name)),
+            ("options", opts_json(opts)),
+            ("suite", cells),
+        ]
+        .into_iter()
+        .chain(fields),
+    )
 }
 
 pub(super) fn fig01(opts: &SuiteOptions) -> ExperimentOutput {
@@ -51,26 +67,14 @@ pub(super) fn fig01(opts: &SuiteOptions) -> ExperimentOutput {
         "{:14} {:>10} {:>12} {:>8}",
         "benchmark", "retried", "immutable", "ratio"
     );
-    let (nb, ns) = (opts.benchmarks.len(), opts.seeds.len());
-    let all_runs = pool::run_indexed(nb * ns, opts.workers, |i| {
-        let cfg = MachineConfig {
-            seed: opts.seeds[i % ns],
-            ..Preset::B.config(opts.cores, 5)
-        };
-        run_benchmark(opts.benchmarks[i / ns], opts.size, cfg, false).0
-    });
+    let grid = Grid::run(opts, &[Preset::B], &[5]);
     let mut ratios = Vec::new();
     let mut rows = Vec::new();
     for (b, name) in opts.benchmarks.iter().enumerate() {
-        let runs = &all_runs[b * ns..(b + 1) * ns];
-        let retried: u64 = runs.iter().map(|r| r.retried_ars).sum();
-        let immutable: u64 = runs.iter().map(|r| r.immutable_small_retries).sum();
-        let ratio = trimmed_mean(
-            &runs
-                .iter()
-                .map(|r| r.immutable_retry_ratio())
-                .collect::<Vec<_>>(),
-        );
+        let cell = grid.cell(b, 0, 0);
+        let retried: u64 = cell.runs.iter().map(|r| r.retried_ars).sum();
+        let immutable: u64 = cell.runs.iter().map(|r| r.immutable_small_retries).sum();
+        let ratio = cell.mean(RunStats::immutable_retry_ratio);
         ratios.push(ratio);
         let _ = writeln!(
             text,
@@ -99,11 +103,78 @@ pub(super) fn fig01(opts: &SuiteOptions) -> ExperimentOutput {
     ExperimentOutput::new(text, json)
 }
 
+/// The JSON fields a figure adds after `suite`.
+type Fields = Vec<(&'static str, Json)>;
+
+/// A figure renderer: the figure's text over the suite's best cells, plus
+/// its [`Fields`].
+type Render = fn(&[[CellResult; 4]], &SuiteOptions) -> (String, Fields);
+
+/// Figs. 8-13 in order; `report` prints all six.
+const FIGURES: [Render; 6] = [
+    render_fig08,
+    render_fig09,
+    render_fig10,
+    render_fig11,
+    render_fig12,
+    render_fig13,
+];
+
+/// Runs the suite and renders one figure over it.
+fn figure(name: &str, render: Render, opts: &SuiteOptions) -> ExperimentOutput {
+    let grid = run_suite(opts);
+    let suite = grid.suite();
+    let (text, fields) = render(&suite, opts);
+    ExperimentOutput::new(text, suite_doc(name, opts, &suite, fields))
+}
+
 pub(super) fn fig08(opts: &SuiteOptions) -> ExperimentOutput {
-    let suite = run_suite(opts);
+    figure("fig08", render_fig08, opts)
+}
+
+pub(super) fn fig09(opts: &SuiteOptions) -> ExperimentOutput {
+    figure("fig09", render_fig09, opts)
+}
+
+pub(super) fn fig10(opts: &SuiteOptions) -> ExperimentOutput {
+    figure("fig10", render_fig10, opts)
+}
+
+pub(super) fn fig11(opts: &SuiteOptions) -> ExperimentOutput {
+    figure("fig11", render_fig11, opts)
+}
+
+pub(super) fn fig12(opts: &SuiteOptions) -> ExperimentOutput {
+    figure("fig12", render_fig12, opts)
+}
+
+pub(super) fn fig13(opts: &SuiteOptions) -> ExperimentOutput {
+    figure("fig13", render_fig13, opts)
+}
+
+pub(super) fn report(opts: &SuiteOptions) -> ExperimentOutput {
+    eprintln!(
+        "suite: {:?} size, {} cores, {} seeds, sweep {:?}",
+        opts.size,
+        opts.cores,
+        opts.seeds.len(),
+        opts.retry_sweep
+    );
+    let grid = run_suite(opts);
+    let suite = grid.suite();
+    let text = FIGURES
+        .iter()
+        .map(|render| render(&suite, opts).0)
+        .collect();
+    let (_, geomean) = norm_rows(&suite, CellResult::cycles);
+    let fields = vec![("fig08_geomean", floats(&geomean))];
+    ExperimentOutput::new(text, suite_doc("report", opts, &suite, fields))
+}
+
+fn render_fig08(suite: &[[CellResult; 4]], opts: &SuiteOptions) -> (String, Fields) {
     let mut text = String::new();
-    let (rows, agg) = norm_rows(&suite, CellResult::cycles);
-    let (disc_rows, disc_avg) = mean_rows(&suite, |r| {
+    let (rows, agg) = norm_rows(suite, CellResult::cycles);
+    let (disc_rows, disc_avg) = mean_rows(suite, |r| {
         r.discovery_failed_cycles as f64 / (r.total_cycles as f64 * opts.cores as f64)
     });
     text.push_str(&format_table(
@@ -119,33 +190,19 @@ pub(super) fn fig08(opts: &SuiteOptions) -> ExperimentOutput {
         ("average", disc_avg),
     ));
     let _ = writeln!(text, "\nbest retry threshold per cell:");
-    for cells in &suite {
+    for cells in suite {
         let _ = writeln!(
             text,
             "  {:14} B={} P={} C={} W={}",
-            cells[0].name,
-            cells[0].best_retries,
-            cells[1].best_retries,
-            cells[2].best_retries,
-            cells[3].best_retries
+            cells[0].name, cells[0].retries, cells[1].retries, cells[2].retries, cells[3].retries
         );
     }
     let _ = writeln!(text, "\npaper: P -12.7%, C -27.4%, W -35.0% vs B (geomean)");
-    let json = Json::obj([
-        ("experiment", Json::from("fig08")),
-        ("options", opts_json(opts)),
-        ("suite", suite_json(&suite)),
-        (
-            "normalized_geomean",
-            Json::arr(agg.iter().map(|&v| Json::from(v))),
-        ),
-    ]);
-    ExperimentOutput::new(text, json)
+    (text, vec![("normalized_geomean", floats(&agg))])
 }
 
-pub(super) fn fig09(opts: &SuiteOptions) -> ExperimentOutput {
-    let suite = run_suite(opts);
-    let (rows, avg) = mean_rows(&suite, RunStats::aborts_per_commit);
+fn render_fig09(suite: &[[CellResult; 4]], _: &SuiteOptions) -> (String, Fields) {
+    let (rows, avg) = mean_rows(suite, RunStats::aborts_per_commit);
     let mut text = format_table(
         "Figure 9: Aborts per committed transaction",
         "lower is better",
@@ -153,18 +210,11 @@ pub(super) fn fig09(opts: &SuiteOptions) -> ExperimentOutput {
         ("average", avg),
     );
     let _ = writeln!(text, "\npaper: B 7.9, P 6.6, C 1.6, W 2.3 (average)");
-    let json = Json::obj([
-        ("experiment", Json::from("fig09")),
-        ("options", opts_json(opts)),
-        ("suite", suite_json(&suite)),
-        ("average", Json::arr(avg.iter().map(|&v| Json::from(v)))),
-    ]);
-    ExperimentOutput::new(text, json)
+    (text, vec![("average", floats(&avg))])
 }
 
-pub(super) fn fig10(opts: &SuiteOptions) -> ExperimentOutput {
-    let suite = run_suite(opts);
-    let (rows, agg) = norm_rows(&suite, CellResult::energy);
+fn render_fig10(suite: &[[CellResult; 4]], _: &SuiteOptions) -> (String, Fields) {
+    let (rows, agg) = norm_rows(suite, CellResult::energy);
     let mut text = format_table(
         "Figure 10: Normalized energy consumption",
         "lower is better; normalized to B",
@@ -172,16 +222,7 @@ pub(super) fn fig10(opts: &SuiteOptions) -> ExperimentOutput {
         ("geomean", agg),
     );
     let _ = writeln!(text, "\npaper: C -26.4% vs B, W -30.6% vs B (average)");
-    let json = Json::obj([
-        ("experiment", Json::from("fig10")),
-        ("options", opts_json(opts)),
-        ("suite", suite_json(&suite)),
-        (
-            "normalized_geomean",
-            Json::arr(agg.iter().map(|&v| Json::from(v))),
-        ),
-    ]);
-    ExperimentOutput::new(text, json)
+    (text, vec![("normalized_geomean", floats(&agg))])
 }
 
 fn abort_shares(r: &RunStats) -> [f64; 4] {
@@ -193,49 +234,47 @@ fn abort_shares(r: &RunStats) -> [f64; 4] {
     [mem / total, efb / total, ofb / total, others / total]
 }
 
-pub(super) fn fig11(opts: &SuiteOptions) -> ExperimentOutput {
-    let suite = run_suite(opts);
+fn render_fig11(suite: &[[CellResult; 4]], _: &SuiteOptions) -> (String, Fields) {
     let mut text = String::new();
-    let _ = writeln!(text, "=== Figure 11: Abort breakdown per type ===");
-    let _ = writeln!(
-        text,
-        "{:14} {:>2}  {:>8} {:>10} {:>10} {:>8}  {:>10}",
-        "benchmark", "", "mem-conf", "expl-fb", "other-fb", "others", "aborts/AR"
+    let columns = [
+        ("mem-conf", 8),
+        ("expl-fb", 10),
+        ("other-fb", 10),
+        ("others", 8),
+        ("aborts/AR", 11),
+    ];
+    cell_table(
+        &mut text,
+        "Figure 11: Abort breakdown per type",
+        columns,
+        suite,
+        |r| {
+            let [mem, efb, ofb, others] = abort_shares(r);
+            [mem, efb, ofb, others, r.aborts_per_commit()]
+        },
     );
-    for cells in &suite {
-        for cell in cells {
-            let s = [0, 1, 2, 3].map(|k| cell.mean(|r| abort_shares(r)[k]));
-            let apc = cell.mean(|r| r.aborts_per_commit());
-            let _ = writeln!(
-                text,
-                "{:14} {:>2}  {:>8.2} {:>10.2} {:>10.2} {:>8.2}  {:>10.2}",
-                cell.name,
-                cell.preset.letter(),
-                s[0],
-                s[1],
-                s[2],
-                s[3],
-                apc
-            );
-        }
-        let _ = writeln!(text);
+    for (i, letter) in ['B', 'P', 'C', 'W'].iter().enumerate() {
+        let [mem, efb, ofb] = [0, 1, 2].map(|k| column_mean(suite, i, |r| abort_shares(r)[k]));
+        let _ = writeln!(
+            text,
+            "average {letter}: memory-conflict {:.2}  explicit-fallback {:.2}  other-fallback {:.2}  others {:.2}",
+            mem,
+            efb,
+            ofb,
+            (1.0 - mem - efb - ofb).max(0.0)
+        );
     }
     let _ = writeln!(
         text,
         "shares are fractions of each configuration's own aborts"
     );
-    let json = Json::obj([
-        ("experiment", Json::from("fig11")),
-        ("options", opts_json(opts)),
-        ("suite", suite_json(&suite)),
-    ]);
-    ExperimentOutput::new(text, json)
+    (text, Vec::new())
 }
 
-/// Commit shares per mode, over `total` commits (the fig12 and report
-/// outputs pick different divisors).
-fn mode_shares(r: &RunStats, total: f64) -> [f64; 4] {
+/// Commit shares per mode.
+fn mode_shares(r: &RunStats) -> [f64; 4] {
     let m = &r.commits_by_mode;
+    let total = m.total().max(1) as f64;
     [
         m.speculative as f64 / total,
         m.scl as f64 / total,
@@ -244,38 +283,22 @@ fn mode_shares(r: &RunStats, total: f64) -> [f64; 4] {
     ]
 }
 
-pub(super) fn fig12(opts: &SuiteOptions) -> ExperimentOutput {
-    let suite = run_suite(opts);
+fn render_fig12(suite: &[[CellResult; 4]], _: &SuiteOptions) -> (String, Fields) {
     let mut text = String::new();
-    let _ = writeln!(text, "=== Figure 12: Commit breakdown per mode ===");
-    let _ = writeln!(
-        text,
-        "{:14} {:>2}  {:>11} {:>8} {:>8} {:>9}",
-        "benchmark", "", "speculative", "S-CL", "NS-CL", "fallback"
+    let columns = [
+        ("speculative", 11),
+        ("S-CL", 8),
+        ("NS-CL", 8),
+        ("fallback", 9),
+    ];
+    cell_table(
+        &mut text,
+        "Figure 12: Commit breakdown per mode",
+        columns,
+        suite,
+        mode_shares,
     );
-    for cells in &suite {
-        for cell in cells {
-            let s = [0, 1, 2, 3]
-                .map(|k| cell.mean(|r| mode_shares(r, r.commits_by_mode.total().max(1) as f64)[k]));
-            let _ = writeln!(
-                text,
-                "{:14} {:>2}  {:>11.2} {:>8.2} {:>8.2} {:>9.2}",
-                cell.name,
-                cell.preset.letter(),
-                s[0],
-                s[1],
-                s[2],
-                s[3]
-            );
-        }
-        let _ = writeln!(text);
-    }
-    let json = Json::obj([
-        ("experiment", Json::from("fig12")),
-        ("options", opts_json(opts)),
-        ("suite", suite_json(&suite)),
-    ]);
-    ExperimentOutput::new(text, json)
+    (text, Vec::new())
 }
 
 fn retry_shares(r: &RunStats) -> [f64; 3] {
@@ -291,35 +314,13 @@ fn retry_shares(r: &RunStats) -> [f64; 3] {
     [one as f64 / total, many as f64 / total, fb as f64 / total]
 }
 
-pub(super) fn fig13(opts: &SuiteOptions) -> ExperimentOutput {
-    let suite = run_suite(opts);
+fn render_fig13(suite: &[[CellResult; 4]], _: &SuiteOptions) -> (String, Fields) {
     let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "=== Figure 13: Commit breakdown per number of retries (retried ARs only) ==="
-    );
-    let _ = writeln!(
-        text,
-        "{:14} {:>2}  {:>9} {:>9} {:>9}",
-        "benchmark", "", "1-retry", "n-retry", "fallback"
-    );
-    for cells in &suite {
-        for cell in cells {
-            let s = [0, 1, 2].map(|k| cell.mean(|r| retry_shares(r)[k]));
-            let _ = writeln!(
-                text,
-                "{:14} {:>2}  {:>9.2} {:>9.2} {:>9.2}",
-                cell.name,
-                cell.preset.letter(),
-                s[0],
-                s[1],
-                s[2]
-            );
-        }
-        let _ = writeln!(text);
-    }
+    let title = "Figure 13: Commit breakdown per number of retries (retried ARs only)";
+    let columns = [("1-retry", 9), ("n-retry", 9), ("fallback", 9)];
+    cell_table(&mut text, title, columns, suite, retry_shares);
     for (i, letter) in ['B', 'P', 'C', 'W'].iter().enumerate() {
-        let avg = |k: usize| column_mean(&suite, i, |r| retry_shares(r)[k]);
+        let avg = |k: usize| column_mean(suite, i, |r| retry_shares(r)[k]);
         let _ = writeln!(
             text,
             "average {letter}: 1-retry {:.2}  n-retry {:.2}  fallback {:.2}",
@@ -332,17 +333,40 @@ pub(super) fn fig13(opts: &SuiteOptions) -> ExperimentOutput {
         text,
         "\npaper averages: B 35.4%/37.2%, P 46.4%/27.4%, C 64.2%/15.5%, W 64.4%/15.4% (1-retry/fallback)"
     );
-    let json = Json::obj([
-        ("experiment", Json::from("fig13")),
-        ("options", opts_json(opts)),
-        ("suite", suite_json(&suite)),
-    ]);
-    ExperimentOutput::new(text, json)
+    (text, Vec::new())
 }
 
-fn norm_rows(
+/// Writes a per-cell table under `title`: one row per benchmark × preset
+/// holding each column's trimmed mean of `metrics`, right-aligned to the
+/// column's width, and a blank line after each benchmark.
+fn cell_table<const N: usize>(
+    text: &mut String,
+    title: &str,
+    columns: [(&str, usize); N],
     suite: &[[CellResult; 4]],
-    metric: impl Fn(&CellResult) -> f64,
+    metrics: impl Fn(&RunStats) -> [f64; N],
+) {
+    let _ = writeln!(text, "=== {title} ===");
+    let _ = write!(text, "{:14} {:>2} ", "benchmark", "");
+    for (name, width) in columns {
+        let _ = write!(text, " {name:>width$}");
+    }
+    let _ = writeln!(text);
+    for cells in suite {
+        for cell in cells {
+            let _ = write!(text, "{:14} {:>2} ", cell.name, cell.preset.letter());
+            for (k, (_, width)) in columns.iter().enumerate() {
+                let _ = write!(text, " {:>width$.2}", cell.mean(|r| metrics(r)[k]));
+            }
+            let _ = writeln!(text);
+        }
+        let _ = writeln!(text);
+    }
+}
+
+fn norm_rows<'a>(
+    suite: &[[CellResult<'a>; 4]],
+    metric: impl Fn(&CellResult<'a>) -> f64,
 ) -> (Vec<(String, [f64; 4])>, [f64; 4]) {
     let mut rows = Vec::new();
     let mut norms = [const { Vec::new() }; 4];
@@ -353,7 +377,7 @@ fn norm_rows(
             vals[i] = metric(cell) / base;
             norms[i].push(vals[i]);
         }
-        rows.push((cells[0].name.clone(), vals));
+        rows.push((cells[0].name.to_string(), vals));
     }
     (rows, [0, 1, 2, 3].map(|i| geomean(&norms[i])))
 }
@@ -370,7 +394,7 @@ fn mean_rows(
             vals[i] = cell.mean(&metric);
             sums[i] += vals[i];
         }
-        rows.push((cells[0].name.clone(), vals));
+        rows.push((cells[0].name.to_string(), vals));
     }
     let n = suite.len() as f64;
     (rows, sums.map(|s| s / n))
@@ -383,124 +407,4 @@ fn column_mean(suite: &[[CellResult; 4]], i: usize, metric: impl Fn(&RunStats) -
         .map(|cells| cells[i].mean(&metric))
         .sum::<f64>()
         / suite.len() as f64
-}
-
-pub(super) fn report(opts: &SuiteOptions) -> ExperimentOutput {
-    eprintln!(
-        "suite: {:?} size, {} cores, {} seeds, sweep {:?}",
-        opts.size,
-        opts.cores,
-        opts.seeds.len(),
-        opts.retry_sweep
-    );
-    let suite = run_suite(opts);
-    let mut text = String::new();
-
-    // Figure 8.
-    let (rows, agg) = norm_rows(&suite, CellResult::cycles);
-    let fig8_geomean = agg;
-    text.push_str(&format_table(
-        "Figure 8: Normalized execution time",
-        "normalized to B; lower is better",
-        &rows,
-        ("geomean", agg),
-    ));
-
-    // Figure 9.
-    let (rows, agg) = mean_rows(&suite, RunStats::aborts_per_commit);
-    text.push_str(&format_table(
-        "Figure 9: Aborts per committed transaction",
-        "lower is better",
-        &rows,
-        ("average", agg),
-    ));
-
-    // Figure 10.
-    let (rows, agg) = norm_rows(&suite, CellResult::energy);
-    text.push_str(&format_table(
-        "Figure 10: Normalized energy consumption",
-        "normalized to B; lower is better",
-        &rows,
-        ("geomean", agg),
-    ));
-
-    // Figure 11: averaged abort-type shares.
-    let _ = writeln!(
-        text,
-        "\n=== Figure 11: Abort breakdown per type (suite average shares) ==="
-    );
-    for (i, letter) in ['B', 'P', 'C', 'W'].iter().enumerate() {
-        let [mem, efb, ofb] = [0, 1, 2].map(|k| column_mean(&suite, i, |r| abort_shares(r)[k]));
-        let _ = writeln!(
-            text,
-            "{letter}: memory-conflict {:.2}  explicit-fallback {:.2}  other-fallback {:.2}  others {:.2}",
-            mem,
-            efb,
-            ofb,
-            (1.0 - mem - efb - ofb).max(0.0)
-        );
-    }
-
-    // Figure 12: commit mode shares.
-    let _ = writeln!(text, "\n=== Figure 12: Commit breakdown per mode ===");
-    let _ = writeln!(
-        text,
-        "{:14} {:>2}  {:>11} {:>8} {:>8} {:>9}",
-        "benchmark", "", "speculative", "S-CL", "NS-CL", "fallback"
-    );
-    for cells in &suite {
-        for cell in cells {
-            let s = [0, 1, 2, 3].map(|k| cell.mean(|r| mode_shares(r, r.commits() as f64)[k]));
-            let _ = writeln!(
-                text,
-                "{:14} {:>2}  {:>11.2} {:>8.2} {:>8.2} {:>9.2}",
-                cell.name,
-                cell.preset.letter(),
-                s[0],
-                s[1],
-                s[2],
-                s[3]
-            );
-        }
-    }
-
-    // Figure 13: retried-AR outcome shares.
-    let _ = writeln!(
-        text,
-        "\n=== Figure 13: Commit breakdown per number of retries (retried ARs only) ==="
-    );
-    for (i, letter) in ['B', 'P', 'C', 'W'].iter().enumerate() {
-        let avg = |k: usize| column_mean(&suite, i, |r| retry_shares(r)[k]);
-        let _ = writeln!(
-            text,
-            "{letter}: 1-retry {:.2}  n-retry {:.2}  fallback {:.2}",
-            avg(0),
-            avg(1),
-            avg(2)
-        );
-    }
-
-    let _ = writeln!(text, "\nbest retry threshold per cell:");
-    for cells in &suite {
-        let _ = writeln!(
-            text,
-            "  {:14} B={} P={} C={} W={}",
-            cells[0].name,
-            cells[0].best_retries,
-            cells[1].best_retries,
-            cells[2].best_retries,
-            cells[3].best_retries
-        );
-    }
-
-    let json = Json::obj([
-        ("experiment", Json::from("report")),
-        ("options", opts_json(opts)),
-        ("suite", suite_json(&suite)),
-        (
-            "fig08_geomean",
-            Json::arr(fig8_geomean.iter().map(|&v| Json::from(v))),
-        ),
-    ]);
-    ExperimentOutput::new(text, json)
 }

@@ -340,7 +340,7 @@ pub(super) fn litmus_backends(opts: &SuiteOptions) -> ExperimentOutput {
         let layout = workload.layout_handle();
         let cfg = MachineConfig {
             seed,
-            ..sweep[k].config(threads, opts.retry_sweep[0])
+            ..sweep[k].config(threads, opts.first_retries())
         };
         let mut machine = Machine::new(cfg, Box::new(workload));
         let stats = machine.run();

@@ -390,6 +390,74 @@ mod tests {
         assert!(rows[0].get("shards").is_some());
     }
 
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// `[benchmark, preset, best_retries]` for every cell of a document's
+    /// `rows` (dse-retries) or `suite` (report).
+    fn picks(doc: &Json) -> Vec<[Json; 3]> {
+        let field = |j: &Json, key: &str| j.get(key).expect(key).clone();
+        let list = |j: &Json, key: &str| match j.get(key) {
+            Some(Json::Arr(items)) => items.clone(),
+            _ => Vec::new(),
+        };
+        let mut out: Vec<[Json; 3]> = list(doc, "rows")
+            .iter()
+            .map(|row| ["benchmark", "preset", "best_retries"].map(|k| field(row, k)))
+            .collect();
+        for bench in list(doc, "suite") {
+            for cell in list(&bench, "cells") {
+                out.push([
+                    field(&bench, "benchmark"),
+                    field(&cell, "preset"),
+                    field(&cell, "best_retries"),
+                ]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn dse_retries_picks_the_thresholds_report_picks() {
+        let opts = SuiteOptions::from_arg_slice(&args(&[
+            "--size",
+            "tiny",
+            "--cores",
+            "4",
+            "--seeds",
+            "1",
+            "--sweep",
+            "full",
+            "--bench",
+            "arrayswap",
+            "--bench",
+            "mwobject",
+        ]))
+        .expect("valid options");
+        let dse = picks(&(find("dse-retries").unwrap().run)(&opts).json);
+        let report = picks(&(find("report").unwrap().run)(&opts).json);
+        assert_eq!(dse.len(), 2 * 4);
+        assert_eq!(dse, report);
+    }
+
+    #[test]
+    fn report_text_is_the_six_figure_texts_in_order() {
+        let opts = SuiteOptions {
+            size: Size::Tiny,
+            cores: 4,
+            seeds: vec![1],
+            retry_sweep: vec![2, 5],
+            benchmarks: vec!["mwobject"],
+            ..SuiteOptions::default()
+        };
+        let figures: String = ["fig08", "fig09", "fig10", "fig11", "fig12", "fig13"]
+            .iter()
+            .map(|name| (find(name).unwrap().run)(&opts).text)
+            .collect();
+        assert_eq!((find("report").unwrap().run)(&opts).text, figures);
+    }
+
     #[test]
     fn quick_experiments_produce_text_and_json() {
         let opts = SuiteOptions {

@@ -67,7 +67,6 @@ struct Tally {
     steps: u64,
     sched_updates: u64,
     coherence_requests: u64,
-    allocs_avoided: u64,
     events: u64,
     dropped: u64,
     /// Plain-leg trace digests folded rotate-xor in seed order, so a
@@ -98,7 +97,6 @@ impl Tally {
         self.steps += p.steps;
         self.sched_updates += p.sched_updates;
         self.coherence_requests += p.coherence_requests;
-        self.allocs_avoided += p.allocs_avoided;
         self.events += p.trace_events_recorded;
         self.dropped += p.trace_events_dropped;
         self.digest = self.digest.rotate_left(5) ^ digest;
@@ -148,7 +146,7 @@ pub(super) fn backend_shootout(opts: &SuiteOptions) -> ExperimentOutput {
         .iter()
         .map(|n| BackendId::from_name(n).expect("SuiteOptions validated the backend names"))
         .collect();
-    let retries = opts.retry_sweep[0];
+    let retries = opts.first_retries();
     let (nb, nk) = (opts.benchmarks.len(), backends.len());
 
     // Plans are symbolic in the entry registers, so one set per benchmark
@@ -256,7 +254,6 @@ pub(super) fn backend_shootout(opts: &SuiteOptions) -> ExperimentOutput {
                 ("steps", Json::from(t.steps)),
                 ("sched_updates", Json::from(t.sched_updates)),
                 ("coherence_requests", Json::from(t.coherence_requests)),
-                ("allocs_avoided", Json::from(t.allocs_avoided)),
                 ("events", Json::from(t.events)),
                 ("dropped", Json::from(t.dropped)),
                 ("digest", Json::from(digest_hex(t.digest))),

@@ -5,7 +5,7 @@
 use super::{opts_json, ExperimentOutput};
 use crate::json::Json;
 use crate::pool;
-use crate::suite::{run_benchmark, trimmed_mean, SuiteOptions};
+use crate::suite::{run_benchmark, run_suite, SuiteOptions};
 use clear_core::{ClearConfig, SclLockPolicy};
 use clear_machine::{ClearBackend, MachineConfig, Preset, RunStats, SpeculationKind};
 use clear_workloads::by_name;
@@ -211,59 +211,35 @@ pub(super) fn dse_retries(opts: &SuiteOptions) -> ExperimentOutput {
     if opts.retry_sweep.len() <= 3 {
         opts.retry_sweep = (1..=10).collect();
     }
-    let presets = Preset::ALL;
-    let (nb, np, nr, ns) = (
-        opts.benchmarks.len(),
-        presets.len(),
-        opts.retry_sweep.len(),
-        opts.seeds.len(),
-    );
-    let grid = pool::run_indexed(nb * np * nr * ns, opts.workers, |i| {
-        let s = i % ns;
-        let r = (i / ns) % nr;
-        let p = (i / (ns * nr)) % np;
-        let b = i / (ns * nr * np);
-        let cfg = MachineConfig {
-            seed: opts.seeds[s],
-            ..presets[p].config(opts.cores, opts.retry_sweep[r])
-        };
-        run_benchmark(opts.benchmarks[b], opts.size, cfg, false)
-            .0
-            .total_cycles as f64
-    });
+    let grid = run_suite(&opts);
     let mut text = String::new();
     let _ = writeln!(
         text,
         "=== Retry-threshold design-space exploration (cycles, per threshold) ==="
     );
     let mut rows = Vec::new();
-    for (b, name) in opts.benchmarks.iter().enumerate() {
+    for (b, name) in grid.benchmarks.iter().enumerate() {
         let _ = writeln!(text, "\n{name}:");
         let _ = write!(text, "{:>4}", "cfg");
-        for r in &opts.retry_sweep {
+        for r in &grid.retry_sweep {
             let _ = write!(text, " {:>10}", format!("r={r}"));
         }
         let _ = writeln!(text, " {:>6}", "best");
-        for (p, preset) in presets.iter().enumerate() {
+        for (p, preset) in grid.presets.iter().enumerate() {
             let _ = write!(text, "{:>4}", preset.letter());
-            let mut best = (0u32, f64::INFINITY);
-            let mut means = Vec::new();
-            for (r, &retries) in opts.retry_sweep.iter().enumerate() {
-                let base = ((b * np + p) * nr + r) * ns;
-                let cycles: Vec<f64> = grid[base..base + ns].to_vec();
-                let mean = trimmed_mean(&cycles);
-                if mean < best.1 {
-                    best = (retries, mean);
-                }
-                means.push(mean);
+            let means: Vec<f64> = (0..grid.retry_sweep.len())
+                .map(|r| grid.cell(b, p, r).cycles())
+                .collect();
+            for mean in &means {
                 let _ = write!(text, " {:>10.0}", mean);
             }
-            let _ = writeln!(text, " {:>6}", format!("r={}", best.0));
+            let best = grid.best(b, p).retries;
+            let _ = writeln!(text, " {:>6}", format!("r={best}"));
             rows.push(Json::obj([
                 ("benchmark", Json::from(*name)),
                 ("preset", Json::from(preset.letter().to_string())),
                 ("mean_cycles", Json::arr(means.into_iter().map(Json::from))),
-                ("best_retries", Json::from(best.0)),
+                ("best_retries", Json::from(best)),
             ]));
         }
     }
@@ -379,7 +355,6 @@ pub(super) fn scaling(opts: &SuiteOptions) -> ExperimentOutput {
             opts,
             presets[p].config(cores_axis[c], 5),
         )
-        .total_cycles
     });
     let mut text = String::new();
     let mut rows = Vec::new();
@@ -389,20 +364,39 @@ pub(super) fn scaling(opts: &SuiteOptions) -> ExperimentOutput {
         for preset in presets {
             let _ = write!(text, " {:>12}", format!("{preset}"));
         }
-        let _ = writeln!(text, " {:>8}", "C/B");
-        for (c, &cores) in cores_axis.iter().enumerate() {
-            let _ = write!(text, "{cores:>6}");
-            let mut cycles = [0u64; 4];
-            for p in 0..np {
-                let v = grid[(b * nc + c) * np + p];
-                cycles[p] = v;
-                let _ = write!(text, " {v:>12}");
+        let _ = write!(text, " {:>8}", "C/B");
+        for metric in ["apc", "fb%"] {
+            for preset in presets {
+                let _ = write!(text, " {:>6}", format!("{} {metric}", preset.letter()));
             }
-            let _ = writeln!(text, " {:>8.2}", cycles[2] as f64 / cycles[0] as f64);
+        }
+        let _ = writeln!(text);
+        for (c, &cores) in cores_axis.iter().enumerate() {
+            let runs = &grid[(b * nc + c) * np..][..np];
+            let per_preset =
+                |f: fn(&RunStats) -> f64| Json::arr(runs.iter().map(|s| Json::from(f(s))));
+            let _ = write!(text, "{cores:>6}");
+            for s in runs {
+                let _ = write!(text, " {:>12}", s.total_cycles);
+            }
+            let c_vs_b = runs[2].total_cycles as f64 / runs[0].total_cycles as f64;
+            let _ = write!(text, " {c_vs_b:>8.2}");
+            for s in runs {
+                let _ = write!(text, " {:>6.2}", s.aborts_per_commit());
+            }
+            for s in runs {
+                let _ = write!(text, " {:>6.1}", fallback_pct(s));
+            }
+            let _ = writeln!(text);
             rows.push(Json::obj([
                 ("benchmark", Json::from(*name)),
                 ("cores", Json::from(cores)),
-                ("cycles", Json::arr(cycles.iter().map(|&v| Json::from(v)))),
+                (
+                    "cycles",
+                    Json::arr(runs.iter().map(|s| Json::from(s.total_cycles))),
+                ),
+                ("aborts_per_commit", per_preset(RunStats::aborts_per_commit)),
+                ("fallback_pct", per_preset(fallback_pct)),
             ]));
         }
     }
@@ -410,12 +404,21 @@ pub(super) fn scaling(opts: &SuiteOptions) -> ExperimentOutput {
         text,
         "\nC/B < 1 means CLEAR beats the requester-wins baseline at that core count"
     );
+    let _ = writeln!(
+        text,
+        "apc = aborts per commit; fb% = share of ARs completing on the fallback path"
+    );
     let json = Json::obj([
         ("experiment", Json::from("scaling")),
         ("options", opts_json(opts)),
         ("rows", Json::Arr(rows)),
     ]);
     ExperimentOutput::new(text, json)
+}
+
+/// Share of ARs completing on the fallback path, in percent.
+fn fallback_pct(s: &RunStats) -> f64 {
+    100.0 * s.commits_by_mode.fallback as f64 / s.commits() as f64
 }
 
 pub(super) fn sle_vs_htm(opts: &SuiteOptions) -> ExperimentOutput {
@@ -445,11 +448,7 @@ pub(super) fn sle_vs_htm(opts: &SuiteOptions) -> ExperimentOutput {
         let cols: Vec<(u64, f64, f64)> = (0..2)
             .map(|k| {
                 let s = &stats[b * 2 + k];
-                (
-                    s.total_cycles,
-                    100.0 * s.commits_by_mode.fallback as f64 / s.commits() as f64,
-                    s.aborts_per_commit(),
-                )
+                (s.total_cycles, fallback_pct(s), s.aborts_per_commit())
             })
             .collect();
         let _ = writeln!(

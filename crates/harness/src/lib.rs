@@ -7,7 +7,7 @@
 //!   figure/table/study; `clear-harness run <name>` prints any of them.
 //! - [`suite`]: the one run path ([`run_benchmark`]: build, run and check
 //!   a named benchmark under a [`MachineConfig`](clear_machine::MachineConfig))
-//!   and the (benchmark × preset × retry × seed) grid engine with the
+//!   and the one (benchmark × preset × retry × seed) [`Grid`] with the
 //!   paper's best-of retry sweep and trimmed-mean aggregation.
 //! - [`pool`]: a scoped worker pool that spreads the grid over threads
 //!   while keeping results bit-identical to a sequential run.
@@ -47,6 +47,6 @@ pub mod suite;
 pub mod trace_export;
 
 pub use suite::{
-    bar, format_table, geomean, run_benchmark, run_cell, run_suite, trimmed_mean, CellResult,
+    bar, format_table, geomean, run_benchmark, run_suite, trimmed_mean, CellResult, Grid,
     SuiteOptions,
 };

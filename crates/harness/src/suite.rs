@@ -1,12 +1,14 @@
-//! Suite machinery: option parsing, single runs, the per-application
-//! best-of retry sweep, seed aggregation with trimmed means, and table
-//! formatting.
+//! Suite machinery: option parsing, single runs, the preset grid with
+//! its per-application best-of retry sweep, seed aggregation with trimmed
+//! means, and table formatting.
 //!
-//! This is the engine under every experiment in the registry. The full
-//! (benchmark × preset × retry × seed) grid of [`run_suite`] is executed
-//! in parallel on a scoped worker pool; because each run is a pure
-//! function of its coordinates, the parallel suite is bit-identical to
-//! the sequential one.
+//! This is the engine under every experiment in the registry. The preset
+//! grid ([`Grid`]: benchmark × preset × retry threshold × seed) is built
+//! here and only here, by one worker-pool call; Figs. 1 and 8–13,
+//! `report` and `dse-retries` are views over it, and [`Grid::best`] is the
+//! one fold that picks each cell's retry threshold. Because each run is a
+//! pure function of its coordinates, the parallel grid is bit-identical to
+//! a sequential one.
 
 use crate::pool;
 use clear_analysis::{workload_plans, StaticBudget};
@@ -131,6 +133,12 @@ impl SuiteOptions {
         }
         Ok(o)
     }
+
+    /// The sweep's first threshold: the one retry budget of experiments
+    /// that run a single threshold instead of a preset [`Grid`].
+    pub fn first_retries(&self) -> u32 {
+        self.retry_sweep[0]
+    }
 }
 
 /// Runs one benchmark once under `cfg`, whose `seed` also seeds the
@@ -181,41 +189,30 @@ pub fn benchmark_plans(name: &str, size: Size, seed: u64, threads: usize) -> Arc
     Arc::new(plans)
 }
 
-/// Aggregated result of one benchmark × preset cell.
-#[derive(Clone, Debug)]
-pub struct CellResult {
+/// One benchmark × preset × retry-threshold cell of a [`Grid`].
+#[derive(Clone, Copy, Debug)]
+pub struct CellResult<'a> {
     /// Benchmark name.
-    pub name: String,
+    pub name: &'static str,
     /// Configuration letter.
     pub preset: Preset,
-    /// The retry threshold that minimised mean execution time (the paper's
-    /// per-application design-space exploration).
-    pub best_retries: u32,
-    /// One `RunStats` per seed at the best threshold.
-    pub runs: Vec<RunStats>,
+    /// The retry threshold the runs used; for [`Grid::best`], the one that
+    /// minimised mean execution time (the paper's per-application
+    /// design-space exploration).
+    pub retries: u32,
+    /// One `RunStats` per seed.
+    pub runs: &'a [RunStats],
 }
 
-impl CellResult {
+impl CellResult<'_> {
     /// Trimmed-mean cycles across seeds.
     pub fn cycles(&self) -> f64 {
-        trimmed_mean(
-            &self
-                .runs
-                .iter()
-                .map(|r| r.total_cycles as f64)
-                .collect::<Vec<_>>(),
-        )
+        self.mean(|r| r.total_cycles as f64)
     }
 
     /// Trimmed-mean total energy across seeds.
     pub fn energy(&self) -> f64 {
-        trimmed_mean(
-            &self
-                .runs
-                .iter()
-                .map(|r| r.energy.total())
-                .collect::<Vec<_>>(),
-        )
+        self.mean(|r| r.energy.total())
     }
 
     /// Mean of an arbitrary per-run metric.
@@ -224,99 +221,100 @@ impl CellResult {
     }
 }
 
-/// Picks the best cell from per-threshold run vectors, preserving the
-/// sweep order: a later threshold wins only if strictly faster.
-fn pick_best(
-    name: &str,
-    preset: Preset,
-    sweep: &[u32],
-    per_threshold: Vec<Vec<RunStats>>,
-) -> CellResult {
-    let mut best: Option<CellResult> = None;
-    for (&retries, runs) in sweep.iter().zip(per_threshold) {
-        let cell = CellResult {
-            name: name.to_string(),
-            preset,
-            best_retries: retries,
+/// Every run of a (benchmark × preset × retry threshold × seed) grid. Figs.
+/// 1 and 8–13, `report` and `dse-retries` are views over one.
+#[derive(Clone, Debug)]
+pub struct Grid {
+    /// Benchmarks, the outermost axis.
+    pub benchmarks: Vec<&'static str>,
+    /// Presets.
+    pub presets: Vec<Preset>,
+    /// Retry thresholds, in sweep order.
+    pub retry_sweep: Vec<u32>,
+    /// Runs per cell, one per seed: the innermost axis.
+    seeds: usize,
+    runs: Vec<RunStats>,
+}
+
+impl Grid {
+    /// Runs `opts`' benchmarks and seeds under every preset and retry
+    /// threshold given, spreading the whole grid across the worker pool.
+    /// Each run is a pure function of its coordinates, so the grid is
+    /// bit-identical to running the points one after another.
+    pub fn run(opts: &SuiteOptions, presets: &[Preset], retry_sweep: &[u32]) -> Grid {
+        let (np, nr, ns) = (presets.len(), retry_sweep.len(), opts.seeds.len());
+        let total = opts.benchmarks.len() * np * nr * ns;
+        let runs = pool::run_indexed(total, opts.workers, |i| {
+            let s = i % ns;
+            let r = (i / ns) % nr;
+            let p = (i / (ns * nr)) % np;
+            let b = i / (ns * nr * np);
+            let cfg = MachineConfig {
+                seed: opts.seeds[s],
+                ..presets[p].config(opts.cores, retry_sweep[r])
+            };
+            run_benchmark(opts.benchmarks[b], opts.size, cfg, false).0
+        });
+        Grid {
+            benchmarks: opts.benchmarks.clone(),
+            presets: presets.to_vec(),
+            retry_sweep: retry_sweep.to_vec(),
+            seeds: ns,
             runs,
-        };
-        let better = best
-            .as_ref()
-            .map(|b| cell.cycles() < b.cycles())
-            .unwrap_or(true);
-        if better {
-            best = Some(cell);
         }
     }
-    best.expect("non-empty sweep")
+
+    /// The cell of benchmark `b` under preset `p` at threshold index `r`.
+    pub fn cell(&self, b: usize, p: usize, r: usize) -> CellResult<'_> {
+        let ns = self.seeds;
+        let start = ((b * self.presets.len() + p) * self.retry_sweep.len() + r) * ns;
+        CellResult {
+            name: self.benchmarks[b],
+            preset: self.presets[p],
+            retries: self.retry_sweep[r],
+            runs: &self.runs[start..start + ns],
+        }
+    }
+
+    /// The best threshold's cell for benchmark `b` under preset `p` (paper
+    /// §6: "we run from 1 to 10 retries for all benchmarks and select the
+    /// best-performing one"). Sweep order breaks ties: a later threshold
+    /// wins only if strictly faster.
+    pub fn best(&self, b: usize, p: usize) -> CellResult<'_> {
+        (0..self.retry_sweep.len())
+            .map(|r| self.cell(b, p, r))
+            .reduce(|best, cell| {
+                if cell.cycles() < best.cycles() {
+                    cell
+                } else {
+                    best
+                }
+            })
+            .expect("non-empty sweep")
+    }
+
+    /// The best cell of every benchmark under each of the four presets, in
+    /// [`Preset::ALL`] order: the rows of Figs. 8–13.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the grid was run over [`Preset::ALL`].
+    pub fn suite(&self) -> Vec<[CellResult<'_>; 4]> {
+        assert_eq!(
+            self.presets,
+            Preset::ALL,
+            "the suite spans all four presets"
+        );
+        (0..self.benchmarks.len())
+            .map(|b| [0, 1, 2, 3].map(|p| self.best(b, p)))
+            .collect()
+    }
 }
 
-/// Runs the retry sweep for one benchmark × preset and returns the best
-/// cell (paper §6: "we run from 1 to 10 retries for all benchmarks and
-/// select the best-performing one").
-pub fn run_cell(name: &str, preset: Preset, opts: &SuiteOptions) -> CellResult {
-    let per_threshold: Vec<Vec<RunStats>> = opts
-        .retry_sweep
-        .iter()
-        .map(|&retries| {
-            opts.seeds
-                .iter()
-                .map(|&seed| {
-                    let cfg = MachineConfig {
-                        seed,
-                        ..preset.config(opts.cores, retries)
-                    };
-                    run_benchmark(name, opts.size, cfg, false).0
-                })
-                .collect()
-        })
-        .collect();
-    pick_best(name, preset, &opts.retry_sweep, per_threshold)
-}
-
-/// Runs every benchmark in `opts` under all four presets, spreading the
-/// whole (benchmark × preset × retry × seed) grid across the worker pool.
-///
-/// Results are identical to running [`run_cell`] sequentially for every
-/// benchmark and preset: each grid point is a pure function of its
-/// coordinates and the best-threshold fold preserves the sweep order.
-pub fn run_suite(opts: &SuiteOptions) -> Vec<[CellResult; 4]> {
-    let presets = Preset::ALL;
-    let (nb, np, nr, ns) = (
-        opts.benchmarks.len(),
-        presets.len(),
-        opts.retry_sweep.len(),
-        opts.seeds.len(),
-    );
-    let total = nb * np * nr * ns;
-    let stats = pool::run_indexed(total, opts.workers, |i| {
-        let s = i % ns;
-        let r = (i / ns) % nr;
-        let p = (i / (ns * nr)) % np;
-        let b = i / (ns * nr * np);
-        let cfg = MachineConfig {
-            seed: opts.seeds[s],
-            ..presets[p].config(opts.cores, opts.retry_sweep[r])
-        };
-        run_benchmark(opts.benchmarks[b], opts.size, cfg, false).0
-    });
-    let mut iter = stats.into_iter();
-    opts.benchmarks
-        .iter()
-        .map(|name| {
-            let mut cells = Vec::with_capacity(np);
-            for &preset in &presets {
-                let per_threshold: Vec<Vec<RunStats>> = (0..nr)
-                    .map(|_| (0..ns).map(|_| iter.next().expect("grid size")).collect())
-                    .collect();
-                cells.push(pick_best(name, preset, &opts.retry_sweep, per_threshold));
-            }
-            cells
-                .try_into()
-                .map_err(|_| "four presets")
-                .expect("four presets")
-        })
-        .collect()
+/// Runs every benchmark in `opts` under all four presets and every
+/// threshold of its retry sweep: the grid behind Figs. 8–13.
+pub fn run_suite(opts: &SuiteOptions) -> Grid {
+    Grid::run(opts, &Preset::ALL, &opts.retry_sweep)
 }
 
 /// Mean after dropping the ⌈30%⌉ most extreme values (the paper's
@@ -475,21 +473,23 @@ mod tests {
     }
 
     #[test]
-    fn run_cell_picks_some_threshold() {
+    fn best_picks_a_swept_threshold() {
         let opts = SuiteOptions {
             size: Size::Tiny,
             cores: 4,
             seeds: vec![1],
-            retry_sweep: vec![2, 8],
+            benchmarks: vec!["mwobject"],
             ..SuiteOptions::default()
         };
-        let cell = run_cell("mwobject", Preset::B, &opts);
-        assert!(cell.best_retries == 2 || cell.best_retries == 8);
+        let grid = Grid::run(&opts, &[Preset::B], &[2, 8]);
+        let cell = grid.best(0, 0);
+        assert!(cell.retries == 2 || cell.retries == 8);
         assert_eq!(cell.runs.len(), 1);
     }
 
-    /// The tentpole's correctness keystone: the parallel grid must equal
-    /// the sequential per-cell sweep bit-for-bit.
+    /// The grid's correctness keystone: the parallel grid must equal a
+    /// sequential sweep of single runs bit-for-bit, and each best cell must
+    /// be the first threshold with the least trimmed-mean cycles.
     #[test]
     fn parallel_suite_matches_sequential_cells() {
         let opts = SuiteOptions {
@@ -501,16 +501,33 @@ mod tests {
             workers: 4,
             backends: vec!["clear"],
         };
-        let suite = run_suite(&opts);
-        for (name, cells) in opts.benchmarks.iter().zip(&suite) {
-            for (preset, cell) in Preset::ALL.iter().zip(cells.iter()) {
-                let seq = run_cell(name, *preset, &opts);
-                assert_eq!(cell.best_retries, seq.best_retries, "{name}/{preset}");
-                assert_eq!(cell.runs.len(), seq.runs.len());
-                for (a, b) in cell.runs.iter().zip(&seq.runs) {
-                    assert_eq!(a.total_cycles, b.total_cycles, "{name}/{preset}");
-                    assert_eq!(a.aborts.total(), b.aborts.total(), "{name}/{preset}");
+        let grid = run_suite(&opts);
+        let suite = grid.suite();
+        for (b, name) in opts.benchmarks.iter().enumerate() {
+            for (p, preset) in Preset::ALL.into_iter().enumerate() {
+                let mut means = Vec::new();
+                for (r, &retries) in opts.retry_sweep.iter().enumerate() {
+                    let cell = grid.cell(b, p, r);
+                    let mut cycles = Vec::new();
+                    for (s, &seed) in opts.seeds.iter().enumerate() {
+                        let cfg = MachineConfig {
+                            seed,
+                            ..preset.config(opts.cores, retries)
+                        };
+                        let seq = run_benchmark(name, opts.size, cfg, false).0;
+                        let at = &cell.runs[s];
+                        assert_eq!(at.total_cycles, seq.total_cycles, "{name}/{preset}");
+                        assert_eq!(at.aborts.total(), seq.aborts.total(), "{name}/{preset}");
+                        cycles.push(seq.total_cycles as f64);
+                    }
+                    means.push(trimmed_mean(&cycles));
                 }
+                let least = means.iter().cloned().fold(f64::INFINITY, f64::min);
+                let first = means.iter().position(|&m| m == least).unwrap();
+                assert_eq!(
+                    suite[b][p].retries, opts.retry_sweep[first],
+                    "{name}/{preset}"
+                );
             }
         }
     }

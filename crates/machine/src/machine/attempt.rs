@@ -47,9 +47,6 @@ impl Machine {
                 // about since the ALT was built (§5.1). The list reuses the
                 // core's previous lock-list buffer.
                 let mut lock_list = std::mem::take(&mut self.cores[c].lock_list);
-                if lock_list.capacity() > 0 {
-                    self.perf.allocs_avoided += 1;
-                }
                 {
                     let core = &mut self.cores[c];
                     let alt = core.alt.as_mut().expect("CL mode requires ALT");
@@ -306,9 +303,6 @@ impl Machine {
         );
         // Publish buffered stores straight out of the store queue (each
         // word address is distinct, so drain order is unobservable).
-        if !self.cores[c].sq.is_empty() {
-            self.perf.allocs_avoided += 1;
-        }
         for (word_addr, value) in self.cores[c].sq.drain() {
             self.memory.store_word(Addr(word_addr), value);
         }

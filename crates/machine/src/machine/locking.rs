@@ -9,8 +9,6 @@ impl Machine {
             self.phases[c] = Phase::Running;
             return;
         }
-        // Every poll, failed or not, counts the group scratch buffer.
-        self.perf.allocs_avoided += 1;
         if let Some(line) = self.group_blocker(c, idx) {
             // Another core holds a group line locked: retried request
             // (Fig. 6). Every re-poll fails until that line is released.
@@ -54,7 +52,6 @@ impl Machine {
             }
         }
         let nacked = !victims.is_empty() && {
-            self.perf.allocs_avoided += 1;
             let me = self.tx_info(c);
             self.config.backend.resolve(me, &victims) == Resolution::NackRequester
         };

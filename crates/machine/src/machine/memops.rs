@@ -237,7 +237,6 @@ impl Machine {
                     victims.push(self.tx_info(i.core.0));
                 }
                 let nacked = !victims.is_empty() && {
-                    self.perf.allocs_avoided += 1;
                     let me = self.tx_info(c);
                     self.config.backend.resolve(me, &victims) == Resolution::NackRequester
                 };
@@ -267,10 +266,7 @@ impl Machine {
                         // Filtered in place — the apply result is consumed,
                         // not copied.
                         let mut conflicts = ok.remote_impacts;
-                        if !conflicts.is_empty() {
-                            self.perf.allocs_avoided += 1;
-                            conflicts.retain(|i| i.is_tx_conflict(false));
-                        }
+                        conflicts.retain(|i| i.is_tx_conflict(false));
                         self.abort_victims(c, line, &conflicts, AbortKind::MemoryConflict);
                         let v = self.memory.load_word(addr);
                         self.cores[c].vm.as_mut().unwrap().finish_load(v);
@@ -339,10 +335,7 @@ impl Machine {
                     return;
                 }
                 let mut conflicts = self.force_apply(c, line, Access::Write, TxTrack::None);
-                if !conflicts.is_empty() {
-                    self.perf.allocs_avoided += 1;
-                    conflicts.retain(|i| i.is_tx_conflict(true));
-                }
+                conflicts.retain(|i| i.is_tx_conflict(true));
                 self.abort_victims(c, line, &conflicts, AbortKind::MemoryConflict);
                 self.memory.store_word(addr, value);
             }
@@ -412,7 +405,6 @@ impl Machine {
                     victims.push(self.tx_info(i.core.0));
                 }
                 let nacked = !victims.is_empty() && {
-                    self.perf.allocs_avoided += 1;
                     let me = self.tx_info(c);
                     self.config.backend.resolve(me, &victims) == Resolution::NackRequester
                 };
@@ -433,10 +425,7 @@ impl Machine {
                     Ok(ok) => {
                         self.clocks[c] += ok.latency;
                         let mut conflicts = ok.remote_impacts;
-                        if !conflicts.is_empty() {
-                            self.perf.allocs_avoided += 1;
-                            conflicts.retain(|i| i.is_tx_conflict(true));
-                        }
+                        conflicts.retain(|i| i.is_tx_conflict(true));
                         self.abort_victims(c, line, &conflicts, AbortKind::MemoryConflict);
                         self.cores[c].sq.insert(addr.0, value);
                     }

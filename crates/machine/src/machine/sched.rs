@@ -522,16 +522,12 @@ impl Machine {
 
     /// Credits `polls` skipped polls of parked core `w` exactly as the
     /// executed polls would have counted: each is one scheduler step and
-    /// one heap re-key, and a lock poll reuses the group scratch buffer (a
-    /// failed re-send uses none).
+    /// one heap re-key.
     fn credit_skipped(&mut self, w: usize, on: WaitOn, polls: u64) {
         self.charge_polls(w, on, polls);
         self.perf.steps += polls;
         self.perf.sched_updates += polls;
         self.perf.polls_elided += polls;
-        if let WaitOn::Line { .. } = on {
-            self.perf.allocs_avoided += polls;
-        }
     }
 
     /// Drops `c`'s cacheline locks and its fallback read lock, noting both

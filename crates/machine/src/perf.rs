@@ -2,8 +2,7 @@
 //!
 //! These measure the *simulator*, not the simulated machine: how many
 //! scheduler steps a run took, how much coherence traffic it generated,
-//! how many heap allocations the scratch-buffer reuse avoided, and how
-//! long the run took in wall-clock time. They surface through
+//! and how long the run took in wall-clock time. They surface through
 //! [`RunStats::perf`](crate::RunStats::perf), the harness JSON, and the
 //! rows of the gated `backend-shootout` and `scaling-wide` experiments, so
 //! kernel changes that alter the simulated schedule are tracked like any
@@ -25,9 +24,6 @@ pub struct PerfCounters {
     pub sched_updates: u64,
     /// Coherence requests served at any level (L1/L2/L3/memory).
     pub coherence_requests: u64,
-    /// Heap allocations avoided by reusing scratch buffers (victim lists,
-    /// lock lists, conflict filters, store-queue drains).
-    pub allocs_avoided: u64,
     /// Trace records emitted (retained or dropped); zero unless tracing
     /// was enabled. A pure function of the run, so golden-gated.
     pub trace_events_recorded: u64,

@@ -195,13 +195,12 @@ impl RunStats {
     /// The `clear_sim_perf` gauges: the simulator perf counters (wall
     /// time excluded) plus the LRWS capacity-abort tallies, in export
     /// order.
-    pub fn sim_perf_gauges(&self) -> [(&'static str, u64); 11] {
+    pub fn sim_perf_gauges(&self) -> [(&'static str, u64); 10] {
         let p = &self.perf;
         [
             ("steps", p.steps),
             ("sched_updates", p.sched_updates),
             ("coherence_requests", p.coherence_requests),
-            ("allocs_avoided", p.allocs_avoided),
             ("trace_events_recorded", p.trace_events_recorded),
             ("trace_events_dropped", p.trace_events_dropped),
             ("shards", p.shards),
