@@ -8,7 +8,9 @@
 
 use super::{opts_json, ExperimentOutput};
 use crate::json::Json;
-use crate::suite::{format_table, geomean, run_suite, CellResult, Grid, SuiteOptions};
+use crate::suite::{
+    format_table, geomean, run_suite, trimmed_mean, CellResult, Grid, SuiteOptions,
+};
 use clear_htm::AbortKind;
 use clear_machine::{Preset, RunStats};
 use std::fmt::Write as _;
@@ -225,13 +227,18 @@ fn render_fig10(suite: &[[CellResult; 4]], _: &SuiteOptions) -> (String, Fields)
     (text, vec![("normalized_geomean", floats(&agg))])
 }
 
-fn abort_shares(r: &RunStats) -> [f64; 4] {
-    let total = r.aborts.total().max(1) as f64;
-    let mem = r.aborts.get(AbortKind::MemoryConflict) as f64;
-    let efb = r.aborts.get(AbortKind::ExplicitFallback) as f64;
-    let ofb = r.aborts.get(AbortKind::OtherFallback) as f64;
-    let others = total - mem - efb - ofb;
-    [mem / total, efb / total, ofb / total, others / total]
+/// Each abort kind's share of a run's aborts; `None` for a run without
+/// aborts, which has no shares.
+fn abort_shares(r: &RunStats) -> Option<[f64; 4]> {
+    let total = r.aborts.total();
+    (total > 0).then(|| {
+        let total = total as f64;
+        let mem = r.aborts.get(AbortKind::MemoryConflict) as f64;
+        let efb = r.aborts.get(AbortKind::ExplicitFallback) as f64;
+        let ofb = r.aborts.get(AbortKind::OtherFallback) as f64;
+        let others = total - mem - efb - ofb;
+        [mem / total, efb / total, ofb / total, others / total]
+    })
 }
 
 fn render_fig11(suite: &[[CellResult; 4]], _: &SuiteOptions) -> (String, Fields) {
@@ -249,19 +256,22 @@ fn render_fig11(suite: &[[CellResult; 4]], _: &SuiteOptions) -> (String, Fields)
         columns,
         suite,
         |r| {
-            let [mem, efb, ofb, others] = abort_shares(r);
-            [mem, efb, ofb, others, r.aborts_per_commit()]
+            let [mem, efb, ofb, others] = abort_shares(r).map_or([None; 4], |s| s.map(Some));
+            [mem, efb, ofb, others, Some(r.aborts_per_commit())]
         },
     );
+    // Cells without aborts have no shares and are left out of the averages.
     for (i, letter) in ['B', 'P', 'C', 'W'].iter().enumerate() {
-        let [mem, efb, ofb] = [0, 1, 2].map(|k| column_mean(suite, i, |r| abort_shares(r)[k]));
+        let shares = [0, 1, 2].map(|k| column_mean(suite, i, |r| abort_shares(r).map(|s| s[k])));
+        let others = match shares {
+            [Some(mem), Some(efb), Some(ofb)] => Some((1.0 - mem - efb - ofb).max(0.0)),
+            _ => None,
+        };
+        let [mem, efb, ofb] = shares.map(cell_text);
         let _ = writeln!(
             text,
-            "average {letter}: memory-conflict {:.2}  explicit-fallback {:.2}  other-fallback {:.2}  others {:.2}",
-            mem,
-            efb,
-            ofb,
-            (1.0 - mem - efb - ofb).max(0.0)
+            "average {letter}: memory-conflict {mem}  explicit-fallback {efb}  other-fallback {ofb}  others {}",
+            cell_text(others)
         );
     }
     let _ = writeln!(
@@ -296,7 +306,7 @@ fn render_fig12(suite: &[[CellResult; 4]], _: &SuiteOptions) -> (String, Fields)
         "Figure 12: Commit breakdown per mode",
         columns,
         suite,
-        mode_shares,
+        |r| mode_shares(r).map(Some),
     );
     (text, Vec::new())
 }
@@ -318,12 +328,14 @@ fn render_fig13(suite: &[[CellResult; 4]], _: &SuiteOptions) -> (String, Fields)
     let mut text = String::new();
     let title = "Figure 13: Commit breakdown per number of retries (retried ARs only)";
     let columns = [("1-retry", 9), ("n-retry", 9), ("fallback", 9)];
-    cell_table(&mut text, title, columns, suite, retry_shares);
+    cell_table(&mut text, title, columns, suite, |r| {
+        retry_shares(r).map(Some)
+    });
     for (i, letter) in ['B', 'P', 'C', 'W'].iter().enumerate() {
-        let avg = |k: usize| column_mean(suite, i, |r| retry_shares(r)[k]);
+        let avg = |k: usize| cell_text(column_mean(suite, i, |r| Some(retry_shares(r)[k])));
         let _ = writeln!(
             text,
-            "average {letter}: 1-retry {:.2}  n-retry {:.2}  fallback {:.2}",
+            "average {letter}: 1-retry {}  n-retry {}  fallback {}",
             avg(0),
             avg(1),
             avg(2)
@@ -337,14 +349,14 @@ fn render_fig13(suite: &[[CellResult; 4]], _: &SuiteOptions) -> (String, Fields)
 }
 
 /// Writes a per-cell table under `title`: one row per benchmark × preset
-/// holding each column's trimmed mean of `metrics`, right-aligned to the
+/// holding each column's [`cell_mean`] of `metrics`, right-aligned to the
 /// column's width, and a blank line after each benchmark.
 fn cell_table<const N: usize>(
     text: &mut String,
     title: &str,
     columns: [(&str, usize); N],
     suite: &[[CellResult; 4]],
-    metrics: impl Fn(&RunStats) -> [f64; N],
+    metrics: impl Fn(&RunStats) -> [Option<f64>; N],
 ) {
     let _ = writeln!(text, "=== {title} ===");
     let _ = write!(text, "{:14} {:>2} ", "benchmark", "");
@@ -356,7 +368,8 @@ fn cell_table<const N: usize>(
         for cell in cells {
             let _ = write!(text, "{:14} {:>2} ", cell.name, cell.preset.letter());
             for (k, (_, width)) in columns.iter().enumerate() {
-                let _ = write!(text, " {:>width$.2}", cell.mean(|r| metrics(r)[k]));
+                let v = cell_text(cell_mean(cell, |r| metrics(r)[k]));
+                let _ = write!(text, " {v:>width$}");
             }
             let _ = writeln!(text);
         }
@@ -400,11 +413,28 @@ fn mean_rows(
     (rows, sums.map(|s| s / n))
 }
 
-/// The suite average of preset column `i`'s per-cell mean of `metric`.
-fn column_mean(suite: &[[CellResult; 4]], i: usize, metric: impl Fn(&RunStats) -> f64) -> f64 {
-    suite
+/// The trimmed mean of `metric` over the cell's runs where it is defined;
+/// `None` when it is defined for none of them.
+fn cell_mean(cell: &CellResult, metric: impl Fn(&RunStats) -> Option<f64>) -> Option<f64> {
+    let xs: Vec<f64> = cell.runs.iter().filter_map(metric).collect();
+    (!xs.is_empty()).then(|| trimmed_mean(&xs))
+}
+
+/// The suite average of preset column `i`'s [`cell_mean`] of `metric`,
+/// over the cells where it is defined.
+fn column_mean(
+    suite: &[[CellResult; 4]],
+    i: usize,
+    metric: impl Fn(&RunStats) -> Option<f64>,
+) -> Option<f64> {
+    let xs: Vec<f64> = suite
         .iter()
-        .map(|cells| cells[i].mean(&metric))
-        .sum::<f64>()
-        / suite.len() as f64
+        .filter_map(|cells| cell_mean(&cells[i], &metric))
+        .collect();
+    (!xs.is_empty()).then(|| xs.iter().sum::<f64>() / xs.len() as f64)
+}
+
+/// A table value to two decimals, or `-` where it is undefined.
+fn cell_text(v: Option<f64>) -> String {
+    v.map_or_else(|| "-".to_string(), |v| format!("{v:.2}"))
 }

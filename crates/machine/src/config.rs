@@ -98,6 +98,10 @@ pub struct MachineConfig {
     /// Run seed (backoff jitter; workloads carry their own seeds).
     pub seed: u64,
     /// Hard stop after this many cycles on any core (deadlock guard).
+    /// Must be below `2^(64 - bits) - 2`, `bits = max(1, ceil(log2
+    /// cores))`, so the scheduler's packed `(clock, core_id)` keys order
+    /// every clock up to the stop exactly; [`crate::Machine::new`] panics
+    /// otherwise.
     pub max_cycles: u64,
     /// Ignored: the machine always steps one core at a time on the
     /// calling thread. The field stays only because the repository

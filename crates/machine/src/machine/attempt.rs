@@ -141,7 +141,7 @@ impl Machine {
     pub(super) fn perform_abort(&mut self, c: usize, kind: AbortKind) {
         // The abort penalty below advances `c`'s clock, possibly while `c`
         // is a *victim* of the core being stepped: tell the scheduler so
-        // the heap re-keys this core after the current step.
+        // it re-keys this core after the current step.
         self.sched_touched.push(c);
         let span = self.clocks[c].saturating_sub(self.cores[c].attempt_started_at);
         self.emit(c, TraceEvent::Abort { kind, span });

@@ -14,7 +14,7 @@
 //!
 //! A core whose lock-group poll, fallback-lock poll or pending load or
 //! store re-send fails does not re-poll every `spin_interval` cycles: it
-//! parks off the scheduler heap, in the queue of the line it is blocked on
+//! parks off the scheduler tree, in the queue of the line it is blocked on
 //! or in one of the fallback lock's two queues, and resumes at the first
 //! poll the polling schedule would have run after the release it waits
 //! for, each skipped poll credited to the step, re-key and wait counters
@@ -39,14 +39,15 @@ use crate::{
     compute_energy, MachineConfig, RunStats, SpeculationBackend, SpeculationKind, Trace, TraceEvent,
 };
 use clear_coherence::{Access, CoherenceSystem, CoreId, LockFail, RemoteImpact, TxTrack};
-use clear_core::{decide, Alt, Crt, Discovery, Ert, RetryMode};
+use clear_core::{decide, Alt, ClearConfig, Crt, Discovery, Ert, RetryMode};
 use clear_htm::{
-    AbortKind, FallbackLock, PowerToken, Resolution, RwSetOverflow, RwSetTracker, TxInfo,
+    AbortKind, FallbackLock, LrwsConfig, PowerToken, Resolution, RwSetOverflow, RwSetTracker,
+    TxInfo,
 };
 use clear_isa::{ArInvocation, Effect, Vm, Workload};
 use clear_mem::rng::Xoshiro256PlusPlus;
 use clear_mem::{Addr, FxHashMap, FxHashSet, LineAddr, LineSet, Memory};
-use sched::{CoreHeap, WaitList};
+use sched::{CoreTree, WaitList};
 use std::sync::Arc;
 
 /// The execution mode of the current attempt.
@@ -139,7 +140,7 @@ struct Core {
     lock_wait_acc: u64,
     /// Bounded read/write-set buffers of the limited-R/W-set backend;
     /// `None` for every backend without [`SpeculationBackend::rw_limits`].
-    lrws: Option<RwSetTracker>,
+    lrws: Option<Box<RwSetTracker>>,
     /// The current attempt (or planned retry) is NS-CL driven by a static
     /// plan: the access path re-checks line locks and aborts with
     /// [`AbortKind::PlanViolation`] on a miss instead of trusting the
@@ -154,8 +155,7 @@ struct Core {
 }
 
 impl Core {
-    fn new(backend: &dyn SpeculationBackend) -> Self {
-        let cc = backend.clear().copied().unwrap_or_default();
+    fn new(cc: &ClearConfig, rw_limits: Option<LrwsConfig>) -> Self {
         Core {
             vm: None,
             inv: None,
@@ -178,7 +178,7 @@ impl Core {
             attempt_started_at: 0,
             first_attempt_at: None,
             lock_wait_acc: 0,
-            lrws: backend.rw_limits().map(RwSetTracker::new),
+            lrws: rw_limits.map(|l| Box::new(RwSetTracker::new(l))),
             plan_nscl: false,
             plan_roots: Vec::new(),
             plan_root_dirty: false,
@@ -209,9 +209,9 @@ pub struct Machine {
     rng: Xoshiro256PlusPlus,
     trace: Trace,
     /// Cores whose clocks were pushed forward by a remote abort since the
-    /// last scheduler step; the run loop re-keys their heap entries.
+    /// last scheduler step; the run loop re-keys their tree leaves.
     sched_touched: Vec<usize>,
-    /// Cores parked off the heap on a failed lock, fallback-lock or
+    /// Cores parked off the tree on a failed lock, fallback-lock or
     /// pending poll, in per-line and fallback-lock queues, plus the
     /// releases and locks of the current step (see the `sched` module).
     waits: WaitList,
@@ -243,12 +243,25 @@ impl Machine {
     /// Builds a machine, lays out the workload in simulated memory and
     /// allocates the fallback lock line. The machine runs the
     /// configuration's [`MachineConfig::backend`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `max_cycles` is at least `2^(64 - bits) - 2`, `bits =
+    /// max(1, ceil(log2 cores))`: the scheduler's packed keys hold no
+    /// larger clock (2^54 - 2 at 1024 cores).
     pub fn new(config: MachineConfig, mut workload: Box<dyn Workload>) -> Self {
+        assert!(
+            config.max_cycles < CoreTree::clock_limit(config.cores),
+            "max_cycles {} does not fit the scheduler's packed keys for {} cores",
+            config.max_cycles,
+            config.cores
+        );
         let mut memory = Memory::new();
         let fallback_line = memory.alloc_line().line();
         workload.setup(&mut memory, config.cores);
+        let cc = config.backend.clear().copied().unwrap_or_default();
         let cores = (0..config.cores)
-            .map(|_| Core::new(config.backend.as_ref()))
+            .map(|_| Core::new(&cc, config.backend.rw_limits()))
             .collect();
         let rng = Xoshiro256PlusPlus::seed_from_u64(config.seed);
         Machine {
@@ -314,19 +327,19 @@ impl Machine {
     /// Runs the workload to completion (or to the `max_cycles` safety stop)
     /// and returns the collected statistics.
     ///
-    /// Core selection uses an indexed min-heap keyed on `(clock, core_id)`
-    /// — a total order, so every step advances the exact same core a
-    /// linear `min_by_key` scan would pick, in O(log cores). Cores waiting
-    /// on a held lock, or on a line another core holds locked, are parked
-    /// off the heap in keyed queues. A release puts one waiter of each
-    /// queue it frees back into the heap, the next once that one has
-    /// polled, and the skipped polls are credited, not executed. A woken
-    /// core's first poll runs like any other step. This loop is the only
-    /// way a core advances: every step runs on the calling thread, one
-    /// core at a time.
+    /// Core selection uses a tournament tree over packed `(clock, core_id)`
+    /// keys — a total order, so every step advances the exact same core a
+    /// linear `min_by_key` scan would pick, and a re-key rewrites one
+    /// leaf-to-root path, O(log cores). Cores waiting on a held lock, or
+    /// on a line another core holds locked, are parked off the tree in
+    /// keyed queues. A release puts one waiter of each queue it frees back
+    /// into the tree, the next once that one has polled, and the skipped
+    /// polls are credited, not executed. A woken core's first poll runs
+    /// like any other step. This loop is the only way a core advances:
+    /// every step runs on the calling thread, one core at a time.
     pub fn run(&mut self) -> RunStats {
         let started = std::time::Instant::now();
-        let mut sched = CoreHeap::new(self.cores.len());
+        let mut sched = CoreTree::new(self.cores.len());
         for (i, &phase) in self.phases.iter().enumerate() {
             if phase != Phase::Finished {
                 sched.push(i, self.clocks[i]);
@@ -342,12 +355,14 @@ impl Machine {
                 }
                 break;
             };
-            #[cfg(debug_assertions)]
-            self.debug_assert_heap_min(c);
+            // Before the cross-check: past `max_cycles`, a saturated key
+            // can beat the true minimum (`CoreTree::clock_limit`).
             if self.clocks[c] > self.config.max_cycles {
                 self.time_out_parked();
                 break;
             }
+            #[cfg(debug_assertions)]
+            self.debug_assert_sched_min(c);
             self.waits.begin_step(c, (self.clocks[c], c));
             self.step_core(c);
             self.perf.steps += 1;
@@ -361,7 +376,7 @@ impl Machine {
             } else if sched.update(c, self.clocks[c]) {
                 self.perf.sched_updates += 1;
             }
-            // Parked victims a conflict brought back re-enter the heap
+            // Parked victims a conflict brought back re-enter the tree
             // first, so the re-keys below count as they would have.
             self.push_materialized(&mut sched);
             // Remote aborts pushed victim clocks forward; re-key them.
@@ -382,11 +397,11 @@ impl Machine {
         self.stats.clone()
     }
 
-    /// Debug-build cross-check: the heap's minimum must be exactly what
+    /// Debug-build cross-check: the tree's minimum must be exactly what
     /// the replaced linear scan over live, unparked cores would have
     /// picked.
     #[cfg(debug_assertions)]
-    fn debug_assert_heap_min(&self, picked: usize) {
+    fn debug_assert_sched_min(&self, picked: usize) {
         let scan = self
             .phases
             .iter()
@@ -395,7 +410,7 @@ impl Machine {
             .filter(|(i, (&p, _))| p != Phase::Finished && !self.waits.is_parked(*i))
             .min_by_key(|(i, (_, &clock))| (clock, *i))
             .map(|(i, _)| i);
-        debug_assert_eq!(scan, Some(picked), "heap disagrees with linear scan");
+        debug_assert_eq!(scan, Some(picked), "tree disagrees with linear scan");
     }
 
     fn finalize_stats(&mut self) {

@@ -1,12 +1,13 @@
-//! The core scheduler: an indexed binary min-heap over `(clock, core_id)`,
-//! plus the wait queues of cores parked off it.
+//! The core scheduler: a tournament tree over packed `(clock, core_id)`
+//! keys, plus the wait queues of cores parked off it.
 //!
 //! [`Machine::run`](super::Machine::run) must always advance the core with
 //! the smallest clock, ties broken by core id. A linear scan is O(cores)
-//! per simulated step; this heap makes it O(log cores) while selecting the
-//! *exact same* core every step, because `(clock, core_id)` is a total
-//! order. Clocks only ever increase, so re-keying after a step or a remote
-//! abort is a sift-down plus a defensive sift-up.
+//! per simulated step; the tree makes it O(log cores) while selecting the
+//! *exact same* core every step. Each core's leaf holds one `u64`,
+//! `clock << bits | core`, so integer order is `(clock, core_id)` order,
+//! and each internal node holds the smaller of its two children. A re-key
+//! after a step or a remote abort rewrites one leaf-to-root path.
 //!
 //! # Parking
 //!
@@ -16,7 +17,7 @@
 //! Every one of those polls fails again until some other core releases
 //! what the poller waits on, and a failed poll changes no state but the
 //! poller's own clock and wait counters. So after one real failed poll the
-//! core leaves the heap and parks on the [`WaitList`], keeping its next
+//! core leaves the tree and parks on the [`WaitList`], keeping its next
 //! poll time as its clock. Its later polls are never executed; they are
 //! *credited* when it wakes.
 //!
@@ -25,10 +26,10 @@
 //! fallback lock's two queues, [`QueueKey::FallbackWriter`] (waiting for
 //! the writer to leave) or [`QueueKey::FallbackIdle`] (waiting for the
 //! writer and every reader to leave). If the step that releases what a
-//! core `w` waits on ran at heap key `(r, R)`, the next poll per-poll
+//! core `w` waits on ran at scheduler key `(r, R)`, the next poll per-poll
 //! spinning would run for `w` is its first poll time `t` with
 //! `(t, w) > (r, R)`, since pops come in non-decreasing key order. A woken
-//! core re-enters the heap at `t`, and every poll it skipped is credited
+//! core re-enters the tree at `t`, and every poll it skipped is credited
 //! exactly as the executed poll would have counted it. A spurious wake is
 //! harmless (the core just polls for real at `t`, as it would have), so
 //! wake conditions only have to be complete, not exact. Runs are therefore
@@ -39,7 +40,7 @@
 //!   release its line's queue, a fallback write release both fallback
 //!   queues, and a read release that leaves no readers the
 //!   `FallbackIdle` queue. One member, the *head*, goes back into the
-//!   heap: the one with the smallest first-poll key. Per-poll spinning
+//!   tree: the one with the smallest first-poll key. Per-poll spinning
 //!   would run the members' polls in that key order. Each poll either
 //!   takes the lock (a lock poll, a fallback-path entry) or leaves it free
 //!   for the rest of the queue (a pending re-send, a lock poll that
@@ -50,7 +51,7 @@
 //!   fails every member's poll makes the queue *dormant*: a line lock its
 //!   line's queue, a fallback write lock both fallback queues, a read
 //!   lock the `FallbackIdle` queue. A dormant queue elects no one, but a
-//!   head it already elected stays in the heap until its first poll runs.
+//!   head it already elected stays in the tree until its first poll runs.
 //!   If that poll fails, on this lock or on another line of its lock
 //!   group, the head parks like every failed poll: charged once, in the
 //!   queue of whatever blocks it now. Per-poll spinning runs that poll
@@ -65,9 +66,9 @@
 //!   attempt, so a remote conflict can reach it while it is parked. The
 //!   conflict reads the victim's clock, so before it is delivered the
 //!   victim is unparked at its first poll after the current step (the
-//!   skipped polls credited) and re-enters the heap after that step. For
+//!   skipped polls credited) and re-enters the tree after that step. For
 //!   a member of a live queue that is the poll its release scheduled,
-//!   which lies after the current step. A head is already in the heap: it
+//!   which lies after the current step. A head is already in the tree: it
 //!   leaves its queue, and the queue elects the next head.
 //! * **Time-out.** At the `max_cycles` stop, the members of a live queue
 //!   catch up to its release key, and the members of a dormant queue to
@@ -77,118 +78,91 @@ use super::Machine;
 use clear_coherence::CoreId;
 use clear_mem::{FxHashMap, LineAddr};
 
-/// Indexed min-heap of core ids keyed by `(clock, core_id)`.
+/// Tournament tree of core ids keyed by `(clock, core_id)`.
 #[derive(Debug)]
-pub(super) struct CoreHeap {
-    /// Heap array of core ids.
-    heap: Vec<usize>,
-    /// `pos[core]` = index of `core` in `heap`, or [`CoreHeap::ABSENT`].
-    pos: Vec<usize>,
-    /// `clock[core]` = the key the heap currently believes.
-    clock: Vec<u64>,
+pub(super) struct CoreTree {
+    /// `tree[leaves + core]` is `core`'s key, or [`CoreTree::ABSENT`];
+    /// `tree[i]` for `1 <= i < leaves` is the smaller of `tree[2i]` and
+    /// `tree[2i + 1]`, so `tree[1]` is the minimum. `tree[0]` is unused.
+    tree: Vec<u64>,
+    /// The leaf count, a power of two.
+    leaves: usize,
+    /// Low key bits that hold the core id: `max(1, ceil(log2 n))`.
+    bits: u32,
 }
 
-impl CoreHeap {
-    const ABSENT: usize = usize::MAX;
+impl CoreTree {
+    /// The key of an absent core, above every live key.
+    const ABSENT: u64 = u64::MAX;
 
-    /// An empty heap able to hold cores `0..n`.
+    /// An empty tree able to hold cores `0..n`.
     pub(super) fn new(n: usize) -> Self {
-        CoreHeap {
-            heap: Vec::with_capacity(n),
-            pos: vec![Self::ABSENT; n],
-            clock: vec![0; n],
+        let leaves = n.next_power_of_two();
+        CoreTree {
+            tree: vec![Self::ABSENT; 2 * leaves],
+            leaves,
+            bits: Self::id_bits(n),
         }
     }
 
-    fn key(&self, core: usize) -> (u64, usize) {
-        (self.clock[core], core)
+    fn id_bits(n: usize) -> u32 {
+        n.max(2).next_power_of_two().trailing_zeros()
+    }
+
+    /// The largest clock a key for `n` cores holds, `2^(64 - bits) - 2`.
+    /// A larger clock saturates to it, below [`CoreTree::ABSENT`], so a
+    /// saturated core reaches the root only when every live core's clock
+    /// is at least this limit.
+    pub(super) fn clock_limit(n: usize) -> u64 {
+        (u64::MAX >> Self::id_bits(n)) - 1
+    }
+
+    fn key(&self, core: usize, clock: u64) -> u64 {
+        clock.min((u64::MAX >> self.bits) - 1) << self.bits | core as u64
     }
 
     /// Inserts `core` with the given clock. Must not already be present.
     pub(super) fn push(&mut self, core: usize, clock: u64) {
-        debug_assert_eq!(self.pos[core], Self::ABSENT, "core {core} already queued");
-        self.clock[core] = clock;
-        self.pos[core] = self.heap.len();
-        self.heap.push(core);
-        self.sift_up(self.heap.len() - 1);
+        debug_assert_eq!(
+            self.tree[self.leaves + core],
+            Self::ABSENT,
+            "core {core} already queued"
+        );
+        self.set(core, self.key(core, clock));
     }
 
     /// The core with the smallest `(clock, core_id)`, if any.
     pub(super) fn peek(&self) -> Option<usize> {
-        self.heap.first().copied()
+        let root = self.tree[1];
+        (root != Self::ABSENT).then(|| (root & ((1 << self.bits) - 1)) as usize)
     }
 
-    /// Updates `core`'s clock and restores heap order. Returns `false`
-    /// (and does nothing) if the core is not in the heap.
+    /// Re-keys `core` to the given clock. Returns `false` (and does
+    /// nothing) if the core is not in the tree.
     pub(super) fn update(&mut self, core: usize, clock: u64) -> bool {
-        let i = self.pos[core];
-        if i == Self::ABSENT {
+        if self.tree[self.leaves + core] == Self::ABSENT {
             return false;
         }
-        if clock == self.clock[core] {
-            return true; // key unchanged, heap order intact
-        }
-        let grew = clock > self.clock[core];
-        self.clock[core] = clock;
-        if grew {
-            // Clocks are monotonic in the machine, so sifting down suffices.
-            self.sift_down(i);
-        } else {
-            let i = self.sift_down(i);
-            self.sift_up(i);
-        }
+        self.set(core, self.key(core, clock));
         true
     }
 
-    /// Removes `core` from the heap. No-op if absent.
+    /// Removes `core` from the tree. No-op if absent.
     pub(super) fn remove(&mut self, core: usize) {
-        let i = self.pos[core];
-        if i == Self::ABSENT {
-            return;
-        }
-        self.pos[core] = Self::ABSENT;
-        let last = self.heap.pop().expect("non-empty heap");
-        if last != core {
-            self.heap[i] = last;
-            self.pos[last] = i;
-            let i = self.sift_down(i);
-            self.sift_up(i);
+        if self.tree[self.leaves + core] != Self::ABSENT {
+            self.set(core, Self::ABSENT);
         }
     }
 
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.key(self.heap[i]) >= self.key(self.heap[parent]) {
-                break;
-            }
-            self.swap(i, parent);
-            i = parent;
+    /// Writes `core`'s leaf and recomputes its ancestors.
+    fn set(&mut self, core: usize, mut key: u64) {
+        let mut i = self.leaves + core;
+        self.tree[i] = key;
+        while i > 1 {
+            key = key.min(self.tree[i ^ 1]);
+            i /= 2;
+            self.tree[i] = key;
         }
-    }
-
-    fn sift_down(&mut self, mut i: usize) -> usize {
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut smallest = i;
-            if l < self.heap.len() && self.key(self.heap[l]) < self.key(self.heap[smallest]) {
-                smallest = l;
-            }
-            if r < self.heap.len() && self.key(self.heap[r]) < self.key(self.heap[smallest]) {
-                smallest = r;
-            }
-            if smallest == i {
-                return i;
-            }
-            self.swap(i, smallest);
-            i = smallest;
-        }
-    }
-
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.pos[self.heap[a]] = a;
-        self.pos[self.heap[b]] = b;
     }
 }
 
@@ -237,11 +211,11 @@ pub(super) enum QueueKey {
 /// Where a core stands on the wait list.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Slot {
-    /// In the heap, or finished.
+    /// In the tree, or finished.
     Free,
-    /// Parked off the heap, a member of its wait's queue.
+    /// Parked off the tree, a member of its wait's queue.
     Parked(WaitOn),
-    /// Back in the heap with its first poll since the wake not yet run:
+    /// Back in the tree with its first poll since the wake not yet run:
     /// its queue's head.
     Woken(WaitOn),
 }
@@ -252,15 +226,15 @@ struct WaitQueue {
     /// Parked members, any order. Their clocks may be stale: a member is
     /// caught up only when it is elected or brought back.
     members: Vec<usize>,
-    /// The elected member in the heap whose first poll has not run.
+    /// The elected member in the tree whose first poll has not run.
     head: Option<usize>,
-    /// Heap key of the release that made the queue live; `None` (dormant)
+    /// Scheduler key of the release that made the queue live; `None` (dormant)
     /// while every member's poll would fail.
     live: Option<(u64, usize)>,
 }
 
-/// A core a wake pass puts back into the heap at its first poll after
-/// heap key `after`, the polls it skipped credited.
+/// A core a wake pass puts back into the tree at its first poll after
+/// scheduler key `after`, the polls it skipped credited.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) struct Wake {
     pub(super) core: usize,
@@ -268,7 +242,7 @@ pub(super) struct Wake {
     pub(super) after: (u64, usize),
 }
 
-/// Cores parked off the [`CoreHeap`] in keyed queues with one live head,
+/// Cores parked off the [`CoreTree`] in keyed queues with one live head,
 /// plus what the current step released and locked, which the wake pass
 /// turns into wakes.
 #[derive(Debug)]
@@ -287,7 +261,7 @@ pub(super) struct WaitList {
     touched: Vec<QueueKey>,
     /// Cores a conflict unparked during the current step.
     materialized: Vec<usize>,
-    /// Heap key of the step being run.
+    /// Scheduler key of the step being run.
     now: (u64, usize),
 }
 
@@ -331,7 +305,7 @@ impl WaitList {
 
     /// Unparks `core` for a conflict. Returns what it waited on, and
     /// `true` unless it sat in a live queue; `None` if it was not parked.
-    /// A head, already in the heap, leaves its queue.
+    /// A head, already in the tree, leaves its queue.
     fn unpark(&mut self, core: usize) -> Option<(WaitOn, bool)> {
         match std::mem::replace(&mut self.slots[core], Slot::Free) {
             Slot::Parked(on) => {
@@ -361,7 +335,7 @@ impl WaitList {
         self.parked == 0
     }
 
-    /// Opens the step of `core` at heap key `now`. A woken core's first
+    /// Opens the step of `core` at scheduler key `now`. A woken core's first
     /// poll is about to run: a head leaves its queue, which elects its
     /// next head after the step if the line is still free.
     pub(super) fn begin_step(&mut self, core: usize, now: (u64, usize)) {
@@ -388,7 +362,7 @@ impl WaitList {
 
     /// Notes that the current step took a lock that fails every poll of
     /// the queues `keys`: they turn dormant and elect no further head. A
-    /// head already in the heap stays there until its poll runs.
+    /// head already in the tree stays there until its poll runs.
     pub(super) fn note_locked(&mut self, keys: impl IntoIterator<Item = QueueKey>) {
         for key in keys {
             if let Some(q) = self.queues.get_mut(&key) {
@@ -445,7 +419,7 @@ impl WaitList {
         }
     }
 
-    /// Unparks every core for the stop at heap key `stop`, appending each
+    /// Unparks every core for the stop at scheduler key `stop`, appending each
     /// to `out`: a member of a live queue catches up to its release key,
     /// every other parked core to `stop`. Heads, already caught up, just
     /// leave their queues.
@@ -469,7 +443,7 @@ impl WaitList {
 
 /// The number of polls a parked core skips before waking: its polls fall
 /// at `next_poll`, `next_poll + spin`, …, and it resumes at the first one
-/// ordered after the releasing step `after = (r, releaser)` in heap-key
+/// ordered after the releasing step `after = (r, releaser)` in scheduler-key
 /// order, i.e. the first poll time `t` with `(t, core) > (r, releaser)`.
 /// `spin` must be non-zero.
 pub(super) fn polls_skipped(next_poll: u64, spin: u64, core: usize, after: (u64, usize)) -> u64 {
@@ -522,7 +496,7 @@ impl Machine {
 
     /// Credits `polls` skipped polls of parked core `w` exactly as the
     /// executed polls would have counted: each is one scheduler step and
-    /// one heap re-key.
+    /// one scheduler re-key.
     fn credit_skipped(&mut self, w: usize, on: WaitOn, polls: u64) {
         self.charge_polls(w, on, polls);
         self.perf.steps += polls;
@@ -576,10 +550,10 @@ impl Machine {
 
     /// Brings parked core `v` back before a conflict is delivered to it:
     /// the conflict reads `v`'s clock, so `v` moves to its first poll after
-    /// the current step, skipped polls credited, and re-enters the heap
+    /// the current step, skipped polls credited, and re-enters the tree
     /// after the step ([`Machine::push_materialized`]). For a member of a
     /// live queue that is the poll its release scheduled. A head stays in
-    /// the heap and leaves its queue.
+    /// the tree and leaves its queue.
     pub(super) fn materialize(&mut self, v: usize) {
         if let Some((on, parked)) = self.waits.unpark(v) {
             self.catch_up(v, on, self.waits.now);
@@ -590,17 +564,17 @@ impl Machine {
         }
     }
 
-    /// Pushes the cores the current step materialised back into the heap.
-    pub(super) fn push_materialized(&mut self, sched: &mut CoreHeap) {
+    /// Pushes the cores the current step materialised back into the tree.
+    pub(super) fn push_materialized(&mut self, sched: &mut CoreTree) {
         for v in self.waits.materialized.drain(..) {
             sched.push(v, self.clocks[v]);
         }
     }
 
     /// The wake pass after the current step: every core
-    /// [`WaitList::take_wakes`] wakes re-enters the heap at its first poll
+    /// [`WaitList::take_wakes`] wakes re-enters the tree at its first poll
     /// after its release, skipped polls credited.
-    pub(super) fn wake_released(&mut self, sched: &mut CoreHeap) {
+    pub(super) fn wake_released(&mut self, sched: &mut CoreTree) {
         if self.waits.is_settled() {
             return;
         }
@@ -630,7 +604,7 @@ impl Machine {
         self.stats.timed_out = true;
     }
 
-    /// Advances unparked core `w` to its first poll after heap key
+    /// Advances unparked core `w` to its first poll after scheduler key
     /// `after`, crediting the polls skipped on the way.
     fn catch_up(&mut self, w: usize, on: WaitOn, after: (u64, usize)) {
         let spin = self.config.timing.spin_interval;
@@ -643,7 +617,7 @@ impl Machine {
 mod tests {
     use super::*;
 
-    fn drain(h: &mut CoreHeap) -> Vec<usize> {
+    fn drain(h: &mut CoreTree) -> Vec<usize> {
         let mut out = Vec::new();
         while let Some(c) = h.peek() {
             out.push(c);
@@ -654,7 +628,7 @@ mod tests {
 
     #[test]
     fn pops_in_clock_then_id_order() {
-        let mut h = CoreHeap::new(4);
+        let mut h = CoreTree::new(4);
         h.push(0, 30);
         h.push(1, 10);
         h.push(2, 10);
@@ -664,7 +638,7 @@ mod tests {
 
     #[test]
     fn update_rekeys() {
-        let mut h = CoreHeap::new(3);
+        let mut h = CoreTree::new(3);
         for c in 0..3 {
             h.push(c, 0);
         }
@@ -679,7 +653,7 @@ mod tests {
 
     #[test]
     fn update_or_remove_of_absent_core_is_a_noop() {
-        let mut h = CoreHeap::new(2);
+        let mut h = CoreTree::new(2);
         h.push(0, 5);
         assert!(!h.update(1, 9));
         h.remove(1);
@@ -788,7 +762,7 @@ mod tests {
         out
     }
 
-    /// `true` if `core` heads its queue: back in the heap, its first poll
+    /// `true` if `core` heads its queue: back in the tree, its first poll
     /// since the wake not yet run.
     fn woken(w: &WaitList, core: usize) -> bool {
         matches!(w.slots[core], Slot::Woken(_))
@@ -862,7 +836,7 @@ mod tests {
         let out = settle(&mut w, &clocks, 15);
         assert_eq!(out, vec![wake(1, writer, (5, 0)), wake(3, idle, (5, 0))]);
         // Core 1's CL-mode start takes a read lock: the idle queue turns
-        // dormant and keeps its unpolled head in the heap, and the writer
+        // dormant and keeps its unpolled head in the tree, and the writer
         // queue, still live, elects core 2.
         w.begin_step(1, (10, 1));
         w.note_locked([QueueKey::FallbackIdle]);
@@ -938,7 +912,7 @@ mod tests {
         let out = settle(&mut w, &clocks, 15);
         assert_eq!(out, vec![wake(1, on, (20, 0))]);
         // Core 3 takes the line before the head polls: the queue turns
-        // dormant, the head stays in the heap, and nothing is left to
+        // dormant, the head stays in the tree, and nothing is left to
         // settle.
         w.begin_step(3, (25, 3));
         w.note_locked([QueueKey::Line(A)]);
@@ -979,7 +953,7 @@ mod tests {
         // A member of a live queue sits where its release scheduled it.
         w.begin_step(0, (8, 0));
         assert_eq!(w.unpark(2), Some((on, false)));
-        // A head stays in the heap and leaves its queue, which elects the
+        // A head stays in the tree and leaves its queue, which elects the
         // next head from the same release.
         assert_eq!(w.unpark(1), None);
         assert!(!woken(&w, 1) && !w.is_parked(1));
@@ -1266,12 +1240,12 @@ mod tests {
             (polls, self)
         }
 
-        fn heap(&self) -> CoreHeap {
-            let mut heap = CoreHeap::new(self.clocks.len());
+        fn tree(&self) -> CoreTree {
+            let mut tree = CoreTree::new(self.clocks.len());
             for (c, &clock) in self.clocks.iter().enumerate() {
-                heap.push(c, clock);
+                tree.push(c, clock);
             }
-            heap
+            tree
         }
     }
 
@@ -1280,7 +1254,7 @@ mod tests {
     /// heads whose first poll failed.
     fn run_queues(mut t: Toy) -> (Toy, u64, u64) {
         let (mut fallback_wakes, mut failed_heads) = (0, 0);
-        let mut settle = |t: &mut Toy, w: &mut WaitList, heap: &mut CoreHeap| {
+        let mut settle = |t: &mut Toy, w: &mut WaitList, tree: &mut CoreTree| {
             let mut wakes = Vec::new();
             w.take_wakes(&t.clocks, t.spin, &mut wakes);
             for k in wakes {
@@ -1288,12 +1262,12 @@ mod tests {
                     fallback_wakes += 1;
                 }
                 t.catch_up(k.core, k.after);
-                heap.push(k.core, t.clocks[k.core]);
+                tree.push(k.core, t.clocks[k.core]);
             }
         };
-        let mut heap = t.heap();
+        let mut tree = t.tree();
         let mut w = WaitList::new(t.clocks.len());
-        while let Some(c) = heap.peek() {
+        while let Some(c) = tree.peek() {
             if t.clocks[c] > t.max_cycles {
                 break;
             }
@@ -1301,10 +1275,10 @@ mod tests {
             w.begin_step(c, (t.clocks[c], c));
             let mut touched = None;
             match t.step(c) {
-                Outcome::Finished => heap.remove(c),
+                Outcome::Finished => tree.remove(c),
                 Outcome::Blocked(on, _) => {
                     failed_heads += u64::from(head);
-                    heap.remove(c);
+                    tree.remove(c);
                     w.park(c, on);
                 }
                 Outcome::Locked(keys, hit) => {
@@ -1321,14 +1295,14 @@ mod tests {
                 Outcome::Released(keys) => w.note_released(keys),
                 Outcome::Ran => {}
             }
-            heap.update(c, t.clocks[c]);
+            tree.update(c, t.clocks[c]);
             for v in w.materialized.drain(..) {
-                heap.push(v, t.clocks[v]);
+                tree.push(v, t.clocks[v]);
             }
             if let Some(v) = touched {
-                heap.update(v, t.clocks[v]);
+                tree.update(v, t.clocks[v]);
             }
-            settle(&mut t, &mut w, &mut heap);
+            settle(&mut t, &mut w, &mut tree);
         }
         let mut wakes = Vec::new();
         w.take_all((t.max_cycles, usize::MAX), &mut wakes);
@@ -1344,12 +1318,12 @@ mod tests {
     /// wakes a core re-checks each woken core whose first poll has not
     /// run, parking the blocked ones again.
     fn run_wake_all(mut t: Toy) -> Toy {
-        let mut heap = t.heap();
+        let mut tree = t.tree();
         // Parked cores and the line holder they wait on (`None`: the
         // fallback lock).
         let mut parked: Vec<(usize, Option<usize>)> = Vec::new();
         let mut woken: Vec<usize> = Vec::new();
-        while let Some(c) = heap.peek() {
+        while let Some(c) = tree.peek() {
             if t.clocks[c] > t.max_cycles {
                 break;
             }
@@ -1358,9 +1332,9 @@ mod tests {
             let (mut recheck, mut touched, mut materialized, mut released) =
                 (false, None, None, None);
             match t.step(c) {
-                Outcome::Finished => heap.remove(c),
+                Outcome::Finished => tree.remove(c),
                 Outcome::Blocked(_, holder) => {
-                    heap.remove(c);
+                    tree.remove(c);
                     parked.push((c, holder));
                 }
                 Outcome::Locked(_, hit) => {
@@ -1382,12 +1356,12 @@ mod tests {
                 }
                 Outcome::Ran => {}
             }
-            heap.update(c, t.clocks[c]);
+            tree.update(c, t.clocks[c]);
             if let Some(v) = materialized {
-                heap.push(v, t.clocks[v]);
+                tree.push(v, t.clocks[v]);
             }
             if let Some(v) = touched {
-                heap.update(v, t.clocks[v]);
+                tree.update(v, t.clocks[v]);
             }
             if let Some(waker) = released {
                 for (w, _) in parked
@@ -1395,7 +1369,7 @@ mod tests {
                     .collect::<Vec<_>>()
                 {
                     t.catch_up(w, now);
-                    heap.push(w, t.clocks[w]);
+                    tree.push(w, t.clocks[w]);
                     woken.push(w);
                     recheck = true;
                 }
@@ -1404,7 +1378,7 @@ mod tests {
                 for w in std::mem::take(&mut woken) {
                     match t.blocker(w) {
                         Some((_, holder)) => {
-                            heap.remove(w);
+                            tree.remove(w);
                             parked.push((w, holder));
                         }
                         None => woken.push(w),
@@ -1442,39 +1416,93 @@ mod tests {
     #[test]
     fn matches_linear_scan_on_random_schedule() {
         use clear_mem::rng::SplitMix64;
-        let n = 9;
-        let mut rng = SplitMix64::new(0xC0FE);
-        let mut clocks: Vec<Option<u64>> = (0..n).map(|_| Some(0)).collect();
-        let mut h = CoreHeap::new(n);
-        for c in 0..n {
-            h.push(c, 0);
-        }
-        for _ in 0..2000 {
-            let expect = clocks
-                .iter()
-                .enumerate()
-                .filter_map(|(i, c)| c.map(|v| (v, i)))
-                .min()
-                .map(|(_, i)| i);
-            assert_eq!(h.peek(), expect);
-            let Some(c) = expect else { break };
-            if rng.below(20) == 0 {
-                clocks[c] = None;
-                h.remove(c);
-            } else {
-                let bump = rng.below(50);
-                let v = clocks[c].unwrap() + bump;
-                clocks[c] = Some(v);
-                h.update(c, v);
-                // Occasionally a "remote abort" bumps another core too.
-                if rng.flip() {
-                    let other = rng.index(n);
-                    if let Some(o) = clocks[other] {
-                        clocks[other] = Some(o + 7);
-                        h.update(other, o + 7);
+        for n in [1, 2, 3, 9, 32, 33, 256, 1024] {
+            // One below the packing limit: every clock here stays at or
+            // below it, where keys are exact, so the tree must equal the
+            // scan.
+            let top = CoreTree::clock_limit(n) - 1;
+            let mut rng = SplitMix64::new(0xC0FE ^ n as u64);
+            let mut clocks: Vec<Option<u64>> = vec![Some(0); n];
+            let mut h = CoreTree::new(n);
+            for c in 0..n {
+                h.push(c, 0);
+            }
+            for _ in 0..2000 {
+                let expect = clocks
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, c)| c.map(|v| (v, i)))
+                    .min();
+                assert_eq!(h.peek(), expect.map(|(_, i)| i), "n = {n}");
+                let Some((now, c)) = expect else { break };
+                match rng.below(20) {
+                    0 => {
+                        clocks[c] = None;
+                        h.remove(c);
+                    }
+                    1 => {
+                        // Remove-then-push, often onto an equal clock.
+                        let v = (clocks[c].unwrap() + rng.below(2)).min(top);
+                        h.remove(c);
+                        h.push(c, v);
+                        clocks[c] = Some(v);
+                    }
+                    2 => {
+                        // A removed core comes back, tied or close.
+                        let back = rng.index(n);
+                        if clocks[back].is_none() {
+                            let v = (now + rng.below(3)).min(top);
+                            h.push(back, v);
+                            clocks[back] = Some(v);
+                        }
+                    }
+                    3 => {
+                        // Another core jumps to the last exact clock.
+                        let other = rng.index(n);
+                        if clocks[other].is_some() {
+                            assert!(h.update(other, top));
+                            clocks[other] = Some(top);
+                        }
+                    }
+                    _ => {
+                        // Small bumps keep many clocks equal.
+                        let v = (clocks[c].unwrap() + rng.below(4)).min(top);
+                        clocks[c] = Some(v);
+                        assert!(h.update(c, v));
+                        // Occasionally a "remote abort" bumps another core too.
+                        if rng.flip() {
+                            let other = rng.index(n);
+                            if let Some(o) = clocks[other] {
+                                let v = (o + 7).min(top);
+                                clocks[other] = Some(v);
+                                assert!(h.update(other, v));
+                            }
+                        }
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_saturated_core_never_reaches_the_root_while_one_below_the_limit_is_live() {
+        for n in [1, 2, 4, 33, 1024] {
+            let limit = CoreTree::clock_limit(n);
+            let mut h = CoreTree::new(n);
+            // The all-ones core id with a saturated clock is still live.
+            h.push(n - 1, u64::MAX);
+            assert_eq!(h.peek(), Some(n - 1), "n = {n}");
+            if n == 1 {
+                continue;
+            }
+            // Core 0 wins every tie, yet its saturated key loses to a clock
+            // below the limit on the highest id.
+            h.push(0, limit + 1);
+            h.update(n - 1, limit - 1);
+            assert_eq!(h.peek(), Some(n - 1), "n = {n}");
+            // Once every live clock is at least the limit, the keys tie.
+            h.update(n - 1, limit);
+            assert_eq!(h.peek(), Some(0), "n = {n}");
         }
     }
 }

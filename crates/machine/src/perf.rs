@@ -20,7 +20,7 @@ pub struct PerfCounters {
     /// parked core skipped ([`PerfCounters::polls_elided`]), so the count
     /// is the same as if every poll had run.
     pub steps: u64,
-    /// Scheduler heap re-keys (one per step plus one per remote abort).
+    /// Scheduler re-keys (one per step plus one per remote abort).
     pub sched_updates: u64,
     /// Coherence requests served at any level (L1/L2/L3/memory).
     pub coherence_requests: u64,
@@ -42,10 +42,10 @@ pub struct PerfCounters {
     /// credited on wake instead of executing (part of `steps`). Kept out of the
     /// harness JSON and the metrics gauges, so no golden depends on it.
     pub polls_elided: u64,
-    /// Cores a release put back into the heap: queue heads elected, one
-    /// per queue the release made live (a line's, or the fallback lock's
-    /// writer and idle queues), then one per head that polled and left the
-    /// lock free for the rest. Kept out of the harness JSON and the metrics
+    /// Cores a release put back into the scheduler tree: queue heads
+    /// elected, one per queue the release made live (a line's, or the
+    /// fallback lock's writer and idle queues), then one per head that
+    /// polled and left the lock free for the rest. Kept out of the harness JSON and the metrics
     /// gauges, like `polls_elided`.
     pub wakes: u64,
     /// Parked pending cores a conflict brought back to their next poll

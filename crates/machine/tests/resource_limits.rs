@@ -1,5 +1,6 @@
 //! Tests of the resource-exhaustion paths: ALT overflow, store-queue
-//! overflow during failed-mode discovery, and simulated faults.
+//! overflow during failed-mode discovery, simulated faults, and the
+//! largest `max_cycles` the scheduler's packed keys hold.
 
 use clear_isa::{
     ArId, ArInvocation, ArSpec, Mutability, Program, ProgramBuilder, Reg, Workload, WorkloadMeta,
@@ -273,4 +274,25 @@ fn persistent_fault_panics_on_the_fallback_path() {
     // Speculative attempts abort with kind Other; after the retry budget
     // the AR enters fallback, where the fault is a hard error.
     Machine::new(cfg, Box::new(w)).run();
+}
+
+#[test]
+fn max_cycles_up_to_the_packed_key_limit_is_accepted() {
+    // 2 cores leave 63 clock bits, 1024 cores 54: the limit is
+    // 2^(64 - bits) - 2.
+    let mut cfg = Preset::B.config(2, 2);
+    cfg.max_cycles = (1 << 63) - 3;
+    let s = Machine::new(cfg, Box::new(WideAr::new(1))).run();
+    assert!(!s.timed_out);
+    let mut cfg = Preset::B.config(1024, 2);
+    cfg.max_cycles = (1 << 54) - 3;
+    Machine::new(cfg, Box::new(WideAr::new(1)));
+}
+
+#[test]
+#[should_panic(expected = "packed keys")]
+fn max_cycles_past_the_packed_key_limit_panics() {
+    let mut cfg = Preset::B.config(1024, 2);
+    cfg.max_cycles = (1 << 54) - 2;
+    Machine::new(cfg, Box::new(WideAr::new(1)));
 }
