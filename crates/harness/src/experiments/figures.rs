@@ -311,7 +311,10 @@ fn render_fig12(suite: &[[CellResult; 4]], _: &SuiteOptions) -> (String, Fields)
     (text, Vec::new())
 }
 
-fn retry_shares(r: &RunStats) -> [f64; 3] {
+/// The shares of a run's retried ARs that committed on the first retry,
+/// on a later one, or on the fallback path; `None` for a run where no AR
+/// was retried, which has no shares.
+fn retry_shares(r: &RunStats) -> Option<[f64; 3]> {
     let one = r.commits_by_retries.get(&1).copied().unwrap_or(0);
     let many: u64 = r
         .commits_by_retries
@@ -320,8 +323,8 @@ fn retry_shares(r: &RunStats) -> [f64; 3] {
         .map(|(_, &v)| v)
         .sum();
     let fb = r.commits_by_mode.fallback;
-    let total = (one + many + fb).max(1) as f64;
-    [one as f64 / total, many as f64 / total, fb as f64 / total]
+    let total = one + many + fb;
+    (total > 0).then(|| [one, many, fb].map(|n| n as f64 / total as f64))
 }
 
 fn render_fig13(suite: &[[CellResult; 4]], _: &SuiteOptions) -> (String, Fields) {
@@ -329,10 +332,12 @@ fn render_fig13(suite: &[[CellResult; 4]], _: &SuiteOptions) -> (String, Fields)
     let title = "Figure 13: Commit breakdown per number of retries (retried ARs only)";
     let columns = [("1-retry", 9), ("n-retry", 9), ("fallback", 9)];
     cell_table(&mut text, title, columns, suite, |r| {
-        retry_shares(r).map(Some)
+        retry_shares(r).map_or([None; 3], |s| s.map(Some))
     });
+    // Cells without retried ARs have no shares and are left out of the
+    // averages.
     for (i, letter) in ['B', 'P', 'C', 'W'].iter().enumerate() {
-        let avg = |k: usize| cell_text(column_mean(suite, i, |r| Some(retry_shares(r)[k])));
+        let avg = |k: usize| cell_text(column_mean(suite, i, |r| retry_shares(r).map(|s| s[k])));
         let _ = writeln!(
             text,
             "average {letter}: 1-retry {}  n-retry {}  fallback {}",

@@ -86,15 +86,17 @@ fn medium() -> SuiteOptions {
     }
 }
 
-/// Pinned options for the `scaling-wide` golden: the full 64→1024 core
+/// Pinned options for the `scaling-wide` golden: the full 2→1024 core
 /// ladder on a benchmark whose footprint spans many directory shards
-/// (genome reaches ~23 shards at 1024 cores).
+/// (genome reaches ~23 shards at 1024 cores), under CLEAR only: the
+/// speculative backends take seconds per point at the top rungs.
 fn wide_opts() -> SuiteOptions {
     SuiteOptions {
         size: Size::Tiny,
         cores: 1024,
         seeds: vec![1],
         benchmarks: vec!["genome"],
+        backends: vec!["clear"],
         ..SuiteOptions::default()
     }
 }
@@ -158,16 +160,9 @@ pub static EXPERIMENTS: &[Experiment] = &[
         golden: Some(medium),
     },
     Experiment {
-        name: "table1",
-        artifact: "Table 1",
-        about: "static AR characterization per benchmark",
-        run: tables::table1,
-        golden: None,
-    },
-    Experiment {
         name: "table1-measured",
         artifact: "Table 1 (measured)",
-        about: "dynamic immutability of discovery decisions per AR",
+        about: "AR class counts, plus immutable decisions and commit modes per AR",
         run: tables::table1_measured,
         golden: Some(SuiteOptions::default),
     },
@@ -176,7 +171,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
         artifact: "Table 2",
         about: "instantiated baseline system configuration",
         run: tables::table2,
-        golden: None,
+        golden: Some(SuiteOptions::default),
     },
     Experiment {
         name: "ablation",
@@ -184,13 +179,6 @@ pub static EXPERIMENTS: &[Experiment] = &[
         about: "CLEAR design-choice ablations (CRT, lock policy, ALT, ERT)",
         run: studies::ablation,
         golden: Some(small),
-    },
-    Experiment {
-        name: "ar-breakdown",
-        artifact: "Table 1 follow-up",
-        about: "per-AR dynamic outcome under CLEAR",
-        run: studies::ar_breakdown,
-        golden: None,
     },
     Experiment {
         name: "dse-retries",
@@ -204,19 +192,12 @@ pub static EXPERIMENTS: &[Experiment] = &[
         artifact: "paper §1-§2 motivation",
         about: "a-priori cacheline locking vs speculation vs CLEAR",
         run: studies::mad_vs_clear,
-        golden: None,
-    },
-    Experiment {
-        name: "scaling",
-        artifact: "extension study",
-        about: "execution cycles vs core count",
-        run: studies::scaling,
-        golden: None,
+        golden: Some(SuiteOptions::default),
     },
     Experiment {
         name: "scaling-wide",
         artifact: "simulator engineering",
-        about: "commit throughput and shard counters at 64-1024 cores",
+        about: "cycles, aborts, fallback share and simulator counters at 2-1024 cores",
         run: perf::scaling_wide,
         golden: Some(wide_opts),
     },
@@ -328,20 +309,26 @@ mod tests {
         assert!(find("no-such-experiment").is_none());
     }
 
+    /// Every experiment is golden-gated, or is a view that a named test
+    /// (in this module, or a file under `tests/`) ties to a gate.
     #[test]
-    fn gated_experiments_cover_the_legacy_snapshots_plus_perf() {
-        let gated: Vec<&str> = EXPERIMENTS
-            .iter()
-            .filter(|e| e.golden.is_some())
-            .map(|e| e.name)
-            .collect();
+    fn every_experiment_is_gated_or_tied_to_a_gate_by_a_test() {
+        let names = |gated: bool| -> Vec<&str> {
+            EXPERIMENTS
+                .iter()
+                .filter(|e| e.golden.is_some() == gated)
+                .map(|e| e.name)
+                .collect()
+        };
         assert_eq!(
-            gated,
+            names(true),
             [
                 "fig01",
                 "report",
                 "table1-measured",
+                "table2",
                 "ablation",
+                "mad-vs-clear",
                 "scaling-wide",
                 "sle",
                 "slo-latency",
@@ -350,6 +337,31 @@ mod tests {
                 "backend-shootout"
             ]
         );
+        let figures = "report_text_is_the_six_figure_texts_in_order";
+        let tied = [
+            ("fig08", figures),
+            ("fig09", figures),
+            ("fig10", figures),
+            ("fig11", figures),
+            ("fig12", figures),
+            ("fig13", figures),
+            (
+                "dse-retries",
+                "dse_retries_picks_the_thresholds_report_picks",
+            ),
+            ("verify", "tests/verify_suite.rs"),
+        ];
+        assert_eq!(names(false), tied.map(|(name, _)| name));
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for (name, test) in tied {
+            let found = if test.ends_with(".rs") {
+                std::fs::read_to_string(root.join(test))
+                    .is_ok_and(|src| src.contains(&format!("find(\"{name}\")")))
+            } else {
+                include_str!("mod.rs").contains(&format!("fn {test}()"))
+            };
+            assert!(found, "{name}: no test {test} ties it to a gate");
+        }
     }
 
     #[test]
@@ -368,6 +380,7 @@ mod tests {
         let opts = (find("scaling-wide").unwrap().golden.unwrap())();
         assert_eq!(opts.cores, 1024);
         assert_eq!(opts.benchmarks, ["genome"]);
+        assert_eq!(opts.backends, ["clear"]);
     }
 
     #[test]
@@ -377,6 +390,7 @@ mod tests {
             cores: 16,
             seeds: vec![1],
             benchmarks: vec!["arrayswap"],
+            backends: vec!["clear"],
             ..SuiteOptions::default()
         };
         let out = (find("scaling-wide").unwrap().run)(&opts);
@@ -384,10 +398,12 @@ mod tests {
         let Some(Json::Arr(rows)) = out.json.get("rows") else {
             panic!("rows missing");
         };
-        // 16 < 64: the ladder degenerates to the requested width.
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].get("cores"), Some(&Json::Int(16)));
-        assert!(rows[0].get("shards").is_some());
+        let cores: Vec<Json> = rows
+            .iter()
+            .map(|r| r.get("cores").unwrap().clone())
+            .collect();
+        assert_eq!(cores, [2, 4, 8, 16].map(Json::Int));
+        assert!(rows.iter().all(|r| r.get("shards").is_some()));
     }
 
     fn args(list: &[&str]) -> Vec<String> {
@@ -469,14 +485,7 @@ mod tests {
             workers: 4,
             backends: vec!["tsx", "clear"],
         };
-        for name in [
-            "fig01",
-            "table1",
-            "table2",
-            "sle",
-            "verify",
-            "backend-shootout",
-        ] {
+        for name in ["fig01", "table2", "sle", "verify", "backend-shootout"] {
             let exp = find(name).expect(name);
             let out = (exp.run)(&opts);
             assert!(!out.text.is_empty(), "{name} produced no text");

@@ -1,6 +1,5 @@
-//! Study experiments: the ablation grid, per-AR breakdown, retry-threshold
-//! DSE, a-priori-locking comparison, core scaling and SLE-vs-HTM
-//! speculation.
+//! Study experiments: the ablation grid, retry-threshold DSE,
+//! a-priori-locking comparison and SLE-vs-HTM speculation.
 
 use super::{opts_json, ExperimentOutput};
 use crate::json::Json;
@@ -8,7 +7,6 @@ use crate::pool;
 use crate::suite::{run_benchmark, run_suite, SuiteOptions};
 use clear_core::{ClearConfig, SclLockPolicy};
 use clear_machine::{ClearBackend, MachineConfig, Preset, RunStats, SpeculationKind};
-use clear_workloads::by_name;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -141,65 +139,6 @@ pub(super) fn ablation(opts: &SuiteOptions) -> ExperimentOutput {
     );
     let json = Json::obj([
         ("experiment", Json::from("ablation")),
-        ("options", opts_json(opts)),
-        ("rows", Json::Arr(rows)),
-    ]);
-    ExperimentOutput::new(text, json)
-}
-
-pub(super) fn ar_breakdown(opts: &SuiteOptions) -> ExperimentOutput {
-    let stats = pool::run_indexed(opts.benchmarks.len(), opts.workers, |i| {
-        run_seeded(opts.benchmarks[i], opts, Preset::C.config(opts.cores, 5))
-    });
-    let mut text = String::new();
-    let mut rows = Vec::new();
-    for (name, stats) in opts.benchmarks.iter().zip(&stats) {
-        let w = by_name(name, opts.size, opts.seeds[0]).expect("known benchmark");
-        let meta = w.meta();
-        let _ = writeln!(text, "\n=== {name} (configuration C) ===");
-        let _ = writeln!(
-            text,
-            "{:16} {:18} {:>8} {:>8} {:>7} {:>7} {:>7} {:>9}",
-            "AR", "static class", "commits", "aborts", "spec%", "S-CL%", "NS-CL%", "fallback%"
-        );
-        for spec in &meta.ars {
-            let e = stats.ar_stats.get(&spec.id.0).copied().unwrap_or_default();
-            let total = e.by_mode.total().max(1) as f64;
-            let _ = writeln!(
-                text,
-                "{:16} {:18} {:>8} {:>8} {:>7.1} {:>7.1} {:>7.1} {:>9.1}",
-                spec.name,
-                spec.mutability.to_string(),
-                e.commits,
-                e.aborts,
-                100.0 * e.by_mode.speculative as f64 / total,
-                100.0 * e.by_mode.scl as f64 / total,
-                100.0 * e.by_mode.nscl as f64 / total,
-                100.0 * e.by_mode.fallback as f64 / total,
-            );
-            rows.push(Json::obj([
-                ("benchmark", Json::from(*name)),
-                ("ar", Json::from(spec.name.clone())),
-                ("class", Json::from(spec.mutability.to_string())),
-                ("commits", Json::from(e.commits)),
-                ("aborts", Json::from(e.aborts)),
-                ("speculative", Json::from(e.by_mode.speculative)),
-                ("scl", Json::from(e.by_mode.scl)),
-                ("nscl", Json::from(e.by_mode.nscl)),
-                ("fallback", Json::from(e.by_mode.fallback)),
-            ]));
-        }
-    }
-    let _ = writeln!(
-        text,
-        "\nimmutable ARs should convert to NS-CL under contention; likely-immutable"
-    );
-    let _ = writeln!(
-        text,
-        "and small mutable ARs to S-CL; oversized ARs stay speculative/fallback"
-    );
-    let json = Json::obj([
-        ("experiment", Json::from("ar-breakdown")),
         ("options", opts_json(opts)),
         ("rows", Json::Arr(rows)),
     ]);
@@ -342,82 +281,8 @@ pub(super) fn mad_vs_clear(opts: &SuiteOptions) -> ExperimentOutput {
     ExperimentOutput::new(text, json)
 }
 
-pub(super) fn scaling(opts: &SuiteOptions) -> ExperimentOutput {
-    let cores_axis = [2usize, 4, 8, 16, 32];
-    let presets = Preset::ALL;
-    let (nb, nc, np) = (opts.benchmarks.len(), cores_axis.len(), presets.len());
-    let grid = pool::run_indexed(nb * nc * np, opts.workers, |i| {
-        let p = i % np;
-        let c = (i / np) % nc;
-        let b = i / (np * nc);
-        run_seeded(
-            opts.benchmarks[b],
-            opts,
-            presets[p].config(cores_axis[c], 5),
-        )
-    });
-    let mut text = String::new();
-    let mut rows = Vec::new();
-    for (b, name) in opts.benchmarks.iter().enumerate() {
-        let _ = writeln!(text, "\n=== {name}: execution cycles vs cores ===");
-        let _ = write!(text, "{:>6}", "cores");
-        for preset in presets {
-            let _ = write!(text, " {:>12}", format!("{preset}"));
-        }
-        let _ = write!(text, " {:>8}", "C/B");
-        for metric in ["apc", "fb%"] {
-            for preset in presets {
-                let _ = write!(text, " {:>6}", format!("{} {metric}", preset.letter()));
-            }
-        }
-        let _ = writeln!(text);
-        for (c, &cores) in cores_axis.iter().enumerate() {
-            let runs = &grid[(b * nc + c) * np..][..np];
-            let per_preset =
-                |f: fn(&RunStats) -> f64| Json::arr(runs.iter().map(|s| Json::from(f(s))));
-            let _ = write!(text, "{cores:>6}");
-            for s in runs {
-                let _ = write!(text, " {:>12}", s.total_cycles);
-            }
-            let c_vs_b = runs[2].total_cycles as f64 / runs[0].total_cycles as f64;
-            let _ = write!(text, " {c_vs_b:>8.2}");
-            for s in runs {
-                let _ = write!(text, " {:>6.2}", s.aborts_per_commit());
-            }
-            for s in runs {
-                let _ = write!(text, " {:>6.1}", fallback_pct(s));
-            }
-            let _ = writeln!(text);
-            rows.push(Json::obj([
-                ("benchmark", Json::from(*name)),
-                ("cores", Json::from(cores)),
-                (
-                    "cycles",
-                    Json::arr(runs.iter().map(|s| Json::from(s.total_cycles))),
-                ),
-                ("aborts_per_commit", per_preset(RunStats::aborts_per_commit)),
-                ("fallback_pct", per_preset(fallback_pct)),
-            ]));
-        }
-    }
-    let _ = writeln!(
-        text,
-        "\nC/B < 1 means CLEAR beats the requester-wins baseline at that core count"
-    );
-    let _ = writeln!(
-        text,
-        "apc = aborts per commit; fb% = share of ARs completing on the fallback path"
-    );
-    let json = Json::obj([
-        ("experiment", Json::from("scaling")),
-        ("options", opts_json(opts)),
-        ("rows", Json::Arr(rows)),
-    ]);
-    ExperimentOutput::new(text, json)
-}
-
 /// Share of ARs completing on the fallback path, in percent.
-fn fallback_pct(s: &RunStats) -> f64 {
+pub(super) fn fallback_pct(s: &RunStats) -> f64 {
     100.0 * s.commits_by_mode.fallback as f64 / s.commits() as f64
 }
 

@@ -1,58 +1,86 @@
-//! Table experiments: the static Table 1 characterization, its measured
-//! (dynamic) validation, and the Table 2 configuration dump.
+//! Table experiments: Table 1 measured per AR with its class counts, and
+//! the Table 2 configuration dump.
 
 use super::statics::fold_decisions;
-use super::{opts_json, ExperimentOutput};
+use super::ExperimentOutput;
 use crate::json::Json;
 use crate::pool;
 use crate::suite::SuiteOptions;
-use clear_isa::Mutability;
-use clear_machine::MachineConfig;
-use clear_workloads::{by_name, Size, BENCHMARK_NAMES};
+use clear_machine::{MachineConfig, RunStats};
+use clear_workloads::{by_name, Size};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-/// Per AR: (immutable decisions, all decisions) of the pinned traced run.
-fn measured_immutability(name: &str) -> HashMap<u32, (u64, u64)> {
+/// Per AR: (immutable decisions, all decisions) of the pinned traced run,
+/// with that run's stats.
+fn measured_immutability(name: &str) -> (RunStats, HashMap<u32, (u64, u64)>) {
     fold_decisions(name, |slot: &mut (u64, u64), _, immutable| {
         slot.0 += u64::from(immutable);
         slot.1 += 1;
     })
 }
 
+/// One row per AR: its declared class, the share of its discovery
+/// decisions that assessed it immutable, and its commits, aborts and
+/// commit modes, all from one traced configuration-C run per benchmark.
+/// The text closes with Table 1's per-benchmark class counts, folded
+/// from the same rows.
 pub(super) fn table1_measured(opts: &SuiteOptions) -> ExperimentOutput {
     let mut text = String::new();
     let _ = writeln!(
         text,
-        "=== Table 1 (measured): share of discovery decisions assessing immutability ==="
+        "=== Table 1 (measured): immutability of discovery decisions and outcome per AR (configuration C) ==="
     );
     let _ = writeln!(
         text,
-        "{:14} {:16} {:18} {:>10} {:>10}",
-        "benchmark", "AR", "static class", "decisions", "immut.%"
+        "{:14} {:16} {:18} {:>9} {:>7} {:>7} {:>7} {:>6} {:>6} {:>6} {:>6}",
+        "benchmark",
+        "AR",
+        "static class",
+        "decisions",
+        "immut%",
+        "commits",
+        "aborts",
+        "spec",
+        "S-CL",
+        "NS-CL",
+        "fb"
     );
-    let measured = pool::run_indexed(BENCHMARK_NAMES.len(), opts.workers, |i| {
-        measured_immutability(BENCHMARK_NAMES[i])
+    let measured = pool::run_indexed(opts.benchmarks.len(), opts.workers, |i| {
+        measured_immutability(opts.benchmarks[i])
     });
     let mut rows = Vec::new();
-    for (name, dyn_imm) in BENCHMARK_NAMES.iter().zip(&measured) {
+    // Per benchmark: (ARs, immutable, likely immutable, mutable).
+    let mut counts = Vec::new();
+    for (name, (stats, dyn_imm)) in opts.benchmarks.iter().zip(&measured) {
         let w = by_name(name, Size::Tiny, 1).expect("known benchmark");
         let meta = w.meta();
+        let mut count = [0usize; 4];
         for spec in &meta.ars {
+            count[0] += 1;
+            count[1 + spec.mutability as usize] += 1;
             let (imm, total) = dyn_imm.get(&spec.id.0).copied().unwrap_or((0, 0));
             let pct = if total == 0 {
                 f64::NAN
             } else {
                 100.0 * imm as f64 / total as f64
             };
+            let e = stats.ar_stats.get(&spec.id.0).copied().unwrap_or_default();
+            let m = e.by_mode;
             let _ = writeln!(
                 text,
-                "{:14} {:16} {:18} {:>10} {:>10.0}",
+                "{:14} {:16} {:18} {:>9} {:>7.0} {:>7} {:>7} {:>6} {:>6} {:>6} {:>6}",
                 name,
                 spec.name,
                 spec.mutability.to_string(),
                 total,
-                pct
+                pct,
+                e.commits,
+                e.aborts,
+                m.speculative,
+                m.scl,
+                m.nscl,
+                m.fallback
             );
             rows.push(Json::obj([
                 ("benchmark", Json::from(*name)),
@@ -61,9 +89,35 @@ pub(super) fn table1_measured(opts: &SuiteOptions) -> ExperimentOutput {
                 ("decisions", Json::from(total)),
                 ("immutable_decisions", Json::from(imm)),
                 ("immut_pct", Json::from(pct)),
+                ("commits", Json::from(e.commits)),
+                ("aborts", Json::from(e.aborts)),
+                ("speculative", Json::from(m.speculative)),
+                ("scl", Json::from(m.scl)),
+                ("nscl", Json::from(m.nscl)),
+                ("fallback", Json::from(m.fallback)),
             ]));
         }
+        counts.push((*name, count));
     }
+    let _ = writeln!(text, "\n=== Table 1: Characterization of ARs ===");
+    let count_line = |text: &mut String, name: &str, c: [usize; 4]| {
+        let _ = writeln!(
+            text,
+            "{:14} {:>8} {:>10} {:>17} {:>8}",
+            name, c[0], c[1], c[2], c[3]
+        );
+    };
+    let _ = writeln!(
+        text,
+        "{:14} {:>8} {:>10} {:>17} {:>8}",
+        "benchmark", "# of ARs", "immutable", "likely immutable", "mutable"
+    );
+    let mut totals = [0usize; 4];
+    for (name, c) in counts {
+        count_line(&mut text, name, c);
+        totals = [0, 1, 2, 3].map(|k| totals[k] + c[k]);
+    }
+    count_line(&mut text, "total", totals);
     let json = Json::obj([
         ("experiment", Json::from("table1-measured")),
         ("rows", Json::Arr(rows)),
@@ -71,60 +125,7 @@ pub(super) fn table1_measured(opts: &SuiteOptions) -> ExperimentOutput {
     ExperimentOutput::new(text, json)
 }
 
-pub(super) fn table1(_opts: &SuiteOptions) -> ExperimentOutput {
-    let mut text = String::new();
-    let _ = writeln!(text, "=== Table 1: Characterization of ARs ===");
-    let _ = writeln!(
-        text,
-        "{:14} {:>8} {:>10} {:>17} {:>8}",
-        "benchmark", "# of ARs", "immutable", "likely immutable", "mutable"
-    );
-    let mut totals = [0usize; 4];
-    let mut rows = Vec::new();
-    for name in BENCHMARK_NAMES {
-        let w = by_name(name, Size::Tiny, 1).expect("known benchmark");
-        let meta = w.meta();
-        let count = |m: Mutability| meta.ars.iter().filter(|a| a.mutability == m).count();
-        let (i, l, mu) = (
-            count(Mutability::Immutable),
-            count(Mutability::LikelyImmutable),
-            count(Mutability::Mutable),
-        );
-        totals[0] += meta.ars.len();
-        totals[1] += i;
-        totals[2] += l;
-        totals[3] += mu;
-        let _ = writeln!(
-            text,
-            "{:14} {:>8} {:>10} {:>17} {:>8}",
-            name,
-            meta.ars.len(),
-            i,
-            l,
-            mu
-        );
-        rows.push(Json::obj([
-            ("benchmark", Json::from(name)),
-            ("ars", Json::from(meta.ars.len())),
-            ("immutable", Json::from(i)),
-            ("likely_immutable", Json::from(l)),
-            ("mutable", Json::from(mu)),
-        ]));
-    }
-    let _ = writeln!(
-        text,
-        "{:14} {:>8} {:>10} {:>17} {:>8}",
-        "total", totals[0], totals[1], totals[2], totals[3]
-    );
-    let json = Json::obj([
-        ("experiment", Json::from("table1")),
-        ("rows", Json::Arr(rows)),
-        ("totals", Json::arr(totals.iter().map(|&t| Json::from(t)))),
-    ]);
-    ExperimentOutput::new(text, json)
-}
-
-pub(super) fn table2(opts: &SuiteOptions) -> ExperimentOutput {
+pub(super) fn table2(_opts: &SuiteOptions) -> ExperimentOutput {
     let c = MachineConfig::table2(32);
     let mut text = String::new();
     let _ = writeln!(text, "=== Table 2: Baseline system configuration ===");
@@ -178,7 +179,6 @@ pub(super) fn table2(opts: &SuiteOptions) -> ExperimentOutput {
     );
     let json = Json::obj([
         ("experiment", Json::from("table2")),
-        ("options", opts_json(opts)),
         ("cores", Json::from(c.cores)),
         ("sq_size", Json::from(c.sq_size)),
         ("l1_sets", Json::from(c.coherence.l1.sets)),

@@ -33,10 +33,10 @@ pub struct SuiteOptions {
     /// Worker threads for the parallel grid (≥ 1; default: all cores, at
     /// least 4).
     pub workers: usize,
-    /// Speculation backends for backend-sweep experiments (stable
-    /// [`BackendId`] names). Defaults to all five; `--backend NAME`
-    /// restricts the sweep, repeatable. Preset-grid experiments ignore
-    /// this field.
+    /// Speculation backends (stable [`BackendId`] names) that
+    /// `backend-shootout`, `litmus-backends` and `scaling-wide` sweep.
+    /// Defaults to all five; `--backend NAME` restricts the sweep,
+    /// repeatable. Preset-grid experiments ignore this field.
     pub backends: Vec<&'static str>,
 }
 

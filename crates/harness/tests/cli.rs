@@ -1,7 +1,7 @@
 //! Command-line contract of the `clear-harness` binary: an unknown
 //! workload name or a bad option is a usage error (exit 2 with a
 //! message), never a panic, and a figure prints `-` for an undefined
-//! share.
+//! share and leaves it out of its averages.
 
 use std::process::Command;
 
@@ -29,10 +29,10 @@ fn bad_suite_options_exit_2_with_a_message() {
         (["--bench-out", "x.json"], "unknown option --bench-out"),
         (["--cores", "0"], "--cores must be at least 1"),
     ] {
-        let out = harness(&[&["run", "table1"][..], &args].concat());
+        let out = harness(&[&["run", "table2"][..], &args].concat());
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "run table1 {args:?}: {stderr}");
-        assert!(stderr.contains(message), "run table1 {args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "run table2 {args:?}: {stderr}");
+        assert!(stderr.contains(message), "run table2 {args:?}: {stderr}");
     }
 }
 
@@ -52,5 +52,31 @@ fn fig11_prints_no_abort_shares_for_a_cell_without_aborts() {
             assert_eq!(cols[2..6], ["-"; 4], "{row}");
             assert_eq!(cols[6], "0.00", "{row}");
         }
+    }
+}
+
+#[test]
+fn fig13_prints_no_retry_shares_for_a_cell_without_retries() {
+    let out = harness(&[
+        "run", "fig13", "--size", "tiny", "--cores", "2", "--seeds", "1", "--sweep", "none",
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8_lossy(&out.stdout);
+    for bench in ["kmeans-l", "ssca2"] {
+        let rows: Vec<&str> = text.lines().filter(|l| l.starts_with(bench)).collect();
+        assert_eq!(rows.len(), 4, "{bench}: one row per preset\n{text}");
+        for row in rows {
+            let cols: Vec<&str> = row.split_whitespace().collect();
+            // name, preset, three shares
+            assert_eq!(cols[2..], ["-"; 3], "{row}");
+        }
+    }
+    // The averages skip those cells, so each defined one sums to 1.
+    for line in text.lines().filter(|l| l.starts_with("average ")) {
+        let sum: f64 = line
+            .split_whitespace()
+            .filter_map(|w| w.parse::<f64>().ok())
+            .sum();
+        assert!((sum - 1.0).abs() <= 0.015, "{line}");
     }
 }

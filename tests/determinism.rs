@@ -76,8 +76,8 @@ fn worker_pool_width_does_not_change_results() {
     }
 }
 
-/// `scaling-wide` options scaled down for debug-mode test runs: a 64/128
-/// ladder instead of the golden's full 64→1024 sweep.
+/// `scaling-wide` options scaled down for debug-mode test runs: a 2→128
+/// ladder instead of the golden's full 2→1024 sweep, under two backends.
 fn wide(workers: usize) -> SuiteOptions {
     SuiteOptions {
         size: Size::Tiny,
@@ -85,6 +85,7 @@ fn wide(workers: usize) -> SuiteOptions {
         seeds: vec![1],
         benchmarks: vec!["arrayswap"],
         workers,
+        backends: vec!["tsx", "clear"],
         ..SuiteOptions::default()
     }
 }
