@@ -9,14 +9,13 @@
 //!   instruction mixes, bounded loops, pointer chases up to the ALT
 //!   depth);
 //! - [`exec`] is the sequential reference executor over the VM;
-//! - [`oracle`] runs each program through the machine in *legs* — solo,
-//!   contended and static fast path under CLEAR, or a discovery and a
-//!   fast-path leg per built-in speculation backend
-//!   ([`check_case_matrix`]) — and applies one check battery to every
-//!   leg: memory image against the serial VM replay, commit/abort
+//! - [`oracle`] runs each program through the machine in *legs* — a
+//!   CLEAR solo leg, then a plain and a static-plan leg per built-in
+//!   speculation backend ([`check_case`]) — and applies one check battery
+//!   to every leg: memory image against the serial VM replay, commit/abort
 //!   accounting, the paper's single-retry bound, capacity-abort
 //!   accounting and plan-guard trips, plus static-verdict soundness over
-//!   the contended trace;
+//!   CLEAR's plain trace;
 //! - [`shrink`](mod@shrink) reduces failing cases to minimal reproducers;
 //! - [`litmus`] pins the classic relaxed-memory shapes (SB, LB, MP, IRIW)
 //!   to their atomic outcomes — the harness's `litmus-backends` gate.
@@ -39,9 +38,6 @@ pub use gen::{case_seed, FuzzCase, Shape};
 pub use litmus::{
     cases as litmus_cases, wide_cases as litmus_wide_cases, LitmusCase, LitmusWorkload,
 };
-pub use oracle::{
-    check_case, check_case_at, check_case_matrix, BackendOutcome, CaseReport, Divergence,
-    MatrixReport,
-};
+pub use oracle::{check_case, BackendOutcome, CaseReport, Divergence};
 pub use shrink::{shrink_with, Shrunk};
 pub use workload::{initial_image, FuzzWorkload, Layout, SharedSlot};

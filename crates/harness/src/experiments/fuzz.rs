@@ -1,12 +1,10 @@
 //! The `fuzz` subcommand backend and the `litmus-backends` gate.
 //!
 //! `fuzz_output` drives the clear-fuzz differential oracle over a seeded
-//! case range, shrinks every failure to a minimal reproducer, and renders
-//! a fully deterministic report (no wall-clock fields — `main` measures
-//! throughput separately for `BENCH_fuzz.json`). `matrix_output`
-//! (`fuzz --matrix`) runs the same case range through every speculation
-//! backend via the backend-differential oracle. `replay_output` re-runs
-//! a checked-in regression corpus. `litmus_backends` is the atomicity
+//! case range, every case under every speculation backend, shrinks every
+//! failure to a minimal reproducer, and renders a fully deterministic
+//! report with one row per backend. `replay_output` re-runs a checked-in
+//! regression corpus through the same oracle and report. `litmus_backends` is the atomicity
 //! conformance gate: the classic SB/LB/MP/IRIW shapes across every
 //! backend id and a seed sweep, with each forbidden relaxed outcome
 //! pinned to zero in the golden.
@@ -16,11 +14,8 @@ use crate::json::Json;
 use crate::pool;
 use crate::suite::SuiteOptions;
 use clear_fuzz::litmus::{cases, outcome_from, LitmusWorkload};
-use clear_fuzz::{
-    check_case_at, check_case_matrix, shrink_with, CaseReport, Divergence, FuzzCase, MatrixReport,
-    Shrunk,
-};
-use clear_machine::{BackendId, Machine, MachineConfig};
+use clear_fuzz::{check_case, shrink_with, CaseReport, Divergence, FuzzCase, Shrunk};
+use clear_machine::{BackendId, Machine, MachineConfig, ModeCommits};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -59,28 +54,25 @@ struct CaseOutcome {
 }
 
 /// Runs one generated case; `cores = 0` keeps the case's own
-/// contended-phase thread count, anything else overrides it (the
+/// contended thread count, anything else overrides it (the
 /// `fuzz --cores` flag — wide-machine oracle runs). A failure is shrunk
 /// against the same check that failed, at the same width.
 fn run_case(master_seed: u64, index: u64, cores: usize) -> CaseOutcome {
     let case = Arc::new(FuzzCase::generate(master_seed, index));
-    let check = |c: &Arc<FuzzCase>| check_case_at(c, if cores == 0 { c.threads } else { cores });
+    let check = |c: &Arc<FuzzCase>| check_case(c, if cores == 0 { c.threads } else { cores });
     let report = check(&case);
-    let shrunk = report
-        .divergence
-        .is_some()
-        .then(|| shrink_with(case, |c| check(c).divergence.is_some()));
+    let shrunk = (!report.passed()).then(|| shrink_with(case, |c| !check(c).passed()));
     CaseOutcome { report, shrunk }
 }
 
 /// One failure object of a report: the failing case, the contended width
-/// it failed at, the divergence (and the backend it hit under, for the
-/// matrix), and the shrunk reproducer if there is one.
+/// it failed at, the backend it hit under, the divergence, and the shrunk
+/// reproducer if there is one.
 fn failure_json(
     index: u64,
     seed: u64,
     cores: usize,
-    backend: Option<&str>,
+    backend: &str,
     d: &Divergence,
     shrunk: Option<&Shrunk>,
 ) -> Json {
@@ -88,12 +80,10 @@ fn failure_json(
         ("index", Json::from(index)),
         ("seed", hex(seed)),
         ("cores", Json::from(cores)),
-    ];
-    fields.extend(backend.map(|b| ("backend", Json::from(b))));
-    fields.extend([
+        ("backend", Json::from(backend)),
         ("kind", Json::from(d.kind())),
         ("detail", Json::from(d.to_string())),
-    ]);
+    ];
     if let Some(s) = shrunk {
         let program = s.case.program.instrs().iter().map(|i| i.to_string());
         fields.push((
@@ -110,8 +100,13 @@ fn failure_json(
     Json::obj(fields)
 }
 
+/// One backend's sums over a run: commits, aborts, capacity aborts,
+/// R/W-set overflows, elided discovery runs and diverged cases.
+type BackendSums = (u64, u64, u64, u64, u64, u64);
+
 /// Aggregates a slice of case outcomes into the deterministic report
-/// document shared by `fuzz` and `fuzz --replay`.
+/// document shared by `fuzz` and `fuzz --replay`. The contended and
+/// fast-path counts are CLEAR's; `backends` has one row per backend.
 fn aggregate(
     command: &str,
     seed_str: &str,
@@ -121,7 +116,7 @@ fn aggregate(
     let mut rejected = 0u64;
     let mut machine_instructions = 0u64;
     let mut reference_steps = 0u64;
-    let mut commits = (0u64, 0u64, 0u64, 0u64);
+    let mut commits = ModeCommits::default();
     let mut aborts = 0u64;
     let mut verdicts: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
@@ -129,42 +124,53 @@ fn aggregate(
     let mut planned_cases = 0u64;
     let mut elided = 0u64;
     let mut partial = 0u64;
+    let mut per_backend = [BackendSums::default(); BackendId::ALL.len()];
     let mut failures = Vec::new();
     let (mut len_min, mut len_max, mut len_sum) = (usize::MAX, 0usize, 0u64);
 
     for o in outcomes {
         let r = &o.report;
+        let clear = r.clear();
         rejected += u64::from(r.rejected);
-        machine_instructions += r.machine_instructions;
+        machine_instructions += clear.instructions;
         reference_steps += r.reference_steps;
-        commits.0 += r.mode_commits.0;
-        commits.1 += r.mode_commits.1;
-        commits.2 += r.mode_commits.2;
-        commits.3 += r.mode_commits.3;
-        aborts += r.aborts;
+        commits.speculative += clear.commits.speculative;
+        commits.nscl += clear.commits.nscl;
+        commits.scl += clear.commits.scl;
+        commits.fallback += clear.commits.fallback;
+        aborts += clear.aborts;
         planned_cases += u64::from(r.planned_ars > 0);
-        elided += r.fastpath_elided;
-        partial += r.fastpath_partial;
+        elided += clear.fastpath_elided;
+        partial += clear.fastpath_partial;
         *verdicts.entry(r.verdict).or_default() += 1;
         len_min = len_min.min(r.program_len);
         len_max = len_max.max(r.program_len);
         len_sum += r.program_len as u64;
-        if let Some(d) = &r.divergence {
+        for (slot, b) in per_backend.iter_mut().zip(&r.backends) {
+            slot.0 += b.commits.total();
+            slot.1 += b.aborts;
+            slot.2 += b.capacity_aborts;
+            slot.3 += b.lrws_capacity_aborts;
+            slot.4 += b.fastpath_elided;
+            slot.5 += u64::from(b.divergence.is_some());
+        }
+        if let Some((backend, d)) = r.divergence() {
             *kinds.entry(d.kind()).or_default() += 1;
             if d.kind() == "soundness-violation" {
                 soundness += 1;
             }
             let shrunk = o.shrunk.as_ref();
-            failures.push(failure_json(r.index, r.seed, r.threads, None, d, shrunk));
+            failures.push(failure_json(r.index, r.seed, r.threads, backend, d, shrunk));
         }
     }
     let diverged = failures.len();
     let cases = outcomes.len();
+    let n_backends = BackendId::ALL.len();
 
     let mut text = String::new();
     let _ = writeln!(
         text,
-        "=== {command}: {cases} cases, seed {seed_str} ({master_seed:#x}) ==="
+        "=== {command}: {cases} cases x {n_backends} backends, seed {seed_str} ({master_seed:#x}) ==="
     );
     let _ = writeln!(
         text,
@@ -174,7 +180,7 @@ fn aggregate(
     let _ = writeln!(
         text,
         "contended commits: speculative {} / NS-CL {} / S-CL {} / fallback {}   aborts: {aborts}",
-        commits.0, commits.1, commits.2, commits.3
+        commits.speculative, commits.nscl, commits.scl, commits.fallback
     );
     let verdict_line = verdicts
         .iter()
@@ -187,8 +193,25 @@ fn aggregate(
         "static fast path: {planned_cases} planned cases, {elided} discovery runs elided, \
          {partial} shortened to root confirmation"
     );
+    let _ = writeln!(
+        text,
+        "{:8} {:>9} {:>8} {:>9} {:>9} {:>8} {:>10}",
+        "backend", "commits", "aborts", "capacity", "rw-ovfl", "elided", "diverged"
+    );
+    for (id, (commits, aborts, capacity, lrws, elided, div)) in
+        BackendId::ALL.iter().zip(per_backend)
+    {
+        let _ = writeln!(
+            text,
+            "{:8} {commits:>9} {aborts:>8} {capacity:>9} {lrws:>9} {elided:>8} {div:>10}",
+            id.name()
+        );
+    }
     if diverged == 0 {
-        let _ = writeln!(text, "oracle: all {cases} cases agree (0 divergences)");
+        let _ = writeln!(
+            text,
+            "oracle: all {cases} cases agree across {n_backends} backends (0 divergences)"
+        );
     } else {
         let _ = writeln!(text, "oracle: {diverged} DIVERGENCES:");
         for (kind, n) in &kinds {
@@ -196,6 +219,18 @@ fn aggregate(
         }
     }
 
+    let backend_json = BackendId::ALL.iter().zip(per_backend).map(|(id, sums)| {
+        let (commits, aborts, capacity, lrws, elided, div) = sums;
+        Json::obj([
+            ("backend", Json::from(id.name())),
+            ("commits", Json::from(commits)),
+            ("aborts", Json::from(aborts)),
+            ("capacity_aborts", Json::from(capacity)),
+            ("lrws_capacity_aborts", Json::from(lrws)),
+            ("discovery_runs_elided", Json::from(elided)),
+            ("diverged_cases", Json::from(div)),
+        ])
+    });
     let json = Json::obj([
         ("command", Json::from(command)),
         ("seed", Json::from(seed_str)),
@@ -212,10 +247,10 @@ fn aggregate(
         (
             "contended_commits",
             Json::obj([
-                ("speculative", Json::from(commits.0)),
-                ("nscl", Json::from(commits.1)),
-                ("scl", Json::from(commits.2)),
-                ("fallback", Json::from(commits.3)),
+                ("speculative", Json::from(commits.speculative)),
+                ("nscl", Json::from(commits.nscl)),
+                ("scl", Json::from(commits.scl)),
+                ("fallback", Json::from(commits.fallback)),
             ]),
         ),
         ("aborts", Json::from(aborts)),
@@ -246,6 +281,7 @@ fn aggregate(
                 ),
             ]),
         ),
+        ("backends", Json::arr(backend_json)),
         ("failures", Json::Arr(failures)),
     ]);
     let mut out = ExperimentOutput::new(text, json);
@@ -257,7 +293,7 @@ fn aggregate(
 /// and renders the deterministic fuzz report. Failing cases are shrunk to
 /// minimal reproducers embedded in the `failures` array. `cores = 0` runs
 /// each case at its own generated thread count; a nonzero value widens
-/// every contended phase to that many simulated cores (`fuzz --cores`).
+/// every contended leg to that many simulated cores (`fuzz --cores`).
 pub fn fuzz_output(seed_str: &str, count: u64, workers: usize, cores: usize) -> ExperimentOutput {
     let master_seed = parse_seed(seed_str);
     let outcomes = pool::run_indexed(count as usize, workers, |i| {
@@ -284,9 +320,9 @@ pub fn replay_output(entries: &[(String, u64, u64)], workers: usize) -> Experime
     // Name each replayed entry in the text so CI logs read well.
     let mut text = String::new();
     for ((name, seed, index), o) in entries.iter().zip(&outcomes) {
-        let verdict = match &o.report.divergence {
+        let verdict = match o.report.divergence() {
             None => "ok".to_string(),
-            Some(d) => format!("DIVERGED: {d}"),
+            Some((backend, d)) => format!("DIVERGED under {backend}: {d}"),
         };
         let _ = writeln!(
             text,
@@ -445,126 +481,6 @@ pub(super) fn litmus_backends(opts: &SuiteOptions) -> ExperimentOutput {
     out
 }
 
-/// One backend-matrix case's outcome as the report keeps it.
-struct MatrixOutcome {
-    report: MatrixReport,
-    shrunk: Option<Shrunk>,
-}
-
-fn run_matrix_case(master_seed: u64, index: u64) -> MatrixOutcome {
-    let case = Arc::new(FuzzCase::generate(master_seed, index));
-    let report = check_case_matrix(&case);
-    let shrunk = (!report.passed()).then(|| shrink_with(case, |c| !check_case_matrix(c).passed()));
-    MatrixOutcome { report, shrunk }
-}
-
-/// Runs `count` seeded cases through the backend-differential matrix
-/// oracle (`fuzz --matrix`): each case executes once per built-in
-/// speculation backend, and every backend must agree with the serial VM
-/// replay and its own accounting contract. Failing cases are shrunk
-/// against the matrix predicate. The report is byte-deterministic across
-/// runs and worker counts.
-pub fn matrix_output(seed_str: &str, count: u64, workers: usize) -> ExperimentOutput {
-    let master_seed = parse_seed(seed_str);
-    let outcomes = pool::run_indexed(count as usize, workers, |i| {
-        run_matrix_case(master_seed, i as u64)
-    });
-
-    // Per-backend aggregates: commits, aborts, capacity, R/W-set
-    // overflows, fast-path elisions, divergences.
-    let mut per_backend: BTreeMap<&'static str, (u64, u64, u64, u64, u64, u64)> = BTreeMap::new();
-    let mut kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut failures = Vec::new();
-    for o in &outcomes {
-        for b in &o.report.outcomes {
-            let slot = per_backend.entry(b.backend).or_default();
-            slot.0 += b.commits;
-            slot.1 += b.aborts;
-            slot.2 += b.capacity_aborts;
-            slot.3 += b.lrws_capacity_aborts;
-            slot.4 += b.fastpath_elided;
-            if b.divergence.is_some() {
-                slot.5 += 1;
-            }
-        }
-        if let Some((backend, d)) = o.report.divergence() {
-            *kinds.entry(d.kind()).or_default() += 1;
-            let (r, shrunk) = (&o.report, o.shrunk.as_ref());
-            let failure = failure_json(r.index, r.seed, r.threads, Some(backend), d, shrunk);
-            failures.push(failure);
-        }
-    }
-    let diverged = failures.len();
-    let cases = outcomes.len();
-    let n_backends = BackendId::ALL.len();
-
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "=== fuzz --matrix: {cases} cases x {n_backends} backends, seed {seed_str} \
-         ({master_seed:#x}) ==="
-    );
-    let _ = writeln!(
-        text,
-        "{:8} {:>9} {:>8} {:>9} {:>9} {:>8} {:>10}",
-        "backend", "commits", "aborts", "capacity", "rw-ovfl", "elided", "diverged"
-    );
-    // BackendId::ALL order, not BTreeMap order: the table reads in the
-    // same sequence as every other backend sweep.
-    for id in BackendId::ALL {
-        let (commits, aborts, capacity, lrws, elided, div) =
-            per_backend.get(id.name()).copied().unwrap_or_default();
-        let _ = writeln!(
-            text,
-            "{:8} {:>9} {:>8} {:>9} {:>9} {:>8} {:>10}",
-            id.name(),
-            commits,
-            aborts,
-            capacity,
-            lrws,
-            elided,
-            div
-        );
-    }
-    if diverged == 0 {
-        let _ = writeln!(
-            text,
-            "matrix: all {cases} cases agree across {n_backends} backends (0 divergences)"
-        );
-    } else {
-        let _ = writeln!(text, "matrix: {diverged} DIVERGENCES:");
-        for (kind, n) in &kinds {
-            let _ = writeln!(text, "  {kind}: {n}");
-        }
-    }
-
-    let backend_json = Json::arr(BackendId::ALL.iter().map(|id| {
-        let (commits, aborts, capacity, lrws, elided, div) =
-            per_backend.get(id.name()).copied().unwrap_or_default();
-        Json::obj([
-            ("backend", Json::from(id.name())),
-            ("commits", Json::from(commits)),
-            ("aborts", Json::from(aborts)),
-            ("capacity_aborts", Json::from(capacity)),
-            ("lrws_capacity_aborts", Json::from(lrws)),
-            ("discovery_runs_elided", Json::from(elided)),
-            ("diverged_cases", Json::from(div)),
-        ])
-    }));
-    let json = Json::obj([
-        ("command", Json::from("fuzz-matrix")),
-        ("seed", Json::from(seed_str)),
-        ("seed_value", hex(master_seed)),
-        ("cases", Json::from(cases)),
-        ("divergences", Json::from(diverged)),
-        ("backends", backend_json),
-        ("failures", Json::Arr(failures)),
-    ]);
-    let mut out = ExperimentOutput::new(text, json);
-    out.failures = diverged;
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,6 +497,21 @@ mod tests {
         assert_ne!(m, 0);
     }
 
+    /// The `backends` rows of a fuzz report.
+    fn backend_rows(out: &ExperimentOutput) -> Vec<Json> {
+        match out.json.get("backends") {
+            Some(Json::Arr(rows)) => rows.clone(),
+            other => panic!("expected backends array, got {other:?}"),
+        }
+    }
+
+    fn int(row: &Json, key: &str) -> i64 {
+        match row.get(key) {
+            Some(Json::Int(v)) => *v,
+            other => panic!("{key}: expected an integer, got {other:?}"),
+        }
+    }
+
     #[test]
     fn small_fuzz_run_is_clean_and_deterministic() {
         let a = fuzz_output("0xC1EAR", 24, 4, 0);
@@ -588,7 +519,39 @@ mod tests {
         let b = fuzz_output("0xC1EAR", 24, 1, 0);
         assert_eq!(a.json.to_pretty(), b.json.to_pretty());
         assert_eq!(a.text, b.text);
-        assert!(a.text.contains("all 24 cases agree"));
+        assert!(a.text.contains("all 24 cases agree across 5 backends"));
+        // Every backend committed work; only lrws may overflow buffers,
+        // and only CLEAR's plans elide discovery.
+        let rows = backend_rows(&a);
+        let names: Vec<Json> = rows
+            .iter()
+            .filter_map(|r| r.get("backend").cloned())
+            .collect();
+        let want: Vec<Json> = BackendId::ALL
+            .iter()
+            .map(|id| Json::from(id.name()))
+            .collect();
+        assert_eq!(names, want);
+        for row in &rows {
+            assert!(int(row, "commits") > 0, "{row:?}");
+            assert_eq!(int(row, "diverged_cases"), 0, "{row:?}");
+            if row.get("backend") != Some(&Json::from("lrws")) {
+                assert_eq!(int(row, "lrws_capacity_aborts"), 0, "{row:?}");
+            }
+            if row.get("backend") != Some(&Json::from("clear")) {
+                assert_eq!(int(row, "discovery_runs_elided"), 0, "{row:?}");
+            }
+        }
+        // CLEAR's row is the run's contended CLEAR leg.
+        let clear = &rows[BackendId::ALL
+            .iter()
+            .position(|&id| id == BackendId::Clear)
+            .unwrap()];
+        assert_eq!(clear.get("aborts"), a.json.get("aborts"));
+        assert_eq!(
+            clear.get("discovery_runs_elided"),
+            a.json.get("discovery_runs_elided")
+        );
     }
 
     #[test]
@@ -597,22 +560,28 @@ mod tests {
         assert_eq!(out.failures, 0, "{}", out.text);
         assert_eq!(out.json.get("cores_override"), Some(&Json::Int(128)));
         // 4 cases x 128 threads x >= 1 invocation each, all committed in
-        // some mode: total contended commits must be at least 512.
-        let commits = out.json.get("contended_commits").expect("commits");
+        // some mode under every backend: each row commits at least 512.
+        let rows = backend_rows(&out);
+        assert_eq!(rows.len(), BackendId::ALL.len());
+        for row in &rows {
+            let commits = int(row, "commits");
+            assert!(commits >= 512, "expected >=512 wide commits, got {row:?}");
+        }
+        let clear = out.json.get("contended_commits").expect("commits");
         let total: i64 = ["speculative", "nscl", "scl", "fallback"]
             .iter()
-            .map(|k| match commits.get(k) {
-                Some(Json::Int(v)) => *v,
-                _ => 0,
-            })
+            .map(|k| int(clear, k))
             .sum();
-        assert!(total >= 512, "expected >=512 wide commits, got {total}");
+        assert!(
+            total >= 512,
+            "expected >=512 wide CLEAR commits, got {total}"
+        );
     }
 
     #[test]
     fn failure_objects_record_width_and_backend() {
         let d = Divergence::TimedOut { phase: "lrws+plan" };
-        let f = failure_json(3, 0x10, 128, Some("lrws"), &d, None);
+        let f = failure_json(3, 0x10, 128, "lrws", &d, None);
         let keys: Vec<&str> = match &f {
             Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
             other => panic!("expected an object, got {other:?}"),
@@ -622,12 +591,11 @@ mod tests {
             ["index", "seed", "cores", "backend", "kind", "detail"]
         );
         assert_eq!(f.get("cores"), Some(&Json::Int(128)));
+        assert_eq!(f.get("backend"), Some(&Json::from("lrws")));
         assert_eq!(
             f.get("detail"),
             Some(&Json::from("lrws+plan run timed out"))
         );
-        let single = failure_json(3, 0x10, 4, None, &d, None);
-        assert!(single.get("backend").is_none());
     }
 
     #[test]
@@ -674,28 +642,5 @@ mod tests {
             Json::arr(["tsx", "lrws"].iter().map(|b| Json::from(*b))).to_pretty()
         );
         assert!(!out.text.contains("powertm"));
-    }
-
-    #[test]
-    fn small_matrix_run_is_clean_and_deterministic() {
-        let a = matrix_output("0xC1EAR", 8, 4);
-        assert_eq!(a.failures, 0, "{}", a.text);
-        let b = matrix_output("0xC1EAR", 8, 1);
-        assert_eq!(a.json.to_pretty(), b.json.to_pretty());
-        assert_eq!(a.text, b.text);
-        assert!(a.text.contains("all 8 cases agree across 5 backends"));
-        // Every backend committed work; only lrws may overflow buffers.
-        let backends = match a.json.get("backends") {
-            Some(Json::Arr(rows)) => rows.clone(),
-            other => panic!("expected backends array, got {other:?}"),
-        };
-        assert_eq!(backends.len(), 5);
-        for row in &backends {
-            let commits = row.get("commits").cloned();
-            assert!(matches!(commits, Some(Json::Int(c)) if c > 0), "{row:?}");
-            if row.get("backend") != Some(&Json::from("lrws")) {
-                assert_eq!(row.get("lrws_capacity_aborts"), Some(&Json::Int(0)));
-            }
-        }
     }
 }

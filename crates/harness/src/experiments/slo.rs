@@ -8,9 +8,7 @@
 //! time-to-commit (overall, per AR class, and per retry mode), the
 //! abort-cause taxonomy, and the admission-queue accounting exactly.
 //! That works because the serve session document contains only simulated
-//! values ([`crate::serve`] explains the determinism argument); the
-//! aggregate wall-clock ARs/s line is host-dependent, so it appears in
-//! the text only.
+//! values ([`crate::serve`] explains the determinism argument).
 
 use super::{opts_json, size_str, ExperimentOutput};
 use crate::json::Json;
@@ -59,12 +57,10 @@ pub(super) fn slo_latency(opts: &SuiteOptions) -> ExperimentOutput {
         opts.cores
     );
     let mut rows = Vec::new();
-    let mut wall_ns = 0u64;
     let mut ars = 0u64;
     for bench in &opts.benchmarks {
         let report = serve_session(&cell_opts(opts, bench));
         text.push_str(&report.text);
-        wall_ns += report.wall_ns;
         ars += report.ars;
         let mut pairs = vec![("benchmark".to_string(), Json::from(*bench))];
         if let Json::Obj(fields) = report.json {
@@ -74,13 +70,6 @@ pub(super) fn slo_latency(opts: &SuiteOptions) -> ExperimentOutput {
         }
         rows.push(Json::Obj(pairs));
     }
-    let secs = (wall_ns as f64 / 1e9).max(1e-9);
-    let _ = writeln!(
-        text,
-        "aggregate: {ars} ARs in {:.1} ms = {:.0} ARs/s",
-        wall_ns as f64 / 1e6,
-        ars as f64 / secs
-    );
     let json = Json::obj([
         ("experiment", Json::from("slo-latency")),
         ("options", opts_json(opts)),

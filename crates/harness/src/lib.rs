@@ -25,9 +25,6 @@
 //! - [`serve`]: the bounded-memory trace-replay / open-loop service loop
 //!   behind `clear-harness serve`, reporting streaming time-to-commit
 //!   percentiles per AR class.
-//! - [`bench_out`]: the single writer behind the `serve` and `fuzz`
-//!   `BENCH_*.json` artifacts (shared name/unit/seed/toolchain/values
-//!   schema).
 //!
 //! ```text
 //! cargo run --release -p clear-harness -- list
@@ -36,7 +33,6 @@
 //! cargo run --release -p clear-harness -- check
 //! ```
 
-pub mod bench_out;
 pub mod experiments;
 pub mod golden;
 pub mod json;

@@ -11,14 +11,14 @@
 //! ```
 
 use clear_harness::experiments::{
-    analyze_output, find, fuzz_output, matrix_output, parse_seed, replay_output, Experiment,
-    EXPERIMENTS,
+    analyze_output, find, fuzz_output, parse_seed, replay_output, Experiment, EXPERIMENTS,
 };
 use clear_harness::json::Json;
 use clear_harness::serve::{serve_session, ServeOptions};
-use clear_harness::{bench_out, golden, metrics_export, run_benchmark, trace_export, SuiteOptions};
+use clear_harness::{golden, metrics_export, run_benchmark, trace_export, SuiteOptions};
 use clear_machine::{MachineConfig, Preset};
 use clear_workloads::BENCHMARK_NAMES;
+use std::num::NonZeroUsize;
 
 fn usage() -> ! {
     eprintln!(
@@ -27,13 +27,13 @@ fn usage() -> ! {
          [--sweep full|quick|none] [--bench NAME] [--workers N] [--json]\n  \
          clear-harness serve <workload> [--size ...] [--cores N] [--seeds N]\n      \
          [--ars N] [--batch N] [--queue N] [--rate CYCLES] [--replay FILE]\n      \
-         [--snapshot-out FILE] [--prom-out FILE] [--bench-out FILE] [--json]\n  \
+         [--snapshot-out FILE] [--prom-out FILE] [--json]\n  \
          clear-harness trace <workload> [--size ...] [--cores N] [--seeds N]\n      \
          [--chrome FILE] [--arrivals FILE] [--events N] [--json]\n  \
          clear-harness analyze <workload>|all [--size ...] [--cores N] [--seeds N]\n      \
          [--plan] [--json]\n  \
          clear-harness fuzz [--seed S] [--count N] [--cores N] [--workers N] [--json]\n      \
-         [--matrix] [--out FILE] [--bench-out FILE] [--repro-dir DIR] [--replay FILE]\n  \
+         [--out FILE] [--repro-dir DIR] [--replay FILE]\n  \
          clear-harness golden update [names...]\n  clear-harness check [names...]"
     );
     std::process::exit(2);
@@ -75,6 +75,18 @@ fn take_value(rest: &mut Vec<String>, flag: &str) -> Option<String> {
     Some(v)
 }
 
+/// [`take_value`], parsed; a malformed value exits 2.
+fn take_parsed<T: std::str::FromStr>(rest: &mut Vec<String>, flag: &str) -> Option<T>
+where
+    T::Err: std::fmt::Display,
+{
+    let v = take_value(rest, flag)?;
+    Some(v.parse().unwrap_or_else(|e| {
+        eprintln!("bad value for {flag}: {v} ({e})");
+        std::process::exit(2);
+    }))
+}
+
 /// Removes the switch `flag` from `rest`, reporting whether it was given.
 fn take_switch(rest: &mut Vec<String>, flag: &str) -> bool {
     rest.iter()
@@ -98,51 +110,31 @@ fn workload_arg(args: &[String]) -> &str {
 }
 
 /// `clear-harness fuzz`: differential fuzzing of the AR semantics — the
-/// clear-isa VM vs the full machine under contention vs the static
-/// analyzer. The report itself is deterministic; only `BENCH_fuzz.json`
-/// carries wall-clock throughput.
+/// clear-isa VM vs the full machine under every speculation backend vs
+/// the static analyzer. The report is deterministic.
 fn fuzz(args: &[String]) {
     let mut rest: Vec<String> = args.to_vec();
     let seed_str = take_value(&mut rest, "--seed").unwrap_or_else(|| "0xC1EAR".to_string());
-    let count: u64 = take_value(&mut rest, "--count")
-        .map(|v| v.parse().expect("--count N"))
-        .unwrap_or(256);
-    let workers: usize = take_value(&mut rest, "--workers")
-        .map(|v| v.parse::<usize>().expect("--workers N").max(1))
+    let count: u64 = take_parsed(&mut rest, "--count").unwrap_or(256);
+    let workers = take_parsed(&mut rest, "--workers")
+        .map(|w: usize| w.max(1))
         .unwrap_or_else(clear_harness::pool::default_workers);
     // 0 (the default) keeps each case's own contended thread count; a
-    // positive value widens every contended phase to that many cores.
-    let cores: usize = take_value(&mut rest, "--cores")
-        .map(|v| v.parse::<usize>().expect("--cores N"))
-        .unwrap_or(0);
+    // positive value widens every contended leg to that many cores.
+    let cores: usize = take_parsed(&mut rest, "--cores").unwrap_or(0);
     let out_path = take_value(&mut rest, "--out");
-    let bench_path = take_value(&mut rest, "--bench-out");
     let repro_dir = take_value(&mut rest, "--repro-dir");
     let replay_path = take_value(&mut rest, "--replay");
     let as_json = take_switch(&mut rest, "--json");
-    // `--matrix`: run each case through every speculation backend via the
-    // backend-differential oracle instead of the single-config oracle.
-    let matrix = take_switch(&mut rest, "--matrix");
     if !rest.is_empty() {
         eprintln!("unknown fuzz option {}", rest[0]);
         std::process::exit(2);
     }
-    if matrix && (replay_path.is_some() || cores != 0) {
-        eprintln!("--matrix runs cases at their own thread counts; drop --replay/--cores");
-        std::process::exit(2);
-    }
 
-    let started = std::time::Instant::now();
-    let (out, cases_run) = match &replay_path {
-        Some(path) => {
-            let entries = read_corpus(path);
-            let n = entries.len() as u64;
-            (replay_output(&entries, workers), n)
-        }
-        None if matrix => (matrix_output(&seed_str, count, workers), count),
-        None => (fuzz_output(&seed_str, count, workers, cores), count),
+    let out = match &replay_path {
+        Some(path) => replay_output(&read_corpus(path), workers),
+        None => fuzz_output(&seed_str, count, workers, cores),
     };
-    let wall = started.elapsed();
 
     if as_json {
         println!("{}", out.json.to_pretty());
@@ -153,27 +145,6 @@ fn fuzz(args: &[String]) {
         write_file(path, &out.json.to_pretty());
         eprintln!("wrote {path}");
     }
-    if let Some(path) = &bench_path {
-        let steps =
-            int_field(&out.json, "machine_instructions") + int_field(&out.json, "reference_steps");
-        let secs = wall.as_secs_f64().max(1e-9);
-        let row = Json::obj([
-            ("cases", Json::from(cases_run)),
-            ("workers", Json::from(workers)),
-            ("wall_ns", Json::from(wall.as_nanos() as u64)),
-            ("steps", Json::from(steps)),
-            ("programs_per_sec", Json::Float(cases_run as f64 / secs)),
-            ("steps_per_sec", Json::Float(steps as f64 / secs)),
-        ]);
-        let bench = bench_out::bench_doc(
-            if matrix { "fuzz-matrix" } else { "fuzz" },
-            "programs/s",
-            &seed_str,
-            vec![row],
-        );
-        write_file(path, &bench.to_pretty());
-        eprintln!("wrote {path}");
-    }
     if let Some(dir) = &repro_dir {
         if let Some(Json::Arr(failures)) = out.json.get("failures") {
             if !failures.is_empty() {
@@ -181,7 +152,7 @@ fn fuzz(args: &[String]) {
                     eprintln!("cannot create {dir}: {e}");
                     std::process::exit(1);
                 });
-                // `fuzz` and `fuzz --matrix` may share one directory, so
+                // `fuzz` and `fuzz --replay` may share one directory, so
                 // the report's command is part of the name.
                 let command = match out.json.get("command") {
                     Some(Json::Str(c)) => c.as_str(),
@@ -247,13 +218,6 @@ fn read_corpus(path: &str) -> Vec<(String, u64, u64)> {
         .collect()
 }
 
-fn int_field(doc: &Json, key: &str) -> u64 {
-    match doc.get(key) {
-        Some(Json::Int(v)) => *v as u64,
-        _ => 0,
-    }
-}
-
 fn write_file(path: &str, text: &str) {
     std::fs::write(path, text).unwrap_or_else(|e| {
         eprintln!("cannot write {path}: {e}");
@@ -267,22 +231,13 @@ fn write_file(path: &str, text: &str) {
 fn serve(args: &[String]) {
     let workload = workload_arg(args);
     let mut rest: Vec<String> = args[1..].to_vec();
-    let total_ars: u64 = take_value(&mut rest, "--ars")
-        .map(|v| v.parse().expect("--ars N"))
-        .unwrap_or(4096);
-    let batch: usize = take_value(&mut rest, "--batch")
-        .map(|v| v.parse().expect("--batch N"))
-        .unwrap_or(256);
-    let queue: usize = take_value(&mut rest, "--queue")
-        .map(|v| v.parse().expect("--queue N"))
-        .unwrap_or(512);
-    let rate: u64 = take_value(&mut rest, "--rate")
-        .map(|v| v.parse().expect("--rate CYCLES"))
-        .unwrap_or(24);
+    let total_ars: u64 = take_parsed(&mut rest, "--ars").unwrap_or(4096);
+    let batch = take_parsed(&mut rest, "--batch").map_or(256, NonZeroUsize::get);
+    let queue = take_parsed(&mut rest, "--queue").map_or(512, NonZeroUsize::get);
+    let rate: u64 = take_parsed(&mut rest, "--rate").unwrap_or(24);
     let replay_gaps = take_value(&mut rest, "--replay").map(|path| read_gaps(&path));
     let snapshot_path = take_value(&mut rest, "--snapshot-out");
     let prom_path = take_value(&mut rest, "--prom-out");
-    let bench_path = take_value(&mut rest, "--bench-out");
     let as_json = take_switch(&mut rest, "--json");
     let opts = suite_options(&rest);
     let sopts = ServeOptions {
@@ -323,16 +278,6 @@ fn serve(args: &[String]) {
             summary.samples, summary.families
         );
     }
-    if let Some(path) = &bench_path {
-        let doc = bench_out::bench_doc(
-            "serve",
-            "ars/s",
-            &sopts.seed.to_string(),
-            report.trajectory.iter().map(|row| row.to_json()).collect(),
-        );
-        write_file(path, &doc.to_pretty());
-        eprintln!("wrote {path}");
-    }
 }
 
 /// Reads a `trace --arrivals` document (`{"workload", "seed", "gaps"}`)
@@ -372,9 +317,7 @@ fn trace(args: &[String]) {
     let mut rest: Vec<String> = args[1..].to_vec();
     let chrome_path = take_value(&mut rest, "--chrome");
     let arrivals_path = take_value(&mut rest, "--arrivals");
-    let events_limit: usize = take_value(&mut rest, "--events")
-        .map(|v| v.parse().expect("--events N"))
-        .unwrap_or(400);
+    let events_limit: usize = take_parsed(&mut rest, "--events").unwrap_or(400);
     let as_json = take_switch(&mut rest, "--json");
     let opts = suite_options(&rest);
     let seed = opts.seeds[0];

@@ -20,11 +20,11 @@
 //! metric schema, not the AR count. Nothing is ever dropped: gaps not
 //! consumed by a batch return to the queue front in order.
 //!
-//! Everything in [`ServeReport::json`] is a pure function of the options
-//! (simulated cycles and counts only); wall-clock throughput lives in
-//! [`ServeReport::trajectory`] rows and `BENCH_serve.json` exclusively,
-//! which is what lets the `slo-latency` golden pin the percentiles
-//! byte-exactly.
+//! Everything in [`ServeReport::json`] and [`ServeReport::text`] is a pure
+//! function of the options (simulated cycles and counts only), which is
+//! what lets the `slo-latency` golden pin the percentiles byte-exactly.
+//! Host time lives only in the [`ServeReport::trajectory`] rows, which the
+//! repository benchmark reads.
 
 use crate::json::Json;
 use crate::metrics_export::{snapshot_to_json, QUANTILES};
@@ -103,7 +103,7 @@ pub struct ServeReport {
     /// The merged session registry.
     pub registry: MetricsRegistry,
     /// Wall-clock trajectory rows (one per `snapshot_every` batches plus
-    /// a final row) for `BENCH_serve.json`.
+    /// a final row), read by the repository benchmark.
     pub trajectory: Trajectory,
     /// ARs committed.
     pub ars: u64,
@@ -113,10 +113,6 @@ pub struct ServeReport {
     pub queue_max_depth: usize,
     /// Times arrival generation stalled because the queue was full.
     pub backpressure_events: u64,
-    /// Wall time of the whole session.
-    pub wall_ns: u64,
-    /// ARs per wall second.
-    pub ars_per_sec: f64,
 }
 
 /// Shared admission state between the serve loop and the per-batch
@@ -344,10 +340,6 @@ pub fn serve_session(opts: &ServeOptions) -> ServeReport {
         }
     }
 
-    let wall_ns = started.elapsed().as_nanos() as u64;
-    let secs = (wall_ns as f64 / 1e9).max(1e-9);
-    let ars_per_sec = served as f64 / secs;
-
     let all = overall_ttc(&registry);
     let mut json_pairs = vec![
         ("workload".to_string(), Json::from(opts.workload.as_str())),
@@ -440,12 +432,6 @@ pub fn serve_session(opts: &ServeOptions) -> ServeReport {
             g("p999")
         );
     }
-    let _ = writeln!(
-        text,
-        "{:.0} ARs/s, {:.0} steps/s wall",
-        ars_per_sec,
-        steps as f64 / secs
-    );
 
     ServeReport {
         json,
@@ -456,12 +442,10 @@ pub fn serve_session(opts: &ServeOptions) -> ServeReport {
         steps,
         queue_max_depth,
         backpressure_events,
-        wall_ns,
-        ars_per_sec,
     }
 }
 
-/// The keys of a [`TrajectoryRow`], in [`TrajectoryRow::to_json`] order.
+/// The keys of a [`TrajectoryRow`], in order.
 pub const TRAJECTORY_KEYS: [&str; 10] = [
     "batch",
     "ars",
@@ -476,8 +460,8 @@ pub const TRAJECTORY_KEYS: [&str; 10] = [
 ];
 
 /// The wall-clock trajectory of a session. Each row is kept as its eight
-/// counters; the two rates and the JSON form are built on demand, so a
-/// kept report stays small however many batches it ran.
+/// counters; the two rates are built on demand, so a kept report stays
+/// small however many batches it ran.
 #[derive(Clone, Debug)]
 pub struct Trajectory(Vec<TrajectoryPoint>);
 
@@ -534,22 +518,16 @@ impl TrajectoryPoint {
     }
 }
 
-/// One wall-clock trajectory row (BENCH material, never golden material):
-/// the value of each of [`TRAJECTORY_KEYS`], in order.
+/// One wall-clock trajectory row (benchmark material, never golden
+/// material): the value of each of [`TRAJECTORY_KEYS`], in order.
 #[derive(Clone, Debug)]
 pub struct TrajectoryRow([Json; 10]);
 
 impl TrajectoryRow {
-    /// The value under `key`, as [`Json::get`] would find it in
-    /// [`TrajectoryRow::to_json`].
+    /// The value under `key`, one of [`TRAJECTORY_KEYS`].
     pub fn get(&self, key: &str) -> Option<&Json> {
         let i = TRAJECTORY_KEYS.iter().position(|k| *k == key)?;
         Some(&self.0[i])
-    }
-
-    /// The row as a JSON object (the `BENCH_serve.json` `values` row).
-    pub fn to_json(&self) -> Json {
-        Json::obj(TRAJECTORY_KEYS.into_iter().zip(self.0.iter().cloned()))
     }
 }
 
@@ -581,18 +559,13 @@ mod tests {
     }
 
     #[test]
-    fn trajectory_rows_render_every_key_in_order() {
+    fn trajectory_rows_hold_every_key() {
         let r = serve_session(&tiny_opts());
         let row = r.trajectory.last().expect("a final row");
-        let json = row.to_json();
-        let Json::Obj(pairs) = &json else {
-            panic!("a row renders as an object")
-        };
-        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, TRAJECTORY_KEYS);
         for key in TRAJECTORY_KEYS {
-            assert_eq!(row.get(key), json.get(key), "{key}");
+            assert!(row.get(key).is_some(), "{key}");
         }
+        assert_eq!(row.get("batch"), Some(&Json::from(3u64)));
         assert_eq!(row.get("ars"), Some(&Json::from(96u64)));
         assert_eq!(row.get("nosuch"), None);
     }

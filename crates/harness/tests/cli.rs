@@ -1,7 +1,7 @@
 //! Command-line contract of the `clear-harness` binary: an unknown
-//! workload name or a bad option is a usage error (exit 2 with a
-//! message), never a panic, and a figure prints `-` for an undefined
-//! share and leaves it out of its averages.
+//! workload name, a bad option or a malformed number is a usage error
+//! (exit 2 with a message), never a panic, and a figure prints `-` for an
+//! undefined share and leaves it out of its averages.
 
 use std::process::Command;
 
@@ -33,6 +33,51 @@ fn bad_suite_options_exit_2_with_a_message() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "run table2 {args:?}: {stderr}");
         assert!(stderr.contains(message), "run table2 {args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn malformed_numbers_exit_2_with_a_message() {
+    for args in [
+        &["fuzz", "--count", "abc"][..],
+        &["fuzz", "--workers", "x"],
+        &["fuzz", "--cores", "x"],
+        &["serve", "arrayswap", "--ars", "x"],
+        &["serve", "arrayswap", "--batch", "x"],
+        &["serve", "arrayswap", "--queue", "x"],
+        &["serve", "arrayswap", "--rate", "x"],
+        &["serve", "arrayswap", "--batch", "0"],
+        &["serve", "arrayswap", "--queue", "0"],
+        &["trace", "arrayswap", "--events", "x"],
+    ] {
+        let out = harness(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let flag = args[args.len() - 2];
+        assert!(
+            stderr.contains(&format!("bad value for {flag}: ")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn removed_fuzz_and_serve_options_are_unknown() {
+    for (args, message) in [
+        (&["fuzz", "--matrix"][..], "unknown fuzz option --matrix"),
+        (
+            &["fuzz", "--bench-out", "x.json"],
+            "unknown fuzz option --bench-out",
+        ),
+        (
+            &["serve", "arrayswap", "--bench-out", "x.json"],
+            "unknown option --bench-out",
+        ),
+    ] {
+        let out = harness(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
     }
 }
 

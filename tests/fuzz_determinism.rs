@@ -5,8 +5,8 @@
 //! experiment suite. Without this, CI replay of the regression corpus
 //! and the `litmus-backends` golden would both be meaningless.
 
-use clear_fuzz::{case_seed, check_case, check_case_at, FuzzCase};
-use clear_harness::experiments::{find, fuzz_output, matrix_output, parse_seed, replay_output};
+use clear_fuzz::{case_seed, check_case, FuzzCase};
+use clear_harness::experiments::{find, fuzz_output, parse_seed, replay_output};
 use std::sync::Arc;
 
 const SEED_STR: &str = "0xC1EAR";
@@ -74,17 +74,17 @@ fn oracle_verdict_is_stable_per_case() {
     let master = parse_seed(SEED_STR);
     for index in 0..8 {
         let case = Arc::new(FuzzCase::generate(master, index));
-        let a = check_case(&case);
-        let b = check_case(&case);
+        let a = check_case(&case, case.threads);
+        let b = check_case(&case, case.threads);
         assert_eq!(a.verdict, b.verdict, "index {index}: verdict drifted");
-        assert_eq!(
-            a.mode_commits, b.mode_commits,
-            "index {index}: mode commit split drifted"
-        );
-        assert!(
-            a.divergence.is_none(),
-            "index {index}: seed corpus diverged"
-        );
+        for (x, y) in a.backends.iter().zip(&b.backends) {
+            assert_eq!(
+                x.commits, y.commits,
+                "index {index}: {} mode commit split drifted",
+                x.backend
+            );
+        }
+        assert!(a.passed(), "index {index}: seed corpus diverged");
     }
 }
 
@@ -116,22 +116,25 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-/// Pins the oracle's accounting to recorded values: the single-config
-/// report, the backend-matrix report and one 128-core case. Any leg whose
+/// Pins the oracle's accounting to recorded values: the report over 24
+/// cases, with its per-backend rows, and one 128-core case. Any leg whose
 /// statistics, replay steps or check order drifts changes one of these.
 #[test]
 fn oracle_output_matches_pinned_values() {
     let fuzz = fuzz_output(SEED_STR, 24, 2, 0);
-    assert_eq!(fnv1a(&fuzz.json.to_pretty()), 0xe19a_7df2_45b6_52d5);
-    let matrix = matrix_output(SEED_STR, 8, 2);
-    assert_eq!(fnv1a(&matrix.json.to_pretty()), 0x7bbd_a0c2_8b26_8afe);
+    assert_eq!(fnv1a(&fuzz.json.to_pretty()), 0x2628_5194_9640_9c82);
     let case = Arc::new(FuzzCase::generate(parse_seed(SEED_STR), 0));
+    let wide = check_case(&case, 128);
     assert_eq!(
-        format!("{:?}", check_case_at(&case, 128)),
-        "CaseReport { index: 0, seed: 14122465956551629318, program_len: 10, rejected: 0, \
-         verdict: \"likely-immutable\", threads: 128, invocations: 1, \
-         machine_instructions: 2570, reference_steps: 1290, mode_commits: (0, 0, 128, 0), \
-         aborts: 128, planned_ars: 1, fastpath_elided: 0, fastpath_partial: 128, \
-         divergence: None }"
+        (wide.reference_steps, wide.planned_ars, wide.verdict),
+        (1290, 1, "likely-immutable")
     );
+    assert_eq!(
+        format!("{:?}", wide.clear()),
+        "BackendOutcome { backend: \"clear\", commits: ModeCommits { speculative: 0, \
+         scl: 128, nscl: 0, fallback: 0 }, aborts: 128, capacity_aborts: 0, \
+         lrws_capacity_aborts: 0, fastpath_elided: 0, fastpath_partial: 128, \
+         instructions: 2570, divergence: None }"
+    );
+    assert_eq!(fnv1a(&format!("{wide:?}")), 0x6dc9_e14c_d52c_f1fd);
 }
