@@ -11,7 +11,7 @@
 use crate::verdict::{analyze_program, static_plan, ArAnalysis, EntryCtx, StaticBudget};
 use clear_core::StaticPlanSet;
 use clear_isa::{ArInvocation, ArSpec, Program, Reg, Workload, WorkloadMeta};
-use clear_mem::{LineAddr, Memory};
+use clear_mem::Memory;
 use std::sync::Arc;
 
 /// Default cap on invocation pulls while hunting for every AR.
@@ -26,9 +26,6 @@ pub struct SampledAr {
     pub program: Arc<Program>,
     /// Entry register values of the sampled invocation.
     pub args: Vec<(Reg, u64)>,
-    /// The invocation's a-priori footprint, when the workload declares
-    /// one (immutable ARs only).
-    pub declared_footprint: Option<Vec<LineAddr>>,
 }
 
 /// Everything sampled from one workload.
@@ -140,7 +137,6 @@ fn record(
             spec: meta.ars[idx].clone(),
             program: Arc::clone(&inv.program),
             args: inv.args.clone(),
-            declared_footprint: inv.static_footprint.clone(),
         });
         *missing -= 1;
     }
@@ -154,11 +150,6 @@ pub struct ArReport {
     pub spec: ArSpec,
     /// The analysis result.
     pub analysis: ArAnalysis,
-    /// When the workload declares an a-priori footprint *and* the
-    /// analyzer resolved the footprint concretely: whether the two line
-    /// sets are identical. A `Some(false)` marks a workload defect (the
-    /// declared footprint is wrong) or an analyzer imprecision.
-    pub declared_footprint_matches: Option<bool>,
 }
 
 /// The static analysis of one whole workload.
@@ -189,20 +180,9 @@ pub fn analyze_workload(
         .map(|ar| {
             let mut entry = EntryCtx::from_args(&ar.args);
             entry.mapped_bytes = Some(sample.mapped_bytes);
-            let analysis = analyze_program(&ar.program, &entry, budget);
-            let declared_footprint_matches = match (&ar.declared_footprint, &analysis.footprint) {
-                (Some(declared), fp) if fp.concrete => {
-                    let mut d = declared.clone();
-                    d.sort_unstable();
-                    d.dedup();
-                    Some(d == fp.concrete_footprint)
-                }
-                _ => None,
-            };
             ArReport {
                 spec: ar.spec.clone(),
-                analysis,
-                declared_footprint_matches,
+                analysis: analyze_program(&ar.program, &entry, budget),
             }
         })
         .collect();
@@ -302,7 +282,6 @@ mod tests {
                 program: Arc::clone(&self.programs[t]),
                 args: vec![(Reg(0), self.base), (Reg(1), 7)],
                 think_cycles: 0,
-                static_footprint: Some(vec![clear_mem::Addr(self.base).line()]),
             })
         }
     }
@@ -361,7 +340,6 @@ mod tests {
         for ar in &r.ars {
             assert_eq!(ar.analysis.verdict, crate::StaticVerdict::StaticImmutable);
             assert!(ar.analysis.lints.is_empty());
-            assert_eq!(ar.declared_footprint_matches, Some(true));
         }
     }
 }

@@ -358,7 +358,6 @@ impl Workload for LitmusWorkload {
                 (R_RES, layout.results[tid].0),
             ],
             think_cycles: jitter.below(60),
-            static_footprint: None,
         })
     }
 

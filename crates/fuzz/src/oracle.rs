@@ -26,7 +26,8 @@
 //! failure tagged with its phase.
 //!
 //! [`check_case`] runs a CLEAR `solo` leg on one core, then two legs per
-//! built-in [`BackendId`] at the contended width: `<backend>` (every
+//! built-in [`BackendId`] at the contended width (the `lrws` legs with
+//! buffers smaller than a generated case's footprint): `<backend>` (every
 //! thread on the same lines) and `<backend>+plan`, the same run with
 //! [`clear_analysis::static_plan`]'s plan installed. A plan whose
 //! proved-immutable AR dynamically mutates trips the NS-CL guard and is an
@@ -43,8 +44,8 @@ use crate::gen::FuzzCase;
 use crate::workload::{initial_image, FuzzWorkload, Layout};
 use clear_analysis::{static_plan, StaticBudget, StaticVerdict};
 use clear_core::{RetryMode, StaticPlanSet};
-use clear_htm::AbortKind;
-use clear_machine::{BackendId, Machine, ModeCommits, RunStats, TraceEvent};
+use clear_htm::{AbortKind, LrwsConfig};
+use clear_machine::{BackendId, LrwsBackend, Machine, ModeCommits, RunStats, TraceEvent};
 use clear_mem::{Addr, Memory, WORD_BYTES};
 use std::fmt;
 use std::sync::Arc;
@@ -416,6 +417,15 @@ fn leg(
     reference: &Result<Reference, Divergence>,
 ) -> Leg {
     let mut cfg = id.config(cores, MAX_RETRIES);
+    if id == BackendId::Lrws {
+        // A case touches up to 8 data lines, which the default buffers
+        // always hold: smaller ones make the capacity check see overflows.
+        let limits = LrwsConfig {
+            read_lines: 4,
+            write_lines: 2,
+        };
+        cfg.backend = Arc::new(LrwsBackend { limits });
+    }
     cfg.seed = case.seed;
     cfg.static_plans = plans;
     let mut machine = Machine::new(cfg, Box::new(FuzzWorkload::new(Arc::clone(case))));

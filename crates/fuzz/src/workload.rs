@@ -158,7 +158,6 @@ impl Workload for FuzzWorkload {
             program: Arc::clone(&self.case.program),
             args: self.case.args(&layout),
             think_cycles: self.case.think_cycles(tid, k),
-            static_footprint: None,
         })
     }
 

@@ -65,6 +65,29 @@ fn run_case(master_seed: u64, index: u64, cores: usize) -> CaseOutcome {
     CaseOutcome { report, shrunk }
 }
 
+/// The `--repro-dir` files of a report: one `(name, failure)` pair per
+/// failure object, named `repro-<command>-<seed>-<index>.json` from the
+/// report's command (`fuzz` and `fuzz --replay` may share a directory)
+/// and the failure's own seed and index.
+pub fn reproducers(report: &Json) -> Vec<(String, &Json)> {
+    let (Some(Json::Str(command)), Some(Json::Arr(failures))) =
+        (report.get("command"), report.get("failures"))
+    else {
+        return Vec::new();
+    };
+    let name = |f: &Json| match (f.get("seed"), f.get("index")) {
+        (Some(Json::Str(seed)), Some(Json::Int(index))) => {
+            let seed = seed.trim_start_matches("0x");
+            Some(format!("repro-{command}-{seed}-{index}.json"))
+        }
+        _ => None,
+    };
+    failures
+        .iter()
+        .filter_map(|f| Some((name(f)?, f)))
+        .collect()
+}
+
 /// One failure object of a report: the failing case, the contended width
 /// it failed at, the backend it hit under, the divergence, and the shrunk
 /// reproducer if there is one.
@@ -595,6 +618,22 @@ mod tests {
         assert_eq!(
             f.get("detail"),
             Some(&Json::from("lrws+plan run timed out"))
+        );
+    }
+
+    #[test]
+    fn reproducers_are_named_by_their_own_seed_and_index() {
+        let d = Divergence::TimedOut { phase: "clear" };
+        let failures =
+            [12_648_430, 0xdecaf].map(|seed| failure_json(3, seed, 4, "clear", &d, None));
+        let report = Json::obj([
+            ("command", Json::from("replay")),
+            ("failures", Json::arr(failures)),
+        ]);
+        let names: Vec<String> = reproducers(&report).into_iter().map(|(n, _)| n).collect();
+        assert_eq!(
+            names,
+            ["repro-replay-c0ffee-3.json", "repro-replay-decaf-3.json"]
         );
     }
 

@@ -18,7 +18,7 @@ mod studies;
 mod tables;
 mod verify;
 
-pub use fuzz::{fuzz_output, parse_seed, replay_output};
+pub use fuzz::{fuzz_output, parse_seed, replay_output, reproducers};
 pub use statics::analyze_output;
 
 use crate::json::Json;

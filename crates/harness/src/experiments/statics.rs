@@ -563,12 +563,6 @@ fn analyze_ar_json(ar: &ArReport) -> Json {
             "lints",
             Json::arr(ar.analysis.lints.iter().map(|l| Json::from(l.to_string()))),
         ),
-        (
-            "declared_footprint_matches",
-            ar.declared_footprint_matches
-                .map(Json::from)
-                .unwrap_or(Json::Null),
-        ),
     ])
 }
 

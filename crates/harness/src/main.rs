@@ -11,7 +11,8 @@
 //! ```
 
 use clear_harness::experiments::{
-    analyze_output, find, fuzz_output, parse_seed, replay_output, Experiment, EXPERIMENTS,
+    analyze_output, find, fuzz_output, parse_seed, replay_output, reproducers, Experiment,
+    EXPERIMENTS,
 };
 use clear_harness::json::Json;
 use clear_harness::serve::{serve_session, ServeOptions};
@@ -39,12 +40,21 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Prints `message` and exits 2, the usage-error status.
+fn usage_error(message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
+/// Prints `message` and exits 1, the failure status.
+fn fail(message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(1);
+}
+
 /// The suite options in `args`; a usage error exits 2.
 fn suite_options(args: &[String]) -> SuiteOptions {
-    SuiteOptions::from_arg_slice(args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
+    SuiteOptions::from_arg_slice(args).unwrap_or_else(|e| usage_error(e))
 }
 
 fn main() {
@@ -67,8 +77,7 @@ fn main() {
 fn take_value(rest: &mut Vec<String>, flag: &str) -> Option<String> {
     let i = rest.iter().position(|a| a == flag)?;
     if i + 1 >= rest.len() {
-        eprintln!("missing value for {flag}");
-        std::process::exit(2);
+        usage_error(format!("missing value for {flag}"));
     }
     let v = rest.remove(i + 1);
     rest.remove(i);
@@ -81,10 +90,10 @@ where
     T::Err: std::fmt::Display,
 {
     let v = take_value(rest, flag)?;
-    Some(v.parse().unwrap_or_else(|e| {
-        eprintln!("bad value for {flag}: {v} ({e})");
-        std::process::exit(2);
-    }))
+    Some(
+        v.parse()
+            .unwrap_or_else(|e| usage_error(format!("bad value for {flag}: {v} ({e})"))),
+    )
 }
 
 /// Removes the switch `flag` from `rest`, reporting whether it was given.
@@ -100,11 +109,8 @@ fn take_switch(rest: &mut Vec<String>, flag: &str) -> bool {
 fn workload_arg(args: &[String]) -> &str {
     let Some(name) = args.first() else { usage() };
     if !BENCHMARK_NAMES.contains(&name.as_str()) {
-        eprintln!(
-            "unknown benchmark {name} (known: {})",
-            BENCHMARK_NAMES.join(", ")
-        );
-        std::process::exit(2);
+        let known = BENCHMARK_NAMES.join(", ");
+        usage_error(format!("unknown benchmark {name} (known: {known})"));
     }
     name
 }
@@ -127,8 +133,7 @@ fn fuzz(args: &[String]) {
     let replay_path = take_value(&mut rest, "--replay");
     let as_json = take_switch(&mut rest, "--json");
     if !rest.is_empty() {
-        eprintln!("unknown fuzz option {}", rest[0]);
-        std::process::exit(2);
+        usage_error(format!("unknown fuzz option {}", rest[0]));
     }
 
     let out = match &replay_path {
@@ -146,28 +151,15 @@ fn fuzz(args: &[String]) {
         eprintln!("wrote {path}");
     }
     if let Some(dir) = &repro_dir {
-        if let Some(Json::Arr(failures)) = out.json.get("failures") {
-            if !failures.is_empty() {
-                std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-                    eprintln!("cannot create {dir}: {e}");
-                    std::process::exit(1);
-                });
-                // `fuzz` and `fuzz --replay` may share one directory, so
-                // the report's command is part of the name.
-                let command = match out.json.get("command") {
-                    Some(Json::Str(c)) => c.as_str(),
-                    _ => "fuzz",
-                };
-                for f in failures {
-                    let Some(Json::Int(index)) = f.get("index") else {
-                        continue;
-                    };
-                    let seed = seed_str.replace("0x", "");
-                    let path = format!("{dir}/repro-{command}-{seed}-{index}.json");
-                    write_file(&path, &f.to_pretty());
-                    eprintln!("wrote reproducer {path}");
-                }
-            }
+        let repros = reproducers(&out.json);
+        if !repros.is_empty() {
+            std::fs::create_dir_all(dir)
+                .unwrap_or_else(|e| fail(format!("cannot create {dir}: {e}")));
+        }
+        for (name, failure) in repros {
+            let path = format!("{dir}/{name}");
+            write_file(&path, &failure.to_pretty());
+            eprintln!("wrote reproducer {path}");
         }
     }
     if out.failures > 0 {
@@ -175,22 +167,32 @@ fn fuzz(args: &[String]) {
     }
 }
 
+/// The `key` array of the `what` JSON document at `path`; an unreadable
+/// file, invalid JSON or a missing array exits 2.
+fn read_json_array(path: &str, what: &str, key: &str) -> Vec<Json> {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| usage_error(format!("cannot read {what} {path}: {e}")));
+    let doc = Json::parse(&text)
+        .unwrap_or_else(|e| usage_error(format!("{what} {path} is not valid JSON: {e}")));
+    match doc.get(key) {
+        Some(Json::Arr(items)) => items.clone(),
+        _ => usage_error(format!("{what} {path}: missing {key} array")),
+    }
+}
+
+/// A JSON integer as a `u64`; `None` for a negative one or a non-integer.
+fn as_u64(v: &Json) -> Option<u64> {
+    match v {
+        Json::Int(v) => u64::try_from(*v).ok(),
+        _ => None,
+    }
+}
+
 /// Reads a regression-corpus JSON file: `{"entries": [{"name", "seed",
-/// "index"}, ...]}`, with seeds in any `parse_seed` spelling.
+/// "index"}, ...]}`, with seeds in any `parse_seed` spelling or as
+/// non-negative integers.
 fn read_corpus(path: &str) -> Vec<(String, u64, u64)> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read corpus {path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("corpus {path} is not valid JSON: {e}");
-        std::process::exit(2);
-    });
-    let Some(Json::Arr(entries)) = doc.get("entries") else {
-        eprintln!("corpus {path}: missing entries array");
-        std::process::exit(2);
-    };
-    entries
+    read_json_array(path, "corpus", "entries")
         .iter()
         .enumerate()
         .map(|(i, e)| {
@@ -200,29 +202,24 @@ fn read_corpus(path: &str) -> Vec<(String, u64, u64)> {
             };
             let seed = match e.get("seed") {
                 Some(Json::Str(s)) => parse_seed(s),
-                Some(Json::Int(v)) => *v as u64,
-                _ => {
-                    eprintln!("corpus {path}: entry {i} has no seed");
-                    std::process::exit(2);
-                }
+                v => v.and_then(as_u64).unwrap_or_else(|| {
+                    usage_error(format!(
+                        "corpus {path}: entry {i} has no seed string or non-negative integer seed"
+                    ))
+                }),
             };
-            let index = match e.get("index") {
-                Some(Json::Int(v)) => *v as u64,
-                _ => {
-                    eprintln!("corpus {path}: entry {i} has no index");
-                    std::process::exit(2);
-                }
-            };
+            let index = e.get("index").and_then(as_u64).unwrap_or_else(|| {
+                usage_error(format!(
+                    "corpus {path}: entry {i} has no non-negative integer index"
+                ))
+            });
             (name, seed, index)
         })
         .collect()
 }
 
 fn write_file(path: &str, text: &str) {
-    std::fs::write(path, text).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
+    std::fs::write(path, text).unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
 }
 
 /// `clear-harness serve <workload>`: the bounded-memory trace-replay /
@@ -268,10 +265,8 @@ fn serve(args: &[String]) {
         let text = metrics_export::prometheus_text(&report.registry.snapshot());
         // Self-validate the exposition before writing, exactly like the
         // Chrome-trace exporter does for its output.
-        let summary = metrics_export::validate_prometheus(&text).unwrap_or_else(|e| {
-            eprintln!("prometheus exposition failed validation: {e}");
-            std::process::exit(1);
-        });
+        let summary = metrics_export::validate_prometheus(&text)
+            .unwrap_or_else(|e| fail(format!("prometheus exposition failed validation: {e}")));
         write_file(path, &text);
         eprintln!(
             "wrote {path}: {} samples across {} families (validated)",
@@ -283,28 +278,19 @@ fn serve(args: &[String]) {
 /// Reads a `trace --arrivals` document (`{"workload", "seed", "gaps"}`)
 /// back into the gap list `serve --replay` cycles through.
 fn read_gaps(path: &str) -> Vec<u64> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read arrivals {path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("arrivals {path} is not valid JSON: {e}");
-        std::process::exit(2);
-    });
-    let Some(Json::Arr(gaps)) = doc.get("gaps") else {
-        eprintln!("arrivals {path}: missing gaps array");
-        std::process::exit(2);
-    };
-    let gaps: Vec<u64> = gaps
+    let gaps: Vec<u64> = read_json_array(path, "arrivals", "gaps")
         .iter()
-        .filter_map(|g| match g {
-            Json::Int(v) if *v >= 0 => Some(*v as u64),
-            _ => None,
+        .enumerate()
+        .map(|(i, g)| {
+            as_u64(g).unwrap_or_else(|| {
+                usage_error(format!(
+                    "arrivals {path}: gap {i} is not a non-negative integer"
+                ))
+            })
         })
         .collect();
     if gaps.is_empty() {
-        eprintln!("arrivals {path}: no usable gaps");
-        std::process::exit(2);
+        usage_error(format!("arrivals {path}: no usable gaps"));
     }
     gaps
 }
@@ -333,14 +319,9 @@ fn trace(args: &[String]) {
         let text = doc.to_pretty();
         // Re-validating the written bytes through the in-tree parser keeps
         // the export honest: CI's smoke step relies on this check.
-        let summary = trace_export::validate_chrome_trace(&text).unwrap_or_else(|e| {
-            eprintln!("exported chrome trace failed validation: {e}");
-            std::process::exit(1);
-        });
-        std::fs::write(path, &text).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        let summary = trace_export::validate_chrome_trace(&text)
+            .unwrap_or_else(|e| fail(format!("exported chrome trace failed validation: {e}")));
+        write_file(path, &text);
         eprintln!(
             "wrote {path}: {} chrome events across {} cores (validated)",
             summary.events, summary.cores
@@ -396,10 +377,7 @@ fn analyze(args: &[String]) {
     // sets, written subsets, root slots, per-backend budget fit).
     let with_plans = take_switch(&mut rest, "--plan");
     let opts = suite_options(&rest);
-    let out = analyze_output(workload, &opts, with_plans).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let out = analyze_output(workload, &opts, with_plans).unwrap_or_else(|e| usage_error(e));
     if as_json {
         println!("{}", out.json.to_pretty());
     } else {
@@ -427,8 +405,9 @@ fn run(args: &[String]) {
         EXPERIMENTS.iter().collect()
     } else {
         vec![find(name).unwrap_or_else(|| {
-            eprintln!("unknown experiment {name} (try `clear-harness list`)");
-            std::process::exit(2);
+            usage_error(format!(
+                "unknown experiment {name} (try `clear-harness list`)"
+            ))
         })]
     };
     let mut failures = 0;
@@ -463,11 +442,8 @@ fn gated(names: &[String]) -> Vec<&'static Experiment> {
         .iter()
         .map(|n| {
             *all.iter().find(|e| e.name == *n).unwrap_or_else(|| {
-                eprintln!(
-                    "{n} is not a gated experiment (gated: {})",
-                    gated_names(&all)
-                );
-                std::process::exit(2);
+                let gated = gated_names(&all);
+                usage_error(format!("{n} is not a gated experiment (gated: {gated})"))
             })
         })
         .collect()
@@ -484,10 +460,7 @@ fn update(names: &[String]) {
         let out = (e.run)(&opts);
         match golden::store(e.name, &out.json) {
             Ok(path) => eprintln!("  wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("  {e}");
-                std::process::exit(1);
-            }
+            Err(e) => fail(format!("  {e}")),
         }
     }
 }

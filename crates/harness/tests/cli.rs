@@ -1,6 +1,6 @@
 //! Command-line contract of the `clear-harness` binary: an unknown
-//! workload name, a bad option or a malformed number is a usage error
-//! (exit 2 with a message), never a panic, and a figure prints `-` for an
+//! workload name, a bad option, a malformed number or a malformed input
+//! file is a usage error (exit 2 with a message), never a panic, and a figure prints `-` for an
 //! undefined share and leaves it out of its averages.
 
 use std::process::Command;
@@ -74,6 +74,61 @@ fn removed_fuzz_and_serve_options_are_unknown() {
             "unknown option --bench-out",
         ),
     ] {
+        let out = harness(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn malformed_input_files_exit_2_with_a_message() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-input-files");
+    std::fs::create_dir_all(&dir).unwrap();
+    let corpus = |entry: &str| format!(r#"{{"entries": [{entry}]}}"#);
+    let gaps = |gaps: &str| format!(r#"{{"workload": "arrayswap", "seed": 1, "gaps": [{gaps}]}}"#);
+    for (i, (cmd, text, message)) in [
+        (
+            "fuzz",
+            corpus(r#"{"seed": "0xC1EAR", "index": -1}"#),
+            "entry 0 has no non-negative integer index",
+        ),
+        (
+            "fuzz",
+            corpus(r#"{"seed": "1", "index": 2.5}"#),
+            "entry 0 has no non-negative integer index",
+        ),
+        (
+            "fuzz",
+            corpus(r#"{"seed": -1, "index": 0}"#),
+            "entry 0 has no seed string or non-negative integer seed",
+        ),
+        (
+            "serve",
+            gaps("10, -3, 7"),
+            "gap 1 is not a non-negative integer",
+        ),
+        (
+            "serve",
+            gaps("10, 2.5"),
+            "gap 1 is not a non-negative integer",
+        ),
+        (
+            "serve",
+            gaps(r#""7""#),
+            "gap 0 is not a non-negative integer",
+        ),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let path = dir.join(format!("input-{i}.json"));
+        std::fs::write(&path, text).unwrap();
+        let path = path.to_str().unwrap();
+        let args: &[&str] = match cmd {
+            "fuzz" => &["fuzz", "--replay", path],
+            _ => &["serve", "arrayswap", "--size", "tiny", "--replay", path],
+        };
         let out = harness(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");

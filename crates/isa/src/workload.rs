@@ -65,6 +65,10 @@ pub struct WorkloadMeta {
 }
 
 /// One dynamic invocation of an atomic region.
+///
+/// It carries no footprint: a line set known before execution is the
+/// static analyzer's plan for the AR, resolved against
+/// [`ArInvocation::args`] (`clear-core`'s `StaticPlan`).
 #[derive(Clone, Debug)]
 pub struct ArInvocation {
     /// Static AR identity (ERT key).
@@ -76,13 +80,6 @@ pub struct ArInvocation {
     /// Non-AR cycles the thread spends before entering this AR (models the
     /// code between atomic regions).
     pub think_cycles: u64,
-    /// The exact cachelines this invocation will access, when knowable
-    /// *before* execution (immutable ARs only). Used by the a-priori
-    /// locking comparator (MCAS \[33\] / MAD atomics \[16\], §2.2 of the
-    /// paper): under that model, eligible ARs lock their footprint up
-    /// front and execute non-speculatively from the first attempt.
-    /// `None` for ARs whose footprint depends on loaded values.
-    pub static_footprint: Option<Vec<clear_mem::LineAddr>>,
 }
 
 /// A benchmark: lays out simulated memory and streams AR invocations to each

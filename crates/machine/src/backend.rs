@@ -81,6 +81,12 @@ pub trait SpeculationBackend: std::fmt::Debug + Send + Sync {
     fn rw_limits(&self) -> Option<LrwsConfig> {
         None
     }
+
+    /// `true` when an AR with a proved-immutable, complete static plan locks
+    /// its lock set up front and runs non-speculatively (a-priori locking).
+    fn locks_up_front(&self) -> bool {
+        false
+    }
 }
 
 /// Intel-TSX-like requester-wins best-effort HTM (preset **B**).
@@ -218,6 +224,28 @@ impl SpeculationBackend for LrwsBackend {
 
     fn rw_limits(&self) -> Option<LrwsConfig> {
         Some(self.limits)
+    }
+}
+
+/// The a-priori locking comparator of §2.2 (MCAS \[33\] / MAD atomics
+/// \[16\]): requester-wins HTM that [locks up
+/// front](SpeculationBackend::locks_up_front), exclusively and read-only
+/// lines included, the lock set of every AR with a proved-immutable,
+/// complete plan in [`MachineConfig::static_plans`]. Not a [`BackendId`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MadBackend;
+
+impl SpeculationBackend for MadBackend {
+    fn name(&self) -> &'static str {
+        "mad"
+    }
+
+    fn resolve(&self, requester: TxInfo, victims: &[TxInfo]) -> Resolution {
+        resolve_conflict(HtmFlavor::RequesterWins, requester, victims)
+    }
+
+    fn locks_up_front(&self) -> bool {
+        true
     }
 }
 

@@ -65,20 +65,13 @@ pub struct MachineConfig {
     pub backend: Arc<dyn SpeculationBackend>,
     /// Bounded-retry policy before the fallback path.
     pub retry: RetryPolicy,
-    /// A-priori cacheline locking (the MCAS \[33\] / MAD-atomics \[16\]
-    /// comparator of §2.2): ARs whose invocation carries a
-    /// `static_footprint` lock it up front and execute non-speculatively
-    /// from the *first* attempt — no discovery, but also no speculation in
-    /// low-contention phases, and exclusivity is requested even for
-    /// read-only lines. ARs without a static footprint run the baseline.
-    pub a_priori_locking: bool,
     /// Analyzer-emitted static plans (`clear_analysis::workload_plans`):
     /// proved-immutable ARs skip the discovery run on their first abort
     /// (or eagerly once contention was observed) and enter NS-CL with the
     /// plan's lock set; likely-immutable ARs take a shortened discovery
     /// that only confirms root-slot stability. `None` (the default, and
-    /// every preset) runs pure dynamic discovery. Requires a CLEAR
-    /// backend; ignored otherwise.
+    /// every preset) runs pure dynamic discovery. Read by CLEAR backends
+    /// and [`crate::MadBackend`]; ignored otherwise.
     pub static_plans: Option<Arc<StaticPlanSet>>,
     /// Reorder-buffer size in instructions (Table 2: 352). Bounds every
     /// speculative attempt under [`SpeculationKind::InCore`].
@@ -119,7 +112,6 @@ impl MachineConfig {
             coherence: CoherenceConfig::table2(cores),
             backend: Arc::new(TsxBackend),
             retry: RetryPolicy::default(),
-            a_priori_locking: false,
             static_plans: None,
             rob_size: 352,
             sq_size: 72,

@@ -41,8 +41,8 @@ mod stats;
 mod trace;
 
 pub use backend::{
-    BackendId, ClearBackend, LrwsBackend, PowerTmBackend, SleBackend, SpeculationBackend,
-    TsxBackend,
+    BackendId, ClearBackend, LrwsBackend, MadBackend, PowerTmBackend, SleBackend,
+    SpeculationBackend, TsxBackend,
 };
 pub use config::{MachineConfig, Preset, SpeculationKind, TimingConfig};
 pub use energy::{compute_energy, EnergyBreakdown, EnergyConfig};

@@ -478,53 +478,29 @@ impl Machine {
                 let ar = inv.ar;
                 self.emit(c, TraceEvent::ArFetched { ar });
                 let until = self.clocks[c] + inv.think_cycles;
-                // A-priori locking (§2.2 comparator): eligible ARs start in
-                // NS-CL with their statically-known footprint, bypassing
-                // speculation entirely.
-                let apriori_alt = if self.config.a_priori_locking {
-                    inv.static_footprint.as_ref().and_then(|lines| {
-                        if !self.coherence.fits_locked(lines) {
-                            return None;
-                        }
-                        let cc = self.config.backend.clear().copied().unwrap_or_default();
-                        let mut alt = Alt::new(cc.alt_entries, self.coherence.dir_geometry());
-                        for &l in lines {
-                            if alt.observe(l, true).is_err() {
-                                return None;
-                            }
-                        }
-                        Some(alt)
-                    })
-                } else {
-                    None
-                };
-                // Static fast path: once this AR has shown contention, a
-                // proved-immutable plan applies eagerly — the first attempt
-                // is already NS-CL and no discovery run ever happens.
-                let plan_alt = if apriori_alt.is_none()
-                    && self
-                        .stats
-                        .ar_stats
-                        .get(&inv.ar.0)
-                        .is_some_and(|e| e.aborts > 0)
-                {
+                // Static plans: under a backend that locks up front (the
+                // §2.2 a-priori locking comparator) an AR with a
+                // proved-immutable plan starts in NS-CL with the plan's lock
+                // set, bypassing speculation entirely; under CLEAR the plan
+                // applies eagerly once this AR has shown contention, so no
+                // discovery run ever happens.
+                let up_front = self.config.backend.locks_up_front();
+                let contended = self.clear_enabled()
+                    && self.stats.ar_stats.get(&ar.0).is_some_and(|e| e.aborts > 0);
+                let plan_alt = if up_front || contended {
                     self.plan_nscl_alt(&inv)
                 } else {
                     None
                 };
-                let plan_roots = if apriori_alt.is_none() && plan_alt.is_none() {
+                let plan_roots = if plan_alt.is_none() {
                     self.plan_root_lines(&inv)
                 } else {
                     Vec::new()
                 };
                 let core = &mut self.cores[c];
                 core.inv = Some(inv);
-                core.alt = apriori_alt;
-                core.planned = if core.alt.is_some() {
-                    RetryMode::NsCl
-                } else {
-                    RetryMode::SpeculativeRetry
-                };
+                core.alt = None;
+                core.planned = RetryMode::SpeculativeRetry;
                 core.plan_nscl = false;
                 core.plan_roots = plan_roots;
                 core.plan_root_dirty = false;
@@ -532,8 +508,13 @@ impl Machine {
                 core.retries_total = 0;
                 core.fp_first = None;
                 core.first_attempt_at = None;
-                if let Some(plan) = plan_alt {
-                    self.elide_discovery(c, ar, plan, true);
+                match plan_alt {
+                    Some((alt, _)) if up_front => {
+                        core.alt = Some(alt);
+                        core.planned = RetryMode::NsCl;
+                    }
+                    Some(plan) => self.elide_discovery(c, ar, plan, true),
+                    None => {}
                 }
                 self.phases[c] = Phase::Think { until };
             }

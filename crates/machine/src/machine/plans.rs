@@ -17,11 +17,9 @@ impl Machine {
     /// complete, not be poisoned, resolve every address against the entry
     /// arguments, and fit the ALT, the directory and the backend's
     /// read/write-set budgets. Returns the ALT plus the resolved line
-    /// count (the `Decision` trace footprint).
+    /// count (the `Decision` trace footprint). CLEAR elides discovery with
+    /// it; [`crate::MadBackend`] locks it before the first attempt.
     pub(super) fn plan_nscl_alt(&self, inv: &ArInvocation) -> Option<(Alt, usize)> {
-        if !self.clear_enabled() {
-            return None;
-        }
         let plans = self.config.static_plans.as_ref()?;
         let ar = inv.ar.0;
         if self.poisoned_plans.contains(&ar) {

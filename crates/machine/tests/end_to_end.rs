@@ -72,7 +72,6 @@ impl Workload for SharedCounter {
             program: Arc::clone(&self.program),
             args: vec![(Reg(0), self.addr.0)],
             think_cycles: 15,
-            static_footprint: None,
         })
     }
 
@@ -133,7 +132,6 @@ impl Workload for PrivateCounters {
             program: Arc::clone(&self.program),
             args: vec![(Reg(0), self.addrs[tid].0)],
             think_cycles: 10,
-            static_footprint: None,
         })
     }
 
@@ -316,7 +314,6 @@ impl Workload for BigAr {
             program: Arc::clone(&self.program),
             args: vec![(Reg(0), self.addr.0)],
             think_cycles: 10,
-            static_footprint: None,
         })
     }
     fn validate(&self, mem: &Memory) -> Result<(), String> {

@@ -10,10 +10,11 @@
 //! the fallback-convoy pin with the one that still woke every fallback
 //! waiter on a fallback release.
 
+use clear_core::{PlanAddr, PlanClass, StaticPlan, StaticPlanSet};
 use clear_isa::{
     ArId, ArInvocation, ArSpec, Mutability, Program, ProgramBuilder, Reg, Workload, WorkloadMeta,
 };
-use clear_machine::{Machine, MachineConfig, Preset, RunStats};
+use clear_machine::{Machine, MachineConfig, MadBackend, Preset, RunStats};
 use clear_mem::{Addr, Memory};
 use clear_workloads::{by_name, Size};
 use std::sync::Arc;
@@ -67,7 +68,6 @@ impl Workload for LongLockedInc {
             program: Arc::clone(&self.program),
             args: vec![(Reg(0), self.addr.0)],
             think_cycles: 0,
-            static_footprint: Some(vec![self.addr.line()]),
         })
     }
     fn validate(&self, mem: &Memory) -> Result<(), String> {
@@ -76,6 +76,30 @@ impl Workload for LongLockedInc {
         (v == want)
             .then_some(())
             .ok_or_else(|| format!("{v} != {want}"))
+    }
+}
+
+/// A-priori locking on `cores` cores: [`MadBackend`] with the plan that
+/// locks [`LongLockedInc`]'s one line, the line its entry register holds.
+fn mad(cores: usize) -> MachineConfig {
+    let line = vec![PlanAddr::Sym { reg: 0, delta: 0 }];
+    let mut plans = StaticPlanSet::new();
+    plans.insert(
+        0,
+        StaticPlan {
+            class: PlanClass::Immutable,
+            lock_set: line.clone(),
+            written: line,
+            root_slots: vec![],
+            complete: true,
+            bound_lines: 1,
+            bound_written: 1,
+        },
+    );
+    MachineConfig {
+        backend: Arc::new(MadBackend),
+        static_plans: Some(Arc::new(plans)),
+        ..Preset::B.config(cores, 5)
     }
 }
 
@@ -117,8 +141,7 @@ fn a_max_cycles_stop_materialises_parked_lock_waiters() {
     // Core 0 locks the line first and computes past the stop; cores 1 and
     // 2 are parked on its lock when the run times out, and must come out
     // at their first poll past `max_cycles`.
-    let mut cfg = Preset::B.config(3, 5);
-    cfg.a_priori_locking = true;
+    let mut cfg = mad(3);
     cfg.max_cycles = 2000;
     let s = Machine::new(cfg, Box::new(LongLockedInc::new())).run();
     assert_eq!(
@@ -165,9 +188,7 @@ fn a_fallback_convoy_elects_one_waiter_at_a_time() {
 
 #[test]
 fn long_lock_holds_finish_with_every_increment() {
-    let mut cfg = Preset::B.config(3, 5);
-    cfg.a_priori_locking = true;
-    let mut m = Machine::new(cfg, Box::new(LongLockedInc::new()));
+    let mut m = Machine::new(mad(3), Box::new(LongLockedInc::new()));
     let s = m.run();
     m.workload().validate(m.memory()).unwrap();
     assert!(!s.timed_out);
@@ -238,9 +259,7 @@ fn a_released_herd_wakes_one_head() {
     // Eight cores lock one line in a-priori NS-CL: an unlock elects one
     // waiter of the line's queue, that head takes the line, and the rest
     // never leave the queue, so nothing is woken only to park again.
-    let mut cfg = Preset::B.config(8, 5);
-    cfg.a_priori_locking = true;
-    let (s, digest) = traced(Box::new(LongLockedInc::new()), cfg);
+    let (s, digest) = traced(Box::new(LongLockedInc::new()), mad(8));
     assert_eq!(
         pinned(&s),
         [0, 65012, 16, 0, 21021, 21013, 312795, 0, 80, 0, 0],
@@ -257,8 +276,7 @@ fn a_max_cycles_stop_between_a_release_and_its_heads_poll() {
     // after that release fall past 4090: the stop lands while the line's
     // queue is live and its elected head has not polled, so the head and
     // the members all stop at the poll that release scheduled.
-    let mut cfg = Preset::B.config(8, 5);
-    cfg.a_priori_locking = true;
+    let mut cfg = mad(8);
     cfg.max_cycles = 4090;
     let s = Machine::new(cfg, Box::new(LongLockedInc::new())).run();
     assert_eq!(

@@ -2,11 +2,15 @@
 //! PowerTM, ERT learning and CLEAR mode selection, observed through stats
 //! and traces.
 
+use clear_core::{PlanAddr, PlanClass, StaticPlan, StaticPlanSet};
 use clear_isa::{
     ArId, ArInvocation, ArSpec, Mutability, Program, ProgramBuilder, Reg, Workload, WorkloadMeta,
 };
-use clear_machine::{Machine, Preset, TraceEvent};
+use clear_machine::{
+    Machine, MachineConfig, MadBackend, Preset, SpeculationBackend, TraceEvent, TsxBackend,
+};
 use clear_mem::{Addr, Memory};
+use clear_workloads::{by_name, Size};
 use std::sync::Arc;
 
 fn inc_program() -> Arc<Program> {
@@ -73,7 +77,6 @@ impl Workload for IndirectCounter {
             program: Arc::clone(&self.program),
             args: vec![(Reg(0), self.slot.0)],
             think_cycles: 12,
-            static_footprint: None,
         })
     }
     fn validate(&self, mem: &Memory) -> Result<(), String> {
@@ -129,7 +132,6 @@ impl Workload for SharedCounter {
             program: Arc::clone(&self.program),
             args: vec![(Reg(0), self.addr.0)],
             think_cycles: 12,
-            static_footprint: None,
         })
     }
     fn validate(&self, mem: &Memory) -> Result<(), String> {
@@ -263,67 +265,55 @@ fn abort_penalty_shows_up_in_wasted_instructions() {
     );
 }
 
-#[test]
-fn a_priori_locking_runs_eligible_ars_in_nscl_from_the_start() {
-    // SharedCounter invocations carry no static footprint; build one that
-    // does via the workloads crate instead: mwobject-style single line.
-    struct StaticInc {
-        addr: Addr,
-        remaining: Vec<u32>,
-        program: Arc<Program>,
+/// Plans for ARs `0..ars`, each of `class` over the lines entry registers
+/// `0..regs` hold, all written; likely-immutable plans hinge on all of
+/// them as root slots.
+fn plan_set(ars: u32, regs: u8, class: PlanClass, complete: bool) -> Option<Arc<StaticPlanSet>> {
+    let lines: Vec<_> = (0..regs)
+        .map(|reg| PlanAddr::Sym { reg, delta: 0 })
+        .collect();
+    let likely = class == PlanClass::LikelyImmutable;
+    let mut plans = StaticPlanSet::new();
+    for ar in 0..ars {
+        let plan = StaticPlan {
+            class,
+            lock_set: lines.clone(),
+            written: lines.clone(),
+            root_slots: if likely { lines.clone() } else { vec![] },
+            complete,
+            bound_lines: lines.len(),
+            bound_written: lines.len(),
+        };
+        plans.insert(ar, plan);
     }
-    impl Workload for StaticInc {
-        fn meta(&self) -> WorkloadMeta {
-            WorkloadMeta {
-                name: "static-inc".into(),
-                ars: vec![ArSpec {
-                    id: ArId(0),
-                    name: "inc".into(),
-                    mutability: Mutability::Immutable,
-                }],
-            }
-        }
-        fn setup(&mut self, mem: &mut Memory, threads: usize) {
-            self.addr = mem.alloc_words(1);
-            self.remaining = vec![25; threads];
-        }
-        fn next_ar(&mut self, tid: usize, _mem: &Memory) -> Option<ArInvocation> {
-            if self.remaining[tid] == 0 {
-                return None;
-            }
-            self.remaining[tid] -= 1;
-            Some(ArInvocation {
-                ar: ArId(0),
-                program: Arc::clone(&self.program),
-                args: vec![(Reg(0), self.addr.0)],
-                think_cycles: 10,
-                static_footprint: Some(vec![self.addr.line()]),
-            })
-        }
-        fn validate(&self, mem: &Memory) -> Result<(), String> {
-            let v = mem.load_word(self.addr);
-            let want = 25 * self.remaining.len() as u64;
-            (v == want)
-                .then_some(())
-                .ok_or_else(|| format!("{v} != {want}"))
-        }
-    }
+    Some(Arc::new(plans))
+}
 
-    let w = StaticInc {
-        addr: Addr::NULL,
-        remaining: vec![],
-        program: inc_program(),
-    };
-    let mut cfg = Preset::B.config(4, 5);
+/// Preset B's machine with `backend` and `plans` installed.
+fn with_plans(
+    backend: Arc<dyn SpeculationBackend>,
+    cores: usize,
+    plans: Option<Arc<StaticPlanSet>>,
+) -> MachineConfig {
+    MachineConfig {
+        backend,
+        static_plans: plans,
+        ..Preset::B.config(cores, 5)
+    }
+}
+
+#[test]
+fn mad_backend_runs_planned_ars_in_nscl_from_the_start() {
+    let plans = plan_set(1, 1, PlanClass::Immutable, true);
+    let mut cfg = with_plans(Arc::new(MadBackend), 4, plans);
     cfg.seed = 13;
-    cfg.a_priori_locking = true;
-    let mut m = Machine::new(cfg, Box::new(w));
+    let mut m = Machine::new(cfg, Box::new(SharedCounter::new(25)));
     let s = m.run();
     m.workload().validate(m.memory()).unwrap();
     assert_eq!(s.commits(), 100);
     assert_eq!(
         s.commits_by_mode.nscl, 100,
-        "every eligible AR must run NS-CL from its first attempt: {:?}",
+        "every planned AR must run NS-CL from its first attempt: {:?}",
         s.commits_by_mode
     );
     assert_eq!(
@@ -334,16 +324,43 @@ fn a_priori_locking_runs_eligible_ars_in_nscl_from_the_start() {
 }
 
 #[test]
-fn a_priori_locking_ignores_footprint_free_ars() {
-    let mut cfg = Preset::B.config(4, 5);
+fn mad_backend_ignores_plan_free_ars() {
+    let mut cfg = with_plans(Arc::new(MadBackend), 4, None);
     cfg.seed = 13;
-    cfg.a_priori_locking = true;
     let mut m = Machine::new(cfg, Box::new(SharedCounter::new(25)));
     let s = m.run();
     m.workload().validate(m.memory()).unwrap();
+    assert_eq!(s.commits_by_mode.nscl, 0, "no plan, no a-priori NS-CL");
+}
+
+#[test]
+fn mad_backend_adds_only_the_up_front_lock() {
+    // Without a proved-immutable, complete plan, MadBackend is TsxBackend:
+    // a contended arrayswap runs step for step the same, trace included.
+    // Both ARs (swap, sum) take their addresses from registers 0 and 1.
+    let set = |class, complete| plan_set(2, 2, class, complete);
+    let run = |backend: Arc<dyn SpeculationBackend>, plans| {
+        let w = by_name("arrayswap", Size::Tiny, 7).expect("known benchmark");
+        let mut m = Machine::new(with_plans(backend, 8, plans), w);
+        m.enable_tracing();
+        let mut s = m.run();
+        m.workload().validate(m.memory()).unwrap();
+        s.perf.run_wall_ns = 0;
+        (format!("{s:?}"), m.trace().digest(), s.aborts.total())
+    };
+    for plans in [
+        None,
+        set(PlanClass::LikelyImmutable, true),
+        set(PlanClass::Immutable, false),
+    ] {
+        let tsx = run(Arc::new(TsxBackend), plans.clone());
+        assert!(tsx.2 > 0, "the workload must be contended");
+        assert_eq!(run(Arc::new(MadBackend), plans), tsx);
+    }
+    let mad = run(Arc::new(MadBackend), set(PlanClass::Immutable, true));
     assert_eq!(
-        s.commits_by_mode.nscl, 0,
-        "no static footprint, no a-priori NS-CL"
+        mad.2, 0,
+        "a complete immutable plan locks every AR up front"
     );
 }
 
@@ -392,7 +409,6 @@ fn explicit_abort_retries_until_data_allows_commit() {
                     program: Arc::clone(&self.waiter),
                     args: vec![(Reg(0), self.flag.0), (Reg(1), self.done.0), (Reg(5), 0)],
                     think_cycles: 1,
-                    static_footprint: None,
                 })
             } else {
                 Some(ArInvocation {
@@ -402,7 +418,6 @@ fn explicit_abort_retries_until_data_allows_commit() {
                     // The setter arrives late so the waiter aborts a few
                     // times first (speculatively and then in fallback).
                     think_cycles: 2_000,
-                    static_footprint: None,
                 })
             }
         }

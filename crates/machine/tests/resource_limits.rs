@@ -65,7 +65,6 @@ impl Workload for WideAr {
             program: Arc::clone(&self.program),
             args: vec![(Reg(0), self.region.0), (Reg(1), self.counter.0)],
             think_cycles: 8,
-            static_footprint: None,
         })
     }
     fn validate(&self, mem: &Memory) -> Result<(), String> {
@@ -138,7 +137,6 @@ impl Workload for StoreHeavyAr {
             program: Arc::clone(&self.program),
             args: vec![(Reg(0), self.region.0), (Reg(1), self.counter.0)],
             think_cycles: 8,
-            static_footprint: None,
         })
     }
     fn validate(&self, mem: &Memory) -> Result<(), String> {
@@ -255,7 +253,6 @@ impl Workload for FaultyAr {
             program: Arc::clone(&self.program),
             args: vec![(Reg(0), 0)], // null base
             think_cycles: 5,
-            static_footprint: None,
         })
     }
 }

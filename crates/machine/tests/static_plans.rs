@@ -90,7 +90,6 @@ impl Workload for TwoCounters {
             program: Arc::clone(&self.program),
             args: vec![(Reg(0), self.addrs[0].0), (Reg(1), self.addrs[1].0)],
             think_cycles: 15,
-            static_footprint: None,
         })
     }
     fn validate(&self, mem: &Memory) -> Result<(), String> {
@@ -153,7 +152,6 @@ impl Workload for PointerChase {
             program: Arc::clone(&self.program),
             args: vec![(Reg(0), self.slot.0)],
             think_cycles: 15,
-            static_footprint: None,
         })
     }
     fn validate(&self, mem: &Memory) -> Result<(), String> {

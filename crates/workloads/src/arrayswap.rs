@@ -127,7 +127,6 @@ impl Workload for ArraySwap {
             program,
             args: vec![(Reg(0), self.slot(a).0), (Reg(1), self.slot(b).0)],
             think_cycles: think,
-            static_footprint: Some(vec![self.slot(a).line(), self.slot(b).line()]),
         })
     }
 

@@ -112,7 +112,6 @@ impl Workload for Bitcoin {
                 (Reg(3), amount),
             ],
             think_cycles: think,
-            static_footprint: None,
         })
     }
 

@@ -244,7 +244,6 @@ impl Workload for Bst {
                     (Reg(5), 0),
                 ],
                 think_cycles: think,
-                static_footprint: None,
             })
         } else {
             let idx = rng.gen_range(0..self.inserted_keys[tid].len());
@@ -266,7 +265,6 @@ impl Workload for Bst {
                     (Reg(5), 0),
                 ],
                 think_cycles: think,
-                static_footprint: None,
             })
         }
     }

@@ -105,7 +105,6 @@ impl Workload for Deque {
                 program: Arc::clone(&self.push),
                 args: vec![(Reg(0), d.back.0), (Reg(1), d.slots.0), (Reg(2), value)],
                 think_cycles: think,
-                static_footprint: None,
             })
         } else {
             let d = self.deques[victim];
@@ -119,7 +118,6 @@ impl Workload for Deque {
                     (Reg(3), self.accs[tid].0),
                 ],
                 think_cycles: think,
-                static_footprint: None,
             })
         }
     }

@@ -209,7 +209,6 @@ impl Workload for HashMapBench {
                     (Reg(5), 0),
                 ],
                 think_cycles: think,
-                static_footprint: None,
             })
         } else {
             let idx = rng.gen_range(0..self.inserted_keys[tid].len());
@@ -226,7 +225,6 @@ impl Workload for HashMapBench {
                         (Reg(5), 0),
                     ],
                     think_cycles: think,
-                    static_footprint: None,
                 })
             } else {
                 self.updates += 1;
@@ -239,7 +237,6 @@ impl Workload for HashMapBench {
                         (Reg(5), 0),
                     ],
                     think_cycles: think,
-                    static_footprint: None,
                 })
             }
         }

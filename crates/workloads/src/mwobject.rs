@@ -74,7 +74,6 @@ impl Workload for MwObject {
             program: Arc::clone(&self.program),
             args: vec![(Reg(0), self.object.0)],
             think_cycles: think,
-            static_footprint: Some(vec![self.object.line()]),
         })
     }
 

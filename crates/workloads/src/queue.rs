@@ -145,7 +145,6 @@ impl Workload for Queue {
                     (Reg(2), value),
                 ],
                 think_cycles: think,
-                static_footprint: None,
             })
         } else {
             Some(ArInvocation {
@@ -158,7 +157,6 @@ impl Workload for Queue {
                     (Reg(3), self.accs[tid].0),
                 ],
                 think_cycles: think,
-                static_footprint: None,
             })
         }
     }

@@ -201,7 +201,6 @@ impl Workload for SortedList {
                     (Reg(5), 0),
                 ],
                 think_cycles: think,
-                static_footprint: None,
             })
         } else if dice < 0.55 {
             Some(ArInvocation {
@@ -209,7 +208,6 @@ impl Workload for SortedList {
                 program: Arc::clone(&self.count),
                 args: vec![(Reg(0), self.head.0), (Reg(1), value), (Reg(5), 0)],
                 think_cycles: think,
-                static_footprint: None,
             })
         } else {
             self.bumps += 1;
@@ -218,7 +216,6 @@ impl Workload for SortedList {
                 program: Arc::clone(&self.bump),
                 args: vec![(Reg(0), self.counter.0)],
                 think_cycles: think,
-                static_footprint: Some(vec![self.counter.line()]),
             })
         }
     }

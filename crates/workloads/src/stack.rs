@@ -136,7 +136,6 @@ impl Workload for Stack {
                     (Reg(2), value),
                 ],
                 think_cycles: think,
-                static_footprint: None,
             })
         } else {
             Some(ArInvocation {
@@ -149,7 +148,6 @@ impl Workload for Stack {
                     (Reg(3), 0),
                 ],
                 think_cycles: think,
-                static_footprint: None,
             })
         }
     }

@@ -478,18 +478,11 @@ impl Workload for StampModel {
         let (data, ptr_slot, perm, cells) = (self.data, self.ptr_slot, self.perm, self.cells);
         let rng = self.rngs.get(tid);
         let think = rng.gen_range(think_range.0..think_range.1);
-        let mut static_footprint = None;
         let args = match model.kind {
             ArKind::Block { lines, writes } => {
                 let span = data_lines.saturating_sub(lines as u64).max(1);
                 let start = rng.gen_range(0..span);
                 self.expected_data_increments += writes as u64;
-                static_footprint = Some(
-                    (0..lines as u64)
-                        .map(|i| Self::line_addr(data, start + i).0 / clear_mem::LINE_BYTES)
-                        .map(clear_mem::LineAddr)
-                        .collect(),
-                );
                 vec![(Reg(0), Self::line_addr(data, start).0)]
             }
             ArKind::Indirect { lines, writes } => {
@@ -528,7 +521,6 @@ impl Workload for StampModel {
             program: Arc::clone(&self.programs[idx]),
             args,
             think_cycles: think,
-            static_footprint,
         })
     }
 

@@ -74,27 +74,6 @@ fn every_ar_gets_a_verdict_and_bounded_blocks() {
 }
 
 #[test]
-fn declared_static_footprints_match_analysis() {
-    // Workloads that declare an a-priori footprint (immutable ARs used by
-    // the a-priori locking comparator) must declare exactly the lines the
-    // analyzer derives from the same entry arguments.
-    let mut checked = 0;
-    for report in analyze_all() {
-        for ar in &report.ars {
-            if let Some(ok) = ar.declared_footprint_matches {
-                assert!(
-                    ok,
-                    "{} / {}: declared static footprint disagrees with analysis",
-                    report.name, ar.spec.name
-                );
-                checked += 1;
-            }
-        }
-    }
-    assert!(checked > 0, "no declared footprints were checked");
-}
-
-#[test]
 fn verdicts_agree_with_declared_classes_except_known_cases() {
     // The analyzer's verdict maps onto Table 1's class for most ARs. The
     // known exceptions are pinned here:

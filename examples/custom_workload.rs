@@ -94,7 +94,6 @@ impl Workload for Bank {
                 (Reg(2), amount),
             ],
             think_cycles: think,
-            static_footprint: None,
         })
     }
 

@@ -386,7 +386,6 @@ mod machine_props {
                 program: Arc::clone(&self.program),
                 args: vec![(Reg(0), target.0)],
                 think_cycles: 7,
-                static_footprint: None,
             })
         }
         fn validate(&self, mem: &Memory) -> Result<(), String> {
