@@ -163,18 +163,23 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a message with the byte offset on malformed input.
+    /// Returns a message with the byte offset on malformed input, and on
+    /// arrays and objects nested deeper than [`MAX_NESTING`].
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing data at byte {pos}"));
         }
         Ok(value)
     }
 }
+
+/// How deep [`Json::parse`] lets arrays and objects nest. The parser
+/// recurses once per level, so the bound keeps a hostile input file from
+/// overflowing the stack; the committed documents nest under 10 levels.
+pub const MAX_NESTING: usize = 256;
 
 fn push_indent(out: &mut String, indent: usize) {
     for _ in 0..indent {
@@ -250,14 +255,22 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
-    match bytes.get(*pos) {
+    let open = bytes.get(*pos);
+    if matches!(open, Some(b'[' | b'{')) && depth == MAX_NESTING {
+        return Err(format!(
+            "nesting deeper than {MAX_NESTING} levels at byte {pos}",
+            pos = *pos
+        ));
+    }
+    match open {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -267,7 +280,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -289,10 +302,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -309,7 +322,8 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}", pos = *pos));
     }
@@ -334,14 +348,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
+                        let hex = text.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
+                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                         out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
                         *pos += 4;
                     }
@@ -350,11 +358,14 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape in one go:
+                // both are ASCII, so the run ends on a character boundary.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                out.push_str(&text[*pos..*pos + run]);
+                *pos += run;
             }
         }
     }
@@ -440,6 +451,27 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(Json::parse(&nested(MAX_NESTING)).is_ok());
+        let err = Json::parse(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let objects =
+            |levels: usize| format!("{}1{}", "{\"k\":".repeat(levels), "}".repeat(levels));
+        assert!(Json::parse(&objects(MAX_NESTING)).is_ok());
+        assert!(Json::parse(&objects(MAX_NESTING + 1)).is_err());
+    }
+
+    #[test]
+    fn strings_keep_multibyte_runs_between_escapes() {
+        let back = Json::parse("\"a\u{e9}b\\n\u{e7}\\u00e9\u{1f600}\"").expect("parse");
+        assert_eq!(
+            back,
+            Json::Str("a\u{e9}b\n\u{e7}\u{e9}\u{1f600}".to_string())
+        );
     }
 
     #[test]

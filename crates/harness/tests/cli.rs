@@ -103,6 +103,7 @@ fn malformed_input_files_exit_2_with_a_message() {
             corpus(r#"{"seed": -1, "index": 0}"#),
             "entry 0 has no seed string or non-negative integer seed",
         ),
+        ("fuzz", "[".repeat(2_000_000), "nesting deeper than"),
         (
             "serve",
             gaps("10, -3, 7"),

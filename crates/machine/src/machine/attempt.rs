@@ -24,9 +24,9 @@ impl Machine {
                 // subscribed speculative AR through conflict detection.
                 let line = self.fallback.line();
                 let impacts = self.force_apply(c, line, Access::Write, TxTrack::None);
-                self.abort_victims(c, line, &impacts, AbortKind::OtherFallback);
+                self.abort_victims(c, line, &impacts, AbortKind::OtherFallback, false);
                 self.arm_vm(c);
-                self.cores[c].mode = ExecMode::Fallback;
+                self.cores[c].mode = RetryMode::Fallback;
                 self.emit(
                     c,
                     TraceEvent::AttemptStart {
@@ -36,13 +36,8 @@ impl Machine {
                 self.phases[c] = Phase::Running;
                 self.clocks[c] += self.config.timing.xbegin_cost;
             }
-            RetryMode::NsCl | RetryMode::SCl => {
+            mode @ (RetryMode::NsCl | RetryMode::SCl) => {
                 self.take_fallback(c, false);
-                let mode = if self.cores[c].planned == RetryMode::NsCl {
-                    ExecMode::NsCl
-                } else {
-                    ExecMode::SCl
-                };
                 // Refresh the S-CL lock list with lines the CRT has learned
                 // about since the ALT was built (§5.1). The list reuses the
                 // core's previous lock-list buffer.
@@ -51,7 +46,7 @@ impl Machine {
                     let core = &mut self.cores[c];
                     let alt = core.alt.as_mut().expect("CL mode requires ALT");
                     alt.reset_lock_state();
-                    if mode == ExecMode::SCl {
+                    if mode == RetryMode::SCl {
                         let lines: Vec<LineAddr> = alt.footprint();
                         for l in lines {
                             if core.crt.take(l) {
@@ -62,19 +57,14 @@ impl Machine {
                     alt.lock_list_into(&mut lock_list);
                 }
                 self.arm_vm(c);
-                self.emit(
-                    c,
-                    TraceEvent::AttemptStart {
-                        mode: mode.commit_bucket(),
-                    },
-                );
+                self.emit(c, TraceEvent::AttemptStart { mode });
                 let core = &mut self.cores[c];
                 core.mode = mode;
                 core.lock_list = lock_list;
                 core.lock_wait_acc = 0;
                 self.phases[c] = Phase::LockAcquire { idx: 0 };
                 // S-CL checkpoints like a transaction; NS-CL does not.
-                self.clocks[c] += if mode == ExecMode::SCl {
+                self.clocks[c] += if mode == RetryMode::SCl {
                     self.config.timing.xbegin_cost
                 } else {
                     1
@@ -83,7 +73,7 @@ impl Machine {
             RetryMode::SpeculativeRetry => {
                 self.cores[c].explicit_fb_recorded = false;
                 self.arm_vm(c);
-                self.cores[c].mode = ExecMode::Speculative;
+                self.cores[c].mode = RetryMode::SpeculativeRetry;
                 self.emit(
                     c,
                     TraceEvent::AttemptStart {
@@ -145,7 +135,7 @@ impl Machine {
         self.sched_touched.push(c);
         let span = self.clocks[c].saturating_sub(self.cores[c].attempt_started_at);
         self.emit(c, TraceEvent::Abort { kind, span });
-        let was_scl = self.cores[c].mode == ExecMode::SCl;
+        let was_scl = self.cores[c].mode == RetryMode::SCl;
         self.note_attempt_end(c, true);
 
         // Roll back all speculative and lock state.
@@ -297,7 +287,7 @@ impl Machine {
         self.emit(
             c,
             TraceEvent::Commit {
-                mode: mode.commit_bucket(),
+                mode,
                 retries: self.cores[c].retries_total,
             },
         );
@@ -308,9 +298,9 @@ impl Machine {
         }
         self.coherence.clear_tx(CoreId(c));
         match mode {
-            ExecMode::SCl | ExecMode::NsCl => self.release_cl_locks(c),
-            ExecMode::Fallback => self.release_fallback_write(c),
-            ExecMode::Speculative => {}
+            RetryMode::SCl | RetryMode::NsCl => self.release_cl_locks(c),
+            RetryMode::Fallback => self.release_fallback_write(c),
+            RetryMode::SpeculativeRetry => {}
         }
         if self.cores[c].power {
             self.power_token.release(CoreId(c));
@@ -338,11 +328,7 @@ impl Machine {
         self.cores[c].ert.entry(ar).is_convertible = false;
         let failed = self.in_failed_mode(c);
         if failed {
-            let kind = self.cores[c]
-                .held_abort
-                .take()
-                .unwrap_or(AbortKind::Capacity);
-            self.perform_abort(c, kind);
+            self.abort_held(c, AbortKind::Capacity);
         } else {
             self.cores[c].discovery = None;
         }

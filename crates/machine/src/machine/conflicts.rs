@@ -29,8 +29,9 @@ impl Machine {
         }
     }
 
-    /// Aborts every victim whose transactional copy was stolen.
-    pub(super) fn abort_victims_tagged(
+    /// Aborts every victim whose transactional copy was stolen, by an
+    /// access or, with `from_lock`, by a cacheline lock.
+    pub(super) fn abort_victims(
         &mut self,
         requester: usize,
         line: LineAddr,
@@ -62,16 +63,6 @@ impl Machine {
         }
     }
 
-    pub(super) fn abort_victims(
-        &mut self,
-        requester: usize,
-        line: LineAddr,
-        impacts: &[RemoteImpact],
-        kind: AbortKind,
-    ) {
-        self.abort_victims_tagged(requester, line, impacts, kind, false);
-    }
-
     /// Delivers a conflict to a victim core: enter failed-mode discovery
     /// (CLEAR) or abort immediately (baseline). `line` and `aggressor`
     /// attribute the conflict for the trace: which cacheline was stolen,
@@ -84,7 +75,7 @@ impl Machine {
         aggressor: usize,
     ) {
         match self.cores[v].mode {
-            ExecMode::Speculative if self.phases[v] == Phase::Running => {
+            RetryMode::SpeculativeRetry if self.phases[v] == Phase::Running => {
                 // A parked pending victim first moves to the poll it would
                 // be waiting at under per-poll spinning.
                 self.materialize(v);
@@ -131,7 +122,7 @@ impl Machine {
                 }
                 self.perform_abort(v, kind);
             }
-            ExecMode::SCl if self.phases[v] == Phase::Running => {
+            RetryMode::SCl if self.phases[v] == Phase::Running => {
                 self.emit(v, TraceEvent::ConflictReceived { line, aggressor });
                 self.perform_abort(v, kind);
             }

@@ -93,7 +93,7 @@ impl Machine {
                 // The impacts list of a group lock spans lines; CRT
                 // attribution uses the first group line, which is exact for
                 // single-line groups and conservative otherwise.
-                self.abort_victims_tagged(c, group[0], &impacts, AbortKind::MemoryConflict, true);
+                self.abort_victims(c, group[0], &impacts, AbortKind::MemoryConflict, true);
                 self.phases[c] = Phase::LockAcquire {
                     idx: idx + group.len(),
                 };

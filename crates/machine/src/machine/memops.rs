@@ -1,5 +1,6 @@
-//! Per-instruction execution: the run loop body, loads and stores routed
-//! through the store queue, discovery, coherence and conflict policy, and
+//! Per-instruction execution: the run loop body, one access path that
+//! serves every load and store by the attempt's retry mode (store queue,
+//! discovery, cacheline locks, coherence and conflict policy), and
 //! simulated-fault handling.
 use super::sched::WaitOn;
 use super::*;
@@ -16,21 +17,13 @@ impl Machine {
     pub(super) fn run_step(&mut self, c: usize) {
         let before = self.clocks[c];
         // Retry a stalled memory operation first.
-        if let Some(p) = self.cores[c].pending.take() {
-            match p {
-                PendingOp::Load { addr, indirect } => self.do_load(c, addr, indirect),
-                PendingOp::Store {
-                    addr,
-                    value,
-                    indirect,
-                } => self.do_store(c, addr, value, indirect),
-            }
+        if let Some(op) = self.cores[c].pending.take() {
+            self.access(c, op);
         } else {
             // Safety caps.
             let retired = self.cores[c].vm.as_ref().map(|v| v.retired()).unwrap_or(0);
             if self.in_failed_mode(c) && retired > self.config.failed_instr_cap {
-                let kind = self.cores[c].held_abort.take().unwrap_or(AbortKind::Other);
-                self.perform_abort(c, kind);
+                self.abort_held(c, AbortKind::Other);
                 return;
             }
             assert!(
@@ -42,7 +35,10 @@ impl Machine {
             // AR outgrows it (§4.1 assessment 1); the AR is then
             // non-convertible.
             if self.config.backend.speculation() == SpeculationKind::InCore
-                && matches!(self.cores[c].mode, ExecMode::Speculative | ExecMode::SCl)
+                && matches!(
+                    self.cores[c].mode,
+                    RetryMode::SpeculativeRetry | RetryMode::SCl
+                )
             {
                 let vm = self.cores[c].vm.as_ref().expect("vm armed");
                 if vm.retired() > self.config.rob_size || vm.stores_retired() > self.config.sq_size
@@ -52,11 +48,7 @@ impl Machine {
                     self.cores[c].discovery = None;
                     self.cores[c].planned = RetryMode::SpeculativeRetry;
                     self.cores[c].alt = None;
-                    let kind = self.cores[c]
-                        .held_abort
-                        .take()
-                        .unwrap_or(AbortKind::Capacity);
-                    self.perform_abort(c, kind);
+                    self.abort_held(c, AbortKind::Capacity);
                     return;
                 }
             }
@@ -75,12 +67,26 @@ impl Machine {
                     addr,
                     addr_indirect,
                     ..
-                } => self.do_load(c, addr, addr_indirect),
+                } => self.access(
+                    c,
+                    MemOp {
+                        addr,
+                        store: None,
+                        indirect: addr_indirect,
+                    },
+                ),
                 Effect::Store {
                     addr,
                     value,
                     addr_indirect,
-                } => self.do_store(c, addr, value, addr_indirect),
+                } => self.access(
+                    c,
+                    MemOp {
+                        addr,
+                        store: Some(value),
+                        indirect: addr_indirect,
+                    },
+                ),
                 Effect::Commit => {
                     self.clocks[c] += 1;
                     if self.cores[c].held_abort.is_some() {
@@ -92,11 +98,7 @@ impl Machine {
                 }
                 Effect::Abort { .. } => {
                     self.clocks[c] += 1;
-                    let kind = self.cores[c]
-                        .held_abort
-                        .take()
-                        .unwrap_or(AbortKind::Explicit);
-                    self.perform_abort(c, kind);
+                    self.abort_held(c, AbortKind::Explicit);
                     return;
                 }
             }
@@ -130,32 +132,56 @@ impl Machine {
         }
     }
 
-    pub(super) fn fault(&self, addr: Addr) -> bool {
-        addr == Addr::NULL || !addr.is_word_aligned()
+    /// Aborts `c` with the abort failed-mode discovery holds, or with
+    /// `default` when none is held.
+    pub(super) fn abort_held(&mut self, c: usize, default: AbortKind) {
+        let kind = self.cores[c].held_abort.take().unwrap_or(default);
+        self.perform_abort(c, kind);
     }
 
-    pub(super) fn handle_fault(&mut self, c: usize, addr: Addr) {
-        match self.cores[c].mode {
-            ExecMode::Fallback | ExecMode::NsCl => panic!(
-                "fault at {addr} in non-speculative mode: workload bug (mode {:?})",
-                self.cores[c].mode
-            ),
-            _ => {
-                let kind = self.cores[c].held_abort.take().unwrap_or(AbortKind::Other);
-                self.perform_abort(c, kind);
+    /// Serves one load or store of core `c`. The attempt's retry mode
+    /// alone decides how: NS-CL and S-CL own-lock accesses are
+    /// conflict-free, failed-mode discovery reads without aborting anyone
+    /// (§5.1), and every other access takes the coherent path — park on a
+    /// line another core holds locked (the retried request of Fig. 6),
+    /// arbitrate against the remote transactions it would steal from,
+    /// apply, and abort the victims. The fallback path is never arbitrated
+    /// nor R/W-set tracked, so it always makes progress.
+    pub(super) fn access(&mut self, c: usize, op: MemOp) {
+        let MemOp {
+            addr,
+            store,
+            indirect,
+        } = op;
+        if addr == Addr::NULL || !addr.is_word_aligned() {
+            match self.cores[c].mode {
+                RetryMode::Fallback | RetryMode::NsCl => panic!(
+                    "fault at {addr} in non-speculative mode: workload bug (mode {:?})",
+                    self.cores[c].mode
+                ),
+                _ => self.abort_held(c, AbortKind::Other),
             }
-        }
-    }
-
-    pub(super) fn do_load(&mut self, c: usize, addr: Addr, indirect: bool) {
-        if self.fault(addr) {
-            self.handle_fault(c, addr);
             return;
         }
         let line = addr.line();
-        self.cores[c].fp_cur.insert(line);
-        if let Some(d) = self.cores[c].discovery.as_mut() {
-            d.on_access(line, false, indirect);
+        let is_write = store.is_some();
+        let core = &mut self.cores[c];
+        core.fp_cur.insert(line);
+        // Partial-discovery confirmation for a likely-immutable plan: a
+        // store into a root slot means the footprint roots are not stable
+        // after all, so the S-CL lock-all upgrade is off.
+        if is_write && !core.plan_roots.is_empty() && core.plan_roots.contains(&line) {
+            core.plan_root_dirty = true;
+        }
+        if let Some(d) = core.discovery.as_mut() {
+            d.on_access(line, is_write, indirect);
+            if is_write && d.in_failed_mode() && d.stores_in_failed() > self.config.sq_size {
+                d.on_sq_overflow();
+                let ar = core.inv.as_ref().unwrap().ar.0;
+                core.ert.entry(ar).bump_sq_full();
+                self.abort_held(c, AbortKind::Capacity);
+                return;
+            }
             if d.overflowed() {
                 self.on_discovery_overflow(c);
                 if self.phases[c] != Phase::Running {
@@ -166,7 +192,7 @@ impl Machine {
 
         // Store-to-load forwarding from the speculative store buffer (the
         // emptiness check skips the hash for the common no-prior-store case).
-        if !self.cores[c].sq.is_empty() {
+        if !is_write && !self.cores[c].sq.is_empty() {
             if let Some(&v) = self.cores[c].sq.get(&addr.0) {
                 self.clocks[c] += 1;
                 self.cores[c].vm.as_mut().unwrap().finish_load(v);
@@ -175,11 +201,13 @@ impl Machine {
         }
 
         match self.cores[c].mode {
-            ExecMode::NsCl => {
+            RetryMode::NsCl => {
                 // Plan-driven NS-CL trusts an analyzer, not a discovery run:
                 // verify the lock before touching memory and bail to the
-                // dynamic path on a miss. Discovery-built ALTs are exact, so
-                // the debug assertion below stays for them.
+                // dynamic path on a miss, so the attempt stays abortable
+                // until the guard has seen every access. Discovery-built
+                // ALTs are exact, so the debug assertion below stays for
+                // them.
                 if self.cores[c].plan_nscl && self.coherence.locked_by(line) != Some(CoreId(c)) {
                     self.plan_violation(c);
                     return;
@@ -189,252 +217,115 @@ impl Machine {
                     Some(CoreId(c)),
                     "NS-CL accessed an unlocked line: immutability violated"
                 );
-                let v = self.memory.load_word(addr);
                 self.clocks[c] += 1;
-                self.cores[c].vm.as_mut().unwrap().finish_load(v);
+                self.complete(c, addr, store);
             }
-            ExecMode::SCl if self.coherence.locked_by(line) == Some(CoreId(c)) => {
-                let v = self.memory.load_word(addr);
+            RetryMode::SCl if self.coherence.locked_by(line) == Some(CoreId(c)) => {
                 self.clocks[c] += 1;
-                self.cores[c].vm.as_mut().unwrap().finish_load(v);
+                self.complete(c, addr, store);
             }
-            ExecMode::Speculative if self.in_failed_mode(c) => {
-                // Non-aborting read: no coherence state change (§5.1).
-                let lat = self.coherence.read_untracked(CoreId(c), line);
-                let v = self.memory.load_word(addr);
-                self.clocks[c] += lat;
-                self.cores[c].vm.as_mut().unwrap().finish_load(v);
+            RetryMode::SpeculativeRetry if self.in_failed_mode(c) => {
+                // Failed mode: no coherence state change (§5.1); stores stay
+                // in the SQ.
+                self.clocks[c] += if is_write {
+                    1
+                } else {
+                    self.coherence.read_untracked(CoreId(c), line)
+                };
+                self.complete(c, addr, store);
             }
             mode => {
+                let (access, tx) = match (is_write, mode) {
+                    (false, RetryMode::Fallback) => (Access::Read, TxTrack::None),
+                    (true, RetryMode::Fallback) => (Access::Write, TxTrack::None),
+                    (false, _) => (Access::Read, TxTrack::Read),
+                    (true, _) => (Access::Write, TxTrack::Write),
+                };
                 // Limited-R/W-set backend: admit the line into the bounded
-                // read buffer before issuing the access; overflow is a
-                // capacity abort (the fallback path is never tracked, so it
-                // always makes progress).
-                if mode == ExecMode::Speculative && !self.lrws_track(c, line, false) {
+                // read or write buffer before issuing the access; overflow
+                // is a capacity abort.
+                if mode == RetryMode::SpeculativeRetry && !self.lrws_track(c, line, is_write) {
                     return;
                 }
-                let probe = self.coherence.probe(CoreId(c), line, Access::Read);
+                let probe = self.coherence.probe(CoreId(c), line, access);
                 if probe.locked_by_other.is_some() {
-                    if mode == ExecMode::SCl {
-                        // Non-locking S-CL load reaching a locked line is
+                    if mode == RetryMode::SCl {
+                        // A non-locking S-CL access reaching a locked line is
                         // NACKed and aborts (§4.4.2, Fig. 5).
                         self.perform_abort(c, AbortKind::Nacked);
                     } else {
                         // Retried request (Fig. 6): requester re-sends.
-                        self.cores[c].pending = Some(PendingOp::Load { addr, indirect });
+                        self.cores[c].pending = Some(op);
                         self.park(c, WaitOn::Pending { line });
                     }
                     return;
                 }
-                // Collect conflicting victims into the reused scratch list.
-                let mut victims = std::mem::take(&mut self.scratch_victims);
-                victims.clear();
-                for i in probe
-                    .remote_impacts
-                    .iter()
-                    .filter(|i| i.is_tx_conflict(false))
-                {
-                    victims.push(self.tx_info(i.core.0));
-                }
-                let nacked = !victims.is_empty() && {
-                    let me = self.tx_info(c);
-                    self.config.backend.resolve(me, &victims) == Resolution::NackRequester
-                };
-                self.scratch_victims = victims;
-                if nacked {
-                    if mode == ExecMode::Fallback {
-                        // Fallback cannot abort; force through.
-                    } else {
+                if mode != RetryMode::Fallback {
+                    // Collect conflicting victims into the reused scratch list.
+                    let mut victims = std::mem::take(&mut self.scratch_victims);
+                    victims.clear();
+                    for i in probe
+                        .remote_impacts
+                        .iter()
+                        .filter(|i| i.is_tx_conflict(is_write))
+                    {
+                        victims.push(self.tx_info(i.core.0));
+                    }
+                    let nacked = !victims.is_empty() && {
+                        let me = self.tx_info(c);
+                        self.config.backend.resolve(me, &victims) == Resolution::NackRequester
+                    };
+                    self.scratch_victims = victims;
+                    if nacked {
                         self.perform_abort(c, AbortKind::Nacked);
                         return;
                     }
                 }
-                let tx = if mode == ExecMode::Fallback {
-                    TxTrack::None
-                } else {
-                    TxTrack::Read
-                };
                 // Coherence state is unchanged since the probe, so the
                 // apply can consume it instead of re-probing.
                 match self
                     .coherence
-                    .apply_probed(CoreId(c), line, Access::Read, tx, probe)
+                    .apply_probed(CoreId(c), line, access, tx, probe)
                 {
                     Ok(ok) => {
                         self.clocks[c] += ok.latency;
-                        // Read conflicts: remote write-set holders abort.
-                        // Filtered in place — the apply result is consumed,
+                        // Filtered in place: the apply result is consumed,
                         // not copied.
                         let mut conflicts = ok.remote_impacts;
-                        conflicts.retain(|i| i.is_tx_conflict(false));
-                        self.abort_victims(c, line, &conflicts, AbortKind::MemoryConflict);
-                        let v = self.memory.load_word(addr);
-                        self.cores[c].vm.as_mut().unwrap().finish_load(v);
+                        conflicts.retain(|i| i.is_tx_conflict(is_write));
+                        self.abort_victims(c, line, &conflicts, AbortKind::MemoryConflict, false);
+                        self.complete(c, addr, store);
                     }
-                    Err(LockFail::Capacity) => {
-                        if mode == ExecMode::Fallback {
-                            // Uncached access; cannot abort.
-                            self.clocks[c] += self.config.coherence.lat_mem;
-                            let v = self.memory.load_word(addr);
-                            self.cores[c].vm.as_mut().unwrap().finish_load(v);
-                        } else {
-                            self.perform_abort(c, AbortKind::Capacity);
-                        }
+                    Err(LockFail::Capacity) if mode == RetryMode::Fallback => {
+                        // Uncached access; the fallback path cannot abort.
+                        self.clocks[c] += self.config.coherence.lat_mem;
+                        self.complete(c, addr, store);
                     }
+                    Err(LockFail::Capacity) => self.perform_abort(c, AbortKind::Capacity),
                     Err(LockFail::LockedBy(_)) => unreachable!(),
                 }
             }
         }
     }
 
-    pub(super) fn do_store(&mut self, c: usize, addr: Addr, value: u64, indirect: bool) {
-        if self.fault(addr) {
-            self.handle_fault(c, addr);
-            return;
-        }
-        let line = addr.line();
-        self.cores[c].fp_cur.insert(line);
-        // Partial-discovery confirmation for a likely-immutable plan: a
-        // store into a root slot means the footprint roots are not stable
-        // after all, so the S-CL lock-all upgrade is off.
-        if !self.cores[c].plan_roots.is_empty() && self.cores[c].plan_roots.contains(&line) {
-            self.cores[c].plan_root_dirty = true;
-        }
-        if let Some(d) = self.cores[c].discovery.as_mut() {
-            d.on_access(line, true, indirect);
-            let sq_over = d.in_failed_mode() && d.stores_in_failed() > self.config.sq_size;
-            if sq_over {
-                d.on_sq_overflow();
-                let ar = self.cores[c].inv.as_ref().unwrap().ar.0;
-                self.cores[c].ert.entry(ar).bump_sq_full();
-                let kind = self.cores[c]
-                    .held_abort
-                    .take()
-                    .unwrap_or(AbortKind::Capacity);
-                self.perform_abort(c, kind);
-                return;
+    /// Finishes a served access: a load's word goes to the VM register; a
+    /// store goes straight to memory on the non-speculative paths (the
+    /// fallback path and discovery-built NS-CL) and to the store queue
+    /// otherwise, which commit drains.
+    fn complete(&mut self, c: usize, addr: Addr, store: Option<u64>) {
+        let core = &mut self.cores[c];
+        match store {
+            None => {
+                let v = self.memory.load_word(addr);
+                core.vm.as_mut().unwrap().finish_load(v);
             }
-            if d.overflowed() {
-                self.on_discovery_overflow(c);
-                if self.phases[c] != Phase::Running {
-                    return;
+            Some(v) => match core.mode {
+                RetryMode::Fallback => self.memory.store_word(addr, v),
+                RetryMode::NsCl if !core.plan_nscl => self.memory.store_word(addr, v),
+                _ => {
+                    core.sq.insert(addr.0, v);
                 }
-            }
-        }
-
-        match self.cores[c].mode {
-            ExecMode::Fallback => {
-                let probe = self.coherence.probe(CoreId(c), line, Access::Write);
-                if probe.locked_by_other.is_some() {
-                    self.cores[c].pending = Some(PendingOp::Store {
-                        addr,
-                        value,
-                        indirect,
-                    });
-                    self.park(c, WaitOn::Pending { line });
-                    return;
-                }
-                let mut conflicts = self.force_apply(c, line, Access::Write, TxTrack::None);
-                conflicts.retain(|i| i.is_tx_conflict(true));
-                self.abort_victims(c, line, &conflicts, AbortKind::MemoryConflict);
-                self.memory.store_word(addr, value);
-            }
-            ExecMode::NsCl if self.cores[c].plan_nscl => {
-                // Plan-driven NS-CL trusts an analyzer, not a discovery
-                // run, so the attempt must stay abortable until the guard
-                // has seen every access: verify the lock before anything
-                // else and buffer the store in the SQ (store-to-load
-                // forwarding above keeps it visible to this core). A guard
-                // trip then rolls the whole attempt back; commit drains the
-                // buffer exactly like S-CL.
-                if self.coherence.locked_by(line) != Some(CoreId(c)) {
-                    self.plan_violation(c);
-                    return;
-                }
-                self.cores[c].sq.insert(addr.0, value);
-                self.clocks[c] += 1;
-            }
-            ExecMode::NsCl => {
-                debug_assert_eq!(
-                    self.coherence.locked_by(line),
-                    Some(CoreId(c)),
-                    "NS-CL stored to an unlocked line: immutability violated"
-                );
-                self.memory.store_word(addr, value);
-                self.clocks[c] += 1;
-            }
-            ExecMode::SCl if self.coherence.locked_by(line) == Some(CoreId(c)) => {
-                // Locked line: conflict-free, but S-CL stays speculative, so
-                // the data waits in the store buffer.
-                self.cores[c].sq.insert(addr.0, value);
-                self.clocks[c] += 1;
-            }
-            ExecMode::Speculative if self.in_failed_mode(c) => {
-                // Failed mode: stores stay in the SQ, no coherence traffic.
-                self.cores[c].sq.insert(addr.0, value);
-                self.clocks[c] += 1;
-            }
-            mode => {
-                // Limited-R/W-set backend: the write buffer bounds the
-                // speculative write set.
-                if mode == ExecMode::Speculative && !self.lrws_track(c, line, true) {
-                    return;
-                }
-                let probe = self.coherence.probe(CoreId(c), line, Access::Write);
-                if probe.locked_by_other.is_some() {
-                    if mode == ExecMode::SCl {
-                        self.perform_abort(c, AbortKind::Nacked);
-                    } else {
-                        self.cores[c].pending = Some(PendingOp::Store {
-                            addr,
-                            value,
-                            indirect,
-                        });
-                        self.park(c, WaitOn::Pending { line });
-                    }
-                    return;
-                }
-                // Collect conflicting victims into the reused scratch list.
-                let mut victims = std::mem::take(&mut self.scratch_victims);
-                victims.clear();
-                for i in probe
-                    .remote_impacts
-                    .iter()
-                    .filter(|i| i.is_tx_conflict(true))
-                {
-                    victims.push(self.tx_info(i.core.0));
-                }
-                let nacked = !victims.is_empty() && {
-                    let me = self.tx_info(c);
-                    self.config.backend.resolve(me, &victims) == Resolution::NackRequester
-                };
-                self.scratch_victims = victims;
-                if nacked {
-                    self.perform_abort(c, AbortKind::Nacked);
-                    return;
-                }
-                // Coherence state is unchanged since the probe, so the
-                // apply can consume it instead of re-probing.
-                match self.coherence.apply_probed(
-                    CoreId(c),
-                    line,
-                    Access::Write,
-                    TxTrack::Write,
-                    probe,
-                ) {
-                    Ok(ok) => {
-                        self.clocks[c] += ok.latency;
-                        let mut conflicts = ok.remote_impacts;
-                        conflicts.retain(|i| i.is_tx_conflict(true));
-                        self.abort_victims(c, line, &conflicts, AbortKind::MemoryConflict);
-                        self.cores[c].sq.insert(addr.0, value);
-                    }
-                    Err(LockFail::Capacity) => {
-                        self.perform_abort(c, AbortKind::Capacity);
-                    }
-                    Err(LockFail::LockedBy(_)) => unreachable!(),
-                }
-            }
+            },
         }
     }
 }

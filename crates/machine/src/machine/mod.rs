@@ -7,10 +7,12 @@
 //! core with the smallest clock (ties broken by core id — fully
 //! deterministic) by one *step*: one retired instruction, one lock
 //! acquisition, one failed lock, fallback-lock or pending poll, or one
-//! phase transition. Memory operations are routed through the store queue, the
-//! CLEAR discovery logic, and the two-phase coherence API; conflicting
-//! remote transactions are resolved by the HTM policy (requester-wins /
-//! PowerTM / §5.2 NACK rules).
+//! phase transition. Every load and store takes one access path
+//! (`Machine::access`), where the attempt's [`RetryMode`] alone picks how
+//! the store queue, the CLEAR discovery logic, the cacheline locks and the
+//! two-phase coherence API serve it; conflicting remote transactions are
+//! resolved by the HTM policy (requester-wins / PowerTM / §5.2 NACK
+//! rules).
 //!
 //! A core whose lock-group poll, fallback-lock poll or pending load or
 //! store re-send fails does not re-poll every `spin_interval` cycles: it
@@ -50,26 +52,6 @@ use clear_mem::{Addr, FxHashMap, FxHashSet, LineAddr, LineSet, Memory};
 use sched::{CoreTree, WaitList};
 use std::sync::Arc;
 
-/// The execution mode of the current attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ExecMode {
-    Speculative,
-    NsCl,
-    SCl,
-    Fallback,
-}
-
-impl ExecMode {
-    fn commit_bucket(self) -> RetryMode {
-        match self {
-            ExecMode::Speculative => RetryMode::SpeculativeRetry,
-            ExecMode::NsCl => RetryMode::NsCl,
-            ExecMode::SCl => RetryMode::SCl,
-            ExecMode::Fallback => RetryMode::Fallback,
-        }
-    }
-}
-
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
     /// Fetch the next AR from the workload.
@@ -86,17 +68,13 @@ enum Phase {
     Finished,
 }
 
+/// One load or store: a store carries its value. A load or store parked
+/// on a line another core holds locked keeps its `MemOp` for the re-send.
 #[derive(Clone, Copy, Debug)]
-enum PendingOp {
-    Load {
-        addr: Addr,
-        indirect: bool,
-    },
-    Store {
-        addr: Addr,
-        value: u64,
-        indirect: bool,
-    },
+struct MemOp {
+    addr: Addr,
+    store: Option<u64>,
+    indirect: bool,
 }
 
 /// Bulk per-core state. The two hottest fields — the clock (the scheduler
@@ -107,8 +85,9 @@ enum PendingOp {
 struct Core {
     vm: Option<Vm>,
     inv: Option<ArInvocation>,
-    mode: ExecMode,
-    pending: Option<PendingOp>,
+    /// Retry mode of the current attempt.
+    mode: RetryMode,
+    pending: Option<MemOp>,
     /// Speculative store buffer: word address -> value.
     sq: FxHashMap<u64, u64>,
     /// Abort held while failed-mode discovery continues (§4.1).
@@ -159,7 +138,7 @@ impl Core {
         Core {
             vm: None,
             inv: None,
-            mode: ExecMode::Speculative,
+            mode: RetryMode::SpeculativeRetry,
             pending: None,
             sq: FxHashMap::default(),
             held_abort: None,
@@ -452,7 +431,7 @@ impl Machine {
         TxInfo {
             core: CoreId(c),
             power: self.cores[c].power,
-            scl: self.cores[c].mode == ExecMode::SCl
+            scl: self.cores[c].mode == RetryMode::SCl
                 && matches!(self.phases[c], Phase::Running | Phase::LockAcquire { .. }),
         }
     }
