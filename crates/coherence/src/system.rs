@@ -19,21 +19,82 @@ use clear_mem::{CacheGeometry, CoreBitSet, LineAddr, LineBitSet, SetAssocCache};
 /// Lines per directory shard (one `u64` of LLC presence per shard).
 const SHARD_LINES_LOG2: u64 = 6;
 
-/// Per-line metadata in a private cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct LineMeta {
-    mesi: MesiState,
-    /// Cacheline lock held by this core (NS-CL/S-CL execution, §4.4).
-    locked: bool,
-    /// Line is in the core's transactional read set.
-    tx_read: bool,
-    /// Line is in the core's transactional write set.
-    tx_write: bool,
-}
+/// Per-line metadata in a private cache, packed into the one byte a
+/// hardware tag array spends on it: bits 0–1 hold the MESI state, bit 2 the
+/// cacheline lock held by this core (NS-CL/S-CL execution, §4.4), bits 3
+/// and 4 membership in the core's transactional read and write sets.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct LineMeta(u8);
 
 impl LineMeta {
+    const MESI: u8 = 0b11;
+    const LOCKED: u8 = 1 << 2;
+    const TX_READ: u8 = 1 << 3;
+    const TX_WRITE: u8 = 1 << 4;
+
+    fn new(mesi: MesiState, locked: bool, tx: TxTrack) -> Self {
+        let mut meta = LineMeta(0);
+        meta.set_mesi(mesi);
+        meta.set_locked(locked);
+        meta.track(tx);
+        meta
+    }
+
+    fn mesi(self) -> MesiState {
+        match self.0 & Self::MESI {
+            0 => MesiState::Shared,
+            1 => MesiState::Exclusive,
+            _ => MesiState::Modified,
+        }
+    }
+
+    fn set_mesi(&mut self, mesi: MesiState) {
+        let bits = match mesi {
+            MesiState::Shared => 0,
+            MesiState::Exclusive => 1,
+            MesiState::Modified => 2,
+        };
+        self.0 = self.0 & !Self::MESI | bits;
+    }
+
+    fn locked(self) -> bool {
+        self.0 & Self::LOCKED != 0
+    }
+
+    fn set_locked(&mut self, locked: bool) {
+        self.0 = self.0 & !Self::LOCKED | if locked { Self::LOCKED } else { 0 };
+    }
+
+    fn tx_read(self) -> bool {
+        self.0 & Self::TX_READ != 0
+    }
+
+    fn tx_write(self) -> bool {
+        self.0 & Self::TX_WRITE != 0
+    }
+
+    /// `true` if the line is in either transactional set.
+    fn in_tx(self) -> bool {
+        self.0 & (Self::TX_READ | Self::TX_WRITE) != 0
+    }
+
+    /// Adds the line to the transactional set `tx` names (none for
+    /// [`TxTrack::None`]).
+    fn track(&mut self, tx: TxTrack) {
+        self.0 |= match tx {
+            TxTrack::None => 0,
+            TxTrack::Read => Self::TX_READ,
+            TxTrack::Write => Self::TX_WRITE,
+        };
+    }
+
+    /// Drops the line from both transactional sets.
+    fn clear_tx(&mut self) {
+        self.0 &= !(Self::TX_READ | Self::TX_WRITE);
+    }
+
     fn pinned(&self) -> bool {
-        self.locked || self.tx_read || self.tx_write
+        self.locked() || self.in_tx()
     }
 }
 
@@ -358,7 +419,7 @@ impl CoherenceSystem {
         self.per_core[core.0]
             .cache
             .get(line)
-            .map(|m| m.mesi.is_exclusive())
+            .map(|m| m.mesi().is_exclusive())
             .unwrap_or(false)
     }
 
@@ -372,7 +433,7 @@ impl CoherenceSystem {
         self.per_core[core.0]
             .cache
             .iter()
-            .filter(|(_, m)| m.locked)
+            .filter(|(_, m)| m.locked())
             .count()
     }
 
@@ -413,17 +474,17 @@ impl CoherenceSystem {
                 Access::Write => impacts.push(RemoteImpact {
                     line,
                     core: CoreId(c),
-                    tx_read: meta.tx_read,
-                    tx_write: meta.tx_write,
+                    tx_read: meta.tx_read(),
+                    tx_write: meta.tx_write(),
                     would_invalidate: true,
                 }),
                 Access::Read => {
-                    if meta.mesi.is_exclusive() {
+                    if meta.mesi().is_exclusive() {
                         impacts.push(RemoteImpact {
                             line,
                             core: CoreId(c),
-                            tx_read: meta.tx_read,
-                            tx_write: meta.tx_write,
+                            tx_read: meta.tx_read(),
+                            tx_write: meta.tx_write(),
                             would_invalidate: false,
                         });
                     }
@@ -443,7 +504,7 @@ impl CoherenceSystem {
         let own = own_way.map(|w| self.per_core[core.0].cache.payload_at(w));
         let hit = match (own, access) {
             (Some(_), Access::Read) => true,
-            (Some(m), Access::Write) => m.mesi.is_exclusive(),
+            (Some(m), Access::Write) => m.mesi().is_exclusive(),
             (None, _) => false,
         };
         let remote_impacts = if hit {
@@ -491,7 +552,7 @@ impl CoherenceSystem {
 
     fn downgrade_remote(&mut self, victim: CoreId, line: LineAddr) {
         if let Some(m) = self.per_core[victim.0].cache.get_mut(line) {
-            m.mesi = MesiState::Shared;
+            m.set_mesi(MesiState::Shared);
         }
         let e = self.dir_mut(line);
         if e.owner == Some(victim) {
@@ -612,29 +673,19 @@ impl CoherenceSystem {
         if let Some(w) = own_way {
             let pc = &mut self.per_core[core.0];
             let meta = pc.cache.touch_at(w);
-            meta.mesi = match access {
-                Access::Write => MesiState::Modified,
-                Access::Read => meta.mesi, // keep stronger state on read hit
-            };
-            if lock && !meta.locked {
-                meta.locked = true;
+            if access == Access::Write {
+                meta.set_mesi(MesiState::Modified); // a read hit keeps its state
+            }
+            if lock && !meta.locked() {
+                meta.set_locked(true);
                 pc.locks_held.push(line);
             }
-            if tx != TxTrack::None && !meta.tx_read && !meta.tx_write {
+            if tx != TxTrack::None && !meta.in_tx() {
                 pc.tx_touched.push(line);
             }
-            match tx {
-                TxTrack::None => {}
-                TxTrack::Read => meta.tx_read = true,
-                TxTrack::Write => meta.tx_write = true,
-            }
+            meta.track(tx);
         } else {
-            let meta = LineMeta {
-                mesi: new_mesi,
-                locked: lock,
-                tx_read: tx == TxTrack::Read,
-                tx_write: tx == TxTrack::Write,
-            };
+            let meta = LineMeta::new(new_mesi, lock, tx);
             match self.per_core[core.0]
                 .cache
                 .insert_respecting(line, meta, LineMeta::pinned)
@@ -714,16 +765,11 @@ impl CoherenceSystem {
                 && self.per_core[o.0]
                     .cache
                     .get(line)
-                    .map(|m| m.mesi.is_exclusive())
+                    .map(|m| m.mesi().is_exclusive())
                     .unwrap_or(false)
         });
         if !remote_exclusive && !locked {
-            let meta = LineMeta {
-                mesi: MesiState::Shared,
-                locked: false,
-                tx_read: false,
-                tx_write: false,
-            };
+            let meta = LineMeta::new(MesiState::Shared, false, TxTrack::None);
             if let Ok(outcome) =
                 self.per_core[core.0]
                     .cache
@@ -834,8 +880,8 @@ impl CoherenceSystem {
     /// Releases the lock `core` holds on `line`. No-op if not held.
     pub fn unlock_line(&mut self, core: CoreId, line: LineAddr) {
         if let Some(m) = self.per_core[core.0].cache.get_mut(line) {
-            if m.locked {
-                m.locked = false;
+            if m.locked() {
+                m.set_locked(false);
                 self.stats.unlocks += 1;
             }
         }
@@ -872,8 +918,7 @@ impl CoherenceSystem {
         let mut touched = std::mem::take(&mut self.per_core[core.0].tx_touched);
         for l in touched.drain(..) {
             if let Some(m) = self.per_core[core.0].cache.get_mut(l) {
-                m.tx_read = false;
-                m.tx_write = false;
+                m.clear_tx();
             }
         }
         self.per_core[core.0].tx_touched = touched;
@@ -884,7 +929,7 @@ impl CoherenceSystem {
         self.per_core[core.0]
             .cache
             .iter()
-            .filter(|(_, m)| m.tx_read || m.tx_write)
+            .filter(|(_, m)| m.in_tx())
             .map(|(l, _)| l)
             .collect()
     }
@@ -1087,6 +1132,35 @@ mod tests {
         assert!(s.has_exclusive(CoreId(0), l));
         // Untracked read of own cached line is an L1 hit.
         assert_eq!(s.read_untracked(CoreId(0), l), 1);
+    }
+
+    #[test]
+    fn line_meta_is_one_tag_array_byte() {
+        // The L1 keeps one payload per way; a new field must not regrow it.
+        assert_eq!(std::mem::size_of::<LineMeta>(), 1);
+    }
+
+    #[test]
+    fn line_meta_fields_are_independent() {
+        for mesi in [MesiState::Shared, MesiState::Exclusive, MesiState::Modified] {
+            for locked in [false, true] {
+                for tx in [TxTrack::None, TxTrack::Read, TxTrack::Write] {
+                    let mut m = LineMeta::new(mesi, locked, tx);
+                    assert_eq!(m.mesi(), mesi);
+                    assert_eq!(m.locked(), locked);
+                    assert_eq!(m.tx_read(), tx == TxTrack::Read);
+                    assert_eq!(m.tx_write(), tx == TxTrack::Write);
+                    assert_eq!(m.pinned(), locked || tx != TxTrack::None);
+                    m.track(TxTrack::Read);
+                    m.track(TxTrack::Write);
+                    m.set_mesi(MesiState::Shared);
+                    assert!(m.tx_read() && m.tx_write() && m.locked() == locked);
+                    m.clear_tx();
+                    m.set_locked(false);
+                    assert_eq!(m, LineMeta::new(MesiState::Shared, false, TxTrack::None));
+                }
+            }
+        }
     }
 
     #[test]

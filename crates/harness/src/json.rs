@@ -348,10 +348,28 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = text.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
+                        let unit = hex4(bytes, *pos + 1)?;
                         *pos += 4;
+                        // A character outside the BMP arrives as a UTF-16
+                        // high + low surrogate pair of two `\u` escapes.
+                        let code = if (0xD800..0xDC00).contains(&unit) {
+                            let low = match bytes.get(*pos + 1..*pos + 3) {
+                                Some(b"\\u") => hex4(bytes, *pos + 3)?,
+                                _ => 0,
+                            };
+                            if !(0xDC00..0xE000).contains(&low) {
+                                return Err(format!(
+                                    "unpaired surrogate at byte {pos}",
+                                    pos = *pos
+                                ));
+                            }
+                            *pos += 6;
+                            0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+                        } else {
+                            unit
+                        };
+                        // A lone low surrogate is not a `char`.
+                        out.push(char::from_u32(code).ok_or("unpaired surrogate in \\u escape")?);
                     }
                     _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
                 }
@@ -369,6 +387,18 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
             }
         }
     }
+}
+
+/// The four hex digits of a `\u` escape starting at byte `at`. Only ASCII
+/// hex digits count: no sign, no whitespace.
+fn hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
+    let digits = bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+    digits.iter().try_fold(0, |code, &b| {
+        let digit = char::from(b)
+            .to_digit(16)
+            .ok_or_else(|| format!("non-hex digit in \\u escape at byte {at}"))?;
+        Ok(code << 4 | digit)
+    })
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
@@ -471,6 +501,49 @@ mod tests {
         assert_eq!(
             back,
             Json::Str("a\u{e9}b\n\u{e7}\u{e9}\u{1f600}".to_string())
+        );
+    }
+
+    #[test]
+    fn surrogate_pair_escape_decodes_to_one_char() {
+        let back = Json::parse("\"a\\ud83d\\ude00b\"").expect("parse");
+        assert_eq!(back, Json::Str("a\u{1f600}b".to_string()));
+        let back = Json::parse("\"\\uD800\\uDC00\\uDBFF\\uDFFF\"").expect("parse");
+        assert_eq!(back, Json::Str("\u{10000}\u{10ffff}".to_string()));
+    }
+
+    #[test]
+    fn lone_high_surrogate_is_rejected() {
+        for text in [
+            "\"\\ud83d\"",
+            "\"\\ud83dx\"",
+            "\"\\ud83d\\n\"",
+            "\"\\ud83d\\ud83d\"",
+            "\"\\ud83d\\u0041\"",
+        ] {
+            let err = Json::parse(text).unwrap_err();
+            assert!(err.contains("unpaired surrogate"), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn lone_low_surrogate_is_rejected() {
+        for text in ["\"\\ude00\"", "\"a\\ude00\\ud83d\""] {
+            let err = Json::parse(text).unwrap_err();
+            assert!(err.contains("unpaired surrogate"), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn u_escape_takes_exactly_four_hex_digits() {
+        for text in ["\"\\u+041\"", "\"\\u-041\"", "\"\\u 041\"", "\"\\u004g\""] {
+            let err = Json::parse(text).unwrap_err();
+            assert!(err.contains("non-hex digit"), "{text}: {err}");
+        }
+        assert!(Json::parse("\"\\u004\"").is_err());
+        assert_eq!(
+            Json::parse("\"\\u0041\\u00e9\\u00E9\"").expect("parse"),
+            Json::Str("A\u{e9}\u{e9}".to_string())
         );
     }
 

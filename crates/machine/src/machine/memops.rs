@@ -153,7 +153,7 @@ impl Machine {
             store,
             indirect,
         } = op;
-        if addr == Addr::NULL || !addr.is_word_aligned() {
+        if addr == Addr::NULL || !addr.is_word_aligned() || addr.line() >= LineAddr::END {
             match self.cores[c].mode {
                 RetryMode::Fallback | RetryMode::NsCl => panic!(
                     "fault at {addr} in non-speculative mode: workload bug (mode {:?})",

@@ -224,11 +224,25 @@ fn store_heavy_but_within_sq_still_converts() {
     assert_eq!(s.commits(), 90);
 }
 
-/// An AR that dereferences a null pointer: a workload bug that must be
-/// caught loudly once the AR reaches the non-speculative fallback path.
+/// An AR that dereferences a bad pointer (null, or past the simulated
+/// address space): a workload bug that must be caught loudly once the AR
+/// reaches the non-speculative fallback path.
 struct FaultyAr {
+    base: u64,
     remaining: u32,
     program: Arc<Program>,
+}
+
+impl FaultyAr {
+    fn new(base: u64) -> Self {
+        let mut p = ProgramBuilder::new();
+        p.ld(Reg(1), Reg(0), 0).xend();
+        FaultyAr {
+            base,
+            remaining: 5,
+            program: Arc::new(p.build()),
+        }
+    }
 }
 
 impl Workload for FaultyAr {
@@ -251,7 +265,7 @@ impl Workload for FaultyAr {
         Some(ArInvocation {
             ar: ArId(0),
             program: Arc::clone(&self.program),
-            args: vec![(Reg(0), 0)], // null base
+            args: vec![(Reg(0), self.base)],
             think_cycles: 5,
         })
     }
@@ -260,17 +274,21 @@ impl Workload for FaultyAr {
 #[test]
 #[should_panic(expected = "fault")]
 fn persistent_fault_panics_on_the_fallback_path() {
-    let mut p = ProgramBuilder::new();
-    p.ld(Reg(1), Reg(0), 0).xend();
-    let w = FaultyAr {
-        remaining: 5,
-        program: Arc::new(p.build()),
-    };
     let mut cfg = Preset::B.config(1, 2);
     cfg.seed = 1;
     // Speculative attempts abort with kind Other; after the retry budget
     // the AR enters fallback, where the fault is a hard error.
-    Machine::new(cfg, Box::new(w)).run();
+    Machine::new(cfg, Box::new(FaultyAr::new(0))).run();
+}
+
+#[test]
+#[should_panic(expected = "fault at 0x4000000000000 in non-speculative mode")]
+fn pointer_past_the_address_space_faults_like_null() {
+    // The line has no cache tag: speculative attempts abort rather than
+    // reach the L1, and the fallback path reports the fault.
+    let mut cfg = Preset::B.config(1, 2);
+    cfg.seed = 1;
+    Machine::new(cfg, Box::new(FaultyAr::new(1 << 50))).run();
 }
 
 #[test]

@@ -90,6 +90,13 @@ impl From<u64> for Addr {
 pub struct LineAddr(pub u64);
 
 impl LineAddr {
+    /// One past the last line of the simulated address space (byte
+    /// addresses just under 256 GiB). A set-associative tag store keeps a
+    /// `u32` tag per way, and a one-set store has no tag for this line or
+    /// any above it, so an access there is a simulated fault, like one at
+    /// [`Addr::NULL`].
+    pub const END: LineAddr = LineAddr(u32::MAX as u64);
+
     /// Returns the first byte address of the line.
     #[inline]
     pub fn base(self) -> Addr {

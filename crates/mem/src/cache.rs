@@ -34,6 +34,13 @@ pub enum EvictionOutcome {
 /// lives in the flat [`Memory`](crate::Memory). The payload `T` carries
 /// per-line metadata such as MESI state or HTM read/write membership.
 ///
+/// The ways are stored the way hardware lays out a tag array: one `u32`
+/// tag, one recency-rank byte and one payload per way, in three flat
+/// arrays. A tag is the line address above the set-index bits, plus one,
+/// so 0 marks a free way. The ranks of a set's occupied ways are a
+/// permutation of `0..occupied`, 0 being the most recently used: exact true
+/// LRU, evicting the same victims as per-way timestamps would.
+///
 /// # Examples
 ///
 /// ```
@@ -48,30 +55,51 @@ pub enum EvictionOutcome {
 #[derive(Clone)]
 pub struct SetAssocCache<T> {
     geometry: CacheGeometry,
-    /// `sets × ways` entries; `None` = free way. Left empty until the first
-    /// insert, so a cache that is never written costs no way storage (a
-    /// many-core machine builds one L1 per core, most of which stay cold
-    /// in short runs); every read path treats the empty store as all-free.
-    ways: Vec<Option<Entry<T>>>,
-    /// Monotonic counter for LRU timestamps.
-    tick: u64,
+    /// `log2(sets)`: the line-address bits the set index consumes.
+    set_bits: u32,
+    /// `sets × ways` tags, `(line >> set_bits) + 1`; 0 = free way. The
+    /// three way arrays are left empty until the first insert, so a cache
+    /// that is never written costs no way storage (a many-core machine
+    /// builds one L1 per core, most of which stay cold in short runs);
+    /// every read path treats the empty store as all-free.
+    tags: Vec<u32>,
+    /// Recency rank per way: 0 = most recently used within the set;
+    /// [`FREE_RANK`] on a free way.
+    ranks: Vec<u8>,
+    /// Payload per way; a free way's payload is stale and never read.
+    payloads: Vec<T>,
 }
 
-#[derive(Clone, Debug)]
-struct Entry<T> {
-    line: LineAddr,
-    last_use: u64,
-    payload: T,
+/// The line an occupied way of set `set` holds under tag `tag`.
+fn tag_line(tag: u32, set: usize, set_bits: u32) -> LineAddr {
+    LineAddr(((u64::from(tag) - 1) << set_bits) | set as u64)
 }
+
+/// Rank of a free way. It sorts after every occupied way's rank (at most
+/// `ways - 1`, below it), so promoting a way ages exactly the occupied ways
+/// more recent than it, and a free way is never an eviction victim.
+const FREE_RANK: u8 = u8::MAX;
 
 impl<T> SetAssocCache<T> {
     /// Creates an empty cache with the given geometry. Way storage is
     /// allocated by the first insert.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has more than 254 ways: a rank is one byte,
+    /// and rank 255 marks a free way.
     pub fn new(geometry: CacheGeometry) -> Self {
+        assert!(
+            geometry.ways < FREE_RANK as usize,
+            "at most {} ways per set",
+            FREE_RANK - 1
+        );
         SetAssocCache {
             geometry,
-            ways: Vec::new(),
-            tick: 0,
+            set_bits: geometry.sets.trailing_zeros(),
+            tags: Vec::new(),
+            ranks: Vec::new(),
+            payloads: Vec::new(),
         }
     }
 
@@ -80,43 +108,39 @@ impl<T> SetAssocCache<T> {
         self.geometry
     }
 
-    fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
-        let set = self.geometry.set_index(line);
-        let start = set * self.geometry.ways;
-        start..start + self.geometry.ways
+    /// First way index of `line`'s set.
+    fn set_start(&self, line: LineAddr) -> usize {
+        self.geometry.set_index(line) * self.geometry.ways
     }
 
-    /// The ways of `line`'s set; empty while no way storage exists.
-    fn set_ways(&self, line: LineAddr) -> &[Option<Entry<T>>] {
-        self.ways.get(self.set_range(line)).unwrap_or_default()
+    /// `line`'s tag, or `None` if it is too high for any tag: such a line
+    /// can never be resident.
+    fn tag_of(&self, line: LineAddr) -> Option<u32> {
+        u32::try_from(line.0 >> self.set_bits).ok()?.checked_add(1)
     }
 
-    /// Mutable [`SetAssocCache::set_ways`].
-    fn set_ways_mut(&mut self, line: LineAddr) -> &mut [Option<Entry<T>>] {
-        let range = self.set_range(line);
-        self.ways.get_mut(range).unwrap_or_default()
+    /// The line held in occupied way `way`.
+    fn line_at(&self, way: usize) -> LineAddr {
+        tag_line(self.tags[way], way / self.geometry.ways, self.set_bits)
     }
 
-    /// Allocates the way storage on first use.
-    fn allocate(&mut self) {
-        if self.ways.is_empty() {
-            self.ways.resize_with(self.geometry.lines(), || None);
+    /// Makes `way` its set's most recently used way. The ways more recent
+    /// than it age by one; for a free way (rank [`FREE_RANK`]) that is
+    /// every occupied way of the set.
+    fn promote(&mut self, way: usize) {
+        let start = way - way % self.geometry.ways;
+        let rank = self.ranks[way];
+        for r in &mut self.ranks[start..start + self.geometry.ways] {
+            *r += u8::from(*r < rank);
         }
+        self.ranks[way] = 0;
     }
 
     /// Returns a reference to the payload of `line` if present, refreshing
     /// its LRU position.
     pub fn touch(&mut self, line: LineAddr) -> Option<&mut T> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.set_ways_mut(line)
-            .iter_mut()
-            .flatten()
-            .find(|e| e.line == line)
-            .map(|e| {
-                e.last_use = tick;
-                &mut e.payload
-            })
+        let way = self.find_way(line)?;
+        Some(self.touch_at(way))
     }
 
     /// Index of `line`'s way in the backing store, if cached — lets a
@@ -124,11 +148,10 @@ impl<T> SetAssocCache<T> {
     /// and [`SetAssocCache::touch_at`] instead of re-scanning the set.
     /// The index stays valid until the cache is mutated.
     pub fn find_way(&self, line: LineAddr) -> Option<usize> {
-        let start = self.set_range(line).start;
-        self.set_ways(line)
-            .iter()
-            .position(|e| e.as_ref().is_some_and(|e| e.line == line))
-            .map(|i| start + i)
+        let tag = self.tag_of(line)?;
+        let start = self.set_start(line);
+        let set = self.tags.get(start..start + self.geometry.ways)?;
+        set.iter().position(|&t| t == tag).map(|i| start + i)
     }
 
     /// Payload at a way index obtained from [`SetAssocCache::find_way`].
@@ -137,7 +160,8 @@ impl<T> SetAssocCache<T> {
     ///
     /// Panics if `way` is out of range or the way is free.
     pub fn payload_at(&self, way: usize) -> &T {
-        &self.ways[way].as_ref().expect("occupied way").payload
+        assert!(self.tags[way] != 0, "occupied way");
+        &self.payloads[way]
     }
 
     /// Refreshes the LRU position of the entry at `way` (same effect as
@@ -147,80 +171,43 @@ impl<T> SetAssocCache<T> {
     ///
     /// Panics if `way` is out of range or the way is free.
     pub fn touch_at(&mut self, way: usize) -> &mut T {
-        self.tick += 1;
-        let e = self.ways[way].as_mut().expect("occupied way");
-        e.last_use = self.tick;
-        &mut e.payload
+        assert!(self.tags[way] != 0, "occupied way");
+        self.promote(way);
+        &mut self.payloads[way]
     }
 
     /// Returns a reference to the payload of `line` if present, without
     /// touching LRU state.
     pub fn get(&self, line: LineAddr) -> Option<&T> {
-        self.set_ways(line)
-            .iter()
-            .flatten()
-            .find(|e| e.line == line)
-            .map(|e| &e.payload)
+        self.find_way(line).map(|w| &self.payloads[w])
     }
 
     /// Returns a mutable reference to the payload of `line` if present,
     /// without touching LRU state.
     pub fn get_mut(&mut self, line: LineAddr) -> Option<&mut T> {
-        self.set_ways_mut(line)
-            .iter_mut()
-            .flatten()
-            .find(|e| e.line == line)
-            .map(|e| &mut e.payload)
+        self.find_way(line).map(|w| &mut self.payloads[w])
     }
 
     /// Returns `true` if `line` is present.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.get(line).is_some()
+        self.find_way(line).is_some()
     }
 
     /// Inserts `line` with `payload`, evicting the LRU way of its set if the
     /// set is full. If the line is already present its payload is replaced
     /// and `Hit` is returned.
-    pub fn insert(&mut self, line: LineAddr, payload: T) -> EvictionOutcome {
-        self.allocate();
-        self.tick += 1;
-        let tick = self.tick;
-        let range = self.set_range(line);
-
-        // Already present?
-        if let Some(e) = self.ways[range.clone()]
-            .iter_mut()
-            .flatten()
-            .find(|e| e.line == line)
-        {
-            e.last_use = tick;
-            e.payload = payload;
-            return EvictionOutcome::Hit;
-        }
-
-        // Free way?
-        if let Some(slot) = self.ways[range.clone()].iter_mut().find(|w| w.is_none()) {
-            *slot = Some(Entry {
-                line,
-                last_use: tick,
-                payload,
-            });
-            return EvictionOutcome::Inserted;
-        }
-
-        // Evict LRU.
-        let victim_idx = range
-            .clone()
-            .min_by_key(|&i| self.ways[i].as_ref().map(|e| e.last_use).unwrap_or(0))
-            .expect("non-empty set");
-        let victim = self.ways[victim_idx]
-            .replace(Entry {
-                line,
-                last_use: tick,
-                payload,
-            })
-            .expect("victim way occupied");
-        EvictionOutcome::Evicted(victim.line)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is too high for a `u32` tag. Every line below
+    /// [`LineAddr::END`] has one, whatever the geometry; the machine faults
+    /// an access at or above it before it reaches a cache.
+    pub fn insert(&mut self, line: LineAddr, payload: T) -> EvictionOutcome
+    where
+        T: Default,
+    {
+        self.insert_respecting(line, payload, |_| false)
+            .expect("an unpinned set always has a victim")
     }
 
     /// Inserts `line` only if it does not require evicting a *pinned* entry.
@@ -234,6 +221,11 @@ impl<T> SetAssocCache<T> {
     /// ways of the set are occupied by pinned lines. This models the fact
     /// that locked or transactionally-tracked lines cannot be silently
     /// dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is too high for a `u32` tag, as
+    /// [`SetAssocCache::insert`] does.
     pub fn insert_respecting<F>(
         &mut self,
         line: LineAddr,
@@ -241,82 +233,77 @@ impl<T> SetAssocCache<T> {
         pinned: F,
     ) -> Result<EvictionOutcome, PinnedSetFull>
     where
+        T: Default,
         F: Fn(&T) -> bool,
     {
-        self.allocate();
-        self.tick += 1;
-        let tick = self.tick;
-        let range = self.set_range(line);
+        let tag = self.tag_of(line).expect("line address fits a u32 tag");
+        if self.tags.is_empty() {
+            let lines = self.geometry.lines();
+            self.tags.resize(lines, 0);
+            self.ranks.resize(lines, FREE_RANK);
+            self.payloads.resize_with(lines, T::default);
+        }
+        let start = self.set_start(line);
+        let set = start..start + self.geometry.ways;
 
-        if let Some(e) = self.ways[range.clone()]
-            .iter_mut()
-            .flatten()
-            .find(|e| e.line == line)
+        let (way, outcome) = if let Some(i) = self.tags[set.clone()].iter().position(|&t| t == tag)
         {
-            e.last_use = tick;
-            e.payload = payload;
-            return Ok(EvictionOutcome::Hit);
-        }
-
-        if let Some(slot) = self.ways[range.clone()].iter_mut().find(|w| w.is_none()) {
-            *slot = Some(Entry {
-                line,
-                last_use: tick,
-                payload,
-            });
-            return Ok(EvictionOutcome::Inserted);
-        }
-
-        let victim_idx = range
-            .clone()
-            .filter(|&i| {
-                self.ways[i]
-                    .as_ref()
-                    .map(|e| !pinned(&e.payload))
-                    .unwrap_or(true)
-            })
-            .min_by_key(|&i| self.ways[i].as_ref().map(|e| e.last_use).unwrap_or(0));
-
-        match victim_idx {
-            Some(i) => {
-                let victim = self.ways[i]
-                    .replace(Entry {
-                        line,
-                        last_use: tick,
-                        payload,
-                    })
-                    .expect("victim way occupied");
-                Ok(EvictionOutcome::Evicted(victim.line))
-            }
-            None => Err(PinnedSetFull),
-        }
+            (start + i, EvictionOutcome::Hit)
+        } else if let Some(i) = self.tags[set.clone()].iter().position(|&t| t == 0) {
+            (start + i, EvictionOutcome::Inserted)
+        } else {
+            // The set is full: evict its least recently used unpinned way.
+            let victim = set
+                .filter(|&w| !pinned(&self.payloads[w]))
+                .max_by_key(|&w| self.ranks[w])
+                .ok_or(PinnedSetFull)?;
+            (victim, EvictionOutcome::Evicted(self.line_at(victim)))
+        };
+        self.tags[way] = tag;
+        self.payloads[way] = payload;
+        self.promote(way);
+        Ok(outcome)
     }
 
     /// Removes `line`, returning its payload if it was present.
-    pub fn remove(&mut self, line: LineAddr) -> Option<T> {
-        self.set_ways_mut(line)
-            .iter_mut()
-            .find(|w| w.as_ref().is_some_and(|e| e.line == line))
-            .and_then(|w| w.take())
-            .map(|e| e.payload)
+    pub fn remove(&mut self, line: LineAddr) -> Option<T>
+    where
+        T: Default,
+    {
+        let way = self.find_way(line)?;
+        let start = way - way % self.geometry.ways;
+        let rank = self.ranks[way];
+        self.tags[way] = 0;
+        self.ranks[way] = FREE_RANK;
+        for r in &mut self.ranks[start..start + self.geometry.ways] {
+            *r -= u8::from(*r > rank && *r != FREE_RANK);
+        }
+        Some(std::mem::take(&mut self.payloads[way]))
     }
 
-    /// Iterates over all resident `(line, payload)` pairs.
+    /// Iterates over all resident `(line, payload)` pairs, in way order.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> {
-        self.ways.iter().flatten().map(|e| (e.line, &e.payload))
+        self.payloads
+            .iter()
+            .enumerate()
+            .filter(|&(w, _)| self.tags[w] != 0)
+            .map(|(w, p)| (self.line_at(w), p))
     }
 
     /// Iterates mutably over all resident `(line, payload)` pairs.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (LineAddr, &mut T)> {
-        self.ways
-            .iter_mut()
-            .flatten()
-            .map(|e| (e.line, &mut e.payload))
+        let (ways, set_bits) = (self.geometry.ways, self.set_bits);
+        self.tags
+            .iter()
+            .zip(&mut self.payloads)
+            .enumerate()
+            .filter(|(_, (&tag, _))| tag != 0)
+            .map(move |(w, (&tag, p))| (tag_line(tag, w / ways, set_bits), p))
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.ways.iter().flatten().count()
+        self.tags.iter().filter(|&&t| t != 0).count()
     }
 
     /// Returns `true` if no lines are resident.
@@ -326,7 +313,8 @@ impl<T> SetAssocCache<T> {
 
     /// Drops every resident line.
     pub fn clear(&mut self) {
-        self.ways.iter_mut().for_each(|w| *w = None);
+        self.tags.fill(0);
+        self.ranks.fill(FREE_RANK);
     }
 
     /// Checks whether a *set of lines* can be resident simultaneously:
@@ -438,6 +426,16 @@ mod tests {
             g,
             [LineAddr(0), LineAddr(2), LineAddr(1), LineAddr(3)]
         ));
+        // The L1's 768 ways fit, one more line does not, nor 13 lines in
+        // one 12-way set.
+        let l1 = CacheGeometry::default();
+        let lines = |n: u64| (0..n).map(LineAddr);
+        assert!(SetAssocCache::<()>::fits_simultaneously(l1, lines(768)));
+        assert!(!SetAssocCache::<()>::fits_simultaneously(l1, lines(769)));
+        assert!(!SetAssocCache::<()>::fits_simultaneously(
+            l1,
+            (0..13).map(|i| LineAddr(i * 64))
+        ));
     }
 
     #[test]
@@ -479,6 +477,77 @@ mod tests {
             Ok(EvictionOutcome::Inserted)
         );
         assert_eq!(c.find_way(LineAddr(2)).map(|w| *c.payload_at(w)), Some(3));
+    }
+
+    #[test]
+    fn way_storage_is_six_bytes_per_way_with_a_one_byte_payload() {
+        // A 48 KiB, 12-way L1 (64 × 12) with a one-byte payload: a u32 tag,
+        // a rank byte and the payload byte per way, so a field regrowing the
+        // way arrays fails here.
+        let mut c: SetAssocCache<u8> = SetAssocCache::new(CacheGeometry::default());
+        c.insert(LineAddr(7), 1);
+        let ways = c.geometry().lines();
+        assert_eq!(ways, 768);
+        let bytes = c.tags.capacity() * std::mem::size_of::<u32>()
+            + c.ranks.capacity()
+            + c.payloads.capacity() * std::mem::size_of::<u8>();
+        assert!(bytes <= 6 * ways, "{bytes} bytes for {ways} ways");
+    }
+
+    #[test]
+    fn ranks_stay_a_permutation_of_the_occupied_ways() {
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(1, 4));
+        let check = |c: &SetAssocCache<u32>| {
+            let mut ranks: Vec<u8> = (0..4)
+                .filter(|&w| c.tags[w] != 0)
+                .map(|w| c.ranks[w])
+                .collect();
+            ranks.sort_unstable();
+            assert_eq!(ranks, (0..ranks.len() as u8).collect::<Vec<_>>());
+        };
+        for l in [3, 1, 4, 1, 5, 9, 2, 6] {
+            c.insert(LineAddr(l), 0);
+            check(&c);
+        }
+        c.touch(LineAddr(9));
+        check(&c);
+        c.remove(LineAddr(5));
+        check(&c);
+        c.insert(LineAddr(8), 0);
+        check(&c);
+        // 2 and 6 are older than 9 and 8; 2 is the oldest.
+        assert_eq!(
+            c.insert(LineAddr(10), 0),
+            EvictionOutcome::Evicted(LineAddr(2))
+        );
+    }
+
+    #[test]
+    fn lines_beyond_the_tag_range_are_never_resident() {
+        let mut c = small();
+        c.insert(LineAddr(1), 1);
+        assert_eq!(c.get(LineAddr(u64::MAX)), None);
+        assert_eq!(c.remove(LineAddr(1 + (2 << 32))), None);
+        // The highest line with a tag round-trips through `iter`.
+        let top = LineAddr(((u64::from(u32::MAX) - 1) << 1) | 1);
+        assert_eq!(c.insert(top, 2), EvictionOutcome::Inserted);
+        assert!(c.iter().any(|(l, &p)| l == top && p == 2));
+    }
+
+    #[test]
+    fn every_line_below_the_address_space_end_has_a_tag() {
+        let last = LineAddr(LineAddr::END.0 - 1);
+        for sets in [1, 8, 64] {
+            let mut c: SetAssocCache<u8> = SetAssocCache::new(CacheGeometry::new(sets, 1));
+            assert_eq!(c.insert(last, 1), EvictionOutcome::Inserted);
+            assert_eq!(c.iter().collect::<Vec<_>>(), [(last, &1)]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fits a u32 tag")]
+    fn insert_beyond_the_tag_range_panics() {
+        small().insert(LineAddr(u64::MAX), 0);
     }
 
     #[test]

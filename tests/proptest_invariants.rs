@@ -211,6 +211,213 @@ fn corebitset_matches_set_model_across_inline_and_spill() {
     }
 }
 
+/// The way store `SetAssocCache` replaced, kept as the reference its tag,
+/// rank and payload arrays must match: one `Option` entry per way holding
+/// the line and a `u64` last-use tick, evicting the smallest tick.
+struct TickCache {
+    geometry: CacheGeometry,
+    ways: Vec<Option<TickEntry>>,
+    tick: u64,
+}
+
+struct TickEntry {
+    line: LineAddr,
+    last_use: u64,
+    payload: u32,
+}
+
+impl TickCache {
+    fn new(geometry: CacheGeometry) -> Self {
+        TickCache {
+            geometry,
+            ways: (0..geometry.lines()).map(|_| None).collect(),
+            tick: 0,
+        }
+    }
+
+    fn set(&self, line: LineAddr) -> std::ops::Range<usize> {
+        let start = self.geometry.set_index(line) * self.geometry.ways;
+        start..start + self.geometry.ways
+    }
+
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        self.set(line)
+            .find(|&w| self.ways[w].as_ref().is_some_and(|e| e.line == line))
+    }
+
+    fn touch(&mut self, line: LineAddr) -> Option<u32> {
+        self.tick += 1;
+        let way = self.find(line)?;
+        let e = self.ways[way].as_mut().unwrap();
+        e.last_use = self.tick;
+        Some(e.payload)
+    }
+
+    fn get_mut(&mut self, line: LineAddr) -> Option<&mut u32> {
+        let way = self.find(line)?;
+        self.ways[way].as_mut().map(|e| &mut e.payload)
+    }
+
+    fn insert_respecting(
+        &mut self,
+        line: LineAddr,
+        payload: u32,
+        pinned: impl Fn(&u32) -> bool,
+    ) -> Result<clear_mem::EvictionOutcome, clear_mem::PinnedSetFull> {
+        use clear_mem::EvictionOutcome;
+        self.tick += 1;
+        let entry = TickEntry {
+            line,
+            last_use: self.tick,
+            payload,
+        };
+        if let Some(way) = self.find(line) {
+            self.ways[way] = Some(entry);
+            return Ok(EvictionOutcome::Hit);
+        }
+        if let Some(way) = self.set(line).find(|&w| self.ways[w].is_none()) {
+            self.ways[way] = Some(entry);
+            return Ok(EvictionOutcome::Inserted);
+        }
+        let victim = self
+            .set(line)
+            .filter(|&w| !pinned(&self.ways[w].as_ref().unwrap().payload))
+            .min_by_key(|&w| self.ways[w].as_ref().unwrap().last_use)
+            .ok_or(clear_mem::PinnedSetFull)?;
+        let old = self.ways[victim].replace(entry).unwrap();
+        Ok(EvictionOutcome::Evicted(old.line))
+    }
+
+    fn remove(&mut self, line: LineAddr) -> Option<u32> {
+        let way = self.find(line)?;
+        self.ways[way].take().map(|e| e.payload)
+    }
+
+    fn iter(&self) -> Vec<(LineAddr, u32)> {
+        self.ways
+            .iter()
+            .flatten()
+            .map(|e| (e.line, e.payload))
+            .collect()
+    }
+}
+
+/// SetAssocCache's tag/rank arrays agree with the per-way tick store they
+/// replaced on every return value — hit/insert/evict outcomes with the
+/// victim line, `PinnedSetFull`, payloads, `len` and `iter` in way order —
+/// for random sequences of every mutating and touching operation, over
+/// small, fully associative and L1-sized geometries. A `touch` that misses
+/// must not change which line a later insert evicts.
+#[test]
+fn set_assoc_cache_matches_tick_reference() {
+    const SEQUENCES: u64 = 2000;
+    let geometries = [(2, 2), (4, 2), (1, 12), (64, 12)];
+    for case in 0..SEQUENCES {
+        let mut rng = case_rng(0xcac4_ed1f, case);
+        let (sets, ways) = geometries[case as usize % geometries.len()];
+        let geom = CacheGeometry::new(sets, ways);
+        let set_bits = sets.trailing_zeros();
+        let mut cache: SetAssocCache<u32> = SetAssocCache::new(geom);
+        let mut model = TickCache::new(geom);
+        // Three lines per way keep sets under eviction pressure; a few lines
+        // sit at the top of the u32 tag range.
+        let pick_line = |rng: &mut SplitMix64| {
+            if rng.below(16) == 0 {
+                let tag = u64::from(u32::MAX) - 1 - rng.below(3);
+                LineAddr((tag << set_bits) | rng.below(sets as u64))
+            } else {
+                LineAddr(rng.below(3 * geom.lines() as u64))
+            }
+        };
+        let nops = 1 + rng.index(200);
+        for op in 0..nops {
+            let line = pick_line(&mut rng);
+            let payload = rng.below(8) as u32;
+            let ctx = format!("case {case} ({sets}x{ways}) op {op} line {}", line.0);
+            match rng.below(8) {
+                0 => assert_eq!(
+                    Ok(cache.insert(line, payload)),
+                    model.insert_respecting(line, payload, |_| false),
+                    "{ctx}: insert"
+                ),
+                1 | 2 => {
+                    let mask = rng.below(8) as u32;
+                    assert_eq!(
+                        cache.insert_respecting(line, payload, |&p| p & mask != 0),
+                        model.insert_respecting(line, payload, |&p| p & mask != 0),
+                        "{ctx}: insert_respecting mask {mask}"
+                    );
+                }
+                3 => {
+                    let missed = !cache.contains(line);
+                    let before = missed.then(|| cache.clone());
+                    assert_eq!(
+                        cache.touch(line).copied(),
+                        model.touch(line),
+                        "{ctx}: touch"
+                    );
+                    if let Some(mut before) = before {
+                        // Fill the line's set with fresh lines: every
+                        // eviction must match the untouched copy's.
+                        let mut after = cache.clone();
+                        for k in 0..ways as u64 {
+                            let fresh = LineAddr(
+                                ((3 * geom.lines() as u64 + k) << set_bits)
+                                    | (line.0 % sets as u64),
+                            );
+                            assert_eq!(
+                                after.insert(fresh, 0),
+                                before.insert(fresh, 0),
+                                "{ctx}: touch on a miss moved a victim"
+                            );
+                        }
+                    }
+                }
+                4 => {
+                    let way = cache.find_way(line);
+                    assert_eq!(way.is_some(), model.find(line).is_some(), "{ctx}");
+                    if let Some(w) = way {
+                        assert_eq!(
+                            Some(*cache.payload_at(w)),
+                            model.get_mut(line).copied(),
+                            "{ctx}: payload_at"
+                        );
+                        *cache.touch_at(w) = payload;
+                        model.touch(line);
+                        *model.get_mut(line).unwrap() = payload;
+                    }
+                }
+                5 => {
+                    if let Some(p) = cache.get_mut(line) {
+                        *p = payload;
+                    }
+                    if let Some(p) = model.get_mut(line) {
+                        *p = payload;
+                    }
+                }
+                6 => assert_eq!(cache.remove(line), model.remove(line), "{ctx}: remove"),
+                _ => {
+                    if rng.below(8) == 0 {
+                        cache.clear();
+                        model.ways.iter_mut().for_each(|w| *w = None);
+                    }
+                }
+            }
+            assert_eq!(
+                cache.get(line).copied(),
+                model.get_mut(line).copied(),
+                "{ctx}: get"
+            );
+            assert_eq!(cache.len(), model.iter().len(), "{ctx}: len");
+            assert_eq!(
+                cache.iter().map(|(l, &p)| (l, p)).collect::<Vec<_>>(),
+                model.iter(),
+                "{ctx}: iter"
+            );
+        }
+    }
+}
+
 /// ERT is bounded and sq-full counters saturate within [0, 3].
 #[test]
 fn ert_bounded_and_saturating() {
